@@ -296,6 +296,8 @@ def _cmd_chord(cfg, out_dir, threads):
             "best_distance": result.best_distance,
             "n_seeds": result.n_seeds,
             "n_phases": result.n_phases,
+            "n_escaped": result.n_escaped,
+            "n_stiff": result.n_stiff,
         },
         "tolerances": {"membership": search.tol, "ode": search.ode_tol},
     }

@@ -55,7 +55,12 @@ def _wrap_half(x):
 
 def _interval_excess(x, lo, hi):
     """Distance of x to the interval [lo, hi]."""
-    return max(lo - x, 0.0, x - hi)
+    return np.maximum(np.maximum(lo - x, 0.0), x - hi)
+
+
+def _norm(x):
+    """Euclidean norm over the last axis."""
+    return np.sqrt(np.sum(x * x, axis=-1))
 
 
 def unit_sphere_point(angles, k):
@@ -320,9 +325,9 @@ class SphereModel(ContactModel):
 
     def _rotate(self, z, phi):
         z = np.asarray(z, dtype=float)
-        p, q = z[: self.k], z[self.k:]
+        p, q = z[..., : self.k], z[..., self.k:]
         c, s = math.cos(phi), math.sin(phi)
-        return np.concatenate([c * p - s * q, s * p + c * q])
+        return np.concatenate([c * p - s * q, s * p + c * q], axis=-1)
 
     def reeb_flow(self, x, t):
         return self._rotate(x, 2.0 * t)
@@ -372,9 +377,9 @@ class SphereModel(ContactModel):
     def _polar_angle(self, coords):
         """2*phi for z ~ |z| e^{i phi} x with x real; range (-pi, pi]."""
         z = np.asarray(coords, dtype=float)
-        u, v = z[: self.k], z[self.k:]
-        return math.atan2(2.0 * np.dot(u, v),
-                          float(np.dot(u, u) - np.dot(v, v)))
+        u, v = z[..., : self.k], z[..., self.k:]
+        return np.arctan2(2.0 * np.sum(u * v, axis=-1),
+                          np.sum(u * u, axis=-1) - np.sum(v * v, axis=-1))
 
     def reeb_time(self, coords):
         # z = sqrt(s) e^{2it} x  =>  t = phi / 2 = psi / 4
@@ -402,6 +407,11 @@ def make_model(kind, k=1) -> ContactModel:
 # Regions and tetragons
 # ---------------------------------------------------------------------------
 
+def _float_or_array(v):
+    v = np.asarray(v, dtype=float)
+    return float(v) if v.ndim == 0 else v
+
+
 @dataclass(frozen=True)
 class Region:
     """A parametrized subset of the ambient symplectic chart.
@@ -420,13 +430,15 @@ class Region:
     event_fn: Callable = field(default=None, compare=False)
 
     def distance(self, coords):
-        return float(self.distance_fn(np.asarray(coords, dtype=float)))
+        """Distance proxy of one point (a float) or of each row of an
+        ``(m, dim)`` stack (an array)."""
+        return _float_or_array(self.distance_fn(np.asarray(coords, float)))
 
     def membership(self, coords, tol=1e-6):
         return self.distance(coords) <= tol
 
     def event_value(self, coords):
-        return float(self.event_fn(np.asarray(coords, dtype=float)))
+        return _float_or_array(self.event_fn(np.asarray(coords, float)))
 
     def param_point(self, params, component=0):
         return np.asarray(
@@ -511,11 +523,9 @@ class Tetragon:
 
 def _circle_regions(model, R0, R1, T):
     def seg_dist_u(u, lo, hi):
-        du = (u - lo) % 1.0
-        if du <= hi - lo:
-            return 0.0
-        return min(abs(float(_wrap_half(u - lo))),
-                   abs(float(_wrap_half(u - hi))))
+        outside = np.minimum(np.abs(_wrap_half(u - lo)),
+                             np.abs(_wrap_half(u - hi)))
+        return np.where((u - lo) % 1.0 <= hi - lo, 0.0, outside)
 
     def horiz(name, R, ev_sign):
         return Region(
@@ -524,10 +534,10 @@ def _circle_regions(model, R0, R1, T):
             param_bounds=((0.0, T),),
             n_components=1,
             to_ambient=lambda par, comp, R=R: np.array([R, par[0] % 1.0]),
-            distance_fn=lambda c, R=R: math.hypot(
-                c[0] - R, seg_dist_u(c[1], 0.0, T)
+            distance_fn=lambda c, R=R: np.hypot(
+                c[..., 0] - R, seg_dist_u(c[..., 1], 0.0, T)
             ),
-            event_fn=lambda c, R=R: c[0] - R,
+            event_fn=lambda c, R=R: c[..., 0] - R,
         )
 
     def wall(name, u0):
@@ -537,11 +547,11 @@ def _circle_regions(model, R0, R1, T):
             param_bounds=((R0, R1),),
             n_components=1,
             to_ambient=lambda par, comp, u0=u0: np.array([par[0], u0 % 1.0]),
-            distance_fn=lambda c, u0=u0: math.hypot(
-                float(_wrap_half(c[1] - u0)),
-                _interval_excess(c[0], R0, R1),
+            distance_fn=lambda c, u0=u0: np.hypot(
+                _wrap_half(c[..., 1] - u0),
+                _interval_excess(c[..., 0], R0, R1),
             ),
-            event_fn=lambda c, u0=u0: float(_wrap_half(c[1] - u0)),
+            event_fn=lambda c, u0=u0: _wrap_half(c[..., 1] - u0),
         )
 
     return (horiz("floor", R0, +1), horiz("ceiling", R1, +1),
@@ -555,33 +565,26 @@ def _torus_regions(model, R0, R1, T):
         for j in range(model.n_angles)
     )
 
-    def split(c):
-        p = c[:k]
-        s = float(np.linalg.norm(p))
-        q = _wrap_half(c[k:])
-        return p, s, q
+    def split(c, s_min):
+        """|p|, wrapped q and p/|p| (p itself where |p| < s_min)."""
+        p = c[..., :k]
+        s = _norm(p)
+        phat = p / np.where(s < s_min, 1.0, s)[..., None]
+        return s, _wrap_half(c[..., k:]), phat
 
     def horiz_dist(c, R):
-        p, s, q = split(c)
-        if s < 1e-9:
-            return math.hypot(R, float(np.linalg.norm(q)))
-        phat = p / s
-        a = float(np.dot(q, phat))
-        perp = q - a * phat
-        return math.sqrt(
-            (s - R) ** 2
-            + float(np.dot(perp, perp))
-            + _interval_excess(a, 0.0, T) ** 2
-        )
+        s, q, phat = split(c, 1e-9)
+        a = np.sum(q * phat, axis=-1)
+        perp = q - a[..., None] * phat
+        d = np.sqrt((s - R) ** 2 + np.sum(perp * perp, axis=-1)
+                    + _interval_excess(a, 0.0, T) ** 2)
+        return np.where(s < 1e-9, np.hypot(R, _norm(q)), d)
 
     def wall_dist(c, t0):
-        p, s, q = split(c)
-        if s < 1e-9:
-            return max(R0, float(np.linalg.norm(q)))
-        phat = p / s
-        dq = _wrap_half(q - t0 * phat)
-        return math.hypot(float(np.linalg.norm(dq)),
-                          _interval_excess(s, R0, R1))
+        s, q, phat = split(c, 1e-9)
+        d = np.hypot(_norm(_wrap_half(q - t0 * phat)),
+                     _interval_excess(s, R0, R1))
+        return np.where(s < 1e-9, np.maximum(R0, _norm(q)), d)
 
     def horiz(name, R):
         def to_amb(par, comp, R=R):
@@ -595,7 +598,7 @@ def _torus_regions(model, R0, R1, T):
             n_components=1,
             to_ambient=to_amb,
             distance_fn=lambda c, R=R: horiz_dist(c, R),
-            event_fn=lambda c, R=R: float(np.linalg.norm(c[:k])) - R,
+            event_fn=lambda c, R=R: _norm(c[..., :k]) - R,
         )
 
     def wall(name, t0):
@@ -605,11 +608,9 @@ def _torus_regions(model, R0, R1, T):
             return np.concatenate([s * phat, (t0 * phat) % 1.0])
 
         def ev(c, t0=t0):
-            p = c[:k]
-            s = float(np.linalg.norm(p))
-            if s < 1e-12:
-                return -t0
-            return float(np.dot(_wrap_half(c[k:]), p / s)) - t0
+            s, q, phat = split(c, 1e-12)
+            return np.where(s < 1e-12, -t0,
+                            np.sum(q * phat, axis=-1) - t0)
 
         return Region(
             name=name, chart=model.chart,
@@ -633,35 +634,34 @@ def _sphere_regions(model, R0, R1, T):
 
     def arc_dist(c, R):
         """Distance to {sqrt(R) e^{i phi} x : phi in [0, 2T], x in S^{k-1}}."""
-        z = np.asarray(c, dtype=float)
-        u, v = z[:k], z[k:]
-        zz = float(np.dot(u, u) + np.dot(v, v))
+        u, v = c[..., :k], c[..., k:]
+        uu, vv = np.sum(u * u, axis=-1), np.sum(v * v, axis=-1)
+        zz = uu + vv
         A = zz / 2.0
-        bx = float(np.dot(u, u) - np.dot(v, v)) / 2.0
-        by = float(np.dot(u, v))
-        B = math.hypot(bx, by)
-        psi = math.atan2(by, bx)
-        # |Re(z e^{-i phi})|^2 = A + B cos(2 phi - psi), period pi in phi
-        cands = [0.0, 2.0 * T]
-        for base in (psi / 2.0, psi / 2.0 - math.pi, psi / 2.0 + math.pi):
-            if 0.0 <= base <= 2.0 * T:
-                cands.append(base)
-        best = math.inf
+        bx = (uu - vv) / 2.0
+        by = np.sum(u * v, axis=-1)
+        B = np.hypot(bx, by)
+        psi = np.arctan2(by, bx)
+        # |Re(z e^{-i phi})|^2 = A + B cos(2 phi - psi), period pi in phi;
+        # the interior critical points count only inside [0, 2T]
         r = math.sqrt(R)
-        for phi in cands:
-            g2 = max(A + B * math.cos(2.0 * phi - psi), 0.0)
-            d2 = zz + R - 2.0 * r * math.sqrt(g2)
-            best = min(best, max(d2, 0.0))
-        return math.sqrt(best)
+        best = np.full(np.shape(zz), np.inf)
+        for phi, valid in [(0.0, True), (2.0 * T, True)] + [
+                (base, (0.0 <= base) & (base <= 2.0 * T))
+                for base in (psi / 2.0, psi / 2.0 - math.pi,
+                             psi / 2.0 + math.pi)]:
+            g2 = np.maximum(A + B * np.cos(2.0 * phi - psi), 0.0)
+            d2 = np.maximum(zz + R - 2.0 * r * np.sqrt(g2), 0.0)
+            best = np.where(valid, np.minimum(best, d2), best)
+        return np.sqrt(best)
 
     def shell_dist(c, phi0):
         """Distance to {r e^{i phi0} x : sqrt(R0) <= r <= sqrt(R1)}."""
-        z = model._rotate(np.asarray(c, dtype=float), -phi0)
-        u, v = z[:k], z[k:]
-        nu = float(np.linalg.norm(u))
-        return math.hypot(
-            _interval_excess(nu, math.sqrt(R0), math.sqrt(R1)),
-            float(np.linalg.norm(v)),
+        z = model._rotate(c, -phi0)
+        return np.hypot(
+            _interval_excess(_norm(z[..., :k]), math.sqrt(R0),
+                             math.sqrt(R1)),
+            _norm(z[..., k:]),
         )
 
     def horiz(name, R):
@@ -676,7 +676,7 @@ def _sphere_regions(model, R0, R1, T):
             n_components=model.n_components,
             to_ambient=to_amb,
             distance_fn=lambda c, R=R: arc_dist(c, R),
-            event_fn=lambda c, R=R: float(np.dot(c, c)) - R,
+            event_fn=lambda c, R=R: np.sum(c * c, axis=-1) - R,
         )
 
     def wall(name, t0):

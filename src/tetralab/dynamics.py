@@ -1,24 +1,26 @@
 """Trajectory integration, separation and floor-to-ceiling chord search.
 
 The chord search sweeps a deterministic seed grid on the start region
-(and start phases for time-periodic Hamiltonians), integrates each seed
-forward with event detection on the target region's enclosing
-hypersurface, certifies hits by a membership test, and then refines the
-best candidate with a derivative-free pattern search that minimizes the
-arrival time.  The returned chord is the minimal-time certified chord
-over the sweep, with ties broken by seed order, so results do not depend
-on thread scheduling.
+(and start phases for time-periodic Hamiltonians).  All seeds x phases
+are integrated together by one vectorised DOP853 ensemble
+(``ensemble_sweep``) with event detection on the target region's
+enclosing hypersurface; hits are certified by a membership test.  The
+best candidate is then refined with a derivative-free pattern search
+that minimizes the arrival time, and re-certified by ``integrate``.  The
+returned chord is the minimal-time certified chord over the sweep, with
+ties broken by seed order.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp.rk import DOP853, MAX_FACTOR, MIN_FACTOR, SAFETY
 
 from .contact import Region
 from .phase_core import HamiltonianSpec, sgrad
@@ -75,7 +77,7 @@ class Trajectory:
         return float(self.times[-1])
 
     def sample(self, ts):
-        return np.array([self(t) for t in np.atleast_1d(ts)])
+        return self.chart.wrap(self.dense(np.atleast_1d(ts)).T)
 
     def write_csv(self, path):
         header = "t," + ",".join(self.chart.labels)
@@ -98,7 +100,7 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
     chart = H.chart
 
     def rhs(t, y):
-        return sgrad(H, chart.wrap(y), t)
+        return sgrad(H, y, t)  # H.grad reduces periodic coordinates
 
     ev_list = []
 
@@ -131,7 +133,7 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
     ev_times = tuple(
         float(t) for te in sol.t_events[1:] for t in te
     )
-    states = np.array([chart.wrap(y) for y in sol.y.T])
+    states = chart.wrap(sol.y.T)
     return Trajectory(
         chart=chart,
         times=np.asarray(sol.t, dtype=float),
@@ -141,6 +143,274 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
         event_times=tuple(sorted(ev_times)),
         dense=sol.sol,
     )
+
+
+# ---------------------------------------------------------------------------
+# Ensemble integration
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+_ERR_EXP = -1.0 / (DOP853.error_estimator_order + 1)
+
+
+def _rms(x):
+    """Row-wise RMS norm, as scipy's ``norm`` on each row."""
+    return np.sqrt(np.sum(x * x, axis=-1)) / x.shape[-1] ** 0.5
+
+
+def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
+    """scipy's ``select_initial_step`` for every row at once."""
+    span = t_end - t0
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, span)
+        f1 = rhs(t0 + h0, y0 + h0[:, None] * f0)
+        d2 = _rms((f1 - f0) / scale) / h0
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                      np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.maximum(d1, d2)) ** (-_ERR_EXP))
+    return np.minimum(np.minimum(100 * h0, h1), span)
+
+
+def _combine(coeffs, K):
+    """sum_j coeffs[j] * K[j], term by term.
+
+    Elementwise products and sums round the same way whatever the array
+    length, so a member's trajectory does not depend on which members
+    share its batch (a BLAS dot product does not promise that).
+    """
+    out = np.zeros_like(K[0])
+    for c, k in zip(coeffs, K):
+        if c:
+            out = out + c * k
+    return out
+
+
+def _dense(F, y_old, x):
+    """DOP853 continuous extension (7 terms) at unit-step fractions x."""
+    y = np.zeros_like(y_old)
+    x = x[:, None]
+    for i, f in enumerate(F[::-1]):
+        y += f
+        y *= x if i % 2 == 0 else 1 - x
+    return y + y_old
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    """Per-member outcome of ``ensemble_sweep``.
+
+    ``hit`` is the first certified arrival time after the start phase
+    (nan without one); ``distance`` the closest sampled target distance
+    (inf for escaped or stiff members); ``escaped``/``stiff`` flag the
+    members the integrator lost.
+    """
+
+    hit: np.ndarray
+    distance: np.ndarray
+    escaped: np.ndarray
+    stiff: np.ndarray
+
+
+def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
+                   time_budget, tol=1e-10, escape_norm=100.0,
+                   member_tol=1e-6, miss_samples=64) -> SweepResult:
+    """Integrate every start point from its phase over the budget at once.
+
+    Each member follows scipy's DOP853 exactly as ``integrate`` would
+    (initial step, error norm, step factors, step underflow counted as
+    stiff) but all members advance together as ``(N, 2n)`` arrays.  After
+    every accepted step, sign changes of the target event are bisected on
+    the dense interpolant; the first root with ``t - phase > 1e-12``
+    whose point lies in X1 ends the member as a hit.  A member whose state
+    norm reaches ``escape_norm`` before a hit is lost as escaped.  Target
+    distances are sampled at ``linspace(phase, phase + time_budget,
+    miss_samples)`` until some hit exists; from then on sampling stops and
+    members that can no longer arrive before the best hit are dropped
+    (their ``hit`` stays nan).  The stepper treats every member alike (see
+    ``_combine``), so a member's outcome does not depend on the rest of
+    the batch, except for being dropped, as long as G's callbacks do not.
+    """
+    chart = G.chart
+    rtol, atol = tol, tol * 1e-2
+    phases = np.asarray(phases, dtype=float)
+    n_all = len(phases)
+    uniq, ph_row = np.unique(phases, return_inverse=True)
+    sample_t = np.array([np.linspace(p, p + time_budget, miss_samples)
+                         for p in uniq])
+
+    hit = np.full(n_all, np.nan)
+    dist = np.full(n_all, np.inf)
+    escaped = np.zeros(n_all, dtype=bool)
+    stiff = np.zeros(n_all, dtype=bool)
+
+    def rhs(t, y):
+        return sgrad(G, y, t)
+
+    def event(y):
+        return X1.event_value(chart.wrap(y))
+
+    # per-member state, compacted to the active members after each trial
+    idx = np.arange(n_all)
+    t0 = phases.copy()
+    t_end = phases + time_budget
+    t = phases.copy()
+    y = chart.wrap(np.asarray(starts, dtype=float))
+    f = rhs(t, y)
+    h_abs = _initial_step(rhs, t, y, f, t_end, rtol, atol)
+    g = event(y)
+    g_esc = escape_norm - np.linalg.norm(y, axis=-1)
+    fresh = np.ones(n_all, dtype=bool)
+    next_sample = np.zeros(n_all, dtype=int)
+    best = np.inf
+    K = np.empty((DOP853.n_stages + 1,) + y.shape)
+
+    while idx.size:
+        m, dim = y.shape
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = np.where(fresh & (h_abs < min_step), min_step, h_abs)
+        failed = h_abs < min_step
+        t_new = np.minimum(t + h_abs, t_end)
+        h = t_new - t
+        h_abs = np.abs(h)
+
+        Kv = K[:, :m]
+        Kv[0] = f
+        for s_, (a, c) in enumerate(zip(DOP853.A[1:], DOP853.C[1:]),
+                                    start=1):
+            dy = _combine(a[:s_], Kv[:s_]) * h[:, None]
+            Kv[s_] = rhs(t + c * h, y + dy)
+        y_new = y + h[:, None] * _combine(DOP853.B, Kv[:-1])
+        f_new = rhs(t + h, y_new)
+        Kv[-1] = f_new
+
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        e5 = np.linalg.norm(_combine(DOP853.E5, Kv) / scale, axis=-1) ** 2
+        e3 = np.linalg.norm(_combine(DOP853.E3, Kv) / scale, axis=-1) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            err = np.where((e5 == 0) & (e3 == 0), 0.0,
+                           h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * dim))
+            grow = np.where(err == 0, MAX_FACTOR,
+                            np.minimum(MAX_FACTOR, SAFETY * err ** _ERR_EXP))
+            shrink = np.maximum(MIN_FACTOR, SAFETY * err ** _ERR_EXP)
+        accept = (err < 1) & ~failed
+        h_abs = h_abs * np.where(accept, np.where(fresh, grow,
+                                                  np.minimum(1, grow)),
+                                 shrink)
+        fresh = accept
+        done = failed.copy()
+        stiff[idx[failed]] = True
+
+        acc = np.flatnonzero(accept)
+        if acc.size:
+            ta, ya, h_a = t[acc], y[acc], h[acc]
+            yn = y_new[acc]
+            t[acc], y[acc], f[acc] = t_new[acc], yn, f_new[acc]
+            g_new = event(yn)
+            ge_new = escape_norm - np.linalg.norm(yn, axis=-1)
+            ga, gea = g[acc], g_esc[acc]
+            g[acc], g_esc[acc] = g_new, ge_new
+            cross = ((ga <= 0) & (g_new >= 0)) | ((ga >= 0) & (g_new <= 0))
+            n_due = np.zeros(acc.size, dtype=int)  # samples up to t_new
+            if not best < np.inf:
+                rows = ph_row[idx[acc]]
+                for r in np.unique(rows):
+                    on = rows == r
+                    n_due[on] = np.searchsorted(sample_t[r], t_new[acc[on]],
+                                                side="right")
+            due = n_due > next_sample[acc]
+            need = np.flatnonzero(cross | due)
+            if need.size:
+                # dense output of the step for the members that need it
+                Kx = np.empty((len(DOP853.C_EXTRA) + DOP853.n_stages + 1,
+                               need.size, dim))
+                Kx[:DOP853.n_stages + 1] = Kv[:, acc[need]]
+                hn = h_a[need]
+                for s_, (a, c) in enumerate(
+                        zip(DOP853.A_EXTRA, DOP853.C_EXTRA),
+                        start=DOP853.n_stages + 1):
+                    dy = _combine(a[:s_], Kx[:s_]) * hn[:, None]
+                    Kx[s_] = rhs(ta[need] + c * hn, ya[need] + dy)
+                dyn = yn[need] - ya[need]
+                hc = hn[:, None]
+                F = np.empty((7, need.size, dim))
+                F[0] = dyn
+                F[1] = hc * Kx[0] - dyn
+                F[2] = 2 * dyn - hc * (Kx[DOP853.n_stages] + Kx[0])
+                F[3:] = hc * np.array([_combine(d, Kx) for d in DOP853.D])
+                pos = np.full(acc.size, -1)
+                pos[need] = np.arange(need.size)
+
+                rc = np.flatnonzero(cross)
+                if rc.size:
+                    j = pos[rc]
+                    root = _bisect_event(event, F[:, j], ya[rc], ta[rc],
+                                         hn[j], ga[rc])
+                    y_root = _dense(F[:, j], ya[rc], (root - ta[rc]) / hn[j])
+                    ok = ((root - t0[acc[rc]] > 1e-12)
+                          & (np.linalg.norm(y_root, axis=-1) < escape_norm))
+                    # one membership query per candidate root keeps the
+                    # query count equal to the number of roots tested
+                    for r in np.flatnonzero(ok):
+                        ok[r] = X1.membership(chart.wrap(y_root[r]),
+                                              member_tol)
+                    members = acc[rc[ok]]
+                    hit[idx[members]] = root[ok] - t0[members]
+                    done[members] = True
+                    if ok.any():
+                        best = min(best, float(np.nanmin(hit)))
+
+                rs = np.flatnonzero(due & ~done[acc])
+                if rs.size:
+                    first, stop = next_sample[acc[rs]], n_due[rs]
+                    # one dense evaluation per sample index keeps memory at
+                    # one row per member however long the step
+                    for k in range(first.min(), stop.max()):
+                        mem = rs[(first <= k) & (k < stop)]
+                        j = pos[mem]
+                        ts = sample_t[ph_row[idx[acc[mem]]], k]
+                        ys = _dense(F[:, j], ya[mem], (ts - ta[mem]) / hn[j])
+                        who = idx[acc[mem]]
+                        dist[who] = np.minimum(dist[who],
+                                               X1.distance(chart.wrap(ys)))
+                    next_sample[acc[rs]] = stop
+
+            esc = (((gea <= 0) & (ge_new >= 0)) | ((gea >= 0) & (ge_new <= 0)))
+            esc &= ~done[acc]
+            escaped[idx[acc[esc]]] = True
+            done[acc[esc]] = True
+            done[acc[t_new[acc] >= t_end[acc]]] = True
+        if best < np.inf:
+            done |= t - t0 > best + 1e-12
+        if done.any():
+            keep = ~done
+            idx, t0, t_end, t, y, f = (a[keep] for a in
+                                       (idx, t0, t_end, t, y, f))
+            h_abs, g, g_esc, fresh, next_sample = (
+                a[keep] for a in (h_abs, g, g_esc, fresh, next_sample))
+    dist[escaped | stiff] = np.inf
+    return SweepResult(hit=hit, distance=dist, escaped=escaped, stiff=stiff)
+
+
+def _bisect_event(event, F, y_old, t_old, h, g_old):
+    """Roots of the event along each member's step, by bisection on the
+    dense interpolant to the 4-eps tolerance of scipy's event solver."""
+    lo, hi = t_old.copy(), t_old + h
+    g_lo = g_old.copy()
+    for _ in range(80):
+        mid = lo + 0.5 * (hi - lo)
+        open_ = (hi - lo) > 4 * _EPS * (1.0 + np.abs(mid))
+        if not open_.any():
+            break
+        g_mid = event(_dense(F, y_old, (mid - t_old) / h))
+        left = np.sign(g_mid) != np.sign(g_lo)
+        left |= g_mid == 0
+        hi = np.where(open_ & left, mid, hi)
+        lo = np.where(open_ & ~left, mid, lo)
+        g_lo = np.where(open_ & ~left, g_mid, g_lo)
+    return np.where(g_old == 0, t_old, lo + 0.5 * (hi - lo))
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +472,17 @@ class SeparationReport:
 def _extremize_on_region(G, region: Region, n_samples, sign,
                          refine_evals=120):
     """sign=+1 minimizes G over the region x time, sign=-1 maximizes."""
-    times = [0.0]
+    times = np.array([0.0])
     if G.time_periodic and not G.autonomous:
-        times = list(np.linspace(0.0, 1.0, 17)[:-1])
-    best = None
-    for pr, comp in region.sample_params(n_samples):
-        x = region.param_point(pr, comp)
-        for t in times:
-            v = sign * G(x, t)
-            if best is None or v < best[0]:
-                best = (v, pr, comp, t)
-    _, pr, comp, t0 = best
+        times = np.linspace(0.0, 1.0, 17)[:-1]
+    params = region.sample_params(n_samples)
+    pts = np.array([region.param_point(pr, comp) for pr, comp in params])
+    # one evaluation over samples x times, in sample-major order so the
+    # argmin is the first minimum of a sample-by-sample scan
+    vals = sign * G(np.repeat(pts, len(times), axis=0),
+                    np.tile(times, len(pts)))
+    best = int(np.argmin(vals))
+    (pr, comp), t0 = params[best // len(times)], float(times[best % len(times)])
     bounds = list(region.param_bounds)
     x0 = list(pr)
     time_axis = len(times) > 1
@@ -231,7 +501,7 @@ def _extremize_on_region(G, region: Region, n_samples, sign,
         params = z[:-1] if time_axis else z
         t = float(z[-1]) if time_axis else t0
     else:
-        fv = best[0]
+        fv = float(vals[best])
         params, t = pr, t0
     return sign * fv, region.param_point(params, comp), t
 
@@ -299,16 +569,28 @@ class Chord:
 
 @dataclass(frozen=True)
 class ChordSearchResult:
+    """Outcome of ``find_chord``.
+
+    ``n_seeds``/``n_phases`` are the swept counts (one phase for an
+    autonomous Hamiltonian); ``n_escaped``/``n_stiff`` count the sweep
+    members lost to the escape ball or to step underflow.
+    """
+
     found: bool
     chord: Optional[Chord]
     best_distance: float
     n_seeds: int
     n_phases: int
     message: str = ""
+    n_escaped: int = 0
+    n_stiff: int = 0
 
 
 @dataclass(frozen=True)
 class ChordSearchConfig:
+    """Chord-search settings.  ``threads`` is accepted and ignored: the
+    sweep runs as one vectorised ensemble."""
+
     n_seeds: int = 64
     n_phases: int = 16
     tol: float = 1e-6
@@ -318,6 +600,35 @@ class ChordSearchConfig:
     max_refine_evals: int = 200
     threads: int = 1
     miss_samples: int = 64
+
+
+def _chord_trajectory(G, x0, phase, time_budget, X1, config):
+    """``integrate`` over the chord window, and whether it escaped.
+
+    A trajectory that leaves the escape ball is cut just before it does,
+    so that a hit reached before the escape still counts, as in the
+    ensemble sweep.
+    """
+    def run(t1):
+        return integrate(G, x0, phase, t1, tol=config.ode_tol,
+                         escape_norm=config.escape_norm,
+                         events=[X1.event_fn])
+
+    try:
+        return run(phase + time_budget), False
+    except EscapeError as exc:
+        t_cut = exc.t - 1e-6 * (exc.t - phase)
+        if not t_cut > phase:
+            raise
+        return run(t_cut), True
+
+
+def _first_hit(traj, X1, phase, tol):
+    """First event root after the start that X1's membership certifies."""
+    for tr in traj.event_times:
+        if tr - phase > 1e-12 and X1.membership(traj(tr), tol):
+            return tr
+    return None
 
 
 def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
@@ -335,47 +646,41 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
         phases = list(np.linspace(0.0, 1.0, config.n_phases,
                                   endpoint=False))
     seeds = X0.sample_params(config.n_seeds)
-    jobs = [(pi, phase, si, pr, comp)
-            for pi, phase in enumerate(phases)
-            for si, (pr, comp) in enumerate(seeds)]
+    jobs = [(phase, pr, comp) for phase in phases for pr, comp in seeds]
+    seed_points = np.array([X0.param_point(pr, comp) for pr, comp in seeds])
+    sweep = ensemble_sweep(
+        G, X1, np.tile(seed_points, (len(phases), 1)),
+        np.repeat(phases, len(seeds)), time_budget, tol=config.ode_tol,
+        escape_norm=config.escape_norm, member_tol=config.tol,
+        miss_samples=config.miss_samples)
+    counts = dict(n_seeds=len(seeds), n_phases=len(phases),
+                  n_escaped=int(sweep.escaped.sum()),
+                  n_stiff=int(sweep.stiff.sum()))
 
     def attempt(params, comp, phase):
         """(hit_time or None, best target distance) for one seed."""
-        x0 = X0.param_point(params, comp)
-        ev = X1.event_fn
         try:
-            traj = integrate(G, x0, phase, phase + time_budget,
-                             tol=config.ode_tol,
-                             escape_norm=config.escape_norm,
-                             events=[ev])
+            traj, escaped = _chord_trajectory(
+                G, X0.param_point(params, comp), phase, time_budget, X1,
+                config)
         except (EscapeError, StiffnessError):
             return None, math.inf
-        hit = None
-        for tr in traj.event_times:
-            if tr - phase <= 1e-12:
-                continue
-            if X1.membership(traj(tr), config.tol):
-                hit = tr - phase
-                break
+        hit = _first_hit(traj, X1, phase, config.tol)
+        if hit is None and escaped:
+            return None, math.inf
         ts = np.linspace(traj.t0, traj.t1, config.miss_samples)
-        dist = min(X1.distance(traj(t)) for t in ts)
-        return hit, dist
+        dist = float(np.min(X1.distance(traj.sample(ts))))
+        return (None if hit is None else hit - phase), dist
 
-    results = deterministic_map(
-        lambda job: attempt(job[3], job[4], job[1]),
-        jobs, threads=config.threads,
-    )
-
-    best_idx, best_time, best_dist = None, math.inf, math.inf
-    for idx, (hit, dist) in enumerate(results):
-        best_dist = min(best_dist, dist)
-        if hit is not None and hit < best_time - 1e-15:
-            best_idx, best_time = idx, hit
+    best_idx, best_time = None, math.inf
+    for idx, hit in enumerate(sweep.hit):
+        if hit < best_time - 1e-15:
+            best_idx, best_time = idx, float(hit)
+    best_dist = float(sweep.distance.min())
 
     if best_idx is None:
         # shooting refinement on the nearest miss, minimizing distance
-        miss_idx = int(np.argmin([d for _, d in results]))
-        _, phase, _, pr, comp = jobs[miss_idx]
+        phase, pr, comp = jobs[int(np.argmin(sweep.distance))]
         if config.refine and len(X0.param_bounds) > 0:
             def miss_obj(z):
                 hit, dist = attempt(z, comp, phase)
@@ -387,15 +692,18 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
             hit, dist = attempt(z, comp, phase)
             if hit is not None:
                 return _certify(G, X0, X1, z, comp, phase, time_budget,
-                                config, dist)
+                                config, dist, counts)
             best_dist = min(best_dist, dist)
         return ChordSearchResult(
             found=False, chord=None, best_distance=float(best_dist),
-            n_seeds=len(seeds), n_phases=len(phases),
-            message="no certified chord at the swept resolution",
+            message=(
+                "no certified chord at the swept resolution: "
+                f"{counts['n_seeds']} seeds x {counts['n_phases']} phases, "
+                f"{counts['n_escaped']} escaped, {counts['n_stiff']} stiff"),
+            **counts,
         )
 
-    _, phase, _, pr, comp = jobs[best_idx]
+    phase, pr, comp = jobs[best_idx]
     if config.refine and len(X0.param_bounds) > 0:
         def time_obj(z):
             hit, dist = attempt(z, comp, phase)
@@ -409,26 +717,19 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
         if hit is not None and hit <= best_time:
             pr = z
     return _certify(G, X0, X1, np.asarray(pr, float), comp, phase,
-                    time_budget, config, best_dist)
+                    time_budget, config, best_dist, counts)
 
 
 def _certify(G, X0, X1, params, comp, phase, time_budget, config,
-             best_dist) -> ChordSearchResult:
+             best_dist, counts) -> ChordSearchResult:
     """Re-integrate the winning seed and package the certified chord."""
-    x0 = X0.param_point(params, comp)
-    traj = integrate(G, x0, phase, phase + time_budget,
-                     tol=config.ode_tol, escape_norm=config.escape_norm,
-                     events=[X1.event_fn])
-    hit = None
-    for tr in traj.event_times:
-        if tr - phase > 1e-12 and X1.membership(traj(tr), config.tol):
-            hit = tr
-            break
+    traj, _ = _chord_trajectory(G, X0.param_point(params, comp), phase,
+                                time_budget, X1, config)
+    hit = _first_hit(traj, X1, phase, config.tol)
     if hit is None:
         return ChordSearchResult(
             found=False, chord=None, best_distance=float(best_dist),
-            n_seeds=config.n_seeds, n_phases=config.n_phases,
-            message="candidate failed re-certification",
+            message="candidate failed re-certification", **counts,
         )
     end = traj(hit)
     chord = Chord(
@@ -442,7 +743,5 @@ def _certify(G, X0, X1, params, comp, phase, time_budget, config,
         seed_params=np.asarray(params, dtype=float),
         seed_component=int(comp),
     )
-    return ChordSearchResult(
-        found=True, chord=chord, best_distance=0.0,
-        n_seeds=config.n_seeds, n_phases=config.n_phases,
-    )
+    return ChordSearchResult(found=True, chord=chord, best_distance=0.0,
+                             **counts)

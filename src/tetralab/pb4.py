@@ -24,6 +24,7 @@ import numpy as np
 from scipy.ndimage import binary_dilation, gaussian_filter
 
 from .phase_core import HamiltonianSpec, PhaseChart
+from .profiles import quintic, quintic_d, smoothstep, smoothstep_int
 
 
 class InfeasibleError(ValueError):
@@ -535,67 +536,50 @@ def prototype_hamiltonian_pair(R0=1.0, R1=2.0, T=0.25):
     """
     chart = PhaseChart(dim_pairs=1, periodic=(True,), labels=("s", "u"))
     width = R1 - R0
+    lo, hi = 0.55, 0.95
+    pad, roll = 0.1, 0.2
 
     def f_ramp(s):
-        x = (s - R0) / width
-        return float(min(max(x, 0.0), 1.0))
+        return np.clip((s - R0) / width, 0.0, 1.0)
 
     def f_ramp_d(s):
-        return 1.0 / width if R0 <= s <= R1 else 0.0
+        return np.where((R0 <= s) & (s <= R1), 1.0 / width, 0.0)
 
     def g_desc(q):
         q = q % 1.0
-        if q <= T:
-            return 1.0 - q / T
-        lo, hi = 0.55, 0.95
-        if q >= hi:
-            return 1.0
-        if q <= lo:
-            return 0.0
-        return (q - lo) / (hi - lo)
+        return np.where(q <= T, 1.0 - q / T,
+                        np.clip((q - lo) / (hi - lo), 0.0, 1.0))
 
     def g_desc_d(q):
         q = q % 1.0
-        if q <= T:
-            return -1.0 / T
-        lo, hi = 0.55, 0.95
-        if lo < q < hi:
-            return 1.0 / (hi - lo)
-        return 0.0
+        return np.where(q <= T, -1.0 / T,
+                        np.where((lo < q) & (q < hi), 1.0 / (hi - lo), 0.0))
 
-    pad, roll = 0.1, 0.2
+    def bump_arg(s):
+        """Quintic roll-off coordinate: <= 0 on the plateau, >= 1 past it."""
+        return np.where(s > R1, (s - (R1 + pad)) / roll,
+                        ((R0 - pad) - s) / roll)
 
     def bump(s):
-        if R0 - pad <= s <= R1 + pad:
-            return 1.0
-        if s <= R0 - pad - roll or s >= R1 + pad + roll:
-            return 0.0
-        x = (s - (R1 + pad)) / roll if s > R1 else ((R0 - pad) - s) / roll
-        return 1.0 - (6 * x ** 5 - 15 * x ** 4 + 10 * x ** 3)
+        return 1.0 - quintic(bump_arg(s))
 
     def bump_d(s):
-        if R0 - pad <= s <= R1 + pad:
-            return 0.0
-        if s <= R0 - pad - roll or s >= R1 + pad + roll:
-            return 0.0
-        if s > R1:
-            x = (s - (R1 + pad)) / roll
-            return -(30 * x ** 4 - 60 * x ** 3 + 30 * x ** 2) / roll
-        x = ((R0 - pad) - s) / roll
-        return (30 * x ** 4 - 60 * x ** 3 + 30 * x ** 2) / roll
+        d = quintic_d(bump_arg(s)) / roll
+        return np.where(s > R1, -d, d)
 
     F = HamiltonianSpec(
         chart=chart,
-        value=lambda x, t: f_ramp(x[0]),
-        gradient=lambda x, t: np.array([f_ramp_d(x[0]), 0.0]),
+        value=lambda x, t: f_ramp(x[..., 0])[()],
+        gradient=lambda x, t: np.stack(
+            [f_ramp_d(x[..., 0]), np.zeros(np.shape(x)[:-1])], axis=-1),
         name="prototype-F",
     )
     G = HamiltonianSpec(
         chart=chart,
-        value=lambda x, t: g_desc(x[1]) * bump(x[0]),
-        gradient=lambda x, t: np.array(
-            [g_desc(x[1]) * bump_d(x[0]), g_desc_d(x[1]) * bump(x[0])]
-        ),
+        value=lambda x, t: (g_desc(x[..., 1]) * bump(x[..., 0]))[()],
+        gradient=lambda x, t: np.stack(
+            [g_desc(x[..., 1]) * bump_d(x[..., 0]),
+             g_desc_d(x[..., 1]) * bump(x[..., 0])], axis=-1),
         name="prototype-G",
     )
     return F, G
@@ -604,28 +588,6 @@ def prototype_hamiltonian_pair(R0=1.0, R1=2.0, T=0.25):
 # ---------------------------------------------------------------------------
 # Wall witness
 # ---------------------------------------------------------------------------
-
-def _smoothstep(x):
-    x = min(max(x, 0.0), 1.0)
-    return 3 * x ** 2 - 2 * x ** 3
-
-
-def _smoothstep_int(x):
-    """Integral of _smoothstep from 0 to x (x clipped to [0,1])."""
-    x = min(max(x, 0.0), 1.0)
-    return x ** 3 - x ** 4 / 2.0
-
-
-def _quintic(x):
-    x = min(max(x, 0.0), 1.0)
-    return 6 * x ** 5 - 15 * x ** 4 + 10 * x ** 3
-
-
-def _quintic_d(x):
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return 30 * x ** 4 - 60 * x ** 3 + 30 * x ** 2
-
 
 @dataclass(frozen=True)
 class WallWitness:
@@ -639,45 +601,40 @@ class WallWitness:
     ease_width: float
 
     def profile(self, s):
+        s = np.asarray(s, dtype=float)
         a = self.R0 + self.delta1
         b = self.R1
         w = self.ease_width
         norm = (b - a) - w
-        if s <= a:
-            return 0.0
-        if s <= b:
-            acc = 0.0
-            if s > a:
-                acc += w * _smoothstep_int(min((s - a) / w, 1.0))
-            if s > a + w:
-                acc += min(s, b - w) - (a + w)
-            if s > b - w:
-                acc += w * (0.5 - _smoothstep_int((b - s) / w))
-            return acc / norm
+        acc = (w * smoothstep_int((s - a) / w)
+               + np.where(s > a + w, np.minimum(s, b - w) - (a + w), 0.0)
+               + np.where(s > b - w, w * (0.5 - smoothstep_int((b - s) / w)),
+                          0.0))
         # descent back to 0 inside (R1, R1 + delta1)
         w2 = 0.9 * self.delta1
-        return 1.0 - _quintic((s - b) / w2)
+        return np.where(s <= a, 0.0,
+                        np.where(s <= b, acc / norm,
+                                 1.0 - quintic((s - b) / w2)))[()]
 
     def slope(self, s):
         a = self.R0 + self.delta1
         b = self.R1
         w = self.ease_width
         norm = (b - a) - w
-        if s <= a or s >= b + 0.9 * self.delta1:
-            return 0.0
-        if s <= b:
-            if s < a + w:
-                return _smoothstep((s - a) / w) / norm
-            if s > b - w:
-                return _smoothstep((b - s) / w) / norm
-            return 1.0 / norm
         w2 = 0.9 * self.delta1
-        return -_quintic_d((s - b) / w2) / w2
+        # ease-in, ease-out and descent are each zero off their own span
+        return (smoothstep((s - a) / w) * smoothstep((b - s) / w) / norm
+                - quintic_d((s - b) / w2) / w2)
 
     @property
     def max_slope(self):
         a = self.R0 + self.delta1
         return 1.0 / ((self.R1 - a) - self.ease_width)
+
+    def _gradient(self, x, t):
+        g = np.zeros(np.shape(x))
+        g[..., 0] = self.slope(x[..., 0][()])
+        return g
 
     def hamiltonian(self) -> HamiltonianSpec:
         """u(s) as a Hamiltonian on the cylinder chart (p = s, q = u):
@@ -686,8 +643,8 @@ class WallWitness:
                            labels=("s", "u"))
         return HamiltonianSpec(
             chart=chart,
-            value=lambda x, t: self.profile(x[0]),
-            gradient=lambda x, t: np.array([self.slope(x[0]), 0.0]),
+            value=lambda x, t: self.profile(x[..., 0]),
+            gradient=self._gradient,
             name="wall-witness",
         )
 

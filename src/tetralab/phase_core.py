@@ -58,6 +58,8 @@ class PhaseChart:
         if len(per) != self.dim_pairs:
             raise ValueError("periodic mask length must equal dim_pairs")
         object.__setattr__(self, "periodic", per)
+        object.__setattr__(self, "_periodic_cols",
+                           self.dim_pairs + np.flatnonzero(per))
         if not self.labels:
             n = self.dim_pairs
             labels = tuple(f"p{i+1}" for i in range(n)) + tuple(
@@ -70,15 +72,14 @@ class PhaseChart:
         return 2 * self.dim_pairs
 
     def wrap(self, coords):
-        """Reduce periodic q-coordinates to [0, 1)."""
+        """Reduce periodic q-coordinates to [0, 1); accepts (..., 2n)."""
         out = np.array(coords, dtype=float)
-        n = self.dim_pairs
-        for i, per in enumerate(self.periodic):
-            if per:
-                out[n + i] %= 1.0
-                # x % 1.0 can round to exactly 1.0 for tiny negative x
-                if out[n + i] == 1.0:
-                    out[n + i] = 0.0
+        cols = self._periodic_cols
+        if cols.size:
+            w = out[..., cols] % 1.0
+            # x % 1.0 can round to exactly 1.0 for tiny negative x
+            w[w == 1.0] = 0.0
+            out[..., cols] = w
         return out
 
     def point(self, coords):
@@ -117,6 +118,13 @@ class HamiltonianSpec:
     ``value(x, t)`` returns a float, ``gradient(x, t)`` the covector
     ``(dH/dp_1.., dH/dq_1..)`` as a length-2n array.  Callbacks receive a
     plain ndarray (periodic coordinates reduced) and must be pure.
+
+    Batch contract: both callbacks also accept a stack of points of shape
+    ``(..., 2n)`` and return ``value`` of shape ``(...)`` and ``gradient``
+    of shape ``(..., 2n)``, row by row equal to the single-point results.
+    ``t`` is then a scalar or an array broadcasting against ``(...)``
+    (one time per row).  ``H(x, t)`` and ``H.grad(x, t)`` follow the same
+    shapes; ``H(x, t)`` returns a float for a single point.
     """
 
     chart: PhaseChart
@@ -126,27 +134,33 @@ class HamiltonianSpec:
     autonomous: bool = True
     name: str = ""
 
+    def _check(self, what, out, x):
+        """Raise on a non-finite result, naming the first bad point."""
+        bad = ~np.isfinite(out)
+        if bad.any():
+            if out.ndim == x.ndim:
+                bad = bad.any(axis=-1)
+            raise EvaluationError(f"non-finite {what} of {self.name or 'H'}",
+                                  x[bad][0] if x.ndim > 1 else x)
+
     def __call__(self, x, t=0.0):
-        v = float(self.value(self.chart.wrap(_as_coords(x)), t))
-        if not np.isfinite(v):
-            raise EvaluationError(f"non-finite value of {self.name or 'H'}", x)
-        return v
+        x = self.chart.wrap(_as_coords(x))
+        v = np.asarray(self.value(x, t), dtype=float)
+        self._check("value", v, x)
+        return float(v) if v.ndim == 0 else v
 
     def grad(self, x, t=0.0):
-        g = np.asarray(self.gradient(self.chart.wrap(_as_coords(x)), t), float)
-        if not np.all(np.isfinite(g)):
-            raise EvaluationError(
-                f"non-finite gradient of {self.name or 'H'}", x
-            )
+        x = self.chart.wrap(_as_coords(x))
+        g = np.asarray(self.gradient(x, t), dtype=float)
+        self._check("gradient", g, x)
         return g
 
 
 def constant_hamiltonian(chart, c=0.0, name="const"):
-    zeros = np.zeros(chart.dim)
     return HamiltonianSpec(
         chart=chart,
-        value=lambda x, t: c,
-        gradient=lambda x, t: zeros,
+        value=lambda x, t: np.full(np.shape(x)[:-1], float(c))[()],
+        gradient=lambda x, t: np.zeros(np.shape(x)),
         time_periodic=True,
         autonomous=True,
         name=name,
@@ -154,12 +168,15 @@ def constant_hamiltonian(chart, c=0.0, name="const"):
 
 
 def sgrad(H: HamiltonianSpec, x, t=0.0):
-    """Hamiltonian vector field of H at (x, t): (-dH/dq, +dH/dp)."""
+    """Hamiltonian vector field of H at (x, t): (-dH/dq, +dH/dp).
+
+    Accepts a point or a ``(..., 2n)`` stack (see ``HamiltonianSpec``).
+    """
     g = H.grad(x, t)
     n = H.chart.dim_pairs
     out = np.empty_like(g)
-    out[:n] = -g[n:]
-    out[n:] = g[:n]
+    out[..., :n] = -g[..., n:]
+    out[..., n:] = g[..., :n]
     return out
 
 
@@ -185,8 +202,8 @@ def split_extended(coords, base_chart):
     """Split extended coordinates into (base coords, r, theta)."""
     n = base_chart.dim_pairs
     c = np.asarray(coords, dtype=float)
-    base = np.concatenate([c[:n], c[n + 1 : 2 * n + 1]])
-    return base, float(c[n]), float(c[2 * n + 1])
+    base = np.concatenate([c[..., :n], c[..., n + 1 : 2 * n + 1]], axis=-1)
+    return base, c[..., n][()], c[..., 2 * n + 1][()]
 
 
 def join_extended(base_coords, r, theta, base_chart):
@@ -224,11 +241,11 @@ def autonomize(G: HamiltonianSpec) -> HamiltonianSpec:
         # the explicit time slot of G.
         h = 1e-6
         dtheta = (G.value(xb, theta + h) - G.value(xb, theta - h)) / (2 * h)
-        out = np.empty(2 * n + 2)
-        out[:n] = g[:n]
-        out[n] = 1.0  # dH/dr
-        out[n + 1 : 2 * n + 1] = g[n:]
-        out[2 * n + 1] = dtheta
+        out = np.empty(np.shape(c))
+        out[..., :n] = g[..., :n]
+        out[..., n] = 1.0  # dH/dr
+        out[..., n + 1 : 2 * n + 1] = g[..., n:]
+        out[..., 2 * n + 1] = dtheta
         return out
 
     return HamiltonianSpec(

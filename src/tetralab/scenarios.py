@@ -12,7 +12,7 @@ self-certifying pass/fail verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -22,6 +22,7 @@ from .contact import CircleModel, SphereModel, TorusModel, build_tetragon
 from .dynamics import (ChordSearchConfig, chord_budget, deterministic_map,
                        find_chord, separation)
 from .phase_core import HamiltonianSpec, PhaseChart
+from .profiles import Plateau
 
 
 class ConfigError(ValueError):
@@ -122,56 +123,23 @@ class ScenarioReport:
 
 
 # ---------------------------------------------------------------------------
-# Smooth building blocks (quintic plateau profiles with analytic slopes)
-# ---------------------------------------------------------------------------
-
-def _q5(x):
-    x = min(max(x, 0.0), 1.0)
-    return 6 * x ** 5 - 15 * x ** 4 + 10 * x ** 3
-
-
-def _q5d(x):
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return 30 * x ** 4 - 60 * x ** 3 + 30 * x ** 2
-
-
-@dataclass(frozen=True)
-class Plateau:
-    """C^2 profile equal to 1 on [lo, hi], 0 outside [lo-roll, hi+roll]."""
-
-    lo: float
-    hi: float
-    roll: float
-
-    def value(self, y):
-        if y < self.lo:
-            return _q5((y - (self.lo - self.roll)) / self.roll)
-        if y > self.hi:
-            return 1.0 - _q5((y - self.hi) / self.roll)
-        return 1.0
-
-    def deriv(self, y):
-        if y < self.lo:
-            return _q5d((y - (self.lo - self.roll)) / self.roll) / self.roll
-        if y > self.hi:
-            return -_q5d((y - self.hi) / self.roll) / self.roll
-        return 0.0
-
-
-# ---------------------------------------------------------------------------
 # Hamiltonians
 # ---------------------------------------------------------------------------
+
+def _sq(x):
+    """Squared norm over the last axis."""
+    return (x * x).sum(axis=-1)
+
 
 def unstable_hamiltonian(k=1) -> HamiltonianSpec:
     """H = (|p|^2 - |q|^2)/2; the diagonal p = q scales by e^t."""
     chart = PhaseChart(dim_pairs=k)
 
     def value(x, t):
-        return 0.5 * (np.dot(x[:k], x[:k]) - np.dot(x[k:], x[k:]))
+        return 0.5 * (_sq(x[..., :k]) - _sq(x[..., k:]))
 
     def gradient(x, t):
-        return np.concatenate([x[:k], -x[k:]])
+        return np.concatenate([x[..., :k], -x[..., k:]], axis=-1)
 
     return HamiltonianSpec(chart=chart, value=value, gradient=gradient,
                            name="unstable-equilibrium")
@@ -187,15 +155,16 @@ def channel_potential(k=1) -> HamiltonianSpec:
         chart = PhaseChart(dim_pairs=k, periodic=(True,) * k)
 
     def value(x, t):
-        return float(np.prod(np.cos(2 * math.pi * x[k:])))
+        return np.prod(np.cos(2 * math.pi * x[..., k:]), axis=-1)
 
     def gradient(x, t):
-        q = x[k:]
+        q = x[..., k:]
         cos = np.cos(2 * math.pi * q)
-        g = np.zeros(2 * k)
+        g = np.zeros(np.shape(x))
         for i in range(k):
-            others = np.prod(np.delete(cos, i)) if k > 1 else 1.0
-            g[k + i] = -2 * math.pi * math.sin(2 * math.pi * q[i]) * others
+            others = np.prod(np.delete(cos, i, axis=-1), axis=-1)
+            g[..., k + i] = -2 * math.pi * np.sin(2 * math.pi * q[..., i]) \
+                * others
         return g
 
     return HamiltonianSpec(chart=chart, value=value, gradient=gradient,
@@ -212,20 +181,19 @@ def mechanical_hamiltonian(k=1, beta=0.5, R0=1.0, R1=2.0,
         raise ConfigError("potential shell reaches q = 0")
 
     def tfac(t):
-        return 1.0 + time_amp * math.sin(2 * math.pi * t)
+        if not time_amp:
+            return 1.0
+        return 1.0 + time_amp * np.sin(2 * math.pi * np.asarray(t))
 
     def value(x, t):
-        y = float(np.dot(x[k:], x[k:]))
-        return 0.5 * float(np.dot(x[:k], x[:k])) \
-            - beta * shell.value(y) * tfac(t)
+        y = _sq(x[..., k:])
+        return 0.5 * _sq(x[..., :k]) - beta * shell.value(y) * tfac(t)
 
     def gradient(x, t):
-        y = float(np.dot(x[k:], x[k:]))
-        g = np.concatenate([
-            x[:k],
-            -beta * shell.deriv(y) * tfac(t) * 2.0 * x[k:],
-        ])
-        return g
+        y = _sq(x[..., k:])
+        dq = -beta * shell.deriv(y) * tfac(t) * 2.0
+        return np.concatenate([x[..., :k], np.asarray(dq)[..., None]
+                               * x[..., k:]], axis=-1)
 
     return HamiltonianSpec(
         chart=chart, value=value, gradient=gradient,
@@ -264,11 +232,12 @@ def wall_perturbation(amplitude, R0=1.0, R1=2.0, away_factor=10.0,
     near_anti = Plateau(lo=0.0, hi=0.005, roll=0.015)
 
     def tfac(t):
-        return 0.5 * (1.0 + math.sin(2 * math.pi * t)) \
-            if time_periodic else 1.0
+        if not time_periodic:
+            return 1.0
+        return 0.5 * (1.0 + np.sin(2 * math.pi * np.asarray(t)))
 
     def value(x, t):
-        p, q = x[0], x[1]
+        p, q = np.moveaxis(x, -1, 0)
         rho = p * p + q * q
         wall = -amplitude * ring.value(rho) * nearq.value(q * q)
         w2 = 0.5 * (p + q) ** 2
@@ -277,21 +246,18 @@ def wall_perturbation(amplitude, R0=1.0, R1=2.0, away_factor=10.0,
         return wall + far
 
     def gradient(x, t):
-        p, q = x[0], x[1]
-        rho = p * p + q * q
-        g = np.zeros(2)
-        rv, nv = ring.value(rho), nearq.value(q * q)
-        g[0] += -amplitude * ring.deriv(rho) * 2 * p * nv
-        g[1] += -amplitude * (ring.deriv(rho) * 2 * q * nv
-                              + rv * nearq.deriv(q * q) * 2 * q)
-        w2 = 0.5 * (p + q) ** 2
-        na, fr = near_anti.value(w2), far_ring.value(rho)
+        p, q = np.moveaxis(x, -1, 0)
+        rho, w2 = p * p + q * q, 0.5 * (p + q) ** 2
+        rv, rd = ring.value(rho), ring.deriv(rho)
+        nv, nd = nearq.value(q * q), nearq.deriv(q * q)
+        na, nad = near_anti.value(w2), near_anti.deriv(w2)
+        fr, frd = far_ring.value(rho), far_ring.deriv(rho)
         tf = away_factor * amplitude * tfac(t)
-        g[0] += tf * (near_anti.deriv(w2) * (p + q) * fr
-                      + na * far_ring.deriv(rho) * 2 * p)
-        g[1] += tf * (near_anti.deriv(w2) * (p + q) * fr
-                      + na * far_ring.deriv(rho) * 2 * q)
-        return g
+        g0 = -amplitude * rd * 2 * p * nv \
+            + tf * (nad * (p + q) * fr + na * frd * 2 * p)
+        g1 = -amplitude * (rd * 2 * q * nv + rv * nd * 2 * q) \
+            + tf * (nad * (p + q) * fr + na * frd * 2 * q)
+        return np.stack([g0, g1], axis=-1)
 
     return HamiltonianSpec(
         chart=chart, value=value, gradient=gradient,

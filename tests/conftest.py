@@ -6,7 +6,6 @@ fixture records its wall-clock time so runtime budgets can be asserted.
 """
 
 import json
-import math
 import time
 from dataclasses import dataclass
 
@@ -95,21 +94,22 @@ def polynomial_hamiltonian(chart, coeffs):
 
 
 def gaussian_hamiltonian(chart, centers, widths, amps, name="bumps"):
-    """Sum of radial Gaussian bumps with analytic gradients."""
+    """Sum of radial Gaussian bumps with analytic gradients; accepts a
+    point or a stack of points (the HamiltonianSpec batch contract)."""
     centers = [np.asarray(c, dtype=float) for c in centers]
 
-    def value(x, t):
-        return sum(
-            a * math.exp(-float(np.dot(x - c, x - c)) / w ** 2)
-            for c, w, a in zip(centers, widths, amps)
-        )
-
-    def gradient(x, t):
-        g = np.zeros(chart.dim)
+    def bumps(x):
         for c, w, a in zip(centers, widths, amps):
             d = x - c
-            g += a * math.exp(-float(np.dot(d, d)) / w ** 2) \
-                * (-2.0 / w ** 2) * d
+            yield d, w, a * np.exp(-(d * d).sum(axis=-1) / w ** 2)
+
+    def value(x, t):
+        return sum(e for _, _, e in bumps(x))
+
+    def gradient(x, t):
+        g = np.zeros(np.shape(x))
+        for d, w, e in bumps(x):
+            g = g + np.expand_dims(e * (-2.0 / w ** 2), -1) * d
         return g
 
     return HamiltonianSpec(chart=chart, value=value, gradient=gradient,

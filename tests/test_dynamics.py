@@ -5,13 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from tetralab.contact import CircleModel, SphereModel, build_tetragon
+from tetralab.contact import (CircleModel, SphereModel, TorusModel,
+                              build_tetragon)
 from tetralab.dynamics import (Chord, ChordSearchConfig, EscapeError,
-                               chord_budget, deterministic_map, find_chord,
-                               integrate, pattern_search, separation)
+                               chord_budget, deterministic_map,
+                               ensemble_sweep, find_chord, integrate,
+                               pattern_search, separation)
+from tetralab.pb4 import wall_witness
 from tetralab.phase_core import (HamiltonianSpec, PhaseChart,
                                  constant_hamiltonian)
-from tetralab.scenarios import channel_potential, unstable_hamiltonian
+from tetralab.scenarios import (add_hamiltonians, channel_potential,
+                                mechanical_hamiltonian, unstable_hamiltonian,
+                                wall_perturbation)
 
 from conftest import polynomial_hamiltonian
 
@@ -241,3 +246,113 @@ class TestFindChord:
                        ChordSearchConfig(threads=8))
         assert a.chord.time_length == b.chord.time_length
         assert np.array_equal(a.chord.seed_params, b.chord.seed_params)
+
+    def test_found_chord_reports_swept_counts(self):
+        tet = build_tetragon(CircleModel(), 1.0, 2.0, 0.25)
+        res = find_chord(channel_potential(1), tet.floor, tet.ceiling,
+                         0.25, ChordSearchConfig(n_seeds=64, n_phases=16))
+        assert res.found
+        assert res.n_phases == 1  # autonomous: one phase swept
+        assert res.n_seeds == 64
+
+    def test_escapes_are_counted(self):
+        """|x(t)|^2 = u0^2 e^{2t} + v0^2 e^{-2t} under the unstable flow,
+        convex in t, so a seed leaves the ball of radius 1.2 within the
+        budget exactly when its end-of-budget norm does."""
+        tet = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
+        budget, radius = 0.3, 1.2
+        res = find_chord(unstable_hamiltonian(1), tet.floor, tet.ceiling,
+                         budget, ChordSearchConfig(n_seeds=32,
+                                                   escape_norm=radius))
+        p, q = np.array(tet.floor.sample_points(32)).T
+        peak = ((p + q) ** 2 / 2 * math.exp(2 * budget)
+                + (p - q) ** 2 / 2 * math.exp(-2 * budget))
+        assert np.min(np.abs(peak - radius ** 2)) > 1e-3
+        expected = int(np.sum(peak > radius ** 2))
+        assert 0 < expected < 32
+        assert not res.found
+        assert res.n_escaped == expected
+        assert res.n_stiff == 0
+        assert f"32 seeds x 1 phases, {expected} escaped, 0 stiff" \
+            in res.message
+
+
+    def test_escape_after_arrival_keeps_the_chord(self):
+        """The chord ends at the ceiling (radius sqrt 2); leaving the ball
+        of radius 1.6 later in the budget does not void it."""
+        tet = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
+        res = find_chord(unstable_hamiltonian(1), tet.floor, tet.ceiling,
+                         math.pi / 4, ChordSearchConfig(escape_norm=1.6))
+        assert res.found
+        assert res.chord.time_length == pytest.approx(0.5 * math.log(2),
+                                                      abs=1e-4)
+        assert res.chord.validate(tet.floor, tet.ceiling, math.pi / 4)
+
+
+def _sweep_cases():
+    sphere = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
+    circle = build_tetragon(CircleModel(), 1.0, 2.0, 0.25)
+    torus = build_tetragon(TorusModel(2), 1.0, 2.0, 0.25)
+    perturbed = add_hamiltonians(unstable_hamiltonian(1),
+                                 wall_perturbation(0.25))
+    witness = wall_witness(1.0, 2.0, delta2=0.01).hamiltonian()
+    return {
+        # (H, start, target, budget, phases, seeds)
+        "unstable": (unstable_hamiltonian(1), sphere.floor, sphere.ceiling,
+                     math.pi / 4, [0.0], 16),
+        "perturbed": (perturbed, sphere.floor, sphere.ceiling, 0.5,
+                      [0.0, 0.5], 6),
+        "channel_k2": (channel_potential(2), torus.floor, torus.ceiling,
+                       0.3, [0.0], 16),
+        "mechanical": (mechanical_hamiltonian(1), sphere.floor,
+                       sphere.ceiling, math.pi / 4, [0.0], 16),
+        "wall_witness": (witness, circle.high_wall, circle.low_wall,
+                         0.25 / 1.01 - 0.01, [0.0], 21),
+        "constant": (constant_hamiltonian(PLANE), sphere.floor,
+                     sphere.ceiling, 1.0, [0.0], 8),
+    }
+
+
+SWEEP_CASES = _sweep_cases()
+
+
+def _per_seed(H, X1, x0, phase, budget):
+    """One member the way a per-seed ``integrate`` sees it."""
+    traj = integrate(H, x0, phase, phase + budget, tol=1e-10,
+                     events=[X1.event_fn])
+    hit = next((tr - phase for tr in traj.event_times
+                if tr - phase > 1e-12 and X1.membership(traj(tr))), None)
+    ts = np.linspace(traj.t0, traj.t1, 64)
+    return hit, min(X1.distance(traj(t)) for t in ts)
+
+
+class TestEnsembleSweep:
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_matches_per_seed_integrate(self, case):
+        """Each member swept alone follows per-seed ``integrate``; in the
+        full batch, members keep exactly their own outcome unless dropped
+        for arriving after the best hit, and the best hit is the same."""
+        H, X0, X1, budget, phases, n = SWEEP_CASES[case]
+        seeds = np.array(X0.sample_points(n))
+        starts = np.tile(seeds, (len(phases), 1))
+        ph = np.repeat(phases, len(seeds))
+        batch = ensemble_sweep(H, X1, starts, ph, budget)
+        assert not batch.escaped.any() and not batch.stiff.any()
+        alone = []
+        for x0, phase in zip(starts, ph):
+            one = ensemble_sweep(H, X1, x0[None], [phase], budget)
+            hit, dist = one.hit[0], one.distance[0]
+            ref_hit, ref_dist = _per_seed(H, X1, x0, phase, budget)
+            assert (ref_hit is None) == bool(np.isnan(hit))
+            if ref_hit is None:
+                assert dist == pytest.approx(ref_dist, abs=1e-6)
+            else:
+                assert hit == pytest.approx(ref_hit, abs=1e-9)
+            alone.append((hit, dist))
+        hits, dists = np.array(alone).T
+        kept = ~np.isnan(batch.hit)
+        assert np.array_equal(batch.hit[kept], hits[kept])
+        if np.isnan(hits).all():
+            assert np.array_equal(batch.distance, dists)
+        else:
+            assert np.nanargmin(batch.hit) == np.nanargmin(hits)

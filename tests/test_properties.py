@@ -1,12 +1,22 @@
 """Randomized property checks (hypothesis-driven)."""
 
-import numpy as np
-from hypothesis import given, settings, strategies as st
+import math
 
-from tetralab.contact import RoundedRectangleLoop, _interval_excess, \
-    _wrap_half
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from tetralab.contact import (CircleModel, RoundedRectangleLoop, SphereModel,
+                              TorusModel, _interval_excess, _wrap_half,
+                              build_tetragon)
 from tetralab.dynamics import pattern_search
-from tetralab.phase_core import PhaseChart, poisson_bracket
+from tetralab.pb4 import prototype_hamiltonian_pair, wall_witness
+from tetralab.phase_core import (PhaseChart, constant_hamiltonian,
+                                 poisson_bracket)
+from tetralab.scenarios import (add_hamiltonians, channel_potential,
+                                mechanical_hamiltonian, unstable_hamiltonian,
+                                wall_perturbation)
 
 from conftest import polynomial_hamiltonian
 
@@ -103,3 +113,105 @@ def test_pattern_search_never_leaves_box(a, b):
     )
     assert -1.0 <= x[0] <= 1.0 and -1.0 <= x[1] <= 1.0
     assert fx <= (a ** 2 + b ** 2) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Batch contract: a stack of points gives the row-by-row results
+# ---------------------------------------------------------------------------
+
+coord = st.floats(min_value=-2.5, max_value=2.5, allow_nan=False)
+seam = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -1e-17, -5e-324,
+                        1.0 - 1e-16, -1.0 - 1e-16, 0.5])
+
+
+def _library():
+    F, G = prototype_hamiltonian_pair()
+    return {
+        "unstable_k1": unstable_hamiltonian(1),
+        "unstable_k2": unstable_hamiltonian(2),
+        "channel_k1": channel_potential(1),
+        "channel_k2": channel_potential(2),
+        "mechanical_k1": mechanical_hamiltonian(1),
+        "mechanical_k2_timed": mechanical_hamiltonian(2, time_amp=0.3),
+        "wall_perturbation": wall_perturbation(0.25),
+        "wall_perturbation_static": wall_perturbation(
+            0.25, time_periodic=False),
+        "perturbed": add_hamiltonians(unstable_hamiltonian(1),
+                                      wall_perturbation(0.25)),
+        "constant": constant_hamiltonian(PhaseChart(dim_pairs=2), 1.5),
+        "wall_witness": wall_witness(1.0, 2.0).hamiltonian(),
+        "prototype_F": F,
+        "prototype_G": G,
+    }
+
+
+LIBRARY = _library()
+
+
+def _tetragons():
+    return {
+        "circle": build_tetragon(CircleModel(), 1.0, 2.0, 0.25),
+        "torus2": build_tetragon(TorusModel(2), 1.0, 2.0, 0.25),
+        "sphere1": build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4),
+        "sphere2": build_tetragon(SphereModel(2), 1.0, 2.0, math.pi / 4),
+    }
+
+
+TETRAGONS = _tetragons()
+REGIONS = [(model, name) for model in sorted(TETRAGONS)
+           for name in ("floor", "ceiling", "low_wall", "high_wall")]
+
+
+def assert_rows_close(batch, rows):
+    rows = np.asarray(rows, dtype=float)
+    assert batch.shape == rows.shape
+    assert np.all(np.abs(batch - rows) <= 1e-14 * (1.0 + np.abs(rows)))
+
+
+def _stack(data, dim):
+    m = data.draw(st.integers(min_value=1, max_value=6))
+    return data.draw(arrays(float, (m, dim),
+                            elements=st.one_of(coord, seam)))
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY))
+@SETTINGS
+@given(data=st.data())
+def test_batched_hamiltonian_matches_rows(name, data):
+    H = LIBRARY[name]
+    X = _stack(data, H.chart.dim)
+    ts = data.draw(arrays(float, (len(X),),
+                          elements=st.floats(min_value=0.0, max_value=1.0)))
+    assert_rows_close(H(X, ts), [H(x, t) for x, t in zip(X, ts)])
+    assert_rows_close(H.grad(X, ts), [H.grad(x, t) for x, t in zip(X, ts)])
+    assert_rows_close(H(X, 0.25), [H(x, 0.25) for x in X])
+
+
+@SETTINGS
+@given(arrays(float, (6, 4), elements=st.one_of(finite, seam)))
+def test_batched_wrap_matches_rows(X):
+    chart = PhaseChart(dim_pairs=2, periodic=(True, False))
+    W = chart.wrap(X)
+    assert np.array_equal(W, np.array([chart.wrap(x) for x in X]))
+    assert np.all((W[:, 2] >= 0.0) & (W[:, 2] < 1.0))
+    assert np.array_equal(W[:, [0, 1, 3]], X[:, [0, 1, 3]])
+
+
+def test_wrap_seam_rounds_to_zero():
+    chart = PhaseChart(dim_pairs=1, periodic=(True,))
+    assert chart.wrap([0.0, -1e-17])[1] == 0.0
+    assert np.array_equal(chart.wrap([[0.0, -1e-17], [0.0, 1.0]])[:, 1],
+                          [0.0, 0.0])
+
+
+@pytest.mark.parametrize("model,name", REGIONS)
+@SETTINGS
+@given(data=st.data())
+def test_batched_region_matches_rows(model, name, data):
+    region = TETRAGONS[model].regions()[name]
+    X = _stack(data, region.chart.dim)
+    assert_rows_close(region.distance(X), [region.distance(x) for x in X])
+    assert_rows_close(region.event_value(X),
+                      [region.event_value(x) for x in X])
+    assert np.array_equal(region.membership(X),
+                          [region.membership(x) for x in X])
