@@ -41,7 +41,6 @@ from .dynamics import (  # noqa: F401
 )
 from .pb4 import (  # noqa: F401
     InfeasibleError,
-    Pb4Config,
     Pb4Problem,
     Pb4Report,
     WallWitness,

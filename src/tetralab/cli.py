@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -24,7 +23,8 @@ import numpy as np
 from . import __version__
 from .contact import make_model, build_tetragon, smooth_tetragon
 from .dynamics import ChordSearchConfig, chord_budget, find_chord, separation
-from .pb4 import (Pb4Config, estimate_pb4_plus, feasible_pair_value,
+# feasible_pair_value is unused here but patched by bench/tracing.py
+from .pb4 import (estimate_pb4_plus, feasible_pair_value,  # noqa: F401
                   prototype_problem)
 from .scenarios import (ConfigError, PerturbationSpec, ScenarioConfig,
                         channel_potential, mechanical_hamiltonian,
@@ -50,14 +50,11 @@ _SCENARIO_SCHEMA = {
     "reeb_factor_base": float, "reeb_factor_amp": float,
     "perturbation": _PERTURBATION_SCHEMA,
     "n_seeds": int, "n_phases": int, "ode_tol": float, "tol": float,
-    "threads": int, "seed": int,
 }
 
-_OPTIMIZER_SCHEMA = {
-    "n_starts": int, "iterations": int, "learning_rate": float,
-    "blur_sigma": float, "perturbation_scale": float,
-    "validate_every": int, "threads": int, "seed": int,
-}
+# The pb4 estimate uses no randomness; optimizer.seed is accepted and
+# ignored because existing configs (the benchmark's pb4.json) set it.
+_OPTIMIZER_SCHEMA = {"seed": int}
 
 _PB4_SCHEMA = {
     "n": int, "R0": float, "R1": float, "T": float, "s_margin": float,
@@ -70,7 +67,6 @@ _CHORD_SCHEMA = {
     "model": str, "k": int, "R0": float, "R1": float, "T": float,
     "hamiltonian": str, "beta": float, "time_budget": float,
     "n_seeds": int, "n_phases": int, "tol": float, "ode_tol": float,
-    "threads": int,
 }
 
 _TETRAGON_SCHEMA = {
@@ -179,11 +175,9 @@ def emit_report(report_payload, out_dir, timing=None, csv_files=None):
 # Command implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_scenario(cfg, out_dir, threads):
+def _cmd_scenario(cfg):
     pert = cfg.get("perturbation")
     kwargs = {k: v for k, v in cfg.items() if k != "perturbation"}
-    if threads is not None:
-        kwargs["threads"] = threads
     sc = ScenarioConfig(
         perturbation=PerturbationSpec(**pert) if pert else None,
         **kwargs,
@@ -196,25 +190,17 @@ def _cmd_scenario(cfg, out_dir, threads):
         "report": report.describe(),
         "tolerances": {"time": 1e-6, "increment": report.increment_tol},
     }
-    csvs = {}
-    # export the chord trajectory and a time-vs-|p| plot series
-    if report.found and report.details.get("model") != "circle":
-        pass
-    return payload, csvs, 0 if report.passed else 2
+    return payload, {}, 0 if report.passed else 2
 
 
-def _cmd_pb4(cfg, out_dir, threads):
+def _cmd_pb4(cfg):
     n = cfg.get("n", 128)
-    opt = dict(cfg.get("optimizer", {}))
-    if threads is not None:
-        opt["threads"] = threads
-    config = Pb4Config(**opt)
     problem = prototype_problem(
         n=n, R0=cfg.get("R0", 1.0), R1=cfg.get("R1", 2.0),
         T=cfg.get("T", 0.25), s_margin=cfg.get("s_margin", 0.5),
         thicken_radius=cfg.get("thicken_radius", 0),
     )
-    report = estimate_pb4_plus(problem, config)
+    report = estimate_pb4_plus(problem)
     payload = {
         "command": "pb4",
         "artifact_version": __version__,
@@ -228,7 +214,7 @@ def _cmd_pb4(cfg, out_dir, threads):
             T=cfg.get("T", 0.25), s_margin=cfg.get("s_margin", 0.5),
             thicken_radius=cfg.get("thicken_radius", 0),
         )
-        report2 = estimate_pb4_plus(problem2, config)
+        report2 = estimate_pb4_plus(problem2)
         payload["report"]["two_grid_estimate"] = report2.estimate
         payload["report"]["two_grid_difference"] = abs(
             report2.estimate - report.estimate
@@ -264,7 +250,7 @@ def _hamiltonian_for(cfg):
     raise UsageError(f"unknown hamiltonian {name!r}")
 
 
-def _cmd_chord(cfg, out_dir, threads):
+def _cmd_chord(cfg):
     model = make_model(cfg.get("model", "sphere"), cfg.get("k", 1))
     T = cfg.get("T", model.max_reeb_time()
                 if cfg.get("model", "sphere") != "circle" else 0.25)
@@ -279,8 +265,6 @@ def _cmd_chord(cfg, out_dir, threads):
         n_phases=cfg.get("n_phases", 16),
         tol=cfg.get("tol", 1e-6),
         ode_tol=cfg.get("ode_tol", 1e-9),
-        threads=threads if threads is not None
-        else cfg.get("threads", 1),
     )
     result = find_chord(H, tet.floor, tet.ceiling, budget, search)
     payload = {
@@ -318,7 +302,7 @@ def _cmd_chord(cfg, out_dir, threads):
     return payload, csvs, 0 if result.found else 2
 
 
-def _cmd_tetragon(cfg, out_dir, threads):
+def _cmd_tetragon(cfg):
     model = make_model(cfg.get("model", "sphere"), cfg.get("k", 1))
     T = cfg.get("T", model.max_reeb_time()
                 if cfg.get("model", "sphere") != "circle" else 0.25)
@@ -367,7 +351,6 @@ def build_parser():
                         metavar="KEY=VALUE",
                         help="override a config key via dotted path")
         ap.add_argument("--out", default=None, help="output directory")
-        ap.add_argument("--threads", type=int, default=None)
         if group == "validate":
             ap.add_argument("--command", default="scenario",
                             choices=["scenario", "pb4", "chord",
@@ -380,9 +363,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     out_dir = args.out or os.environ.get("TETRALAB_OUT", ".")
-    threads = args.threads
-    if threads is None and os.environ.get("TETRALAB_THREADS"):
-        threads = int(os.environ["TETRALAB_THREADS"])
     try:
         if args.group == "validate":
             schema = {
@@ -395,7 +375,7 @@ def main(argv=None):
         schema, runner = _COMMANDS[(args.group, args.action)]
         cfg = load_config(args.config, args.overrides, schema)
         start = time.monotonic()
-        payload, csvs, status = runner(cfg, out_dir, threads)
+        payload, csvs, status = runner(cfg)
         elapsed = time.monotonic() - start
         path = emit_report(
             payload, out_dir,

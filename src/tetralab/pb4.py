@@ -1,27 +1,27 @@
-"""Gridded minimax estimation of the bracket invariant on 2D windows.
+"""Gridded estimation of the bracket invariant on 2D windows.
 
 The invariant is the infimum, over compactly supported pairs (F, G)
 with F <= 0 on X0, F >= 1 on X1, G <= 0 on Y0, G >= 1 on Y1, of the
 maximum of the Poisson bracket {F, G}.  On a 2D window with coordinates
-(s, u) and omega = ds^du (p = s, q = u) the bracket of grid fields is
+(s, u) and omega = ds^du (p = s, q = u) the bracket is
 
-    {F, G} = dF/du * dG/ds - dF/ds * dG/du
+    {F, G} = dF/du * dG/ds - dF/ds * dG/du.
 
-with centered differences, periodic in u on cylinder windows.  Any
-feasible pair yields an upper estimate of the invariant up to
-discretization error; the optimizer descends a log-sum-exp smoothed
-maximum of the positive part of the bracket with constraint projection
-after every step, from multiple deterministic starts.
+Grid fields are read as piecewise-linear functions on a triangulation
+of the grid (periodic in u on cylinder windows); on each triangle both
+gradients, hence the bracket, are exact and constant.  Any feasible
+pair therefore bounds the invariant of the triangulated problem from
+above, and no grid mode can hide a large bracket between nodes.  The
+estimate is the validated value of the ramp interpolant of the masks,
+or of a projected warm start.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import binary_dilation, gaussian_filter
+from scipy.ndimage import binary_dilation
 
 from .phase_core import HamiltonianSpec, PhaseChart
 from .profiles import quintic, quintic_d, smoothstep, smoothstep_int
@@ -109,62 +109,44 @@ class Pb4Problem:
             f[:, 0] = f[:, -1] = True
         return f
 
-    def interior_mask(self):
-        w = self.window
-        m = np.zeros((w.n_s, w.n_u), dtype=bool)
-        if w.periodic_u:
-            m[1:-1, :] = True
-        else:
-            m[1:-1, 1:-1] = True
-        return m
-
 
 # ---------------------------------------------------------------------------
-# Discrete differential operators (centered differences)
+# Discrete bracket (P1 triangles)
 # ---------------------------------------------------------------------------
-
-def _d_s(a, h):
-    out = np.zeros_like(a)
-    out[1:-1] = (a[2:] - a[:-2]) / (2.0 * h)
-    return out
-
-
-def _d_s_adjoint(w, h):
-    out = np.zeros_like(w)
-    out[2:] += w[1:-1] / (2.0 * h)
-    out[:-2] -= w[1:-1] / (2.0 * h)
-    return out
-
-
-def _d_u(a, h, periodic):
-    if periodic:
-        return (np.roll(a, -1, axis=1) - np.roll(a, 1, axis=1)) / (2.0 * h)
-    out = np.zeros_like(a)
-    out[:, 1:-1] = (a[:, 2:] - a[:, :-2]) / (2.0 * h)
-    return out
-
-
-def _d_u_adjoint(w, h, periodic):
-    if periodic:
-        return -_d_u(w, h, True)
-    out = np.zeros_like(w)
-    out[:, 2:] += w[:, 1:-1] / (2.0 * h)
-    out[:, :-2] -= w[:, 1:-1] / (2.0 * h)
-    return out
-
 
 def discrete_bracket(problem: Pb4Problem, F, G):
-    """{F, G} = F_u G_s - F_s G_u on the grid (zero on the frame)."""
+    """Exact {F, G} = F_u G_s - F_s G_u of the piecewise-linear pair, one
+    value per triangle, shape (2, n_s - 1, cells_u).
+
+    Each cell [i, i+1] x [j, j+1] splits into the triangles
+    (i,j),(i+1,j),(i,j+1) (index 0) and (i+1,j+1),(i,j+1),(i+1,j)
+    (index 1).  On cylinder windows u wraps and a row has n_u cells;
+    otherwise it has n_u - 1.
+    """
     w = problem.window
-    per = w.periodic_u
-    return (_d_u(F, w.h_u, per) * _d_s(G, w.h_s)
-            - _d_s(F, w.h_s) * _d_u(G, w.h_u, per))
+
+    def corners(A):
+        A = np.asarray(A, dtype=float)
+        if w.periodic_u:
+            left, right = A, np.roll(A, -1, axis=1)
+        else:
+            left, right = A[:, :-1], A[:, 1:]
+        return left[:-1], left[1:], right[:-1], right[1:]
+
+    def tri(fs, fu, gs, gu):
+        return (fu / w.h_u) * (gs / w.h_s) - (fs / w.h_s) * (gu / w.h_u)
+
+    f00, f10, f01, f11 = corners(F)
+    g00, g10, g01, g11 = corners(G)
+    lower = tri(f10 - f00, f01 - f00, g10 - g00, g01 - g00)
+    upper = tri(f11 - f01, f11 - f10, g11 - g01, g11 - g10)
+    return np.stack([lower, upper])
 
 
 def feasible_pair_value(problem: Pb4Problem, F, G, tol=1e-12):
-    """Max of the discrete bracket over interior nodes, after checking
-    every constraint; any feasible pair upper-estimates the invariant up
-    to discretization error."""
+    """Max of the discrete bracket over all triangles, after checking
+    every constraint; any feasible pair upper-estimates the invariant of
+    the triangulated problem."""
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
     frame = problem.frame_mask()
@@ -188,8 +170,7 @@ def feasible_pair_value(problem: Pb4Problem, F, G, tol=1e-12):
     for nm, A in (("F", F), ("G", G)):
         if np.abs(A[frame]).max() > tol:
             raise InfeasibleError(f"{nm} does not vanish on the frame")
-    b = discrete_bracket(problem, F, G)
-    return float(b[problem.interior_mask()].max())
+    return float(discrete_bracket(problem, F, G).max())
 
 
 def project_fields(problem: Pb4Problem, F, G):
@@ -309,21 +290,8 @@ def interpolant_pair(problem: Pb4Problem):
 
 
 # ---------------------------------------------------------------------------
-# Optimizer
+# Estimate
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Pb4Config:
-    n_starts: int = 8
-    iterations: int = 30
-    temperatures: tuple = (50.0, 200.0, 800.0)
-    learning_rate: float = 0.01
-    blur_sigma: float = 1.0
-    perturbation_scale: float = 0.02
-    validate_every: int = 5
-    threads: int = 1
-    seed: int = 0
-
 
 @dataclass(frozen=True)
 class Pb4Report:
@@ -331,120 +299,36 @@ class Pb4Report:
     F: np.ndarray
     G: np.ndarray
     resolution: tuple
+    # one entry, (("start", 0), ("value", estimate), ("iterations", 0)),
+    # in the shape bench/tracing.py reads
     trace: tuple
-    best_start: int
 
     def describe(self):
         return {
             "estimate": self.estimate,
             "resolution": list(self.resolution),
-            "best_start": self.best_start,
-            "starts": [dict(t) for t in self.trace],
         }
 
 
-def _smoothed_max_gradients(problem, F, G, beta):
-    w = problem.window
-    per = w.periodic_u
-    Fu, Fs = _d_u(F, w.h_u, per), _d_s(F, w.h_s)
-    Gu, Gs = _d_u(G, w.h_u, per), _d_s(G, w.h_s)
-    B = Fu * Gs - Fs * Gu
-    interior = problem.interior_mask()
-    P = np.where(interior, np.maximum(B, 0.0), 0.0)
-    m = P.max()
-    weights = np.exp(beta * (P - m)) * (B > 0) * interior
-    tot = weights.sum()
-    if tot <= 0.0:
-        z = np.zeros_like(F)
-        return z, z.copy(), 0.0
-    weights = weights / tot
-    dF = (_d_u_adjoint(weights * Gs, w.h_u, per)
-          - _d_s_adjoint(weights * Gu, w.h_s))
-    dG = (_d_s_adjoint(weights * Fu, w.h_s)
-          - _d_u_adjoint(weights * Fs, w.h_u, per))
-    return dF, dG, float(m)
+def estimate_pb4_plus(problem: Pb4Problem, warm_start=None) -> Pb4Report:
+    """Validated feasible value of the interpolant pair.
 
-
-def _blur(a, sigma, periodic):
-    if sigma <= 0:
-        return a
-    mode = ("nearest", "wrap") if periodic else ("nearest", "nearest")
-    return gaussian_filter(a, sigma=sigma, mode=mode)
-
-
-def _run_start(problem, config, start_index, warm):
-    F, G = warm
-    per = problem.window.periodic_u
-    if start_index > 0:
-        rng = np.random.default_rng(config.seed * 1000 + start_index)
-        F = F + _blur(rng.standard_normal(F.shape), 2.0, per) \
-            * config.perturbation_scale
-        G = G + _blur(rng.standard_normal(G.shape), 2.0, per) \
-            * config.perturbation_scale
-    F, G = project_fields(problem, F, G)
-    best_val = feasible_pair_value(problem, F, G)
-    best_F, best_G = F, G
-    iters = 0
-    for beta in config.temperatures:
-        for it in range(config.iterations):
-            dF, dG, _ = _smoothed_max_gradients(problem, F, G, beta)
-            dF = _blur(dF, config.blur_sigma, per)
-            dG = _blur(dG, config.blur_sigma, per)
-            nF = np.abs(dF).max()
-            nG = np.abs(dG).max()
-            if max(nF, nG) < 1e-15:
-                break
-            F = F - config.learning_rate * dF / (nF + 1e-15)
-            G = G - config.learning_rate * dG / (nG + 1e-15)
-            F, G = project_fields(problem, F, G)
-            iters += 1
-            if (it + 1) % config.validate_every == 0:
-                val = feasible_pair_value(problem, F, G)
-                if val < best_val:
-                    best_val, best_F, best_G = val, F, G
-    val = feasible_pair_value(problem, F, G)
-    if val < best_val:
-        best_val, best_F, best_G = val, F, G
-    return best_val, best_F, best_G, iters
-
-
-def estimate_pb4_plus(problem: Pb4Problem,
-                      config: Pb4Config = Pb4Config(),
-                      warm_start=None) -> Pb4Report:
-    """Best validated feasible value over deterministic multi-starts.
-
-    ``warm_start`` (a field pair, e.g. a previous report's optimum)
-    replaces the interpolant start after projection onto this problem's
+    ``warm_start`` (a field pair, e.g. a previous report's fields)
+    replaces the interpolant after projection onto this problem's
     constraints; since projection preserves feasibility, warm-started
     estimates are exactly monotone under constraint relaxation.
     """
-    from .dynamics import deterministic_map
-
     if warm_start is not None:
-        base = project_fields(problem, warm_start[0], warm_start[1])
+        F, G = project_fields(problem, warm_start[0], warm_start[1])
     else:
-        base = interpolant_pair(problem)
-    results = deterministic_map(
-        lambda i: _run_start(problem, config, i, base),
-        list(range(config.n_starts)),
-        threads=config.threads,
-    )
-    best_idx = 0
-    for i, res in enumerate(results):
-        if res[0] < results[best_idx][0] - 1e-15:
-            best_idx = i
-    val, F, G, _ = results[best_idx]
-    trace = tuple(
-        (("start", i), ("value", float(r[0])), ("iterations", int(r[3])))
-        for i, r in enumerate(results)
-    )
+        F, G = interpolant_pair(problem)
+    val = feasible_pair_value(problem, F, G)
     return Pb4Report(
-        estimate=float(val),
+        estimate=val,
         F=F,
         G=G,
         resolution=(problem.window.n_s, problem.window.n_u),
-        trace=trace,
-        best_start=best_idx,
+        trace=((("start", 0), ("value", val), ("iterations", 0)),),
     )
 
 

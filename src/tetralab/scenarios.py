@@ -64,7 +64,6 @@ class ScenarioConfig:
     ode_tol: float = 1e-9
     tol: float = 1e-6
     threads: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.k < 1:

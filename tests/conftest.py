@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from tetralab.dynamics import ChordSearchConfig, find_chord, separation
-from tetralab.pb4 import (Pb4Config, estimate_pb4_plus, prototype_problem,
-                          relabeled, shrink_prototype_masks, wall_witness)
+from tetralab.pb4 import (estimate_pb4_plus, prototype_problem, relabeled,
+                          shrink_prototype_masks, wall_witness)
 from tetralab.phase_core import HamiltonianSpec, poisson_bracket
 from tetralab.contact import CircleModel, build_tetragon
 from tetralab.scenarios import (PerturbationSpec, ScenarioConfig,

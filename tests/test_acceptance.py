@@ -17,7 +17,7 @@ from tetralab.contact import (CircleModel, SphereModel, TorusModel,
                               build_tetragon, smooth_tetragon)
 from tetralab.dynamics import (ChordSearchConfig, find_chord, integrate,
                                separation)
-from tetralab.pb4 import (Pb4Config, estimate_pb4_plus, feasible_pair_value,
+from tetralab.pb4 import (estimate_pb4_plus, feasible_pair_value,
                           prototype_hamiltonian_pair, prototype_problem,
                           wall_witness)
 from tetralab.phase_core import PhaseChart, poisson_bracket, volume_factor
@@ -327,10 +327,8 @@ def _scenario_runner(**kwargs):
 def _pb4_runner(threads):
     blobs = []
     for n in (128, 256):
-        rep = estimate_pb4_plus(prototype_problem(n),
-                                Pb4Config(threads=threads))
-        blobs.append((rep.estimate, rep.best_start,
-                      rep.F.tobytes(), rep.G.tobytes()))
+        rep = estimate_pb4_plus(prototype_problem(n))
+        blobs.append((rep.estimate, rep.F.tobytes(), rep.G.tobytes()))
     return blobs
 
 

@@ -102,16 +102,22 @@ class TestPb4Command:
         assert "two_grid_difference" in rep["report"]
         assert rep["report"]["two_grid_difference"] >= 0.0
 
-    def test_threads_flag_reproducible(self, tmp_path):
-        cfg = write_config(tmp_path, {"n": 48})
-        blobs = []
-        for name, threads in (("t1", "1"), ("t8", "8")):
+    def test_optimizer_seed_is_accepted_and_ignored(self, tmp_path):
+        fields = []
+        for name, payload in (("plain", {"n": 32}),
+                              ("seeded", {"n": 32,
+                                          "optimizer": {"seed": 7}})):
             out = tmp_path / name
-            assert main(["pb4", "estimate", cfg, "--out", str(out),
-                         "--threads", threads]) == 0
-            blobs.append(((out / "report.json").read_bytes(),
-                          (out / "F.csv").read_bytes()))
-        assert blobs[0] == blobs[1]
+            cfg = write_config(tmp_path, payload, name=f"{name}.json")
+            assert main(["pb4", "estimate", cfg, "--out", str(out)]) == 0
+            fields.append((out / "F.csv").read_bytes())
+        assert fields[0] == fields[1]
+
+    def test_removed_optimizer_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"optimizer": {"n_starts": 2}})
+        assert main(["pb4", "estimate", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+        assert "optimizer.n_starts" in capsys.readouterr().err
 
 
 class TestChordCommand:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tetralab.dynamics import find_chord, integrate, separation
 from tetralab.contact import CircleModel, build_tetragon
@@ -13,7 +14,6 @@ from tetralab.pb4 import (GridWindow, InfeasibleError, Pb4Problem,
                           project_fields, prototype_hamiltonian_pair,
                           prototype_problem, relabeled,
                           shrink_prototype_masks, wall_witness)
-from tetralab.pb4 import _d_s, _d_s_adjoint, _d_u, _d_u_adjoint
 from tetralab.phase_core import poisson_bracket
 
 from conftest import check_gradient
@@ -49,30 +49,48 @@ class TestGridWindow:
         assert w.h_u == pytest.approx(0.1)
 
 
-class TestOperators:
-    @pytest.mark.parametrize("periodic", [True, False])
-    def test_adjoint_identity(self, periodic):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((16, 16))
-        b = rng.standard_normal((16, 16))
-        lhs = np.sum(_d_u(a, 0.1, periodic) * b)
-        rhs = np.sum(a * _d_u_adjoint(b, 0.1, periodic))
-        assert lhs == pytest.approx(rhs, abs=1e-10)
-        lhs = np.sum(_d_s(a, 0.1) * b)
-        rhs = np.sum(a * _d_s_adjoint(b, 0.1))
-        assert lhs == pytest.approx(rhs, abs=1e-10)
+def null_mode_pair(n):
+    """F = 1 on the rows of the ceiling row's parity, projected, with G
+    the interpolant: centred differences see no bracket at any node."""
+    problem = prototype_problem(n)
+    ceiling_row = int(np.flatnonzero(problem.masks["X1"].any(axis=1))[0])
+    F = np.zeros((n, n))
+    F[np.arange(n) % 2 == ceiling_row % 2, :] = 1.0
+    _, G = interpolant_pair(problem)
+    return problem, project_fields(problem, F, G)
 
-    def test_bracket_orientation(self):
-        """With F = s and G = u the bracket is -1; swapping gives +1."""
+
+coefficient = st.floats(min_value=-3.0, max_value=3.0)
+
+
+class TestOperators:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(coefficient, min_size=6, max_size=6))
+    @example([0.0, 1.0, 0.0, 0.0, 0.0, 1.0])  # F = s, G = u: -1
+    @example([0.0, 0.0, 1.0, 0.0, 1.0, 0.0])  # F = u, G = s: +1
+    def test_bracket_orientation(self, c):
+        """F = a0 + a_s s + a_u u, G = b0 + b_s s + b_u u: every triangle
+        carries the continuum bracket a_u b_s - a_s b_u."""
+        a0, a_s, a_u, b0, b_s, b_u = c
         problem = plane_problem(16)
         w = problem.window
-        S = np.repeat(w.s_nodes()[:, None], w.n_u, axis=1)
-        U = np.repeat(w.u_nodes()[None, :], w.n_s, axis=0)
-        b = discrete_bracket(problem, S, U)
-        interior = problem.interior_mask()
-        assert np.allclose(b[interior], -1.0)
-        b2 = discrete_bracket(problem, U, S)
-        assert np.allclose(b2[interior], 1.0)
+        S, U = np.meshgrid(w.s_nodes(), w.u_nodes(), indexing="ij")
+        b = discrete_bracket(problem, a0 + a_s * S + a_u * U,
+                             b0 + b_s * S + b_u * U)
+        assert b.shape == (2, 15, 15)
+        assert np.abs(b - (a_u * b_s - a_s * b_u)).max() <= 1e-12
+
+    def test_cylinder_window_wraps_u(self):
+        """On a cylinder the seam is a cell like any other: rotating both
+        fields in u rotates the triangle brackets with them."""
+        problem = prototype_problem(16)
+        rng = np.random.default_rng(4)
+        F, G = rng.standard_normal((2, 16, 16))
+        b = discrete_bracket(problem, F, G)
+        assert b.shape == (2, 15, 16)
+        rolled = discrete_bracket(problem, np.roll(F, 5, axis=1),
+                                  np.roll(G, 5, axis=1))
+        assert np.array_equal(rolled, np.roll(b, 5, axis=2))
 
     def test_matches_analytic_bracket_on_cylinder_chart(self):
         """Discrete bracket of sampled smooth fields converges to the
@@ -86,10 +104,12 @@ class TestOperators:
                         for u in w.u_nodes()] for s in w.s_nodes()])
         b = discrete_bracket(problem, Fg, Gg)
         x = np.array([1.5, 0.1])
-        i = int(np.argmin(np.abs(w.s_nodes() - x[0])))
-        j = int(np.argmin(np.abs(w.u_nodes() - x[1])))
-        assert b[i, j] == pytest.approx(poisson_bracket(F, G, x),
-                                        rel=1e-2)
+        a = (x[0] - w.s_lo) / w.h_s
+        c = (x[1] - w.u_lo) / w.h_u
+        i, j = int(a), int(c)
+        upper = int((a - i) + (c - j) > 1.0)
+        assert b[upper, i, j] == pytest.approx(poisson_bracket(F, G, x),
+                                               rel=1e-2)
 
 
 class TestFeasibility:
@@ -127,6 +147,17 @@ class TestFeasibility:
         G = rng.standard_normal((32, 32))
         F2, G2 = project_fields(problem, F, G)
         feasible_pair_value(problem, F2, G2)  # must not raise
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_null_mode_pair_cannot_undercut_interpolant(self, n):
+        """The odd-even pair hides its bracket from centred differences
+        at every node; the triangle bracket still sees it."""
+        problem, (F, G) = null_mode_pair(n)
+        val = feasible_pair_value(problem, F, G)
+        assert val >= feasible_pair_value(problem,
+                                          *interpolant_pair(problem))
+        if n == 128:
+            assert val == 254.0
 
     def test_projection_is_idempotent(self):
         problem = plane_problem()
@@ -183,11 +214,11 @@ class TestPrototype:
         r128, _ = pb4_runs.value
         assert pb4_property_runs["thickened"].estimate >= r128.estimate
 
-    def test_report_trace_covers_all_starts(self, pb4_runs):
+    def test_report_trace_is_the_validated_value(self, pb4_runs):
         r128, _ = pb4_runs.value
-        assert len(r128.trace) == 8
-        values = [dict(t)["value"] for t in r128.trace]
-        assert min(values) == r128.estimate
+        assert r128.trace == (
+            (("start", 0), ("value", r128.estimate), ("iterations", 0)),
+        )
 
     def test_shrink_refuses_to_empty_masks(self):
         problem = prototype_problem(16)
