@@ -165,9 +165,8 @@ def emit_report(report_payload, out_dir, timing=None, csv_files=None):
             fh.write("\n")
     for name, (header, rows) in (csv_files or {}).items():
         with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=header,
+                       comments="")
     return out / "report.json"
 
 

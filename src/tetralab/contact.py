@@ -158,15 +158,8 @@ class ContactModel:
         """Inverse of embed: ambient coords -> (Sigma point, s)."""
         raise NotImplementedError
 
-    def s_coord(self, coords):
-        return self.project(coords)[1]
-
     def reeb_time(self, coords):
         """Reeb-time coordinate of an ambient point near the tetragon."""
-        raise NotImplementedError
-
-    def ambient_primitive(self, coords, v):
-        """The fixed primitive of the ambient symplectic form, on v."""
         raise NotImplementedError
 
     def max_reeb_time(self):
@@ -217,11 +210,6 @@ class CircleModel(ContactModel):
 
     def reeb_time(self, coords):
         return float(np.asarray(coords)[1]) % 1.0
-
-    def ambient_primitive(self, coords, v):
-        # primitive s du of omega = ds^du
-        c = np.asarray(coords, dtype=float)
-        return float(c[0] * np.asarray(v)[1])
 
     def max_reeb_time(self):
         return 1.0
@@ -296,11 +284,6 @@ class TorusModel(ContactModel):
         phat = xs[: self.k]
         q = _wrap_half(coords[self.k:])
         return float(np.dot(q, phat))
-
-    def ambient_primitive(self, coords, v):
-        c = np.asarray(coords, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return float(np.dot(c[: self.k], v[self.k:]))
 
     def max_reeb_time(self):
         return 0.5
@@ -384,9 +367,6 @@ class SphereModel(ContactModel):
     def reeb_time(self, coords):
         # z = sqrt(s) e^{2it} x  =>  t = phi / 2 = psi / 4
         return self._polar_angle(coords) / 4.0
-
-    def ambient_primitive(self, coords, v):
-        return self.lambda0(coords, v)
 
     def max_reeb_time(self):
         return math.pi / 4.0

@@ -5,8 +5,10 @@ The chord search sweeps a deterministic seed grid on the start region
 are integrated together by one vectorised DOP853 ensemble
 (``ensemble_sweep``) with event detection on the target region's
 enclosing hypersurface; hits are certified by a membership test.  The
-best candidate is then refined with a derivative-free pattern search
-that minimizes the arrival time, and re-certified by ``integrate``.  The
+earliest hit (else the closest miss) seeds one derivative-free pattern
+search that ranks any certified hit above any miss, an earlier hit above
+a later one and a closer miss above a farther one; each evaluation runs
+``integrate``, and the winner is re-certified by ``integrate``.  The
 returned chord is the minimal-time certified chord over the sweep, with
 ties broken by seed order.
 """
@@ -60,8 +62,6 @@ class Trajectory:
     chart: object
     times: np.ndarray
     states: np.ndarray
-    tol: float
-    n_steps: int
     event_times: tuple = ()
     dense: Callable = field(default=None, compare=False, repr=False)
 
@@ -87,8 +87,7 @@ class Trajectory:
 
 
 def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
-              escape_norm=100.0, events=None, method="DOP853",
-              max_step=np.inf) -> Trajectory:
+              escape_norm=100.0, events=None) -> Trajectory:
     """Adaptive dense-output integration of the Hamiltonian flow of H.
 
     Periodic coordinates are integrated unwrapped and reduced on output;
@@ -120,9 +119,8 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
     ev_list.extend(user_events)
 
     x0 = np.asarray(chart.wrap(x0), dtype=float)
-    sol = solve_ivp(rhs, (t0, t1), x0, method=method, rtol=tol,
-                    atol=tol * 1e-2, dense_output=True, events=ev_list,
-                    max_step=max_step)
+    sol = solve_ivp(rhs, (t0, t1), x0, method="DOP853", rtol=tol,
+                    atol=tol * 1e-2, dense_output=True, events=ev_list)
     if sol.status == -1:
         raise StiffnessError(f"integrator failed: {sol.message}")
     if sol.status == 1 and len(sol.t_events[0]) > 0:
@@ -138,8 +136,6 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
         chart=chart,
         times=np.asarray(sol.t, dtype=float),
         states=states,
-        tol=float(tol),
-        n_steps=len(sol.t) - 1,
         event_times=tuple(sorted(ev_times)),
         dense=sol.sol,
     )
@@ -151,6 +147,9 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
 
 _EPS = np.finfo(float).eps
 _ERR_EXP = -1.0 / (DOP853.error_estimator_order + 1)
+# target-distance samples per chord window, shared by the sweep and the
+# refinement so that both measure a miss at the same times
+MISS_SAMPLES = 64
 
 
 def _rms(x):
@@ -216,7 +215,7 @@ class SweepResult:
 
 def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
                    time_budget, tol=1e-10, escape_norm=100.0,
-                   member_tol=1e-6, miss_samples=64) -> SweepResult:
+                   member_tol=1e-6) -> SweepResult:
     """Integrate every start point from its phase over the budget at once.
 
     Each member follows scipy's DOP853 exactly as ``integrate`` would
@@ -227,7 +226,7 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
     whose point lies in X1 ends the member as a hit.  A member whose state
     norm reaches ``escape_norm`` before a hit is lost as escaped.  Target
     distances are sampled at ``linspace(phase, phase + time_budget,
-    miss_samples)`` until some hit exists; from then on sampling stops and
+    MISS_SAMPLES)`` until some hit exists; from then on sampling stops and
     members that can no longer arrive before the best hit are dropped
     (their ``hit`` stays nan).  The stepper treats every member alike (see
     ``_combine``), so a member's outcome does not depend on the rest of
@@ -238,7 +237,7 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
     phases = np.asarray(phases, dtype=float)
     n_all = len(phases)
     uniq, ph_row = np.unique(phases, return_inverse=True)
-    sample_t = np.array([np.linspace(p, p + time_budget, miss_samples)
+    sample_t = np.array([np.linspace(p, p + time_budget, MISS_SAMPLES)
                          for p in uniq])
 
     hit = np.full(n_all, np.nan)
@@ -417,16 +416,20 @@ def _bisect_event(event, F, y_old, t_old, h, g_old):
 # Derivative-free local refinement
 # ---------------------------------------------------------------------------
 
-def pattern_search(f, x0, bounds, max_evals=200, shrink=0.5,
-                   min_step=1e-12, init_frac=0.1):
-    """Coordinate pattern search on a box; deterministic poll order."""
+def pattern_search(f, x0, bounds, max_evals=200):
+    """Coordinate pattern search on a box; deterministic poll order.
+
+    Steps start at a tenth of each side and halve after a poll that does
+    not improve.  Values are compared only with ``<``, so ``f`` may
+    return any totally ordered value, such as a tuple.
+    """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     x = np.array([min(max(v, lo), hi)
                   for v, (lo, hi) in zip(np.atleast_1d(x0), bounds)])
-    steps = np.array([(hi - lo) * init_frac for lo, hi in bounds])
+    steps = np.array([(hi - lo) * 0.1 for lo, hi in bounds])
     fx = f(x)
     evals = 1
-    while evals < max_evals and steps.max() > min_step:
+    while evals < max_evals and steps.max() > 1e-12:
         improved = False
         for i in range(len(x)):
             for sign in (1.0, -1.0):
@@ -446,7 +449,7 @@ def pattern_search(f, x0, bounds, max_evals=200, shrink=0.5,
             if evals >= max_evals:
                 break
         if not improved:
-            steps *= shrink
+            steps *= 0.5
     return x, fx, evals
 
 
@@ -596,10 +599,7 @@ class ChordSearchConfig:
     tol: float = 1e-6
     ode_tol: float = 1e-10
     escape_norm: float = 100.0
-    refine: bool = True
-    max_refine_evals: int = 200
     threads: int = 1
-    miss_samples: int = 64
 
 
 def _chord_trajectory(G, x0, phase, time_budget, X1, config):
@@ -651,71 +651,53 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
     sweep = ensemble_sweep(
         G, X1, np.tile(seed_points, (len(phases), 1)),
         np.repeat(phases, len(seeds)), time_budget, tol=config.ode_tol,
-        escape_norm=config.escape_norm, member_tol=config.tol,
-        miss_samples=config.miss_samples)
+        escape_norm=config.escape_norm, member_tol=config.tol)
     counts = dict(n_seeds=len(seeds), n_phases=len(phases),
                   n_escaped=int(sweep.escaped.sum()),
                   n_stiff=int(sweep.stiff.sum()))
-
-    def attempt(params, comp, phase):
-        """(hit_time or None, best target distance) for one seed."""
-        try:
-            traj, escaped = _chord_trajectory(
-                G, X0.param_point(params, comp), phase, time_budget, X1,
-                config)
-        except (EscapeError, StiffnessError):
-            return None, math.inf
-        hit = _first_hit(traj, X1, phase, config.tol)
-        if hit is None and escaped:
-            return None, math.inf
-        ts = np.linspace(traj.t0, traj.t1, config.miss_samples)
-        dist = float(np.min(X1.distance(traj.sample(ts))))
-        return (None if hit is None else hit - phase), dist
 
     best_idx, best_time = None, math.inf
     for idx, hit in enumerate(sweep.hit):
         if hit < best_time - 1e-15:
             best_idx, best_time = idx, float(hit)
     best_dist = float(sweep.distance.min())
+    if best_idx is None:  # no hit: refine from the closest miss
+        best_idx = int(np.argmin(sweep.distance))
+    phase, pr, comp = jobs[best_idx]
 
-    if best_idx is None:
-        # shooting refinement on the nearest miss, minimizing distance
-        phase, pr, comp = jobs[int(np.argmin(sweep.distance))]
-        if config.refine and len(X0.param_bounds) > 0:
-            def miss_obj(z):
-                hit, dist = attempt(z, comp, phase)
-                return dist if hit is None else -1.0 / (1.0 + hit)
+    def rank(params):
+        """(0, arrival time) for a certified hit, else (1, closest sampled
+        target distance); tuples order every hit before every miss."""
+        try:
+            traj, escaped = _chord_trajectory(
+                G, X0.param_point(params, comp), phase, time_budget, X1,
+                config)
+        except (EscapeError, StiffnessError):
+            return 1, math.inf
+        hit = _first_hit(traj, X1, phase, config.tol)
+        if hit is not None:
+            return 0, hit - phase
+        if escaped:
+            return 1, math.inf
+        ts = np.linspace(traj.t0, traj.t1, MISS_SAMPLES)
+        return 1, float(np.min(X1.distance(traj.sample(ts))))
 
-            z, fv, _ = pattern_search(miss_obj, np.array(pr),
-                                      X0.param_bounds,
-                                      max_evals=config.max_refine_evals)
-            hit, dist = attempt(z, comp, phase)
-            if hit is not None:
-                return _certify(G, X0, X1, z, comp, phase, time_budget,
-                                config, dist, counts)
-            best_dist = min(best_dist, dist)
+    if len(X0.param_bounds) > 0:
+        z, (missed, value), _ = pattern_search(rank, np.array(pr),
+                                               X0.param_bounds)
+        if not missed and value <= best_time:
+            pr, best_time = z, value
+        elif best_time == math.inf:
+            best_dist = min(best_dist, value)
+    if best_time == math.inf:
         return ChordSearchResult(
-            found=False, chord=None, best_distance=float(best_dist),
+            found=False, chord=None, best_distance=best_dist,
             message=(
                 "no certified chord at the swept resolution: "
                 f"{counts['n_seeds']} seeds x {counts['n_phases']} phases, "
                 f"{counts['n_escaped']} escaped, {counts['n_stiff']} stiff"),
             **counts,
         )
-
-    phase, pr, comp = jobs[best_idx]
-    if config.refine and len(X0.param_bounds) > 0:
-        def time_obj(z):
-            hit, dist = attempt(z, comp, phase)
-            if hit is None:
-                return time_budget + dist
-            return hit
-
-        z, fv, _ = pattern_search(time_obj, np.array(pr), X0.param_bounds,
-                                  max_evals=config.max_refine_evals)
-        hit, _ = attempt(z, comp, phase)
-        if hit is not None and hit <= best_time:
-            pr = z
     return _certify(G, X0, X1, np.asarray(pr, float), comp, phase,
                     time_budget, config, best_dist, counts)
 

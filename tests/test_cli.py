@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tetralab.cli import main
+from tetralab.cli import emit_report, main
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -154,6 +154,17 @@ class TestChordCommand:
         cfg = write_config(tmp_path, {"hamiltonian": "magic"})
         assert main(["chord", "find", cfg, "--out",
                      str(tmp_path / "o")]) == 1
+
+
+class TestEmitReport:
+    def test_csv_text_is_pinned(self, tmp_path):
+        rows = np.array([[0.1, -0.0, 5e-324, math.nan, math.inf],
+                         [1.0, 2.5, -3.0, 1e300, 0.0]])
+        emit_report({}, tmp_path, csv_files={"x.csv": ("a,b,c,d,e", rows)})
+        assert (tmp_path / "x.csv").read_bytes() == (
+            b"a,b,c,d,e\n"
+            b"0.10000000000000001,-0,4.9406564584124654e-324,nan,inf\n"
+            b"1,2.5,-3,1.0000000000000001e+300,0\n")
 
 
 class TestTetragonCommand:

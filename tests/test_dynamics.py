@@ -288,6 +288,23 @@ class TestFindChord:
                                                       abs=1e-4)
         assert res.chord.validate(tet.floor, tet.ceiling, math.pi / 4)
 
+    def test_refinement_finds_chord_the_sweep_missed(self):
+        """Two seeds are the floor arc's endpoints, which reach the
+        ceiling at 0.658 > 0.5; refining the closer miss finds the
+        minimal chord ln(2)/2 from the arc's middle."""
+        tet = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
+        H, budget = unstable_hamiltonian(1), 0.5
+        seeds = [tet.floor.param_point(pr, comp)
+                 for pr, comp in tet.floor.sample_params(2)]
+        sweep = ensemble_sweep(H, tet.ceiling, seeds, [0.0, 0.0], budget)
+        assert np.isnan(sweep.hit).all()
+        res = find_chord(H, tet.floor, tet.ceiling, budget,
+                         ChordSearchConfig(n_seeds=2))
+        assert res.found
+        assert res.chord.time_length == pytest.approx(0.5 * math.log(2),
+                                                      abs=1e-6)
+        assert res.chord.validate(tet.floor, tet.ceiling, budget)
+
 
 def _sweep_cases():
     sphere = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
