@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -193,13 +194,16 @@ def _cmd_scenario(cfg):
 
 
 def _cmd_pb4(cfg):
+    def problem(n):
+        return prototype_problem(
+            n=n, R0=cfg.get("R0", 1.0), R1=cfg.get("R1", 2.0),
+            T=cfg.get("T", 0.25), s_margin=cfg.get("s_margin", 0.5),
+            thicken_radius=cfg.get("thicken_radius", 0),
+        )
+
     n = cfg.get("n", 128)
-    problem = prototype_problem(
-        n=n, R0=cfg.get("R0", 1.0), R1=cfg.get("R1", 2.0),
-        T=cfg.get("T", 0.25), s_margin=cfg.get("s_margin", 0.5),
-        thicken_radius=cfg.get("thicken_radius", 0),
-    )
-    report = estimate_pb4_plus(problem)
+    coarse = problem(n)
+    report = estimate_pb4_plus(coarse)
     payload = {
         "command": "pb4",
         "artifact_version": __version__,
@@ -208,17 +212,12 @@ def _cmd_pb4(cfg):
         "tolerances": {"feasibility": 1e-12},
     }
     if cfg.get("two_grid"):
-        problem2 = prototype_problem(
-            n=2 * n, R0=cfg.get("R0", 1.0), R1=cfg.get("R1", 2.0),
-            T=cfg.get("T", 0.25), s_margin=cfg.get("s_margin", 0.5),
-            thicken_radius=cfg.get("thicken_radius", 0),
-        )
-        report2 = estimate_pb4_plus(problem2)
+        report2 = estimate_pb4_plus(problem(2 * n))
         payload["report"]["two_grid_estimate"] = report2.estimate
         payload["report"]["two_grid_difference"] = abs(
             report2.estimate - report.estimate
         )
-    s_nodes = problem.window.s_nodes()
+    s_nodes = coarse.window.s_nodes()
     csvs = {
         "F.csv": ("s\\u grid", report.F),
         "G.csv": ("s\\u grid", report.G),
@@ -249,11 +248,16 @@ def _hamiltonian_for(cfg):
     raise UsageError(f"unknown hamiltonian {name!r}")
 
 
-def _cmd_chord(cfg):
+def _tetragon_for(cfg):
+    """The config's tetragon.  T defaults to pi/4 on the sphere and 0.25
+    on the circle and the torus, as in the scenarios."""
     model = make_model(cfg.get("model", "sphere"), cfg.get("k", 1))
-    T = cfg.get("T", model.max_reeb_time()
-                if cfg.get("model", "sphere") != "circle" else 0.25)
-    tet = build_tetragon(model, cfg.get("R0", 1.0), cfg.get("R1", 2.0), T)
+    T = cfg.get("T", math.pi / 4 if model.kind == "sphere" else 0.25)
+    return build_tetragon(model, cfg.get("R0", 1.0), cfg.get("R1", 2.0), T)
+
+
+def _cmd_chord(cfg):
+    tet = _tetragon_for(cfg)
     H = _hamiltonian_for(cfg)
     budget = cfg.get("time_budget")
     sep = separation(H, tet.low_wall, tet.high_wall)
@@ -302,10 +306,7 @@ def _cmd_chord(cfg):
 
 
 def _cmd_tetragon(cfg):
-    model = make_model(cfg.get("model", "sphere"), cfg.get("k", 1))
-    T = cfg.get("T", model.max_reeb_time()
-                if cfg.get("model", "sphere") != "circle" else 0.25)
-    tet = build_tetragon(model, cfg.get("R0", 1.0), cfg.get("R1", 2.0), T)
+    tet = _tetragon_for(cfg)
     report = tet.describe()
     if "eps" in cfg:
         sm = smooth_tetragon(tet, cfg["eps"])
@@ -352,8 +353,7 @@ def build_parser():
         ap.add_argument("--out", default=None, help="output directory")
         if group == "validate":
             ap.add_argument("--command", default="scenario",
-                            choices=["scenario", "pb4", "chord",
-                                     "tetragon"],
+                            choices=[g for g, _ in _COMMANDS],
                             help="schema to validate against")
     return parser
 
@@ -364,10 +364,8 @@ def main(argv=None):
     out_dir = args.out or os.environ.get("TETRALAB_OUT", ".")
     try:
         if args.group == "validate":
-            schema = {
-                "scenario": _SCENARIO_SCHEMA, "pb4": _PB4_SCHEMA,
-                "chord": _CHORD_SCHEMA, "tetragon": _TETRAGON_SCHEMA,
-            }[args.command]
+            schema = {g: sch for (g, _), (sch, _)
+                      in _COMMANDS.items()}[args.command]
             load_config(args.config, args.overrides, schema)
             print(f"config valid for command {args.command!r}")
             return 0

@@ -684,8 +684,7 @@ def _sphere_regions(model, R0, R1, T):
             wall("low_wall", T), wall("high_wall", 0.0))
 
 
-def build_tetragon(model: ContactModel, R0, R1, T,
-                   check_c2=True) -> Tetragon:
+def build_tetragon(model: ContactModel, R0, R1, T) -> Tetragon:
     """Construct the four tetragon regions in the model's ambient chart."""
     if not (0.0 < R0 < R1):
         raise ParameterError(f"need 0 < R0 < R1, got R0={R0}, R1={R1}")
@@ -704,13 +703,14 @@ def build_tetragon(model: ContactModel, R0, R1, T,
     else:
         regions = _sphere_regions(model, R0, R1, T)
     tet = Tetragon(model, float(R0), float(R1), float(T), *regions)
-    if check_c2:
-        _check_disjoint_sweep(model, T)
+    _check_disjoint_sweep(model, T)
     return tet
 
 
-def _check_disjoint_sweep(model, T, n_time=32, n_leg=16):
-    """(C2): psi_t(L) stays disjoint from L for sampled t in (0, T]."""
+def _check_disjoint_sweep(model, T):
+    """(C2): psi_t(L) stays disjoint from L for 32 sampled t in (0, T],
+    tested at 16 sampled angles on each component of L."""
+    n_time, n_leg = 32, 16
     pts = []
     for comp in range(model.n_components):
         if model.n_angles == 0:
@@ -832,13 +832,14 @@ class SmoothedTetragon:
         frame.append(model.embed_tangent(xt, s, dt * reeb, ds))
         return frame
 
-    def lagrangian_residual(self, n_samples=1000, rng_seed=0):
-        """Max |omega(v_a, v_b)| over sampled points and tangent pairs."""
+    def lagrangian_residual(self, n_samples=1000):
+        """Max |omega(v_a, v_b)| over sampled points (seeded draws) and
+        tangent pairs."""
         from .phase_core import omega_matrix
 
         model = self.tetragon.model
         omega = omega_matrix(model.chart.dim_pairs)
-        rng = np.random.default_rng(rng_seed)
+        rng = np.random.default_rng(0)
         worst = 0.0
         for _ in range(n_samples):
             sigma = float(rng.uniform(0.0, 1.0))

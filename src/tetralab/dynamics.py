@@ -16,7 +16,6 @@ ties broken by seed order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -41,12 +40,14 @@ class StiffnessError(RuntimeError):
     """The adaptive integrator failed to advance (step underflow)."""
 
 
-def deterministic_map(fn, items, threads=1):
-    """Map preserving input order; thread count never changes the output."""
-    if threads is None or threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def deterministic_map(fn, items):
+    """``[fn(it) for it in items]``, serially and in input order.
+
+    ``run_batch`` maps through it.  It stays a function of its own because
+    ``bench/tracing.py`` wraps ``dynamics.deterministic_map``, and every
+    traced benchmark run fails without it.
+    """
+    return [fn(it) for it in items]
 
 
 @dataclass(frozen=True)
@@ -472,8 +473,7 @@ class SeparationReport:
     separating: bool
 
 
-def _extremize_on_region(G, region: Region, n_samples, sign,
-                         refine_evals=120):
+def _extremize_on_region(G, region: Region, n_samples, sign):
     """sign=+1 minimizes G over the region x time, sign=-1 maximizes."""
     times = np.array([0.0])
     if G.time_periodic and not G.autonomous:
@@ -499,8 +499,7 @@ def _extremize_on_region(G, region: Region, n_samples, sign,
         return sign * G(region.param_point(params, comp), t)
 
     if bounds:
-        z, fv, _ = pattern_search(obj, np.array(x0), bounds,
-                                  max_evals=refine_evals)
+        z, fv, _ = pattern_search(obj, np.array(x0), bounds, max_evals=120)
         params = z[:-1] if time_axis else z
         t = float(z[-1]) if time_axis else t0
     else:
@@ -591,15 +590,14 @@ class ChordSearchResult:
 
 @dataclass(frozen=True)
 class ChordSearchConfig:
-    """Chord-search settings.  ``threads`` is accepted and ignored: the
-    sweep runs as one vectorised ensemble."""
+    """Chord-search settings.  The sweep runs serially, as one vectorised
+    ensemble."""
 
     n_seeds: int = 64
     n_phases: int = 16
     tol: float = 1e-6
     ode_tol: float = 1e-10
     escape_norm: float = 100.0
-    threads: int = 1
 
 
 def _chord_trajectory(G, x0, phase, time_budget, X1, config):

@@ -63,7 +63,6 @@ class ScenarioConfig:
     n_phases: int = 16
     ode_tol: float = 1e-9
     tol: float = 1e-6
-    threads: int = 1
 
     def __post_init__(self):
         if self.k < 1:
@@ -79,7 +78,7 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    """Self-certifying outcome: pass is recomputable from the fields."""
+    """Self-certifying outcome: ``passed`` is computed from the fields."""
 
     scenario: str
     delta_separation: float
@@ -91,10 +90,12 @@ class ScenarioReport:
     increment: Optional[float]
     expected_increment: Optional[float]
     increment_tol: float
-    passed: bool
     details: dict = field(default_factory=dict)
 
-    def recompute_pass(self):
+    @property
+    def passed(self):
+        """A chord was found within budget + 1e-6 and, when an increment
+        is expected, its increment lies within ``increment_tol`` of it."""
         ok = self.found and self.time_length is not None \
             and self.time_length <= self.budget + 1e-6
         if ok and self.expected_increment is not None:
@@ -265,9 +266,9 @@ def wall_perturbation(amplitude, R0=1.0, R1=2.0, away_factor=10.0,
     )
 
 
-def calibrate_perturbation(tet, spec: PerturbationSpec, tol=0.005,
-                           max_iter=40):
-    """Bisect the amplitude until |Delta(F; low, high)| hits the target."""
+def calibrate_perturbation(tet, spec: PerturbationSpec):
+    """Bisect the amplitude until |Delta(F; low, high)| is within 0.005 of
+    the target, for at most 40 steps."""
     target = spec.delta_target
 
     def measured(a):
@@ -285,10 +286,10 @@ def calibrate_perturbation(tet, spec: PerturbationSpec, tol=0.005,
         hi *= 2.0
         d_hi, F = measured(hi)
         it += 1
-    for _ in range(max_iter):
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
         d_mid, F_mid = measured(mid)
-        if abs(d_mid - target) <= tol:
+        if abs(d_mid - target) <= 0.005:
             return F_mid, d_mid, mid
         if d_mid < target:
             lo = mid
@@ -302,24 +303,32 @@ def calibrate_perturbation(tet, spec: PerturbationSpec, tol=0.005,
 # Scenario runners
 # ---------------------------------------------------------------------------
 
-def _search_config(cfg: ScenarioConfig) -> ChordSearchConfig:
-    return ChordSearchConfig(
+def _chord_report(scenario, cfg: ScenarioConfig, tet, G: HamiltonianSpec,
+                  sep, details, delta_pert=0.0, expected=None,
+                  p_only=False) -> ScenarioReport:
+    """Budget kappa/(Delta - delta), a floor-to-ceiling chord within it,
+    and the report.  The increment is |end| - |start| over all
+    coordinates, or over the p-block with ``p_only``."""
+    budget = chord_budget(tet.kappa, sep.delta, delta_pert)
+    search = ChordSearchConfig(
         n_seeds=cfg.n_seeds, n_phases=cfg.n_phases, tol=cfg.tol,
-        ode_tol=cfg.ode_tol, threads=cfg.threads,
-        escape_norm=10.0 * (math.sqrt(cfg.R1) + 1.0),
+        ode_tol=cfg.ode_tol, escape_norm=10.0 * (math.sqrt(cfg.R1) + 1.0),
     )
-
-
-def _norm_increment(chord, k):
-    a = np.asarray(chord.start, dtype=float)
-    b = np.asarray(chord.end, dtype=float)
-    return float(np.linalg.norm(b) - np.linalg.norm(a))
-
-
-def _p_increment(chord, k):
-    a = np.asarray(chord.start, dtype=float)[:k]
-    b = np.asarray(chord.end, dtype=float)[:k]
-    return float(np.linalg.norm(b) - np.linalg.norm(a))
+    result = find_chord(G, tet.floor, tet.ceiling, budget, search)
+    time_len = inc = None
+    if result.found:
+        n = cfg.k if p_only else None
+        a, b = (np.asarray(x, dtype=float)[:n]
+                for x in (result.chord.start, result.chord.end))
+        inc = float(np.linalg.norm(b) - np.linalg.norm(a))
+        time_len = result.chord.time_length
+    return ScenarioReport(
+        scenario=scenario,
+        delta_separation=sep.delta, delta_perturbation=delta_pert,
+        kappa=tet.kappa, budget=budget, found=result.found,
+        time_length=time_len, increment=inc, expected_increment=expected,
+        increment_tol=1e-6, details=details,
+    )
 
 
 def run_unstable_equilibrium(cfg: ScenarioConfig) -> ScenarioReport:
@@ -342,21 +351,10 @@ def run_unstable_equilibrium(cfg: ScenarioConfig) -> ScenarioReport:
         G = add_hamiltonians(G0, F)
         details["perturbation_amplitude"] = amp
         details["away_factor"] = cfg.perturbation.away_factor
-    budget = chord_budget(tet.kappa, sep.delta, delta_pert)
-    result = find_chord(G, tet.floor, tet.ceiling, budget,
-                        _search_config(cfg))
-    expected = math.sqrt(cfg.R1) - math.sqrt(cfg.R0)
-    inc = _norm_increment(result.chord, cfg.k) if result.found else None
-    time_len = result.chord.time_length if result.found else None
-    passed = result.found and time_len <= budget + 1e-6 \
-        and abs(inc - expected) <= 1e-6
-    return ScenarioReport(
-        scenario="unstable_equilibrium",
-        delta_separation=sep.delta, delta_perturbation=delta_pert,
-        kappa=tet.kappa, budget=budget, found=result.found,
-        time_length=time_len, increment=inc, expected_increment=expected,
-        increment_tol=1e-6, passed=bool(passed), details=details,
-    )
+    return _chord_report(
+        "unstable_equilibrium", cfg, tet, G, sep, details,
+        delta_pert=delta_pert,
+        expected=math.sqrt(cfg.R1) - math.sqrt(cfg.R0))
 
 
 def run_superconductivity(cfg: ScenarioConfig) -> ScenarioReport:
@@ -369,22 +367,10 @@ def run_superconductivity(cfg: ScenarioConfig) -> ScenarioReport:
     sep = separation(H, tet.low_wall, tet.high_wall)
     if not sep.separating:
         raise ConfigError("potential does not separate the walls")
-    budget = chord_budget(tet.kappa, sep.delta)
-    result = find_chord(H, tet.floor, tet.ceiling, budget,
-                        _search_config(cfg))
-    inc = _p_increment(result.chord, cfg.k) if result.found else None
-    time_len = result.chord.time_length if result.found else None
-    expected = cfg.R1 - cfg.R0
-    passed = result.found and time_len <= budget + 1e-6 \
-        and abs(inc - expected) <= 1e-6
-    return ScenarioReport(
-        scenario="superconductivity",
-        delta_separation=sep.delta, delta_perturbation=0.0,
-        kappa=tet.kappa, budget=budget, found=result.found,
-        time_length=time_len, increment=inc, expected_increment=expected,
-        increment_tol=1e-6, passed=bool(passed),
-        details={"model": model.kind, "k": cfg.k, "r": r},
-    )
+    return _chord_report(
+        "superconductivity", cfg, tet, H, sep,
+        {"model": model.kind, "k": cfg.k, "r": r},
+        expected=cfg.R1 - cfg.R0, p_only=True)
 
 
 def run_mechanical(cfg: ScenarioConfig) -> ScenarioReport:
@@ -395,22 +381,9 @@ def run_mechanical(cfg: ScenarioConfig) -> ScenarioReport:
                                time_amp=cfg.potential_time_amp)
     _check_shell_max(G, cfg)
     sep = separation(G, tet.low_wall, tet.high_wall)
-    budget = chord_budget(tet.kappa, sep.delta)
-    result = find_chord(G, tet.floor, tet.ceiling, budget,
-                        _search_config(cfg))
-    time_len = result.chord.time_length if result.found else None
-    passed = result.found and time_len <= budget + 1e-6
-    return ScenarioReport(
-        scenario="mechanical",
-        delta_separation=sep.delta, delta_perturbation=0.0,
-        kappa=tet.kappa, budget=budget, found=result.found,
-        time_length=time_len,
-        increment=_norm_increment(result.chord, cfg.k)
-        if result.found else None,
-        expected_increment=None, increment_tol=1e-6,
-        passed=bool(passed),
-        details={"model": "sphere", "k": cfg.k, "beta": cfg.beta},
-    )
+    return _chord_report(
+        "mechanical", cfg, tet, G, sep,
+        {"model": "sphere", "k": cfg.k, "beta": cfg.beta})
 
 
 def _check_shell_max(G: HamiltonianSpec, cfg: ScenarioConfig):
@@ -479,14 +452,12 @@ def run_reeb_chord(cfg: ScenarioConfig) -> ScenarioReport:
             times.append(float(sol.t_events[0][0]))
     found = len(times) == len(starts)
     time_len = min(times) if times else None
-    budget = T / fmin
-    passed = found and time_len <= budget + 1e-6
     return ScenarioReport(
         scenario="reeb_chord",
         delta_separation=fmin, delta_perturbation=0.0,
-        kappa=T, budget=budget, found=found,
+        kappa=T, budget=T / fmin, found=found,
         time_length=time_len, increment=None, expected_increment=None,
-        increment_tol=1e-6, passed=bool(passed),
+        increment_tol=1e-6,
         details={"model": cfg.reeb_model, "C": fmin,
                  "chord_times": [float(t) for t in times]},
     )
@@ -509,6 +480,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     return _RUNNERS[cfg.scenario](cfg)
 
 
-def run_batch(configs, threads=1):
-    """Run scenarios independently; report order follows input order."""
-    return deterministic_map(run_scenario, list(configs), threads=threads)
+def run_batch(configs):
+    """Run scenarios one at a time; report order follows input order."""
+    return deterministic_map(run_scenario, list(configs))

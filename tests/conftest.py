@@ -117,7 +117,7 @@ def gaussian_hamiltonian(chart, centers, widths, amps, name="bumps"):
 
 
 # ---------------------------------------------------------------------------
-# Session-scoped heavy runs (threads=1 baselines)
+# Session-scoped heavy runs
 # ---------------------------------------------------------------------------
 
 def scenario_payload(report):

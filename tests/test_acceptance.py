@@ -3,12 +3,17 @@
 Each test prints a single machine-readable pass/fail line for its
 criterion.  The heavy computations come from session fixtures (computed
 once, wall-clock timed); the determinism criterion re-runs each pipeline
-and compares serialized outputs byte-for-byte across repeat runs and
-thread counts 1 and 8.
+and compares serialized outputs byte-for-byte across a repeat run in
+this process and a run in a fresh interpreter with another hash seed.
 """
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,15 +321,13 @@ def test_criterion_8_property_suites(pb4_runs, pb4_property_runs,
 # ---------------------------------------------------------------------------
 
 def _scenario_runner(**kwargs):
-    def run(threads):
-        return scenario_payload(
-            run_scenario(ScenarioConfig(threads=threads, **kwargs))
-        )
+    def run():
+        return scenario_payload(run_scenario(ScenarioConfig(**kwargs)))
 
     return run
 
 
-def _pb4_runner(threads):
+def _pb4_runner():
     blobs = []
     for n in (128, 256):
         rep = estimate_pb4_plus(prototype_problem(n))
@@ -332,37 +335,68 @@ def _pb4_runner(threads):
     return blobs
 
 
-def _witness_runner(threads):
+def _witness_runner():
     ww = wall_witness(1.0, 2.0, delta2=0.01)
     tet = build_tetragon(CircleModel(), 1.0, 2.0, 0.25)
     res = find_chord(ww.hamiltonian(), tet.high_wall, tet.low_wall,
-                     0.25 / 1.01 - 0.01,
-                     ChordSearchConfig(n_seeds=1001, threads=threads))
+                     0.25 / 1.01 - 0.01, ChordSearchConfig(n_seeds=1001))
     sep = separation(ww.hamiltonian(), tet.floor, tet.ceiling)
     return (res.found, res.best_distance, sep.delta, ww.max_slope)
 
 
+DETERMINISM_RUNNERS = [
+    ("unstable equilibrium",
+     _scenario_runner(scenario="unstable_equilibrium")),
+    ("perturbed walls",
+     _scenario_runner(scenario="unstable_equilibrium",
+                      perturbation=PerturbationSpec())),
+    ("channel k=1", _scenario_runner(scenario="superconductivity", k=1)),
+    ("channel k=2", _scenario_runner(scenario="superconductivity", k=2)),
+    ("mechanical", _scenario_runner(scenario="mechanical")),
+    ("reeb chords", _scenario_runner(scenario="reeb_chord")),
+    ("bracket estimate", _pb4_runner),
+    ("wall witness", _witness_runner),
+]
+
+
+def payload_digest(payload):
+    """sha256 of the payload's repr (exact for floats and bytes)."""
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+# prints {runner name: payload digest} as one JSON line
+_FRESH_RUN = (
+    "import json, test_acceptance as t; print(json.dumps("
+    "{name: t.payload_digest(run()) for name, run in t.DETERMINISM_RUNNERS}))"
+)
+
+
 def test_criterion_9_determinism(report_line):
-    runners = [
-        ("unstable equilibrium",
-         _scenario_runner(scenario="unstable_equilibrium")),
-        ("perturbed walls",
-         _scenario_runner(scenario="unstable_equilibrium",
-                          perturbation=PerturbationSpec())),
-        ("channel k=1",
-         _scenario_runner(scenario="superconductivity", k=1)),
-        ("channel k=2",
-         _scenario_runner(scenario="superconductivity", k=2)),
-        ("mechanical", _scenario_runner(scenario="mechanical")),
-        ("reeb chords", _scenario_runner(scenario="reeb_chord")),
-        ("bracket estimate", _pb4_runner),
-        ("wall witness", _witness_runner),
-    ]
+    # A fresh interpreter with a fixed, non-default hash seed catches
+    # dependence on string-hash order or on process-global state, which no
+    # in-process repeat can.  It starts first so that it runs alongside
+    # the in-process runs.
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONHASHSEED="2718",
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
+                                           str(here)]))
+    fresh = subprocess.Popen([sys.executable, "-c", _FRESH_RUN], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True)
+    repeats, digests = {}, {}
+    try:
+        for name, run in DETERMINISM_RUNNERS:
+            first = run()
+            repeats[name] = run() == first
+            digests[name] = payload_digest(first)
+        out, err = fresh.communicate(timeout=600)
+    finally:
+        fresh.kill()
+    assert fresh.returncode == 0, err
+    fresh_digests = json.loads(out.splitlines()[-1])
     checks = []
-    for name, run in runners:
-        first = run(1)
-        repeat_ok = run(1) == first
-        threads_ok = run(8) == first
-        checks.append((f"{name}: repeat run identical", repeat_ok))
-        checks.append((f"{name}: threads 1 vs 8 identical", threads_ok))
+    for name, _ in DETERMINISM_RUNNERS:
+        checks.append((f"{name}: repeat run identical", repeats[name]))
+        checks.append((f"{name}: fresh interpreter identical",
+                       fresh_digests.get(name) == digests[name]))
     report_line(9, "byte-identical reproducibility", checks)

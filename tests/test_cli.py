@@ -2,11 +2,14 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from tetralab import cli
 from tetralab.cli import emit_report, main
+from tetralab.scenarios import PerturbationSpec, ScenarioConfig
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -182,10 +185,35 @@ class TestTetragonCommand:
         )
         assert sm["lagrangian_residual"] <= 1e-8
 
+    def test_torus_default_reeb_time(self, tmp_path):
+        """Without T, both tetragon commands build a valid torus
+        tetragon (T = 0.25 < 1/2)."""
+        cfg = write_config(tmp_path, {"model": "torus", "k": 2})
+        out = tmp_path / "tet"
+        assert main(["tetragon", "build", cfg, "--out", str(out)]) == 0
+        assert read_report(out)["report"]["kappa"] == pytest.approx(0.25)
+        cfg = write_config(tmp_path, {"model": "torus", "k": 2,
+                                      "hamiltonian": "channel"},
+                           name="chord.json")
+        out = tmp_path / "chord"
+        assert main(["chord", "find", cfg, "--out", str(out)]) == 0
+        assert read_report(out)["report"]["time_length"] == pytest.approx(
+            1.0 / (2 * math.pi), abs=1e-6)
+
     def test_invalid_reeb_time_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"model": "circle", "T": 1.5})
         assert main(["tetragon", "build", cfg, "--out",
                      str(tmp_path / "o")]) == 1
+
+
+class TestSchemas:
+    def test_scenario_schema_matches_config_fields(self):
+        assert set(cli._SCENARIO_SCHEMA) == \
+            {f.name for f in fields(ScenarioConfig)}
+
+    def test_perturbation_schema_matches_spec_fields(self):
+        assert set(cli._PERTURBATION_SCHEMA) == \
+            {f.name for f in fields(PerturbationSpec)}
 
 
 class TestValidateCommand:

@@ -121,12 +121,6 @@ class TestDeterministicMap:
         assert deterministic_map(lambda i: i * i, items) == \
             [i * i for i in items]
 
-    def test_thread_count_does_not_change_output(self):
-        items = list(np.linspace(0.0, 1.0, 50))
-        a = deterministic_map(math.sin, items, threads=1)
-        b = deterministic_map(math.sin, items, threads=8)
-        assert a == b
-
 
 class TestPatternSearch:
     def test_quadratic_minimum(self):
@@ -236,16 +230,6 @@ class TestFindChord:
         res = find_chord(channel_potential(1), tet.floor, tet.ceiling,
                          0.25)
         assert not res.chord.validate(tet.floor, tet.ceiling, 0.1)
-
-    def test_threads_do_not_change_result(self):
-        tet = build_tetragon(CircleModel(), 1.0, 2.0, 0.25)
-        H = channel_potential(1)
-        a = find_chord(H, tet.floor, tet.ceiling, 0.25,
-                       ChordSearchConfig(threads=1))
-        b = find_chord(H, tet.floor, tet.ceiling, 0.25,
-                       ChordSearchConfig(threads=8))
-        assert a.chord.time_length == b.chord.time_length
-        assert np.array_equal(a.chord.seed_params, b.chord.seed_params)
 
     def test_found_chord_reports_swept_counts(self):
         tet = build_tetragon(CircleModel(), 1.0, 2.0, 0.25)

@@ -10,7 +10,8 @@ from tetralab.contact import SphereModel, build_tetragon
 from tetralab.dynamics import find_chord, separation
 from tetralab.phase_core import constant_hamiltonian
 from tetralab.scenarios import (ConfigError, PerturbationSpec, Plateau,
-                                ScenarioConfig, add_hamiltonians,
+                                ScenarioConfig, ScenarioReport,
+                                add_hamiltonians,
                                 calibrate_perturbation, channel_potential,
                                 mechanical_hamiltonian, run_batch,
                                 run_reeb_chord, run_scenario,
@@ -119,10 +120,6 @@ class TestUnstableEquilibrium:
         assert rep.delta_separation == pytest.approx(1.0, abs=1e-6)
         assert rep.budget == pytest.approx(math.pi / 4, abs=1e-6)
 
-    def test_recompute_pass_consistent(self, unstable_run):
-        rep = unstable_run.value
-        assert rep.recompute_pass() == rep.passed
-
     def test_dispatch_matches_direct_call(self, unstable_run):
         rep = run_scenario(ScenarioConfig(scenario="unstable_equilibrium"))
         assert scenario_payload(rep) == scenario_payload(
@@ -198,10 +195,6 @@ class TestMechanical:
         assert rep.delta_separation == pytest.approx(1.0, abs=1e-3)
         assert rep.time_length <= math.pi / 4 + 1e-6
 
-    def test_recompute_pass_consistent(self, mechanical_run):
-        rep = mechanical_run.value
-        assert rep.recompute_pass() == rep.passed
-
 
 class TestReebChord:
     def test_modulated_factor(self, reeb_run):
@@ -226,13 +219,34 @@ class TestReebChord:
 
 
 class TestBatch:
-    def test_batch_order_and_threads(self):
+    def test_batch_order(self):
         cfgs = [
             ScenarioConfig(scenario="reeb_chord"),
             ScenarioConfig(scenario="reeb_chord", reeb_model="circle"),
         ]
-        a = run_batch(cfgs, threads=1)
-        b = run_batch(cfgs, threads=8)
-        assert [r.scenario for r in a] == ["reeb_chord", "reeb_chord"]
-        assert [scenario_payload(r) for r in a] == \
-            [scenario_payload(r) for r in b]
+        batch = run_batch(cfgs)
+        assert [scenario_payload(r) for r in batch] == \
+            [scenario_payload(run_scenario(c)) for c in cfgs]
+
+
+_REPORT = dict(scenario="unstable_equilibrium", delta_separation=1.0,
+               delta_perturbation=0.0, kappa=0.25, budget=0.25, found=True,
+               time_length=0.2, increment=1.0, expected_increment=1.0,
+               increment_tol=1e-6)
+
+
+class TestPassRule:
+    @pytest.mark.parametrize("changes, passed", [
+        ({}, True),
+        ({"found": False, "time_length": None, "increment": None}, False),
+        ({"time_length": 0.25 + 2e-6}, False),
+        ({"time_length": 0.25 + 5e-7}, True),
+        ({"increment": 1.0 + 2e-6}, False),
+        ({"increment": 1.0 - 5e-7}, True),
+        ({"increment": 3.0, "expected_increment": None}, True),
+        ({"increment": None, "expected_increment": None}, True),
+    ])
+    def test_passed_and_described(self, changes, passed):
+        rep = ScenarioReport(**{**_REPORT, **changes})
+        assert rep.passed is passed
+        assert rep.describe()["passed"] is passed
