@@ -280,11 +280,14 @@ def _cmd_chord(cfg):
             "delta": sep.delta,
             "time_length": result.chord.time_length
             if result.found else None,
+            "time_error": result.chord.time_error if result.found else None,
             "best_distance": result.best_distance,
             "n_seeds": result.n_seeds,
             "n_phases": result.n_phases,
             "n_escaped": result.n_escaped,
             "n_stiff": result.n_stiff,
+            "n_refine_evals": result.n_refine_evals,
+            "n_refine_failed": result.n_refine_failed,
         },
         "tolerances": {"membership": search.tol, "ode": search.ode_tol},
     }

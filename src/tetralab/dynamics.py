@@ -7,10 +7,14 @@ are integrated together by one vectorised DOP853 ensemble
 enclosing hypersurface; hits are certified by a membership test.  The
 earliest hit (else the closest miss) seeds one derivative-free pattern
 search that ranks any certified hit above any miss, an earlier hit above
-a later one and a closer miss above a farther one; each evaluation runs
-``integrate``, and the winner is re-certified by ``integrate``.  The
-returned chord is the minimal-time certified chord over the sweep, with
-ties broken by seed order.
+a later one and a closer miss above a farther one.  Each evaluation runs
+``integrate`` over the incumbent window: the whole budget until the
+search has certified a hit, then only up to the best certified arrival
+time t* plus ``INCUMBENT_MARGIN`` of the budget, since a candidate that
+has not arrived by then cannot win.  The winner is re-certified by
+``integrate`` over the same window, and once more at a hundredth of the
+ODE tolerance for its error bar.  The returned chord is the minimal-time
+certified chord over the sweep, with ties broken by seed order.
 """
 
 from __future__ import annotations
@@ -80,12 +84,6 @@ class Trajectory:
     def sample(self, ts):
         return self.chart.wrap(self.dense(np.atleast_1d(ts)).T)
 
-    def write_csv(self, path):
-        header = "t," + ",".join(self.chart.labels)
-        data = np.column_stack([self.times, self.states])
-        np.savetxt(path, data, delimiter=",", header=header, comments="",
-                   fmt="%.17g")
-
 
 def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
               escape_norm=100.0, events=None) -> Trajectory:
@@ -151,6 +149,12 @@ _ERR_EXP = -1.0 / (DOP853.error_estimator_order + 1)
 # target-distance samples per chord window, shared by the sweep and the
 # refinement so that both measure a miss at the same times
 MISS_SAMPLES = 64
+# once a hit at t* is certified, refinement and certification integrate
+# only to t* + INCUMBENT_MARGIN * budget; the margin covers the hit-time
+# shift a shorter span causes (at most 5.4e-10 on the scenario fixtures at
+# ode_tol 1e-9, over 1000x below the margin) and the 1e-9 by which the
+# sweep's hit times agree with integrate's
+INCUMBENT_MARGIN = 1e-6
 
 
 def _rms(x):
@@ -544,7 +548,16 @@ def chord_budget(kappa, delta_sep, delta_pert=0.0):
 
 @dataclass(frozen=True)
 class Chord:
-    """A certified trajectory segment from X0 to X1."""
+    """A certified trajectory segment from X0 to X1.
+
+    ``trajectory`` runs over the certification window, which ends just
+    after ``t1``.  ``time_error`` is ``|t1 - t1'|``, where ``t1'`` is the
+    arrival time certified by a second integration at a hundredth of the
+    ODE tolerance (inf when that run certifies no hit).  By tolerance
+    proportionality (Hairer-Norsett-Wanner, Solving ODEs I, II.4) it
+    estimates the error of ``t1``; it is an estimate, not a rigorous
+    bound.
+    """
 
     trajectory: Trajectory
     start: np.ndarray
@@ -555,6 +568,7 @@ class Chord:
     end_distance: float
     seed_params: np.ndarray
     seed_component: int
+    time_error: float
 
     @property
     def time_length(self):
@@ -575,7 +589,10 @@ class ChordSearchResult:
 
     ``n_seeds``/``n_phases`` are the swept counts (one phase for an
     autonomous Hamiltonian); ``n_escaped``/``n_stiff`` count the sweep
-    members lost to the escape ball or to step underflow.
+    members lost to the escape ball or to step underflow;
+    ``n_refine_evals`` counts the pattern-search evaluations and
+    ``n_refine_failed`` those whose integration raised ``EscapeError`` or
+    ``StiffnessError``.
     """
 
     found: bool
@@ -586,6 +603,8 @@ class ChordSearchResult:
     message: str = ""
     n_escaped: int = 0
     n_stiff: int = 0
+    n_refine_evals: int = 0
+    n_refine_failed: int = 0
 
 
 @dataclass(frozen=True)
@@ -600,20 +619,20 @@ class ChordSearchConfig:
     escape_norm: float = 100.0
 
 
-def _chord_trajectory(G, x0, phase, time_budget, X1, config):
-    """``integrate`` over the chord window, and whether it escaped.
+def _chord_trajectory(G, x0, phase, span, X1, ode_tol, escape_norm):
+    """``integrate`` over ``[phase, phase + span]``, and whether it
+    escaped.
 
     A trajectory that leaves the escape ball is cut just before it does,
     so that a hit reached before the escape still counts, as in the
     ensemble sweep.
     """
     def run(t1):
-        return integrate(G, x0, phase, t1, tol=config.ode_tol,
-                         escape_norm=config.escape_norm,
-                         events=[X1.event_fn])
+        return integrate(G, x0, phase, t1, tol=ode_tol,
+                         escape_norm=escape_norm, events=[X1.event_fn])
 
     try:
-        return run(phase + time_budget), False
+        return run(phase + span), False
     except EscapeError as exc:
         t_cut = exc.t - 1e-6 * (exc.t - phase)
         if not t_cut > phase:
@@ -632,7 +651,16 @@ def _first_hit(traj, X1, phase, tol):
 def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
                config: ChordSearchConfig = ChordSearchConfig()
                ) -> ChordSearchResult:
-    """Minimal-time certified chord from X0 to X1 within the budget."""
+    """Minimal-time certified chord from X0 to X1 within the budget.
+
+    Refinement keeps an incumbent t*, the best arrival time that its own
+    ``integrate`` runs have certified (inf at first; the sweep's hit time
+    does not set it).  Each evaluation integrates to ``phase + min(budget,
+    t* + margin)``, with ``margin = INCUMBENT_MARGIN * budget``; once t*
+    is finite, a candidate with no hit in that window ranks ``(1, inf)``,
+    as it cannot beat a hit.  The winner is certified over
+    ``min(budget, its time + margin)``.
+    """
     if time_budget <= 0.0:
         raise ValueError("time_budget must be positive")
     for x in X0.sample_points(32):
@@ -662,55 +690,75 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
     if best_idx is None:  # no hit: refine from the closest miss
         best_idx = int(np.argmin(sweep.distance))
     phase, pr, comp = jobs[best_idx]
+    margin = INCUMBENT_MARGIN * time_budget
+    incumbent, n_failed = math.inf, 0
 
     def rank(params):
         """(0, arrival time) for a certified hit, else (1, closest sampled
         target distance); tuples order every hit before every miss."""
+        nonlocal incumbent, n_failed
         try:
             traj, escaped = _chord_trajectory(
-                G, X0.param_point(params, comp), phase, time_budget, X1,
-                config)
+                G, X0.param_point(params, comp), phase,
+                min(time_budget, incumbent + margin), X1, config.ode_tol,
+                config.escape_norm)
         except (EscapeError, StiffnessError):
+            n_failed += 1
             return 1, math.inf
         hit = _first_hit(traj, X1, phase, config.tol)
         if hit is not None:
+            incumbent = min(incumbent, hit - phase)
             return 0, hit - phase
-        if escaped:
+        if escaped or incumbent < math.inf:
             return 1, math.inf
         ts = np.linspace(traj.t0, traj.t1, MISS_SAMPLES)
         return 1, float(np.min(X1.distance(traj.sample(ts))))
 
+    n_evals = 0
     if len(X0.param_bounds) > 0:
-        z, (missed, value), _ = pattern_search(rank, np.array(pr),
-                                               X0.param_bounds)
+        z, (missed, value), n_evals = pattern_search(rank, np.array(pr),
+                                                     X0.param_bounds)
         if not missed and value <= best_time:
             pr, best_time = z, value
         elif best_time == math.inf:
             best_dist = min(best_dist, value)
+    counts.update(n_refine_evals=n_evals, n_refine_failed=n_failed)
     if best_time == math.inf:
         return ChordSearchResult(
             found=False, chord=None, best_distance=best_dist,
             message=(
                 "no certified chord at the swept resolution: "
                 f"{counts['n_seeds']} seeds x {counts['n_phases']} phases, "
-                f"{counts['n_escaped']} escaped, {counts['n_stiff']} stiff"),
+                f"{counts['n_escaped']} escaped, {counts['n_stiff']} stiff; "
+                f"{n_evals} refinement evaluations, {n_failed} failed"),
             **counts,
         )
     return _certify(G, X0, X1, np.asarray(pr, float), comp, phase,
-                    time_budget, config, best_dist, counts)
+                    min(time_budget, best_time + margin), config, best_dist,
+                    counts)
 
 
-def _certify(G, X0, X1, params, comp, phase, time_budget, config,
+def _certify(G, X0, X1, params, comp, phase, span, config,
              best_dist, counts) -> ChordSearchResult:
-    """Re-integrate the winning seed and package the certified chord."""
-    traj, _ = _chord_trajectory(G, X0.param_point(params, comp), phase,
-                                time_budget, X1, config)
+    """Re-integrate the winning seed over ``[phase, phase + span]`` and
+    package the certified chord, with its ``time_error`` from a second
+    run at ``ode_tol / 100``."""
+    x0 = X0.param_point(params, comp)
+    traj, _ = _chord_trajectory(G, x0, phase, span, X1, config.ode_tol,
+                                config.escape_norm)
     hit = _first_hit(traj, X1, phase, config.tol)
     if hit is None:
         return ChordSearchResult(
             found=False, chord=None, best_distance=float(best_dist),
             message="candidate failed re-certification", **counts,
         )
+    try:
+        fine, _ = _chord_trajectory(G, x0, phase, span, X1,
+                                    config.ode_tol / 100, config.escape_norm)
+    except (EscapeError, StiffnessError):
+        fine_hit = None
+    else:
+        fine_hit = _first_hit(fine, X1, phase, config.tol)
     end = traj(hit)
     chord = Chord(
         trajectory=traj,
@@ -722,6 +770,7 @@ def _certify(G, X0, X1, params, comp, phase, time_budget, config,
         end_distance=X1.distance(end),
         seed_params=np.asarray(params, dtype=float),
         seed_component=int(comp),
+        time_error=math.inf if fine_hit is None else abs(hit - fine_hit),
     )
     return ChordSearchResult(found=True, chord=chord, best_distance=0.0,
                              **counts)

@@ -78,7 +78,10 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    """Self-certifying outcome: ``passed`` is computed from the fields."""
+    """Self-certifying outcome: ``passed`` is computed from the fields.
+
+    ``time_error`` is the found chord's ``Chord.time_error`` (None for
+    Reeb chords and when no chord is found)."""
 
     scenario: str
     delta_separation: float
@@ -91,6 +94,7 @@ class ScenarioReport:
     expected_increment: Optional[float]
     increment_tol: float
     details: dict = field(default_factory=dict)
+    time_error: Optional[float] = None
 
     @property
     def passed(self):
@@ -112,6 +116,7 @@ class ScenarioReport:
             "budget": self.budget,
             "found": self.found,
             "time_length": self.time_length,
+            "time_error": self.time_error,
             "increment": self.increment,
             "expected_increment": self.expected_increment,
             "increment_tol": self.increment_tol,
@@ -315,19 +320,20 @@ def _chord_report(scenario, cfg: ScenarioConfig, tet, G: HamiltonianSpec,
         ode_tol=cfg.ode_tol, escape_norm=10.0 * (math.sqrt(cfg.R1) + 1.0),
     )
     result = find_chord(G, tet.floor, tet.ceiling, budget, search)
-    time_len = inc = None
+    time_len = inc = time_err = None
     if result.found:
         n = cfg.k if p_only else None
         a, b = (np.asarray(x, dtype=float)[:n]
                 for x in (result.chord.start, result.chord.end))
         inc = float(np.linalg.norm(b) - np.linalg.norm(a))
         time_len = result.chord.time_length
+        time_err = result.chord.time_error
     return ScenarioReport(
         scenario=scenario,
         delta_separation=sep.delta, delta_perturbation=delta_pert,
         kappa=tet.kappa, budget=budget, found=result.found,
         time_length=time_len, increment=inc, expected_increment=expected,
-        increment_tol=1e-6, details=details,
+        increment_tol=1e-6, details=details, time_error=time_err,
     )
 
 

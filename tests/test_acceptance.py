@@ -102,6 +102,18 @@ def test_criterion_3_momentum_channel(channel_run_k1, channel_run_k2,
     report_line(3, "momentum channel chords (k=1, k=2)", checks)
 
 
+def test_time_error_covers_analytic_times(unstable_run, channel_run_k1):
+    """The analytic times of criteria 1 and 3 lie within max(2
+    time_error, 8 eps t) of the reported chord times.  ``time_error``
+    compares two tolerances and is an estimate, not a rigorous bound,
+    hence the factor 2; 8 eps t covers rounding when it reads 0."""
+    for run, exact in ((unstable_run, 0.5 * math.log(2)),
+                       (channel_run_k1, 1.0 / (2 * math.pi))):
+        rep = run.value
+        slack = max(2 * rep.time_error, 8 * np.finfo(float).eps * exact)
+        assert abs(rep.time_length - exact) <= slack
+
+
 def test_criterion_4_mechanical(mechanical_run, report_line):
     rep = mechanical_run.value
     checks = [

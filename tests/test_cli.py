@@ -136,6 +136,9 @@ class TestChordCommand:
         assert rep["report"]["time_length"] == pytest.approx(
             1.0 / (2 * math.pi), abs=1e-6
         )
+        assert 0.0 <= rep["report"]["time_error"] < 1e-9
+        assert rep["report"]["n_refine_evals"] > 0
+        assert rep["report"]["n_refine_failed"] == 0
         traj = np.loadtxt(out / "trajectory.csv", delimiter=",",
                           skiprows=1)
         assert traj.shape[1] == 3  # t, s, u
@@ -152,6 +155,9 @@ class TestChordCommand:
         rep = read_report(out)
         assert rep["report"]["found"] is False
         assert rep["report"]["best_distance"] > 0.0
+        assert rep["report"]["time_error"] is None
+        assert rep["report"]["n_refine_evals"] > 0
+        assert rep["report"]["n_refine_failed"] == 0
 
     def test_unknown_hamiltonian_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"hamiltonian": "magic"})

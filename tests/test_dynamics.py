@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from tetralab import dynamics
 from tetralab.contact import (CircleModel, SphereModel, TorusModel,
                               build_tetragon)
 from tetralab.dynamics import (Chord, ChordSearchConfig, EscapeError,
-                               chord_budget, deterministic_map,
+                               StiffnessError, chord_budget, deterministic_map,
                                ensemble_sweep, find_chord, integrate,
                                pattern_search, separation)
 from tetralab.pb4 import wall_witness
@@ -83,16 +84,11 @@ class TestIntegrate:
         assert np.all(traj.states[:, 1] >= 0.0)
         assert np.all(traj.states[:, 1] < 1.0)
 
-    def test_trajectory_sample_and_csv(self, tmp_path):
+    def test_trajectory_sample(self):
         traj = integrate(harmonic(), [1.0, 0.0], 0.0, 1.0)
         samples = traj.sample([0.0, 0.5, 1.0])
         assert samples.shape == (3, 2)
-        path = tmp_path / "traj.csv"
-        traj.write_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "t,p1,q1"
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert np.allclose(data[0], [0.0, 1.0, 0.0])
+        assert np.allclose(samples[0], [1.0, 0.0])
 
     def test_times_monotone(self):
         traj = integrate(harmonic(), [1.0, 0.0], 0.0, 3.0)
@@ -288,6 +284,100 @@ class TestFindChord:
         assert res.chord.time_length == pytest.approx(0.5 * math.log(2),
                                                       abs=1e-6)
         assert res.chord.validate(tet.floor, tet.ceiling, budget)
+
+
+def _record_integrate(monkeypatch):
+    """Make ``dynamics.integrate`` append ``(t0, t1, trajectory)`` to the
+    returned list on every call that returns."""
+    calls, real = [], dynamics.integrate
+
+    def spy(H, x0, t0, t1, **kwargs):
+        traj = real(H, x0, t0, t1, **kwargs)
+        calls.append((t0, t1, traj))
+        return traj
+
+    monkeypatch.setattr(dynamics, "integrate", spy)
+    return calls
+
+
+def _certified_hit(traj, X1, phase):
+    return next((tr for tr in traj.event_times
+                 if tr - phase > 1e-12 and X1.membership(traj(tr))), None)
+
+
+class TestIncumbentWindow:
+    def test_integrations_stop_at_the_incumbent(self, monkeypatch):
+        """After refinement certifies a hit at t*, every integration
+        (refinement and both certification runs) ends by phase + t* +
+        margin, and the chord is still the minimal one."""
+        tet = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
+        budget = math.pi / 4
+        calls = _record_integrate(monkeypatch)
+        res = find_chord(unstable_hamiltonian(1), tet.floor, tet.ceiling,
+                         budget, ChordSearchConfig(ode_tol=1e-9))
+        assert res.found
+        assert res.chord.time_length == pytest.approx(0.5 * math.log(2),
+                                                      abs=1e-9)
+        assert len(calls) == res.n_refine_evals + 2
+        assert res.n_refine_failed == 0
+        margin = dynamics.INCUMBENT_MARGIN * budget
+        best, windowed = math.inf, 0
+        for t0, t1, traj in calls:
+            if best < math.inf:
+                assert t1 <= t0 + (best + margin)
+                windowed += 1
+            hit = _certified_hit(traj, tet.ceiling, t0)
+            if hit is not None:
+                best = min(best, hit - t0)
+        assert windowed >= len(calls) - 1
+        assert res.chord.trajectory.t1 <= res.chord.t1 + margin
+
+    def test_no_hit_refines_over_the_full_budget(self, monkeypatch):
+        """With no hit anywhere there is no incumbent: every refinement
+        window is the whole budget and misses keep their distance."""
+        tet = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
+        calls = _record_integrate(monkeypatch)
+        res = find_chord(constant_hamiltonian(PLANE), tet.floor,
+                         tet.ceiling, 1.0)
+        assert not res.found
+        assert res.best_distance == pytest.approx(math.sqrt(2) - 1,
+                                                  abs=1e-6)
+        assert len(calls) == res.n_refine_evals > 0
+        assert all(t1 - t0 == 1.0 for t0, t1, _ in calls)
+        assert res.n_refine_failed == 0
+        assert f"{res.n_refine_evals} refinement evaluations, 0 failed" \
+            in res.message
+
+    def test_refinement_failures_are_counted(self, monkeypatch):
+        """An integration that raises is counted as a failed evaluation
+        and named in the no-chord message; the sweep's distance stays."""
+        def stiff(*args, **kwargs):
+            raise StiffnessError("step underflow")
+
+        monkeypatch.setattr(dynamics, "integrate", stiff)
+        tet = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
+        res = find_chord(constant_hamiltonian(PLANE), tet.floor,
+                         tet.ceiling, 1.0)
+        assert not res.found
+        n = res.n_refine_evals
+        assert n > 0 and res.n_refine_failed == n
+        assert f"{n} refinement evaluations, {n} failed" in res.message
+        assert res.best_distance == pytest.approx(math.sqrt(2) - 1,
+                                                  abs=1e-6)
+
+    @pytest.mark.parametrize("case", ["unstable", "perturbed", "channel_k2",
+                                      "mechanical", "wall_witness",
+                                      "constant"])
+    def test_winner_passes_certification(self, case):
+        """No fixture loses its winner in the windowed re-certification,
+        and every found chord carries a small error estimate."""
+        H, X0, X1, budget, phases, n = SWEEP_CASES[case]
+        res = find_chord(H, X0, X1, budget, ChordSearchConfig(
+            n_seeds=n, n_phases=len(phases)))
+        assert res.message != "candidate failed re-certification"
+        if res.found:
+            assert res.chord.validate(X0, X1, budget)
+            assert 0.0 <= res.chord.time_error < 1e-8
 
 
 def _sweep_cases():
