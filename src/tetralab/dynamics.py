@@ -11,16 +11,21 @@ a later one and a closer miss above a farther one.  Each evaluation runs
 ``integrate`` over the incumbent window: the whole budget until the
 search has certified a hit, then only up to the best certified arrival
 time t* plus ``INCUMBENT_MARGIN`` of the budget, since a candidate that
-has not arrived by then cannot win.  The winner is re-certified by
-``integrate`` over the same window, and once more at a hundredth of the
-ODE tolerance for its error bar.  The returned chord is the minimal-time
-certified chord over the sweep, with ties broken by seed order.
+has not arrived by then cannot win.  The search stops at the first poll
+that does not improve and whose values all lie within ``FLAT_ULPS`` ulps
+of the incumbent's (two such polls in a row where the box clips a
+probe), since later polls would only chase rounding noise
+(``pattern_search``); the same stop serves the separation estimates.
+The winner is re-certified by ``integrate`` over the same window, and
+once more at a hundredth of the ODE tolerance for its error bar.  The
+returned chord is the minimal-time certified chord over the sweep, with
+ties broken by seed order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -155,6 +160,14 @@ MISS_SAMPLES = 64
 # ode_tol 1e-9, over 1000x below the margin) and the 1e-9 by which the
 # sweep's hit times agree with integrate's
 INCUMBENT_MARGIN = 1e-6
+# pattern_search stops after a poll that does not improve and whose every
+# value lies within FLAT_ULPS ulps of the incumbent's.  On the wall-witness
+# sweep the miss distances of late polls differ by at most 24 ulps, which
+# is rounding noise of the integration, not progress: 24 still halves down
+# to the step floor there (76 evaluations), 32 and up stop at 12.  Larger
+# values trim a few chord evaluations more (default scenarios: 237 at 32,
+# 221 at 64, 201 at 1024) for a looser stop.
+FLAT_ULPS = 64
 
 
 def _rms(x):
@@ -421,12 +434,32 @@ def _bisect_event(event, F, y_old, t_old, h, g_old):
 # Derivative-free local refinement
 # ---------------------------------------------------------------------------
 
+def _flat(fy, fx):
+    """Whether ``fy`` lies within FLAT_ULPS ulps of ``fx``.  Tuples
+    ``(rank, value)`` are flat only with equal ranks; inf is never flat."""
+    if isinstance(fx, tuple):
+        (ry, fy), (rx, fx) = fy, fx
+        if ry != rx:
+            return False
+    return abs(fy - fx) <= FLAT_ULPS * _EPS * max(abs(fx), abs(fy))
+
+
 def pattern_search(f, x0, bounds, max_evals=200):
     """Coordinate pattern search on a box; deterministic poll order.
 
     Steps start at a tenth of each side and halve after a poll that does
-    not improve.  Values are compared only with ``<``, so ``f`` may
-    return any totally ordered value, such as a tuple.
+    not improve, unless the poll was *flat*: every value it took lies
+    within ``FLAT_ULPS`` ulps of the incumbent's (for ``(rank, value)``
+    tuples: the same rank and a flat value).  A flat poll ends the
+    search.  On a convex 1-D objective the improvement left after a
+    non-improving poll at ``x +- s`` is at most the poll's largest rise,
+    so the stop gives up at most ``FLAT_ULPS`` ulps of the value.  Where
+    the box clips a probe, the poll lacks that side, and it ends the
+    search only if the poll before it was flat too: the probes at ``x +
+    2s`` and ``x + s`` then bound the same improvement.  The search also
+    ends once the steps fall below 1e-12 or after ``max_evals``
+    evaluations.  Values are compared only with ``<`` and ``_flat``, so
+    ``f`` may return a float or a ``(rank, float)`` tuple.
     """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     x = np.array([min(max(v, lo), hi)
@@ -434,13 +467,16 @@ def pattern_search(f, x0, bounds, max_evals=200):
     steps = np.array([(hi - lo) * 0.1 for lo, hi in bounds])
     fx = f(x)
     evals = 1
+    was_flat = False
     while evals < max_evals and steps.max() > 1e-12:
-        improved = False
+        improved, flat, clipped = False, True, False
         for i in range(len(x)):
             for sign in (1.0, -1.0):
                 y = x.copy()
                 lo, hi = bounds[i]
-                y[i] = min(max(x[i] + sign * steps[i], lo), hi)
+                probe = x[i] + sign * steps[i]
+                y[i] = min(max(probe, lo), hi)
+                clipped = clipped or y[i] != probe
                 if y[i] == x[i]:
                     continue
                 fy = f(y)
@@ -449,12 +485,16 @@ def pattern_search(f, x0, bounds, max_evals=200):
                     x, fx = y, fy
                     improved = True
                     break
+                flat = flat and _flat(fy, fx)
                 if evals >= max_evals:
                     break
             if evals >= max_evals:
                 break
         if not improved:
+            if flat and (was_flat or not clipped):
+                break
             steps *= 0.5
+        was_flat = flat and not improved
     return x, fx, evals
 
 
@@ -550,13 +590,13 @@ def chord_budget(kappa, delta_sep, delta_pert=0.0):
 class Chord:
     """A certified trajectory segment from X0 to X1.
 
-    ``trajectory`` runs over the certification window, which ends just
-    after ``t1``.  ``time_error`` is ``|t1 - t1'|``, where ``t1'`` is the
-    arrival time certified by a second integration at a hundredth of the
-    ODE tolerance (inf when that run certifies no hit).  By tolerance
-    proportionality (Hairer-Norsett-Wanner, Solving ODEs I, II.4) it
-    estimates the error of ``t1``; it is an estimate, not a rigorous
-    bound.
+    ``trajectory`` runs over the certification window, which ends at
+    ``min(t0 + budget, t1 + margin)`` for the margin of ``find_chord``.
+    ``time_error`` is ``|t1 - t1'|``, where ``t1'`` is the arrival time
+    certified by a second integration at a hundredth of the ODE tolerance
+    (inf when that run certifies no hit).  By tolerance proportionality
+    (Hairer-Norsett-Wanner, Solving ODEs I, II.4) it estimates the error
+    of ``t1``; it is an estimate, not a rigorous bound.
     """
 
     trajectory: Trajectory
@@ -658,8 +698,10 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
     does not set it).  Each evaluation integrates to ``phase + min(budget,
     t* + margin)``, with ``margin = INCUMBENT_MARGIN * budget``; once t*
     is finite, a candidate with no hit in that window ranks ``(1, inf)``,
-    as it cannot beat a hit.  The winner is certified over
-    ``min(budget, its time + margin)``.
+    as it cannot beat a hit.  The pattern search stops at a flat poll
+    (see ``pattern_search``).  The winner is re-integrated over
+    ``min(budget, its time + margin)`` and certified over ``min(budget,
+    hit + margin)``, for the hit that run certifies.
     """
     if time_budget <= 0.0:
         raise ValueError("time_budget must be positive")
@@ -734,15 +776,33 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
             **counts,
         )
     return _certify(G, X0, X1, np.asarray(pr, float), comp, phase,
-                    min(time_budget, best_time + margin), config, best_dist,
-                    counts)
+                    min(time_budget, best_time + margin), margin, config,
+                    best_dist, counts)
 
 
-def _certify(G, X0, X1, params, comp, phase, span, config,
+def _cut(traj, t_end):
+    """``traj`` cut to end at ``t_end`` if it runs past it."""
+    if traj.t1 <= t_end:
+        return traj
+    keep = traj.times < t_end
+    return replace(traj, times=np.append(traj.times[keep], t_end),
+                   states=np.vstack([traj.states[keep], traj(t_end)]),
+                   event_times=tuple(t for t in traj.event_times
+                                     if t <= t_end))
+
+
+def _certify(G, X0, X1, params, comp, phase, span, margin, config,
              best_dist, counts) -> ChordSearchResult:
     """Re-integrate the winning seed over ``[phase, phase + span]`` and
-    package the certified chord, with its ``time_error`` from a second
-    run at ``ode_tol / 100``."""
+    package the certified chord.
+
+    ``span`` is sized from the search's value, which this run's hit may
+    undercut by a few ulps (its last step is clipped to another window).
+    The chord's window is sized from the certified hit instead: the
+    trajectory is cut at ``phase + min(span, hit - phase + margin)``, and
+    the second run, at ``ode_tol / 100`` for ``time_error``, integrates
+    over the same window.
+    """
     x0 = X0.param_point(params, comp)
     traj, _ = _chord_trajectory(G, x0, phase, span, X1, config.ode_tol,
                                 config.escape_norm)
@@ -752,8 +812,9 @@ def _certify(G, X0, X1, params, comp, phase, span, config,
             found=False, chord=None, best_distance=float(best_dist),
             message="candidate failed re-certification", **counts,
         )
+    window = min(span, hit - phase + margin)
     try:
-        fine, _ = _chord_trajectory(G, x0, phase, span, X1,
+        fine, _ = _chord_trajectory(G, x0, phase, window, X1,
                                     config.ode_tol / 100, config.escape_norm)
     except (EscapeError, StiffnessError):
         fine_hit = None
@@ -761,7 +822,7 @@ def _certify(G, X0, X1, params, comp, phase, span, config,
         fine_hit = _first_hit(fine, X1, phase, config.tol)
     end = traj(hit)
     chord = Chord(
-        trajectory=traj,
+        trajectory=_cut(traj, phase + window),
         start=traj(phase),
         end=end,
         t0=float(phase),

@@ -81,7 +81,9 @@ class ScenarioReport:
     """Self-certifying outcome: ``passed`` is computed from the fields.
 
     ``time_error`` is the found chord's ``Chord.time_error`` (None for
-    Reeb chords and when no chord is found)."""
+    Reeb chords and when no chord is found).  ``n_refine_evals`` and
+    ``n_refine_failed`` are the chord search's refinement counts (see
+    ``ChordSearchResult``; None for Reeb chords, which run no search)."""
 
     scenario: str
     delta_separation: float
@@ -95,6 +97,8 @@ class ScenarioReport:
     increment_tol: float
     details: dict = field(default_factory=dict)
     time_error: Optional[float] = None
+    n_refine_evals: Optional[int] = None
+    n_refine_failed: Optional[int] = None
 
     @property
     def passed(self):
@@ -117,6 +121,8 @@ class ScenarioReport:
             "found": self.found,
             "time_length": self.time_length,
             "time_error": self.time_error,
+            "n_refine_evals": self.n_refine_evals,
+            "n_refine_failed": self.n_refine_failed,
             "increment": self.increment,
             "expected_increment": self.expected_increment,
             "increment_tol": self.increment_tol,
@@ -334,6 +340,8 @@ def _chord_report(scenario, cfg: ScenarioConfig, tet, G: HamiltonianSpec,
         kappa=tet.kappa, budget=budget, found=result.found,
         time_length=time_len, increment=inc, expected_increment=expected,
         increment_tol=1e-6, details=details, time_error=time_err,
+        n_refine_evals=result.n_refine_evals,
+        n_refine_failed=result.n_refine_failed,
     )
 
 

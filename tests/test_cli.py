@@ -34,6 +34,8 @@ class TestScenarioCommand:
         assert rep["report"]["time_length"] == pytest.approx(
             0.5 * math.log(2), abs=1e-4
         )
+        assert 0 < rep["report"]["n_refine_evals"] <= 72
+        assert rep["report"]["n_refine_failed"] == 0
         assert (out / "timing.json").exists()
 
     def test_override_changes_config(self, tmp_path):
@@ -44,6 +46,7 @@ class TestScenarioCommand:
         assert code == 0
         rep = read_report(out)
         assert rep["config"]["reeb_factor_amp"] == 0.0
+        assert rep["report"]["n_refine_evals"] is None
         assert rep["report"]["time_length"] == pytest.approx(
             (math.pi / 4) / 1.5, abs=1e-8
         )

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tetralab import dynamics
 from tetralab.contact import (CircleModel, SphereModel, TorusModel,
@@ -22,6 +23,7 @@ from tetralab.scenarios import (add_hamiltonians, channel_potential,
 from conftest import polynomial_hamiltonian
 
 PLANE = PhaseChart(dim_pairs=1)
+EPS = np.finfo(float).eps
 
 
 def harmonic():
@@ -131,6 +133,44 @@ class TestPatternSearch:
                                  max_evals=200)
         assert 0.0 <= x[0] <= 1.0
         assert x[0] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_flat_poll_stops(self, dim):
+        """A constant objective with up to 32 ulps of deterministic noise
+        above its start value stops after the first poll."""
+        def noisy(z):  # 13 and 26 ulps at the first poll's probes
+            k = int(1e3 * np.dot(np.abs(z), np.arange(1, dim + 1)))
+            return 1.0 + EPS * (13 * k % 33)
+
+        x, fx, evals = pattern_search(noisy, np.zeros(dim),
+                                      [(-1.0, 1.0)] * dim)
+        assert evals <= 1 + 2 * dim
+        assert fx == 1.0 and not x.any()
+
+    @pytest.mark.parametrize("left", [(1, math.inf), (0, 0.5)])
+    def test_poll_with_a_miss_keeps_halving(self, left):
+        """A neighbour ranked ``(1, inf)`` next to a hit is never flat, even
+        beside a flat one: the steps halve down to the 1e-12 floor."""
+        def rank(z):
+            if z[0] == 0.5:
+                return 0, 0.5
+            return left if z[0] < 0.5 else (1, math.inf)
+
+        x, fx, evals = pattern_search(rank, [0.5], [(0.0, 1.0)])
+        polls, step = 0, 0.1
+        while step > 1e-12:
+            polls, step = polls + 1, step * 0.5
+        assert (x[0], fx) == (0.5, (0, 0.5))
+        assert evals == 1 + 2 * polls
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a=st.floats(0.05, 0.95), c=st.floats(0.1, 1.0),
+           x0=st.floats(0.0, 1.0))
+    def test_flat_stop_costs_at_most_ulps(self, a, c, x0):
+        """On a convex objective the flat stop gives up only ulps."""
+        _, fx, _ = pattern_search(lambda z: c + (z[0] - a) ** 2, [x0],
+                                  [(0.0, 1.0)])
+        assert c <= fx <= c + 256 * EPS * c
 
 
 class TestSeparation:
@@ -378,6 +418,23 @@ class TestIncumbentWindow:
         if res.found:
             assert res.chord.validate(X0, X1, budget)
             assert 0.0 <= res.chord.time_error < 1e-8
+
+
+class TestRefinementStop:
+    """The flat-poll stop ends refinement once it only chases rounding
+    noise, and moves neither the miss distance nor the chord time."""
+
+    def test_witness_sweep(self, witness_run):
+        _, search, _ = witness_run.value
+        assert search.n_refine_evals <= 16
+        assert search.best_distance == 0.010337266106554277
+
+    def test_unstable_chord(self, unstable_run):
+        rep = unstable_run.value
+        assert rep.n_refine_evals <= 72
+        assert rep.n_refine_failed == 0
+        assert rep.time_length == pytest.approx(0.5 * math.log(2),
+                                                abs=1e-9)
 
 
 def _sweep_cases():

@@ -1,8 +1,11 @@
-"""Source hygiene: every module-level import in the package is used.
+"""Source hygiene: every module-level import in the package is used, and
+the package reads no environment variable but ``TETRALAB_OUT``.
 
-A stdlib ``ast`` check, so it needs no linter.  An import statement with
+Stdlib ``ast`` checks, so they need no linter.  An import statement with
 ``# noqa: F401`` on one of its lines is exempt (re-exports, and names
-kept for callers that patch them).
+kept for callers that patch them).  Behaviour is chosen by arguments and
+config files, not by the environment, so a new variable needs a reason
+to join ``ENV_ALLOWED``.
 """
 
 import ast
@@ -11,6 +14,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tetralab"
+ENV_ALLOWED = {"TETRALAB_OUT"}
+ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 
 
 def unused_imports(source):
@@ -46,3 +51,48 @@ def test_checker_flags_unused_and_honours_noqa():
                          ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def env_reads(source):
+    """``(line, name)`` for every use of ``environ`` or ``getenv``.  The
+    name is the variable read, or None unless a string literal is looked
+    up by ``getenv``, ``environ.get`` or ``environ[...]``."""
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    reads = []
+    for node in ast.walk(tree):
+        name = getattr(node, "attr", getattr(node, "id", None))
+        if name not in ENV_NAMES:
+            continue
+        up = parent.get(node)
+        key = None
+        if isinstance(up, ast.Subscript) and up.value is node:
+            key = up.slice
+        elif name.startswith("getenv"):
+            if isinstance(up, ast.Call) and up.func is node and up.args:
+                key = up.args[0]
+        elif (isinstance(up, ast.Attribute) and up.attr == "get"
+              and isinstance(parent.get(up), ast.Call) and parent[up].args):
+            key = parent[up].args[0]
+        literal = isinstance(key, ast.Constant) and isinstance(key.value, str)
+        reads.append((node.lineno, key.value if literal else None))
+    return sorted(reads, key=lambda read: read[0])
+
+
+def test_env_checker_flags_every_read():
+    src = ("import os\nfrom os import environ, getenv\n"
+           "a = os.environ.get('TETRALAB_OUT', '.')\n"
+           "b = os.getenv('TETRALAB_THREADS')\n"
+           "c = environ['HOME']\n"
+           "d = dict(os.environ)\n"
+           "e = getenv(a)\n")
+    assert env_reads(src) == [(3, "TETRALAB_OUT"), (4, "TETRALAB_THREADS"),
+                              (5, "HOME"), (6, None), (7, None)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_reads_only_allowed_env(path):
+    reads = env_reads(path.read_text(encoding="utf-8"))
+    assert [r for r in reads if r[1] not in ENV_ALLOWED] == []
