@@ -9,7 +9,6 @@ from .phase_core import (  # noqa: F401
     EvaluationError,
     HamiltonianSpec,
     PhaseChart,
-    PhasePoint,
     autonomize,
     poisson_bracket,
     sgrad,

@@ -27,9 +27,10 @@ from .dynamics import ChordSearchConfig, chord_budget, find_chord, separation
 # feasible_pair_value is unused here but patched by bench/tracing.py
 from .pb4 import (estimate_pb4_plus, feasible_pair_value,  # noqa: F401
                   prototype_problem)
-from .scenarios import (ConfigError, PerturbationSpec, ScenarioConfig,
-                        channel_potential, mechanical_hamiltonian,
-                        run_scenario, unstable_hamiltonian)
+from .scenarios import (INCREMENT_TOL, ConfigError, PerturbationSpec,
+                        ScenarioConfig, channel_potential,
+                        mechanical_hamiltonian, run_scenario,
+                        unstable_hamiltonian)
 
 
 class UsageError(ValueError):
@@ -188,7 +189,7 @@ def _cmd_scenario(cfg):
         "artifact_version": __version__,
         "config": _to_jsonable(cfg),
         "report": report.describe(),
-        "tolerances": {"time": 1e-6, "increment": report.increment_tol},
+        "tolerances": {"time": 1e-6, "increment": INCREMENT_TOL},
     }
     return payload, {}, 0 if report.passed else 2
 

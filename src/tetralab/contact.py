@@ -12,12 +12,16 @@ explicit symplectization chart:
   lambda0 = (p dq - q dp)/2 and Reeb flow z -> e^{2 i t} z;
   symplectization embeds into C^k \\ 0 via (z, s) -> sqrt(s) z.
 
-A tetragon is the union floor / ceiling / low wall / high wall built from
-a Legendrian L, Reeb time T and radii 0 < R0 < R1.  Regions expose
-membership with a tolerance band, a nonnegative distance proxy that
-vanishes exactly on the region, a deterministic seed sampler, and a
-scalar event functional whose zero level encloses the region (used for
-trajectory event detection).
+A tetragon is built from a Legendrian L, Reeb time T and radii
+0 < R0 < R1 as the image of L x [R0, R1] x [0, T] under
+Phi(x, s, t) = embed(psi_t(x), s).  Each model supplies Phi in closed
+form and the distance and event functionals of a horizontal piece and of
+a wall; ``build_tetragon`` lays out the four regions floor / ceiling /
+low wall / high wall once for all models.  Regions expose membership
+with a tolerance band, a nonnegative distance proxy that vanishes
+exactly on the region, a deterministic seed sampler, and a scalar event
+functional whose zero level encloses the region (used for trajectory
+event detection).
 """
 
 from __future__ import annotations
@@ -64,19 +68,20 @@ def _norm(x):
 
 
 def unit_sphere_point(angles, k):
-    """Hyperspherical parametrization of S^{k-1} in R^k.
+    """Hyperspherical parametrization of S^{k-1} in R^k by a sequence of
+    k - 1 angles.
 
     k = 1 has no angles (the caller picks the component +-1); for k >= 2
     the first angle runs over [0, 2 pi) so that k = 2 covers the circle.
     """
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
     if k == 1:
         return np.array([1.0])
     x = np.empty(k)
     sin_prod = 1.0
     for j in range(k - 1):
-        x[j] = sin_prod * math.cos(angles[j])
-        sin_prod *= math.sin(angles[j])
+        a = angles[j]
+        x[j] = sin_prod * math.cos(a)
+        sin_prod *= math.sin(a)
     x[k - 1] = sin_prod
     return x
 
@@ -87,29 +92,35 @@ def unit_sphere_tangent(angles, k, j):
     if k == 1:
         return np.zeros(1)
     out = np.zeros(k)
-    for m in range(k):
-        # x_m = cos(a_m) * prod_{i<m} sin(a_i), with cos absent for m=k-1
-        factors = [math.sin(angles[i]) for i in range(min(m, k - 1))]
-        if m < k - 1:
-            factors.append(math.cos(angles[m]))
-        if j >= len(factors) or (j == m and m == k - 1 and j >= k - 1):
-            continue
+    for m in range(j, k):
+        # x_m = prod_{i<m} sin(a_i) * cos(a_m), with cos absent for m=k-1
         prod = 1.0
-        for i, f in enumerate(factors):
+        for i in range(min(m + 1, k - 1)):
             if i == j:
                 prod *= (math.cos(angles[i]) if i < m
                          else -math.sin(angles[i]))
             else:
-                prod *= f
+                prod *= (math.sin(angles[i]) if i < m
+                         else math.cos(angles[i]))
         out[m] = prod
     return out
 
 
 class ContactModel:
-    """Common interface of the three model geometries."""
+    """Common interface of the three model geometries.
+
+    A model supplies the Reeb flow, the embedding of the symplectization,
+    the tetragon map ``phi`` and the closed-form distance and event
+    functionals of a horizontal piece and of a wall; ``build_tetragon``
+    lays the four regions out from these.  Condition (C2) bounds the
+    tetragon time by ``0 < T < max_reeb_time`` (``<=`` where
+    ``max_reeb_time_inclusive``).
+    """
 
     kind = ""
     k = 1
+    max_reeb_time = math.inf
+    max_reeb_time_inclusive = False
 
     # -- Sigma-level operations -------------------------------------------
     def constraint_residual(self, x):
@@ -128,12 +139,20 @@ class ContactModel:
     def reeb_vector(self, x):
         raise NotImplementedError
 
-    def lambda0(self, x, v):
+    def flow_pushforward(self, v, t):
+        """Differential of the Reeb flow applied to a Sigma-tangent vector
+        (closed form: every model flow is linear or affine)."""
         raise NotImplementedError
 
     # -- Legendrian --------------------------------------------------------
     n_angles = 0
     n_components = 1
+
+    @property
+    def angle_bounds(self):
+        """Parameter box of the Legendrian angles (``unit_sphere_point``)."""
+        return tuple((0.0, 2 * math.pi) if j == 0 else (0.0, math.pi)
+                     for j in range(self.n_angles))
 
     def legendrian_point(self, angles=(), component=0):
         raise NotImplementedError
@@ -145,25 +164,34 @@ class ContactModel:
         """Distance on Sigma (proxy) from x to the Legendrian L."""
         raise NotImplementedError
 
-    # -- symplectization ---------------------------------------------------
+    # -- symplectization and tetragon pieces -------------------------------
     chart: PhaseChart
-
-    def embed(self, x, s):
-        raise NotImplementedError
 
     def embed_tangent(self, x, s, v, s_dot):
         raise NotImplementedError
 
-    def project(self, coords):
-        """Inverse of embed: ambient coords -> (Sigma point, s)."""
+    def phi(self, s, t, angles=(), component=0):
+        """Phi(x, s, t) = embed(psi_t(x), s) at the Legendrian point
+        x = legendrian_point(angles, component), periodic coordinates
+        reduced to [0, 1).  ``x % 1.0`` rounds a tiny negative x up to
+        1.0; reducing twice maps that to 0.0."""
         raise NotImplementedError
 
-    def reeb_time(self, coords):
-        """Reeb-time coordinate of an ambient point near the tetragon."""
+    # The functionals take a point or an (m, dim) stack of points.
+    def horizontal_distance(self, c, R, T):
+        """Distance proxy to the horizontal piece Phi(L x {R} x [0, T])."""
         raise NotImplementedError
 
-    def max_reeb_time(self):
-        """Upper bound on admissible T for condition (C2)."""
+    def horizontal_event(self, c, R):
+        """Functional whose zero level is the level set s = R."""
+        raise NotImplementedError
+
+    def wall_distance(self, c, t, R0, R1):
+        """Distance proxy to the wall Phi(L x [R0, R1] x {t})."""
+        raise NotImplementedError
+
+    def wall_event(self, c, t):
+        """Functional whose zero level contains the wall at Reeb time t."""
         raise NotImplementedError
 
 
@@ -172,6 +200,7 @@ class CircleModel(ContactModel):
 
     kind = "circle"
     k = 1
+    max_reeb_time = 1.0
 
     def __init__(self):
         self.chart = PhaseChart(dim_pairs=1, periodic=(True,),
@@ -211,14 +240,32 @@ class CircleModel(ContactModel):
     def reeb_time(self, coords):
         return float(np.asarray(coords)[1]) % 1.0
 
-    def max_reeb_time(self):
-        return 1.0
+    def phi(self, s, t, angles=(), component=0):
+        return np.array([s, t % 1.0 % 1.0])
+
+    def horizontal_distance(self, c, R, T):
+        u = c[..., 1]
+        outside = np.minimum(np.abs(_wrap_half(u)),
+                             np.abs(_wrap_half(u - T)))
+        return np.hypot(c[..., 0] - R,
+                        np.where(u % 1.0 <= T, 0.0, outside))
+
+    def horizontal_event(self, c, R):
+        return c[..., 0] - R
+
+    def wall_distance(self, c, t, R0, R1):
+        return np.hypot(self.wall_event(c, t),
+                        _interval_excess(c[..., 0], R0, R1))
+
+    def wall_event(self, c, t):
+        return _wrap_half(c[..., 1] - t)
 
 
 class TorusModel(ContactModel):
     """Unit cotangent bundle of the flat torus T^k, k >= 2."""
 
     kind = "torus"
+    max_reeb_time = 0.5
 
     def __init__(self, k):
         if k < 2:
@@ -242,6 +289,12 @@ class TorusModel(ContactModel):
     def reeb_vector(self, x):
         x = np.asarray(x, dtype=float)
         return np.concatenate([np.zeros(self.k), x[: self.k]])
+
+    def flow_pushforward(self, v, t):
+        v = np.asarray(v, dtype=float)
+        out = v.copy()
+        out[self.k:] = v[self.k:] + v[: self.k] * t
+        return out
 
     def lambda0(self, x, v):
         x = np.asarray(x, dtype=float)
@@ -285,14 +338,49 @@ class TorusModel(ContactModel):
         q = _wrap_half(coords[self.k:])
         return float(np.dot(q, phat))
 
-    def max_reeb_time(self):
-        return 0.5
+    def phi(self, s, t, angles=(), component=0):
+        # rows s * p and t * p for the unit momentum p = L(angles)
+        out = np.multiply.outer((s, t), unit_sphere_point(angles, self.k))
+        q = out[1]
+        q %= 1.0
+        q %= 1.0
+        return out.ravel()
+
+    def _split(self, c, s_min):
+        """|p|, wrapped q and p/|p| (p itself where |p| < s_min)."""
+        p = c[..., : self.k]
+        s = _norm(p)
+        phat = p / np.where(s < s_min, 1.0, s)[..., None]
+        return s, _wrap_half(c[..., self.k:]), phat
+
+    def horizontal_distance(self, c, R, T):
+        s, q, phat = self._split(c, 1e-9)
+        a = np.sum(q * phat, axis=-1)
+        perp = q - a[..., None] * phat
+        d = np.sqrt((s - R) ** 2 + np.sum(perp * perp, axis=-1)
+                    + _interval_excess(a, 0.0, T) ** 2)
+        return np.where(s < 1e-9, np.hypot(R, _norm(q)), d)
+
+    def horizontal_event(self, c, R):
+        return _norm(c[..., : self.k]) - R
+
+    def wall_distance(self, c, t, R0, R1):
+        s, q, phat = self._split(c, 1e-9)
+        d = np.hypot(_norm(_wrap_half(q - t * phat)),
+                     _interval_excess(s, R0, R1))
+        return np.where(s < 1e-9, np.maximum(R0, _norm(q)), d)
+
+    def wall_event(self, c, t):
+        s, q, phat = self._split(c, 1e-12)
+        return np.where(s < 1e-12, -t, np.sum(q * phat, axis=-1) - t)
 
 
 class SphereModel(ContactModel):
     """Standard contact sphere S^{2k-1} in C^k with Reeb flow e^{2it}."""
 
     kind = "sphere"
+    max_reeb_time = math.pi / 4.0
+    max_reeb_time_inclusive = True
 
     def __init__(self, k):
         if k < 1:
@@ -319,6 +407,9 @@ class SphereModel(ContactModel):
         # d/dt e^{2it} z at t=0 is 2 i z
         z = np.asarray(x, dtype=float)
         return np.concatenate([-2.0 * z[self.k:], 2.0 * z[: self.k]])
+
+    def flow_pushforward(self, v, t):
+        return self.reeb_flow(v, t)  # the flow is linear
 
     def lambda0(self, x, v):
         z = np.asarray(x, dtype=float)
@@ -368,8 +459,51 @@ class SphereModel(ContactModel):
         # z = sqrt(s) e^{2it} x  =>  t = phi / 2 = psi / 4
         return self._polar_angle(coords) / 4.0
 
-    def max_reeb_time(self):
-        return math.pi / 4.0
+    def phi(self, s, t, angles=(), component=0):
+        x = self.legendrian_point(angles, component)
+        return math.sqrt(s) * self.reeb_flow(x, t)
+
+    def horizontal_distance(self, c, R, T):
+        """Distance to {sqrt(R) e^{i phi} x : phi in [0, 2T], x in L}."""
+        k = self.k
+        u, v = c[..., :k], c[..., k:]
+        uu, vv = np.sum(u * u, axis=-1), np.sum(v * v, axis=-1)
+        zz = uu + vv
+        A = zz / 2.0
+        bx = (uu - vv) / 2.0
+        by = np.sum(u * v, axis=-1)
+        B = np.hypot(bx, by)
+        psi = np.arctan2(by, bx)
+        # |Re(z e^{-i phi})|^2 = A + B cos(2 phi - psi), period pi in phi;
+        # the interior critical points count only inside [0, 2T]
+        r = math.sqrt(R)
+        best = np.full(np.shape(zz), np.inf)
+        for phi, valid in [(0.0, True), (2.0 * T, True)] + [
+                (base, (0.0 <= base) & (base <= 2.0 * T))
+                for base in (psi / 2.0, psi / 2.0 - math.pi,
+                             psi / 2.0 + math.pi)]:
+            g2 = np.maximum(A + B * np.cos(2.0 * phi - psi), 0.0)
+            d2 = np.maximum(zz + R - 2.0 * r * np.sqrt(g2), 0.0)
+            best = np.where(valid, np.minimum(best, d2), best)
+        return np.sqrt(best)
+
+    def horizontal_event(self, c, R):
+        return np.sum(c * c, axis=-1) - R
+
+    def wall_distance(self, c, t, R0, R1):
+        """Distance to {r e^{2it} x : sqrt(R0) <= r <= sqrt(R1)}."""
+        z = self._rotate(c, -2.0 * t)
+        return np.hypot(
+            _interval_excess(_norm(z[..., : self.k]), math.sqrt(R0),
+                             math.sqrt(R1)),
+            _norm(z[..., self.k:]),
+        )
+
+    def wall_event(self, c, t):
+        # wrapped angular offset from the wall's Reeb time
+        dpsi = self._polar_angle(c) - 4.0 * t
+        dpsi = (dpsi + math.pi) % (2.0 * math.pi) - math.pi
+        return dpsi / 4.0
 
 
 def make_model(kind, k=1) -> ContactModel:
@@ -407,7 +541,7 @@ class Region:
     n_components: int
     to_ambient: Callable = field(compare=False)
     distance_fn: Callable = field(compare=False)
-    event_fn: Callable = field(default=None, compare=False)
+    event_fn: Callable = field(compare=False)
 
     def distance(self, coords):
         """Distance proxy of one point (a float) or of each row of an
@@ -421,11 +555,8 @@ class Region:
         return _float_or_array(self.event_fn(np.asarray(coords, float)))
 
     def param_point(self, params, component=0):
-        return np.asarray(
-            self.to_ambient(np.atleast_1d(np.asarray(params, float)),
-                            component),
-            dtype=float,
-        )
+        return self.to_ambient(np.array(params, float, ndmin=1, copy=None),
+                               component)
 
     def sample_params(self, n):
         """Deterministic grid of about n parameter tuples per component.
@@ -501,208 +632,47 @@ class Tetragon:
         }
 
 
-def _circle_regions(model, R0, R1, T):
-    def seg_dist_u(u, lo, hi):
-        outside = np.minimum(np.abs(_wrap_half(u - lo)),
-                             np.abs(_wrap_half(u - hi)))
-        return np.where((u - lo) % 1.0 <= hi - lo, 0.0, outside)
-
-    def horiz(name, R, ev_sign):
-        return Region(
-            name=name,
-            chart=model.chart,
-            param_bounds=((0.0, T),),
-            n_components=1,
-            to_ambient=lambda par, comp, R=R: np.array([R, par[0] % 1.0]),
-            distance_fn=lambda c, R=R: np.hypot(
-                c[..., 0] - R, seg_dist_u(c[..., 1], 0.0, T)
-            ),
-            event_fn=lambda c, R=R: c[..., 0] - R,
-        )
-
-    def wall(name, u0):
-        return Region(
-            name=name,
-            chart=model.chart,
-            param_bounds=((R0, R1),),
-            n_components=1,
-            to_ambient=lambda par, comp, u0=u0: np.array([par[0], u0 % 1.0]),
-            distance_fn=lambda c, u0=u0: np.hypot(
-                _wrap_half(c[..., 1] - u0),
-                _interval_excess(c[..., 0], R0, R1),
-            ),
-            event_fn=lambda c, u0=u0: _wrap_half(c[..., 1] - u0),
-        )
-
-    return (horiz("floor", R0, +1), horiz("ceiling", R1, +1),
-            wall("low_wall", T), wall("high_wall", 0.0))
-
-
-def _torus_regions(model, R0, R1, T):
-    k = model.k
-    angle_bounds = tuple(
-        (0.0, 2 * math.pi) if j == 0 else (0.0, math.pi)
-        for j in range(model.n_angles)
-    )
-
-    def split(c, s_min):
-        """|p|, wrapped q and p/|p| (p itself where |p| < s_min)."""
-        p = c[..., :k]
-        s = _norm(p)
-        phat = p / np.where(s < s_min, 1.0, s)[..., None]
-        return s, _wrap_half(c[..., k:]), phat
-
-    def horiz_dist(c, R):
-        s, q, phat = split(c, 1e-9)
-        a = np.sum(q * phat, axis=-1)
-        perp = q - a[..., None] * phat
-        d = np.sqrt((s - R) ** 2 + np.sum(perp * perp, axis=-1)
-                    + _interval_excess(a, 0.0, T) ** 2)
-        return np.where(s < 1e-9, np.hypot(R, _norm(q)), d)
-
-    def wall_dist(c, t0):
-        s, q, phat = split(c, 1e-9)
-        d = np.hypot(_norm(_wrap_half(q - t0 * phat)),
-                     _interval_excess(s, R0, R1))
-        return np.where(s < 1e-9, np.maximum(R0, _norm(q)), d)
-
-    def horiz(name, R):
-        def to_amb(par, comp, R=R):
-            t = par[0]
-            phat = unit_sphere_point(par[1:], k)
-            return np.concatenate([R * phat, (t * phat) % 1.0])
-
-        return Region(
-            name=name, chart=model.chart,
-            param_bounds=((0.0, T),) + angle_bounds,
-            n_components=1,
-            to_ambient=to_amb,
-            distance_fn=lambda c, R=R: horiz_dist(c, R),
-            event_fn=lambda c, R=R: _norm(c[..., :k]) - R,
-        )
-
-    def wall(name, t0):
-        def to_amb(par, comp, t0=t0):
-            s = par[0]
-            phat = unit_sphere_point(par[1:], k)
-            return np.concatenate([s * phat, (t0 * phat) % 1.0])
-
-        def ev(c, t0=t0):
-            s, q, phat = split(c, 1e-12)
-            return np.where(s < 1e-12, -t0,
-                            np.sum(q * phat, axis=-1) - t0)
-
-        return Region(
-            name=name, chart=model.chart,
-            param_bounds=((R0, R1),) + angle_bounds,
-            n_components=1,
-            to_ambient=to_amb,
-            distance_fn=lambda c, t0=t0: wall_dist(c, t0),
-            event_fn=ev,
-        )
-
-    return (horiz("floor", R0), horiz("ceiling", R1),
-            wall("low_wall", T), wall("high_wall", 0.0))
-
-
-def _sphere_regions(model, R0, R1, T):
-    k = model.k
-    angle_bounds = tuple(
-        (0.0, 2 * math.pi) if j == 0 else (0.0, math.pi)
-        for j in range(model.n_angles)
-    )
-
-    def arc_dist(c, R):
-        """Distance to {sqrt(R) e^{i phi} x : phi in [0, 2T], x in S^{k-1}}."""
-        u, v = c[..., :k], c[..., k:]
-        uu, vv = np.sum(u * u, axis=-1), np.sum(v * v, axis=-1)
-        zz = uu + vv
-        A = zz / 2.0
-        bx = (uu - vv) / 2.0
-        by = np.sum(u * v, axis=-1)
-        B = np.hypot(bx, by)
-        psi = np.arctan2(by, bx)
-        # |Re(z e^{-i phi})|^2 = A + B cos(2 phi - psi), period pi in phi;
-        # the interior critical points count only inside [0, 2T]
-        r = math.sqrt(R)
-        best = np.full(np.shape(zz), np.inf)
-        for phi, valid in [(0.0, True), (2.0 * T, True)] + [
-                (base, (0.0 <= base) & (base <= 2.0 * T))
-                for base in (psi / 2.0, psi / 2.0 - math.pi,
-                             psi / 2.0 + math.pi)]:
-            g2 = np.maximum(A + B * np.cos(2.0 * phi - psi), 0.0)
-            d2 = np.maximum(zz + R - 2.0 * r * np.sqrt(g2), 0.0)
-            best = np.where(valid, np.minimum(best, d2), best)
-        return np.sqrt(best)
-
-    def shell_dist(c, phi0):
-        """Distance to {r e^{i phi0} x : sqrt(R0) <= r <= sqrt(R1)}."""
-        z = model._rotate(c, -phi0)
-        return np.hypot(
-            _interval_excess(_norm(z[..., :k]), math.sqrt(R0),
-                             math.sqrt(R1)),
-            _norm(z[..., k:]),
-        )
-
-    def horiz(name, R):
-        def to_amb(par, comp, R=R):
-            t = par[0]
-            x = model.legendrian_point(par[1:], comp)
-            return model.embed(model.reeb_flow(x, t), R)
-
-        return Region(
-            name=name, chart=model.chart,
-            param_bounds=((0.0, T),) + angle_bounds,
-            n_components=model.n_components,
-            to_ambient=to_amb,
-            distance_fn=lambda c, R=R: arc_dist(c, R),
-            event_fn=lambda c, R=R: np.sum(c * c, axis=-1) - R,
-        )
-
-    def wall(name, t0):
-        def to_amb(par, comp, t0=t0):
-            s = par[0]
-            x = model.legendrian_point(par[1:], comp)
-            return model.embed(model.reeb_flow(x, t0), s)
-
-        def ev(c, t0=t0):
-            # wrapped angular offset from the wall's Reeb time
-            dpsi = model._polar_angle(c) - 4.0 * t0
-            dpsi = (dpsi + math.pi) % (2.0 * math.pi) - math.pi
-            return dpsi / 4.0
-
-        return Region(
-            name=name, chart=model.chart,
-            param_bounds=((R0, R1),) + angle_bounds,
-            n_components=model.n_components,
-            to_ambient=to_amb,
-            distance_fn=lambda c, t0=t0: shell_dist(c, 2.0 * t0),
-            event_fn=ev,
-        )
-
-    return (horiz("floor", R0), horiz("ceiling", R1),
-            wall("low_wall", T), wall("high_wall", 0.0))
-
-
 def build_tetragon(model: ContactModel, R0, R1, T) -> Tetragon:
-    """Construct the four tetragon regions in the model's ambient chart."""
+    """Construct the four tetragon regions in the model's ambient chart.
+
+    Each region is a face of L x [R0, R1] x [0, T] under ``model.phi``:
+    the floor and ceiling fix s = R0, R1 and sweep (t, angles); the low
+    and high walls fix t = T, 0 and sweep (s, angles).
+    """
     if not (0.0 < R0 < R1):
         raise ParameterError(f"need 0 < R0 < R1, got R0={R0}, R1={R1}")
-    tmax = model.max_reeb_time()
-    strict = model.kind != "sphere"
+    tmax = model.max_reeb_time
+    strict = not model.max_reeb_time_inclusive
     if T <= 0.0 or (T >= tmax if strict else T > tmax):
         cmp = "<" if strict else "<="
         raise ParameterError(
             f"Reeb time T={T} violates 0 < T {cmp} {tmax} "
             f"for the {model.kind} model"
         )
-    if model.kind == "circle":
-        regions = _circle_regions(model, R0, R1, T)
-    elif model.kind == "torus":
-        regions = _torus_regions(model, R0, R1, T)
-    else:
-        regions = _sphere_regions(model, R0, R1, T)
-    tet = Tetragon(model, float(R0), float(R1), float(T), *regions)
+
+    def horizontal(name, R):
+        return Region(
+            name=name, chart=model.chart,
+            param_bounds=((0.0, T),) + model.angle_bounds,
+            n_components=model.n_components,
+            to_ambient=lambda par, comp: model.phi(R, par[0], par[1:], comp),
+            distance_fn=lambda c: model.horizontal_distance(c, R, T),
+            event_fn=lambda c: model.horizontal_event(c, R),
+        )
+
+    def wall(name, t):
+        return Region(
+            name=name, chart=model.chart,
+            param_bounds=((R0, R1),) + model.angle_bounds,
+            n_components=model.n_components,
+            to_ambient=lambda par, comp: model.phi(par[0], t, par[1:], comp),
+            distance_fn=lambda c: model.wall_distance(c, t, R0, R1),
+            event_fn=lambda c: model.wall_event(c, t),
+        )
+
+    tet = Tetragon(model, float(R0), float(R1), float(T),
+                   horizontal("floor", R0), horizontal("ceiling", R1),
+                   wall("low_wall", T), wall("high_wall", 0.0))
     _check_disjoint_sweep(model, T)
     return tet
 
@@ -779,12 +749,10 @@ class RoundedRectangleLoop:
         arc_start = [-math.pi / 2.0, 0.0, math.pi / 2.0, math.pi]
         for i in range(4):
             w = segs[2 * i]
-            if ell <= w or i == 3 and ell <= w + segs[7] + 1e-12:
-                if ell <= w:
-                    d = dirs[i]
-                    p = (starts[i][0] + d[0] * ell,
-                         starts[i][1] + d[1] * ell)
-                    return np.array(p), total * np.array(d)
+            if ell <= w:
+                d = dirs[i]
+                p = (starts[i][0] + d[0] * ell, starts[i][1] + d[1] * ell)
+                return np.array(p), total * np.array(d)
             ell -= w
             arc = segs[2 * i + 1]
             if ell <= arc:
@@ -813,11 +781,11 @@ class SmoothedTetragon:
     def surface_point(self, angles, component, sigma):
         model = self.tetragon.model
         (s, t), _ = self.loop.point_and_velocity(sigma)
-        x = model.legendrian_point(angles, component)
-        return model.embed(model.reeb_flow(x, t), s)
+        return model.phi(s, t, angles, component)
 
     def tangent_frame(self, angles, component, sigma):
-        """Analytic tangent vectors (Legendrian directions, loop direction)."""
+        """Analytic tangent vectors of Phi along the surface (Legendrian
+        directions, loop direction), by the chain rule."""
         model = self.tetragon.model
         (s, t), (ds, dt) = self.loop.point_and_velocity(sigma)
         x = model.legendrian_point(angles, component)
@@ -826,7 +794,7 @@ class SmoothedTetragon:
         for j in range(model.n_angles):
             v = model.legendrian_tangent(angles, component, j)
             # push the Legendrian tangent through the (linear) Reeb flow
-            vt = _flow_pushforward(model, x, v, t)
+            vt = model.flow_pushforward(v, t)
             frame.append(model.embed_tangent(xt, s, vt, 0.0))
         reeb = model.reeb_vector(xt)
         frame.append(model.embed_tangent(xt, s, dt * reeb, ds))
@@ -844,36 +812,14 @@ class SmoothedTetragon:
         for _ in range(n_samples):
             sigma = float(rng.uniform(0.0, 1.0))
             comp = int(rng.integers(model.n_components))
-            angles = [
-                float(rng.uniform(lo, hi))
-                for lo, hi in (
-                    ((0.0, 2 * math.pi),) +
-                    ((0.0, math.pi),) * max(model.n_angles - 1, 0)
-                )[: model.n_angles]
-            ]
+            angles = [float(rng.uniform(lo, hi))
+                      for lo, hi in model.angle_bounds]
             frame = self.tangent_frame(angles, comp, sigma)
             for a in range(len(frame)):
                 for b in range(a + 1, len(frame)):
                     val = abs(float(frame[a] @ omega @ frame[b]))
                     worst = max(worst, val)
         return worst
-
-
-def _flow_pushforward(model, x, v, t):
-    """Differential of the Reeb flow applied to a Sigma-tangent vector.
-
-    All three model flows are linear or affine in the point, so the
-    pushforward has a closed form.
-    """
-    if model.kind == "circle":
-        return np.asarray(v, dtype=float)
-    if model.kind == "torus":
-        v = np.asarray(v, dtype=float)
-        k = model.k
-        out = v.copy()
-        out[k:] = v[k:] + v[:k] * t
-        return out
-    return model._rotate(v, 2.0 * t)  # sphere: the flow is the rotation
 
 
 def smooth_tetragon(tet: Tetragon, eps) -> SmoothedTetragon:

@@ -520,7 +520,7 @@ class SeparationReport:
 def _extremize_on_region(G, region: Region, n_samples, sign):
     """sign=+1 minimizes G over the region x time, sign=-1 maximizes."""
     times = np.array([0.0])
-    if G.time_periodic and not G.autonomous:
+    if not G.autonomous:
         times = np.linspace(0.0, 1.0, 17)[:-1]
     params = region.sample_params(n_samples)
     pts = np.array([region.param_point(pr, comp) for pr, comp in params])
@@ -710,7 +710,7 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
             raise ValueError("start and target regions are not disjoint")
 
     phases = [0.0]
-    if G.time_periodic and not G.autonomous:
+    if not G.autonomous:
         phases = list(np.linspace(0.0, 1.0, config.n_phases,
                                   endpoint=False))
     seeds = X0.sample_params(config.n_seeds)

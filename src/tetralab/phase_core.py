@@ -82,34 +82,6 @@ class PhaseChart:
             out[..., cols] = w
         return out
 
-    def point(self, coords):
-        return PhasePoint(self.wrap(coords), self)
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point of a chart; periodic coordinates already reduced."""
-
-    coords: np.ndarray
-    chart: PhaseChart
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.shape != (self.chart.dim,):
-            raise ValueError(
-                f"expected {self.chart.dim} coordinates, got {c.shape}"
-            )
-        object.__setattr__(self, "coords", self.chart.wrap(c))
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.coords, dtype=dtype)
-
-
-def _as_coords(x):
-    if isinstance(x, PhasePoint):
-        return x.coords
-    return np.asarray(x, dtype=float)
-
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
@@ -125,12 +97,15 @@ class HamiltonianSpec:
     ``t`` is then a scalar or an array broadcasting against ``(...)``
     (one time per row).  ``H(x, t)`` and ``H.grad(x, t)`` follow the same
     shapes; ``H(x, t)`` returns a float for a single point.
+
+    ``autonomous=False`` declares a time dependence of period 1 in t: the
+    chord search sweeps start phases over one period, extrema are taken
+    over one period, and ``autonomize`` takes t as an angle mod 1.
     """
 
     chart: PhaseChart
     value: Callable
     gradient: Callable
-    time_periodic: bool = False
     autonomous: bool = True
     name: str = ""
 
@@ -144,13 +119,13 @@ class HamiltonianSpec:
                                   x[bad][0] if x.ndim > 1 else x)
 
     def __call__(self, x, t=0.0):
-        x = self.chart.wrap(_as_coords(x))
+        x = self.chart.wrap(x)
         v = np.asarray(self.value(x, t), dtype=float)
         self._check("value", v, x)
         return float(v) if v.ndim == 0 else v
 
     def grad(self, x, t=0.0):
-        x = self.chart.wrap(_as_coords(x))
+        x = self.chart.wrap(x)
         g = np.asarray(self.gradient(x, t), dtype=float)
         self._check("gradient", g, x)
         return g
@@ -161,7 +136,6 @@ def constant_hamiltonian(chart, c=0.0, name="const"):
         chart=chart,
         value=lambda x, t: np.full(np.shape(x)[:-1], float(c))[()],
         gradient=lambda x, t: np.zeros(np.shape(x)),
-        time_periodic=True,
         autonomous=True,
         name=name,
     )
@@ -223,8 +197,6 @@ def autonomize(G: HamiltonianSpec) -> HamiltonianSpec:
             "autonomize expects a time-periodic Hamiltonian; "
             "an autonomous one would silently gain a spurious r-dynamics"
         )
-    if not G.time_periodic:
-        raise ValueError("autonomize requires period-1 time dependence")
     base = G.chart
     n = base.dim_pairs
     ext = extended_chart(base)
@@ -252,7 +224,6 @@ def autonomize(G: HamiltonianSpec) -> HamiltonianSpec:
         chart=ext,
         value=value,
         gradient=gradient,
-        time_periodic=False,
         autonomous=True,
         name=f"aut({G.name})" if G.name else "aut",
     )

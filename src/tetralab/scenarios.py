@@ -24,6 +24,9 @@ from .dynamics import (ChordSearchConfig, chord_budget, deterministic_map,
 from .phase_core import HamiltonianSpec, PhaseChart
 from .profiles import Plateau
 
+# a found chord's increment passes within this of the expected increment
+INCREMENT_TOL = 1e-6
+
 
 class ConfigError(ValueError):
     """A scenario configuration violates a precondition."""
@@ -94,7 +97,6 @@ class ScenarioReport:
     time_length: Optional[float]
     increment: Optional[float]
     expected_increment: Optional[float]
-    increment_tol: float
     details: dict = field(default_factory=dict)
     time_error: Optional[float] = None
     n_refine_evals: Optional[int] = None
@@ -103,12 +105,12 @@ class ScenarioReport:
     @property
     def passed(self):
         """A chord was found within budget + 1e-6 and, when an increment
-        is expected, its increment lies within ``increment_tol`` of it."""
+        is expected, its increment lies within ``INCREMENT_TOL`` of it."""
         ok = self.found and self.time_length is not None \
             and self.time_length <= self.budget + 1e-6
         if ok and self.expected_increment is not None:
             ok = abs(self.increment - self.expected_increment) \
-                <= self.increment_tol
+                <= INCREMENT_TOL
         return bool(ok)
 
     def describe(self):
@@ -125,7 +127,7 @@ class ScenarioReport:
             "n_refine_failed": self.n_refine_failed,
             "increment": self.increment,
             "expected_increment": self.expected_increment,
-            "increment_tol": self.increment_tol,
+            "increment_tol": INCREMENT_TOL,
             "passed": self.passed,
         }
         d.update({k: v for k, v in self.details.items()
@@ -208,7 +210,7 @@ def mechanical_hamiltonian(k=1, beta=0.5, R0=1.0, R1=2.0,
 
     return HamiltonianSpec(
         chart=chart, value=value, gradient=gradient,
-        time_periodic=time_amp != 0.0, autonomous=time_amp == 0.0,
+        autonomous=time_amp == 0.0,
         name="mechanical",
     )
 
@@ -222,7 +224,6 @@ def add_hamiltonians(G: HamiltonianSpec, F: HamiltonianSpec,
         value=lambda x, t: G.value(x, t) + F.value(x, t),
         gradient=lambda x, t: np.asarray(G.gradient(x, t), float)
         + np.asarray(F.gradient(x, t), float),
-        time_periodic=G.time_periodic or F.time_periodic,
         autonomous=G.autonomous and F.autonomous,
         name=name or f"{G.name}+{F.name}",
     )
@@ -272,7 +273,7 @@ def wall_perturbation(amplitude, R0=1.0, R1=2.0, away_factor=10.0,
 
     return HamiltonianSpec(
         chart=chart, value=value, gradient=gradient,
-        time_periodic=time_periodic, autonomous=not time_periodic,
+        autonomous=not time_periodic,
         name="wall-perturbation",
     )
 
@@ -339,7 +340,7 @@ def _chord_report(scenario, cfg: ScenarioConfig, tet, G: HamiltonianSpec,
         delta_separation=sep.delta, delta_perturbation=delta_pert,
         kappa=tet.kappa, budget=budget, found=result.found,
         time_length=time_len, increment=inc, expected_increment=expected,
-        increment_tol=1e-6, details=details, time_error=time_err,
+        details=details, time_error=time_err,
         n_refine_evals=result.n_refine_evals,
         n_refine_failed=result.n_refine_failed,
     )
@@ -403,7 +404,7 @@ def run_mechanical(cfg: ScenarioConfig) -> ScenarioReport:
 def _check_shell_max(G: HamiltonianSpec, cfg: ScenarioConfig):
     """The potential's max over the q-shell x period must be <= -beta."""
     k = cfg.k
-    times = np.linspace(0.0, 1.0, 17)[:-1] if G.time_periodic else [0.0]
+    times = [0.0] if G.autonomous else np.linspace(0.0, 1.0, 17)[:-1]
     worst = -math.inf
     for rho in np.linspace(math.sqrt(cfg.R0), math.sqrt(cfg.R1), 21):
         for ang in np.linspace(0.0, 2 * math.pi, 16, endpoint=False):
@@ -471,7 +472,6 @@ def run_reeb_chord(cfg: ScenarioConfig) -> ScenarioReport:
         delta_separation=fmin, delta_perturbation=0.0,
         kappa=T, budget=T / fmin, found=found,
         time_length=time_len, increment=None, expected_increment=None,
-        increment_tol=1e-6,
         details={"model": cfg.reeb_model, "C": fmin,
                  "chord_times": [float(t) for t in times]},
     )

@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import in the package is used, and
-the package reads no environment variable but ``TETRALAB_OUT``.
+"""Source hygiene: every module-level import in the package is used,
+every top-level ``def`` and ``class`` is read somewhere, and the package
+reads no environment variable but ``TETRALAB_OUT``.
 
 Stdlib ``ast`` checks, so they need no linter.  An import statement with
 ``# noqa: F401`` on one of its lines is exempt (re-exports, and names
@@ -9,11 +10,15 @@ to join ``ENV_ALLOWED``.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tetralab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tetralab"
+SOURCES = sorted(p for d in ("src", "tests", "bench")
+                 for p in (ROOT / d).rglob("*.py"))
 ENV_ALLOWED = {"TETRALAB_OUT"}
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 
@@ -51,6 +56,58 @@ def test_checker_flags_unused_and_honours_noqa():
                          ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def read_names(tree, skip=None):
+    """Every name read in ``tree`` (a bare name or an attribute), outside
+    the subtree ``skip``.  Import statements bind names; they read none."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def unreferenced_defs(source, elsewhere):
+    """``(line, name)`` of each top-level ``def`` or ``class`` of
+    ``source`` read neither in ``elsewhere`` nor in ``source`` outside
+    its own definition."""
+    tree = ast.parse(source)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [(node.lineno, node.name) for node in tree.body
+            if isinstance(node, defs) and node.name not in elsewhere
+            and node.name not in read_names(tree, skip=node)]
+
+
+@functools.lru_cache(maxsize=None)
+def _names_in(path):
+    return frozenset(read_names(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+def test_def_checker_flags_unreferenced():
+    src = ("def helper():\n    return 1\n"
+           "def api():\n    return helper()\n"
+           "def recursive(n):\n    return recursive(n - 1)\n"
+           "class Model:\n    pass\n"
+           "def dead():\n    pass\n")
+    other = "from mod import dead, recursive\nimport mod\nmod.api(mod.Model)\n"
+    elsewhere = read_names(ast.parse(other))
+    assert unreferenced_defs(src, elsewhere) == [(5, "recursive"),
+                                                 (9, "dead")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_defs_are_referenced(path):
+    elsewhere = set().union(*(_names_in(p) for p in SOURCES if p != path))
+    assert unreferenced_defs(path.read_text(encoding="utf-8"),
+                             elsewhere) == []
 
 
 def env_reads(source):

@@ -43,10 +43,6 @@ class TestChart:
     def test_default_labels(self):
         assert PLANE2.labels == ("p1", "p2", "q1", "q2")
 
-    def test_point_shape_check(self):
-        with pytest.raises(ValueError):
-            PLANE.point([1.0, 2.0, 3.0])
-
     def test_bad_periodic_mask(self):
         with pytest.raises(ValueError):
             PhaseChart(dim_pairs=2, periodic=(True,))
@@ -54,10 +50,6 @@ class TestChart:
     def test_dim_pairs_positive(self):
         with pytest.raises(ValueError):
             PhaseChart(dim_pairs=0)
-
-    def test_phase_point_as_array(self):
-        pt = PLANE.point([1.0, 2.0])
-        assert np.array_equal(np.asarray(pt), [1.0, 2.0])
 
 
 class TestSgrad:
@@ -236,7 +228,6 @@ class TestAutonomize:
             gradient=lambda x, t: np.array(
                 [x[0], math.sin(2 * math.pi * t)]
             ),
-            time_periodic=True,
             autonomous=False,
         )
 

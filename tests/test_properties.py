@@ -215,3 +215,38 @@ def test_batched_region_matches_rows(model, name, data):
                       [region.event_value(x) for x in X])
     assert np.array_equal(region.membership(X),
                           [region.membership(x) for x in X])
+
+
+# ---------------------------------------------------------------------------
+# Region parametrization: param_point is Phi(x, s, t) = embed(psi_t(x), s)
+# ---------------------------------------------------------------------------
+
+def _phi_layout(tet, name, a):
+    """(s, t) of a region point whose first parameter is a: the floor and
+    ceiling sweep t at s = R0, R1; the walls sweep s at t = T, 0."""
+    return {"floor": (tet.R0, a), "ceiling": (tet.R1, a),
+            "low_wall": (a, tet.T), "high_wall": (a, 0.0)}[name]
+
+
+@pytest.mark.parametrize("model,name", REGIONS)
+@SETTINGS
+@given(data=st.data())
+def test_param_point_is_phi_on_chart(model, name, data):
+    tet = TETRAGONS[model]
+    region = tet.regions()[name]
+    params = np.array([data.draw(st.floats(min_value=lo, max_value=hi))
+                       for lo, hi in region.param_bounds])
+    comp = data.draw(st.integers(0, region.n_components - 1))
+    x = region.param_point(params, comp)
+    wrapped = region.chart.wrap(x)
+    assert np.array_equal(wrapped.view(np.uint64), x.view(np.uint64))
+    # the sphere arc distance is the root of a cancelling difference of
+    # squares, so on the arc it reads up to sqrt(a few eps * R1) ~ 3e-8
+    arc = model.startswith("sphere") and name in ("floor", "ceiling")
+    assert region.distance(x) <= (1e-7 if arc else 1e-9)
+    assert abs(region.event_value(x)) <= 1e-9
+    m = tet.model
+    s, t = _phi_layout(tet, name, params[0])
+    composed = m.embed(m.reeb_flow(m.legendrian_point(params[1:], comp), t),
+                       s)
+    assert np.all(np.abs(x - region.chart.wrap(composed)) <= 1e-15)

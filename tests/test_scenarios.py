@@ -231,8 +231,7 @@ class TestBatch:
 
 _REPORT = dict(scenario="unstable_equilibrium", delta_separation=1.0,
                delta_perturbation=0.0, kappa=0.25, budget=0.25, found=True,
-               time_length=0.2, increment=1.0, expected_increment=1.0,
-               increment_tol=1e-6)
+               time_length=0.2, increment=1.0, expected_increment=1.0)
 
 
 class TestPassRule:
