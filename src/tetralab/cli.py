@@ -289,6 +289,7 @@ def _cmd_chord(cfg):
             "n_stiff": result.n_stiff,
             "n_refine_evals": result.n_refine_evals,
             "n_refine_failed": result.n_refine_failed,
+            "n_separation_evals": sep.n_evals,
         },
         "tolerances": {"membership": search.tol, "ode": search.ode_tol},
     }

@@ -34,6 +34,8 @@ import numpy as np
 
 from .phase_core import PhaseChart
 
+_TINY = np.finfo(float).tiny
+
 
 class ParameterError(ValueError):
     """A model or tetragon parameter is out of its admissible range."""
@@ -469,21 +471,36 @@ class SphereModel(ContactModel):
         u, v = c[..., :k], c[..., k:]
         uu, vv = np.sum(u * u, axis=-1), np.sum(v * v, axis=-1)
         zz = uu + vv
+        nz = np.sqrt(zz)
         A = zz / 2.0
         bx = (uu - vv) / 2.0
         by = np.sum(u * v, axis=-1)
         B = np.hypot(bx, by)
         psi = np.arctan2(by, bx)
-        # |Re(z e^{-i phi})|^2 = A + B cos(2 phi - psi), period pi in phi;
-        # the interior critical points count only inside [0, 2T]
+        # A - B = (A^2 - B^2)/(A + B), and A^2 - B^2 = uu vv - (u.v)^2 is
+        # the Lagrange sum of squared 2x2 minors (none for k = 1)
+        minors = 0.0
+        for i in range(k):
+            for j in range(i + 1, k):
+                m = u[..., i] * v[..., j] - u[..., j] * v[..., i]
+                minors = minors + m * m
+        a_b = minors / np.maximum(A + B, _TINY)
+        # |Re(z e^{-i phi})|^2 = A + B cos(2 phi - psi) = zz - gap with
+        # gap = (A - B) + 2 B sin^2(phi - psi/2), period pi in phi; the
+        # interior critical points count only inside [0, 2T].  The squared
+        # distance zz + R - 2 r g is written without cancellation as
+        # (|z| - r)^2 + 2 r gap / (|z| + g).
         r = math.sqrt(R)
+        dz = nz - r
         best = np.full(np.shape(zz), np.inf)
         for phi, valid in [(0.0, True), (2.0 * T, True)] + [
                 (base, (0.0 <= base) & (base <= 2.0 * T))
                 for base in (psi / 2.0, psi / 2.0 - math.pi,
                              psi / 2.0 + math.pi)]:
-            g2 = np.maximum(A + B * np.cos(2.0 * phi - psi), 0.0)
-            d2 = np.maximum(zz + R - 2.0 * r * np.sqrt(g2), 0.0)
+            sn = np.sin(phi - psi / 2.0)
+            gap = np.maximum(a_b + 2.0 * B * sn * sn, 0.0)
+            g = np.sqrt(np.maximum(zz - gap, 0.0))
+            d2 = dz * dz + 2.0 * r * gap / np.maximum(nz + g, _TINY)
             best = np.where(valid, np.minimum(best, d2), best)
         return np.sqrt(best)
 

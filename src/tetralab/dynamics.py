@@ -504,7 +504,10 @@ def pattern_search(f, x0, bounds, max_evals=200):
 
 @dataclass(frozen=True)
 class SeparationReport:
-    """Delta(G; Y0, Y1) = min over Y1 x period of G minus max over Y0."""
+    """Delta(G; Y0, Y1) = min over Y1 x period of G minus max over Y0.
+
+    ``n_evals`` counts the pattern-search evaluations of both
+    extremizations (the dense sampling is not counted)."""
 
     delta: float
     min_value: float
@@ -515,10 +518,13 @@ class SeparationReport:
     argmax_time: float
     n_samples: int
     separating: bool
+    n_evals: int
 
 
 def _extremize_on_region(G, region: Region, n_samples, sign):
-    """sign=+1 minimizes G over the region x time, sign=-1 maximizes."""
+    """sign=+1 minimizes G over the region x time, sign=-1 maximizes.
+    Returns the extremum, its point and time, and the pattern-search
+    evaluation count."""
     times = np.array([0.0])
     if not G.autonomous:
         times = np.linspace(0.0, 1.0, 17)[:-1]
@@ -542,21 +548,23 @@ def _extremize_on_region(G, region: Region, n_samples, sign):
         t = z[-1] if time_axis else t0
         return sign * G(region.param_point(params, comp), t)
 
+    evals = 0
     if bounds:
-        z, fv, _ = pattern_search(obj, np.array(x0), bounds, max_evals=120)
+        z, fv, evals = pattern_search(obj, np.array(x0), bounds,
+                                      max_evals=120)
         params = z[:-1] if time_axis else z
         t = float(z[-1]) if time_axis else t0
     else:
         fv = float(vals[best])
         params, t = pr, t0
-    return sign * fv, region.param_point(params, comp), t
+    return sign * fv, region.param_point(params, comp), t, evals
 
 
 def separation(G: HamiltonianSpec, Y0: Region, Y1: Region,
                n_samples=256) -> SeparationReport:
     """Estimate Delta(G; Y0, Y1) by dense sampling plus local refinement."""
-    vmin, xmin, tmin = _extremize_on_region(G, Y1, n_samples, +1.0)
-    vmax, xmax, tmax = _extremize_on_region(G, Y0, n_samples, -1.0)
+    vmin, xmin, tmin, n_min = _extremize_on_region(G, Y1, n_samples, +1.0)
+    vmax, xmax, tmax, n_max = _extremize_on_region(G, Y0, n_samples, -1.0)
     delta = vmin - vmax
     return SeparationReport(
         delta=float(delta),
@@ -568,6 +576,7 @@ def separation(G: HamiltonianSpec, Y0: Region, Y1: Region,
         argmax_time=float(tmax),
         n_samples=int(n_samples),
         separating=bool(delta > 0.0),
+        n_evals=n_min + n_max,
     )
 
 

@@ -6,6 +6,13 @@ points (see ``HamiltonianSpec``).  A float argument gives a float back.
 Polynomials are written with products only: a power of an array may go
 through a vectorised ``pow`` that rounds differently from the scalar
 one, and a point's value would then depend on the batch it sits in.
+
+``PlateauStack`` evaluates several plateaus in one pass: row i of its
+argument goes to plateau i, and the rising and falling arguments of all
+rows are clipped, raised to the quintic and differentiated together.
+Each element goes through the same operations as in ``Plateau.value``
+and ``Plateau.deriv``, so the results are bit-identical; what the stack
+saves is the per-call overhead of many small array operations.
 """
 
 from __future__ import annotations
@@ -34,17 +41,23 @@ def smoothstep_int(x):
     return x * x * x * (1 - x / 2.0)
 
 
+def _quintic_on_unit(x):
+    return x * x * x * (x * (6 * x - 15) + 10)
+
+
+def _quintic_d_on_unit(x):
+    u = x * (1 - x)
+    return 30 * u * u
+
+
 def quintic(x):
     """C^2 step 6x^5 - 15x^4 + 10x^3 on [0, 1], constant outside."""
-    x = _unit(x)
-    return x * x * x * (x * (6 * x - 15) + 10)
+    return _quintic_on_unit(_unit(x))
 
 
 def quintic_d(x):
     """Slope 30 x^2 (1 - x)^2 of ``quintic``; zero outside (0, 1)."""
-    x = _unit(x)
-    u = x * (1 - x)
-    return 30 * u * u
+    return _quintic_d_on_unit(_unit(x))
 
 
 @dataclass(frozen=True)
@@ -70,3 +83,29 @@ class Plateau:
     def deriv(self, y):
         rise, fall = self._args(y)
         return (quintic_d(rise) - quintic_d(fall)) / self.roll
+
+
+class PlateauStack:
+    """Values and slopes of m plateaus, evaluated on m rows at once.
+
+    ``values_and_slopes(y)`` takes ``y`` of shape ``(m, ...)`` and
+    returns two arrays of that shape: row i holds
+    ``plateaus[i].value(y[i])`` and ``plateaus[i].deriv(y[i])``, bit for
+    bit.
+    """
+
+    def __init__(self, plateaus):
+        self.m = len(plateaus)
+        # rising-argument origins lo - roll in layer 0, falling ones hi in 1
+        self._start = np.array([[[pl.lo - pl.roll] for pl in plateaus],
+                                [[pl.hi] for pl in plateaus]])
+        self._roll = np.array([[pl.roll] for pl in plateaus])
+
+    def values_and_slopes(self, y):
+        x = np.reshape(y, (self.m, -1)) - self._start
+        x /= self._roll
+        np.minimum(np.maximum(x, 0.0, out=x), 1.0, out=x)
+        q, d = _quintic_on_unit(x), _quintic_d_on_unit(x)
+        value = q[0] * (1.0 - q[1])
+        slope = (d[0] - d[1]) / self._roll
+        return value.reshape(np.shape(y)), slope.reshape(np.shape(y))

@@ -22,7 +22,7 @@ from .contact import CircleModel, SphereModel, TorusModel, build_tetragon
 from .dynamics import (ChordSearchConfig, chord_budget, deterministic_map,
                        find_chord, separation)
 from .phase_core import HamiltonianSpec, PhaseChart
-from .profiles import Plateau
+from .profiles import Plateau, PlateauStack
 
 # a found chord's increment passes within this of the expected increment
 INCREMENT_TOL = 1e-6
@@ -86,7 +86,10 @@ class ScenarioReport:
     ``time_error`` is the found chord's ``Chord.time_error`` (None for
     Reeb chords and when no chord is found).  ``n_refine_evals`` and
     ``n_refine_failed`` are the chord search's refinement counts (see
-    ``ChordSearchResult``; None for Reeb chords, which run no search)."""
+    ``ChordSearchResult``), and ``n_separation_evals`` the wall
+    separation's ``SeparationReport.n_evals``; all three are None for
+    Reeb chords, which run neither.  Perturbed runs carry the
+    calibration's ``separation`` count as ``details["calibration_steps"]``."""
 
     scenario: str
     delta_separation: float
@@ -101,6 +104,7 @@ class ScenarioReport:
     time_error: Optional[float] = None
     n_refine_evals: Optional[int] = None
     n_refine_failed: Optional[int] = None
+    n_separation_evals: Optional[int] = None
 
     @property
     def passed(self):
@@ -125,6 +129,7 @@ class ScenarioReport:
             "time_error": self.time_error,
             "n_refine_evals": self.n_refine_evals,
             "n_refine_failed": self.n_refine_failed,
+            "n_separation_evals": self.n_separation_evals,
             "increment": self.increment,
             "expected_increment": self.expected_increment,
             "increment_tol": INCREMENT_TOL,
@@ -171,13 +176,13 @@ def channel_potential(k=1) -> HamiltonianSpec:
         return np.prod(np.cos(2 * math.pi * x[..., k:]), axis=-1)
 
     def gradient(x, t):
-        q = x[..., k:]
-        cos = np.cos(2 * math.pi * q)
+        angle = 2 * math.pi * x[..., k:]
+        cos, sin = np.cos(angle), np.sin(angle)
         g = np.zeros(np.shape(x))
         for i in range(k):
-            others = np.prod(np.delete(cos, i, axis=-1), axis=-1)
-            g[..., k + i] = -2 * math.pi * np.sin(2 * math.pi * q[..., i]) \
-                * others
+            # the other cosines multiplied in index order, as np.prod does
+            others = math.prod(cos[..., j] for j in range(k) if j != i)
+            g[..., k + i] = -2 * math.pi * sin[..., i] * others
         return g
 
     return HamiltonianSpec(chart=chart, value=value, gradient=gradient,
@@ -235,7 +240,15 @@ def wall_perturbation(amplitude, R0=1.0, R1=2.0, away_factor=10.0,
     """Planar (k=1) perturbation F = -A on the high wall, vanishing on
     the low wall, plus an away_factor*A bump supported near the
     anti-diagonal ring — far from both walls and from the floor-to-
-    ceiling chord corridor along the main diagonal."""
+    ceiling chord corridor along the main diagonal.
+
+    The gradient evaluates its four plateaus in one ``PlateauStack``
+    pass.  Each gradient term carries a factor of the near-wall tube
+    (|q| < tube_radius) or of the anti-diagonal band (|p + q| < 0.2), and
+    both vanish with their slopes where their falling argument
+    ``(y - hi)/roll`` reaches 1.  A point or stack with no row inside
+    either gets an exact zero gradient without evaluating the rest,
+    which is where the chord search's single-point calls all fall."""
     chart = PhaseChart(dim_pairs=1)
     ring = Plateau(lo=R0, hi=R1, roll=0.2)
     nearq = Plateau(lo=0.0, hi=(tube_radius / 3.0) ** 2,
@@ -257,18 +270,24 @@ def wall_perturbation(amplitude, R0=1.0, R1=2.0, away_factor=10.0,
             * far_ring.value(rho) * tfac(t)
         return wall + far
 
+    bumps = PlateauStack((ring, nearq, near_anti, far_ring))
+
     def gradient(x, t):
-        p, q = np.moveaxis(x, -1, 0)
-        rho, w2 = p * p + q * q, 0.5 * (p + q) ** 2
-        rv, rd = ring.value(rho), ring.deriv(rho)
-        nv, nd = nearq.value(q * q), nearq.deriv(q * q)
-        na, nad = near_anti.value(w2), near_anti.deriv(w2)
-        fr, frd = far_ring.value(rho), far_ring.deriv(rho)
+        p, q = x[..., 0], x[..., 1]
+        qq, s = q * q, p + q
+        w2 = 0.5 * (s * s)
+        # off both narrow bumps every term carries a zero factor
+        if np.all((qq - nearq.hi) / nearq.roll >= 1.0) and \
+                np.all((w2 - near_anti.hi) / near_anti.roll >= 1.0):
+            return np.zeros(np.shape(x))
+        rho = p * p + qq
+        (rv, nv, na, fr), (rd, nd, nad, frd) = bumps.values_and_slopes(
+            np.stack([rho, qq, w2, rho]))
         tf = away_factor * amplitude * tfac(t)
-        g0 = -amplitude * rd * 2 * p * nv \
-            + tf * (nad * (p + q) * fr + na * frd * 2 * p)
+        ns, nf = nad * s * fr, na * frd * 2
+        g0 = -amplitude * rd * 2 * p * nv + tf * (ns + nf * p)
         g1 = -amplitude * (rd * 2 * q * nv + rv * nd * 2 * q) \
-            + tf * (nad * (p + q) * fr + na * frd * 2 * q)
+            + tf * (ns + nf * q)
         return np.stack([g0, g1], axis=-1)
 
     return HamiltonianSpec(
@@ -280,10 +299,14 @@ def wall_perturbation(amplitude, R0=1.0, R1=2.0, away_factor=10.0,
 
 def calibrate_perturbation(tet, spec: PerturbationSpec):
     """Bisect the amplitude until |Delta(F; low, high)| is within 0.005 of
-    the target, for at most 40 steps."""
+    the target, for at most 40 steps.  Returns F, its measured
+    |Delta|, the amplitude and the number of separations measured."""
     target = spec.delta_target
+    steps = 0
 
     def measured(a):
+        nonlocal steps
+        steps += 1
         F = wall_perturbation(a, R0=tet.R0, R1=tet.R1,
                               away_factor=spec.away_factor,
                               tube_radius=spec.tube_radius,
@@ -302,13 +325,13 @@ def calibrate_perturbation(tet, spec: PerturbationSpec):
         mid = 0.5 * (lo + hi)
         d_mid, F_mid = measured(mid)
         if abs(d_mid - target) <= 0.005:
-            return F_mid, d_mid, mid
+            return F_mid, d_mid, mid, steps
         if d_mid < target:
             lo = mid
         else:
             hi = mid
     d_mid, F_mid = measured(0.5 * (lo + hi))
-    return F_mid, d_mid, 0.5 * (lo + hi)
+    return F_mid, d_mid, 0.5 * (lo + hi), steps
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +366,7 @@ def _chord_report(scenario, cfg: ScenarioConfig, tet, G: HamiltonianSpec,
         details=details, time_error=time_err,
         n_refine_evals=result.n_refine_evals,
         n_refine_failed=result.n_refine_failed,
+        n_separation_evals=sep.n_evals,
     )
 
 
@@ -362,9 +386,11 @@ def run_unstable_equilibrium(cfg: ScenarioConfig) -> ScenarioReport:
                 f"perturbation target {cfg.perturbation.delta_target} "
                 f"must stay below the separation R0 = {cfg.R0}"
             )
-        F, delta_pert, amp = calibrate_perturbation(tet, cfg.perturbation)
+        F, delta_pert, amp, steps = calibrate_perturbation(
+            tet, cfg.perturbation)
         G = add_hamiltonians(G0, F)
         details["perturbation_amplitude"] = amp
+        details["calibration_steps"] = steps
         details["away_factor"] = cfg.perturbation.away_factor
     return _chord_report(
         "unstable_equilibrium", cfg, tet, G, sep, details,

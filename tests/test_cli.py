@@ -36,6 +36,7 @@ class TestScenarioCommand:
         )
         assert 0 < rep["report"]["n_refine_evals"] <= 72
         assert rep["report"]["n_refine_failed"] == 0
+        assert 0 < rep["report"]["n_separation_evals"] <= 240
         assert (out / "timing.json").exists()
 
     def test_override_changes_config(self, tmp_path):
@@ -47,6 +48,7 @@ class TestScenarioCommand:
         rep = read_report(out)
         assert rep["config"]["reeb_factor_amp"] == 0.0
         assert rep["report"]["n_refine_evals"] is None
+        assert rep["report"]["n_separation_evals"] is None
         assert rep["report"]["time_length"] == pytest.approx(
             (math.pi / 4) / 1.5, abs=1e-8
         )
@@ -142,6 +144,7 @@ class TestChordCommand:
         assert 0.0 <= rep["report"]["time_error"] < 1e-9
         assert rep["report"]["n_refine_evals"] > 0
         assert rep["report"]["n_refine_failed"] == 0
+        assert 0 < rep["report"]["n_separation_evals"] <= 240
         traj = np.loadtxt(out / "trajectory.csv", delimiter=",",
                           skiprows=1)
         assert traj.shape[1] == 3  # t, s, u

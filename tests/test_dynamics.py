@@ -183,6 +183,21 @@ class TestSeparation:
         assert rep.max_value == pytest.approx(-0.5, abs=1e-9)
         assert rep.separating
 
+    def test_counts_both_pattern_searches(self, monkeypatch):
+        tet = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
+        counts = []
+
+        def counting(*args, **kwargs):
+            out = pattern_search(*args, **kwargs)
+            counts.append(out[2])
+            return out
+
+        monkeypatch.setattr(dynamics, "pattern_search", counting)
+        rep = separation(unstable_hamiltonian(1), tet.low_wall,
+                         tet.high_wall)
+        assert len(counts) == 2
+        assert rep.n_evals == sum(counts) > 0
+
     def test_constant_does_not_separate(self):
         tet = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
         rep = separation(constant_hamiltonian(PLANE, 2.0), tet.low_wall,

@@ -12,13 +12,14 @@ from tetralab.contact import (CircleModel, RoundedRectangleLoop, SphereModel,
                               build_tetragon)
 from tetralab.dynamics import pattern_search
 from tetralab.pb4 import prototype_hamiltonian_pair, wall_witness
+from tetralab.profiles import Plateau, PlateauStack
 from tetralab.phase_core import (PhaseChart, constant_hamiltonian,
                                  poisson_bracket)
 from tetralab.scenarios import (add_hamiltonians, channel_potential,
                                 mechanical_hamiltonian, unstable_hamiltonian,
                                 wall_perturbation)
 
-from conftest import polynomial_hamiltonian
+from conftest import check_gradient, polynomial_hamiltonian
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -168,6 +169,12 @@ def assert_rows_close(batch, rows):
     assert np.all(np.abs(batch - rows) <= 1e-14 * (1.0 + np.abs(rows)))
 
 
+def assert_rows_equal(batch, rows):
+    rows = np.asarray(rows, dtype=float)
+    assert batch.shape == rows.shape
+    assert np.array_equal(batch, rows)
+
+
 def _stack(data, dim):
     m = data.draw(st.integers(min_value=1, max_value=6))
     return data.draw(arrays(float, (m, dim),
@@ -182,9 +189,9 @@ def test_batched_hamiltonian_matches_rows(name, data):
     X = _stack(data, H.chart.dim)
     ts = data.draw(arrays(float, (len(X),),
                           elements=st.floats(min_value=0.0, max_value=1.0)))
-    assert_rows_close(H(X, ts), [H(x, t) for x, t in zip(X, ts)])
-    assert_rows_close(H.grad(X, ts), [H.grad(x, t) for x, t in zip(X, ts)])
-    assert_rows_close(H(X, 0.25), [H(x, 0.25) for x in X])
+    assert_rows_equal(H(X, ts), [H(x, t) for x, t in zip(X, ts)])
+    assert_rows_equal(H.grad(X, ts), [H.grad(x, t) for x, t in zip(X, ts)])
+    assert_rows_equal(H(X, 0.25), [H(x, 0.25) for x in X])
 
 
 @SETTINGS
@@ -240,13 +247,101 @@ def test_param_point_is_phi_on_chart(model, name, data):
     x = region.param_point(params, comp)
     wrapped = region.chart.wrap(x)
     assert np.array_equal(wrapped.view(np.uint64), x.view(np.uint64))
-    # the sphere arc distance is the root of a cancelling difference of
-    # squares, so on the arc it reads up to sqrt(a few eps * R1) ~ 3e-8
-    arc = model.startswith("sphere") and name in ("floor", "ceiling")
-    assert region.distance(x) <= (1e-7 if arc else 1e-9)
+    assert region.distance(x) <= 1e-9
     assert abs(region.event_value(x)) <= 1e-9
     m = tet.model
     s, t = _phi_layout(tet, name, params[0])
     composed = m.embed(m.reeb_flow(m.legendrian_point(params[1:], comp), t),
                        s)
     assert np.all(np.abs(x - region.chart.wrap(composed)) <= 1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Stacked plateau kernel and the wall-perturbation gradient
+# ---------------------------------------------------------------------------
+
+plateaus = st.builds(
+    lambda lo, width, roll: Plateau(lo=lo, hi=lo + width, roll=roll),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=0.0, max_value=2.0),
+    st.floats(min_value=1e-3, max_value=1.0))
+
+
+def _plateau_argument(pl):
+    """A point at a roll end, or at most 1.5 rolls from one: inside the
+    rolls, on the flat top and beyond both ends."""
+    ends = st.sampled_from([pl.lo - pl.roll, pl.lo, pl.hi, pl.hi + pl.roll])
+    return st.one_of(ends, st.builds(
+        lambda e, f: e + f * pl.roll, ends,
+        st.floats(min_value=-1.5, max_value=1.5)))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_plateau_stack_is_bitwise_plateau(data):
+    pls = data.draw(st.lists(plateaus, min_size=1, max_size=4))
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    Y = np.array([[data.draw(_plateau_argument(pl)) for _ in range(n)]
+                  for pl in pls])
+    stack = PlateauStack(pls)
+    value, slope = stack.values_and_slopes(Y)
+    column_value, column_slope = stack.values_and_slopes(Y[:, 0])
+    for i, pl in enumerate(pls):
+        assert np.array_equal(_bits(value[i]), _bits(pl.value(Y[i])))
+        assert np.array_equal(_bits(slope[i]), _bits(pl.deriv(Y[i])))
+        y = float(Y[i, 0])
+        assert _bits(column_value[i]) == _bits(pl.value(y))
+        assert _bits(column_slope[i]) == _bits(pl.deriv(y))
+
+
+PERTURBATIONS = [wall_perturbation(0.25),
+                 wall_perturbation(0.25, time_periodic=False)]
+# inside the near-wall tube |q| < 0.15 or the anti-diagonal band
+# |p + q| < 0.2, the two narrow bumps every gradient term carries
+near_wall = st.builds(
+    lambda p, q: np.array([p, q]),
+    st.floats(min_value=-2.5, max_value=2.5),
+    st.floats(min_value=-0.1499, max_value=0.1499))
+near_anti = st.builds(
+    lambda p, s: np.array([p, s - p]),
+    st.floats(min_value=-2.5, max_value=2.5),
+    st.floats(min_value=-0.1999, max_value=0.1999))
+in_bump = st.one_of(near_wall, near_anti)
+# off both, with a margin for the rounding of p = (p + q) - q
+off_bumps = st.builds(
+    lambda q, s: np.array([s - q, q]),
+    st.one_of(st.floats(min_value=0.1501, max_value=2.5),
+              st.floats(min_value=-2.5, max_value=-0.1501)),
+    st.one_of(st.floats(min_value=0.2001, max_value=4.0),
+              st.floats(min_value=-4.0, max_value=-0.2001)))
+phase = st.floats(min_value=0.0, max_value=1.0)
+
+
+@pytest.mark.parametrize("F", PERTURBATIONS, ids=["periodic", "static"])
+@SETTINGS
+@given(data=st.data())
+def test_perturbation_gradient_batch_equals_points(F, data):
+    X = np.array(data.draw(st.lists(in_bump, min_size=1, max_size=6)))
+    ts = np.array([data.draw(phase) for _ in X])
+    assert_rows_equal(F.grad(X, ts), [F.grad(x, t) for x, t in zip(X, ts)])
+
+
+@pytest.mark.parametrize("F", PERTURBATIONS, ids=["periodic", "static"])
+@SETTINGS
+@given(data=st.data())
+def test_perturbation_gradient_zero_off_bumps(F, data):
+    X = np.array(data.draw(st.lists(off_bumps, min_size=1, max_size=6)))
+    t = data.draw(phase)
+    assert not np.any(F.grad(X, t))
+    assert all(not np.any(F.grad(x, t)) for x in X)
+
+
+@pytest.mark.parametrize("F", PERTURBATIONS, ids=["periodic", "static"])
+@SETTINGS
+@given(x=in_bump, t=phase)
+def test_perturbation_gradient_matches_central_differences(F, x, t):
+    check_gradient(F, [x], t=t)

@@ -132,6 +132,9 @@ class TestPerturbedUnstable:
         assert rep.passed
         assert abs(rep.delta_perturbation - 0.25) <= 0.01
         assert rep.details["away_factor"] == 10.0
+        # at most the initial bracket, 10 doublings and 41 bisections
+        assert 1 <= rep.describe()["calibration_steps"] <= 52
+        assert rep.describe()["n_separation_evals"] > 0
 
     def test_budget_shrinks_but_chord_survives(self, perturbed_run,
                                                unstable_run):
@@ -150,10 +153,11 @@ class TestPerturbedUnstable:
 
     def test_calibration_hits_target(self):
         tet = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
-        F, measured, amp = calibrate_perturbation(
+        F, measured, amp, steps = calibrate_perturbation(
             tet, PerturbationSpec(delta_target=0.25))
         assert abs(measured - 0.25) <= 0.01
         assert amp > 0.0
+        assert 1 <= steps <= 52
 
 
 class TestSuperconductivity:
