@@ -9,14 +9,12 @@ from .phase_core import (  # noqa: F401
     EvaluationError,
     HamiltonianSpec,
     PhaseChart,
-    autonomize,
     poisson_bracket,
     sgrad,
     volume_factor,
 )
 from .contact import (  # noqa: F401
     CircleModel,
-    ConstraintError,
     GeometryError,
     ParameterError,
     SphereModel,

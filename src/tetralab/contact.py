@@ -45,13 +45,6 @@ class GeometryError(ValueError):
     """A constructed geometric object violates a defining condition."""
 
 
-class ConstraintError(ValueError):
-    """A point fails the Sigma-constraint of a contact model."""
-
-
-SIGMA_TOL = 1e-10
-
-
 def _wrap_half(x):
     """Wrap to [-0.5, 0.5): nearest representative on the unit torus."""
     w = (np.asarray(x, dtype=float) + 0.5) % 1.0 - 0.5
@@ -127,13 +120,6 @@ class ContactModel:
     # -- Sigma-level operations -------------------------------------------
     def constraint_residual(self, x):
         raise NotImplementedError
-
-    def check_on_sigma(self, x, tol=SIGMA_TOL):
-        r = abs(self.constraint_residual(x))
-        if r > tol:
-            raise ConstraintError(
-                f"point is off Sigma for {self.kind}: residual {r:.3e}"
-            )
 
     def reeb_flow(self, x, t):
         raise NotImplementedError
@@ -235,13 +221,6 @@ class CircleModel(ContactModel):
     def embed_tangent(self, x, s, v, s_dot):
         return np.array([s_dot, float(np.atleast_1d(v)[0])])
 
-    def project(self, coords):
-        c = np.asarray(coords, dtype=float)
-        return np.array([c[1] % 1.0]), float(c[0])
-
-    def reeb_time(self, coords):
-        return float(np.asarray(coords)[1]) % 1.0
-
     def phi(self, s, t, angles=(), component=0):
         return np.array([s, t % 1.0 % 1.0])
 
@@ -325,20 +304,6 @@ class TorusModel(ContactModel):
         return np.concatenate(
             [s_dot * x[: self.k] + s * v[: self.k], v[self.k:]]
         )
-
-    def project(self, coords):
-        c = np.asarray(coords, dtype=float)
-        p = c[: self.k]
-        s = float(np.linalg.norm(p))
-        if s < 1e-12:
-            raise ConstraintError("torus symplectization chart excludes p=0")
-        return np.concatenate([p / s, c[self.k:] % 1.0]), s
-
-    def reeb_time(self, coords):
-        xs, _ = self.project(coords)
-        phat = xs[: self.k]
-        q = _wrap_half(coords[self.k:])
-        return float(np.dot(q, phat))
 
     def phi(self, s, t, angles=(), component=0):
         # rows s * p and t * p for the unit momentum p = L(angles)
@@ -443,23 +408,12 @@ class SphereModel(ContactModel):
         rs = math.sqrt(s)
         return rs * v + (s_dot / (2.0 * rs)) * x
 
-    def project(self, coords):
-        z = np.asarray(coords, dtype=float)
-        r = float(np.linalg.norm(z))
-        if r < 1e-12:
-            raise ConstraintError("sphere symplectization chart excludes 0")
-        return z / r, r * r
-
     def _polar_angle(self, coords):
         """2*phi for z ~ |z| e^{i phi} x with x real; range (-pi, pi]."""
         z = np.asarray(coords, dtype=float)
         u, v = z[..., : self.k], z[..., self.k:]
         return np.arctan2(2.0 * np.sum(u * v, axis=-1),
                           np.sum(u * u, axis=-1) - np.sum(v * v, axis=-1))
-
-    def reeb_time(self, coords):
-        # z = sqrt(s) e^{2it} x  =>  t = phi / 2 = psi / 4
-        return self._polar_angle(coords) / 4.0
 
     def phi(self, s, t, angles=(), component=0):
         x = self.legendrian_point(angles, component)

@@ -615,8 +615,6 @@ class Chord:
     t1: float
     start_distance: float
     end_distance: float
-    seed_params: np.ndarray
-    seed_component: int
     time_error: float
 
     @property
@@ -838,8 +836,6 @@ def _certify(G, X0, X1, params, comp, phase, span, margin, config,
         t1=float(hit),
         start_distance=X0.distance(traj(phase)),
         end_distance=X1.distance(end),
-        seed_params=np.asarray(params, dtype=float),
-        seed_component=int(comp),
         time_error=math.inf if fine_hit is None else abs(hit - fine_hit),
     )
     return ChordSearchResult(found=True, chord=chord, best_distance=0.0,

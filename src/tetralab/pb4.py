@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import binary_dilation
 
 from .phase_core import HamiltonianSpec, PhaseChart
 from .profiles import quintic, quintic_d, smoothstep, smoothstep_int
@@ -81,6 +80,10 @@ class Pb4Problem:
             m = np.asarray(self.masks[name], dtype=bool)
             if m.shape != (self.window.n_s, self.window.n_u):
                 raise ValueError(f"mask {name} has shape {m.shape}")
+        r_max = min(self.window.n_s, self.window.n_u)
+        if not 0 <= self.thicken_radius < r_max:
+            raise ValueError(f"thicken_radius must lie in [0, {r_max}), "
+                             f"got {self.thicken_radius}")
         for a, b in (("X0", "X1"), ("Y0", "Y1")):
             if np.any(self.thickened(a) & self.thickened(b)):
                 raise ValueError(
@@ -88,18 +91,21 @@ class Pb4Problem:
                 )
 
     def thickened(self, name):
+        """The mask grown by ``thicken_radius`` 4-neighbour steps (the
+        Manhattan ball of that radius), wrapping in u on cylinder
+        windows."""
         m = np.asarray(self.masks[name], dtype=bool)
-        r = self.thicken_radius
-        if r <= 0:
-            return m
-        if self.window.periodic_u:
-            pad = np.concatenate([m[:, -r:], m, m[:, :r]], axis=1)
-            pad = binary_dilation(pad, iterations=r)
-            out = pad[:, r:-r].copy()
-            out[:, :r] |= pad[:, -r:]
-            out[:, -r:] |= pad[:, :r]
-            return out
-        return binary_dilation(m, iterations=r)
+        for _ in range(self.thicken_radius):
+            g = m.copy()
+            g[1:] |= m[:-1]
+            g[:-1] |= m[1:]
+            if self.window.periodic_u:
+                g |= np.roll(m, 1, axis=1) | np.roll(m, -1, axis=1)
+            else:
+                g[:, 1:] |= m[:, :-1]
+                g[:, :-1] |= m[:, 1:]
+            m = g
+        return m
 
     def frame_mask(self):
         w = self.window

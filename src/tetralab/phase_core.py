@@ -99,8 +99,8 @@ class HamiltonianSpec:
     shapes; ``H(x, t)`` returns a float for a single point.
 
     ``autonomous=False`` declares a time dependence of period 1 in t: the
-    chord search sweeps start phases over one period, extrema are taken
-    over one period, and ``autonomize`` takes t as an angle mod 1.
+    chord search sweeps start phases over one period and extrema are
+    taken over one period.
     """
 
     chart: PhaseChart
@@ -160,73 +160,6 @@ def poisson_bracket(F: HamiltonianSpec, G: HamiltonianSpec, x, t=0.0):
     gg = G.grad(x, t)
     n = F.chart.dim_pairs
     return float(np.dot(gf[n:], gg[:n]) - np.dot(gf[:n], gg[n:]))
-
-
-def extended_chart(chart: PhaseChart) -> PhaseChart:
-    """Chart of M x T*S^1 with the extra pair (r, theta), theta periodic."""
-    n = chart.dim_pairs
-    return PhaseChart(
-        dim_pairs=n + 1,
-        periodic=chart.periodic + (True,),
-        labels=chart.labels[:n] + ("r",) + chart.labels[n:] + ("theta",),
-    )
-
-
-def split_extended(coords, base_chart):
-    """Split extended coordinates into (base coords, r, theta)."""
-    n = base_chart.dim_pairs
-    c = np.asarray(coords, dtype=float)
-    base = np.concatenate([c[..., :n], c[..., n + 1 : 2 * n + 1]], axis=-1)
-    return base, c[..., n][()], c[..., 2 * n + 1][()]
-
-
-def join_extended(base_coords, r, theta, base_chart):
-    n = base_chart.dim_pairs
-    b = np.asarray(base_coords, dtype=float)
-    return np.concatenate([b[:n], [r], b[n:], [theta]])
-
-
-def autonomize(G: HamiltonianSpec) -> HamiltonianSpec:
-    """Autonomous H(x, r, theta) = G(x, theta) + r on the extended chart.
-
-    Projections of H-trajectories to the base chart are G-trajectories of
-    the same time-length; theta advances at unit rate along the flow.
-    """
-    if G.autonomous:
-        raise ValueError(
-            "autonomize expects a time-periodic Hamiltonian; "
-            "an autonomous one would silently gain a spurious r-dynamics"
-        )
-    base = G.chart
-    n = base.dim_pairs
-    ext = extended_chart(base)
-
-    def value(c, t):
-        xb, r, theta = split_extended(c, base)
-        return G.value(base.wrap(xb), theta) + r
-
-    def gradient(c, t):
-        xb, r, theta = split_extended(c, base)
-        xb = base.wrap(xb)
-        g = np.asarray(G.gradient(xb, theta), dtype=float)
-        # dG/dtheta by centered differences: theta enters only through
-        # the explicit time slot of G.
-        h = 1e-6
-        dtheta = (G.value(xb, theta + h) - G.value(xb, theta - h)) / (2 * h)
-        out = np.empty(np.shape(c))
-        out[..., :n] = g[..., :n]
-        out[..., n] = 1.0  # dH/dr
-        out[..., n + 1 : 2 * n + 1] = g[..., n:]
-        out[..., 2 * n + 1] = dtheta
-        return out
-
-    return HamiltonianSpec(
-        chart=ext,
-        value=value,
-        gradient=gradient,
-        autonomous=True,
-        name=f"aut({G.name})" if G.name else "aut",
-    )
 
 
 def _pfaffian(a):

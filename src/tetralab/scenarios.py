@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .contact import CircleModel, SphereModel, TorusModel, build_tetragon
 from .dynamics import (ChordSearchConfig, chord_budget, deterministic_map,
-                       find_chord, separation)
+                       find_chord, integrate, separation)
 from .phase_core import HamiltonianSpec, PhaseChart
 from .profiles import Plateau, PlateauStack
 
@@ -451,46 +450,56 @@ def _check_shell_max(G: HamiltonianSpec, cfg: ScenarioConfig):
 def run_reeb_chord(cfg: ScenarioConfig) -> ScenarioReport:
     """Chords of the conformally rescaled Reeb flow (speed f along Reeb
     lines) from L to psi_T(L); time is bounded by T / min f over the
-    swept arcs."""
+    swept arcs.
+
+    The Reeb angle obeys theta' = speed * f(theta), the flow of
+    H(s, theta) = speed * s * f(theta) on a plane chart: theta' = dH/ds
+    and s' = -speed * s * f'(theta).  Each chord is one ``integrate`` run
+    from (1, theta0), stopped where theta reaches the end of its arc.
+    """
     base, amp = cfg.reeb_factor_base, cfg.reeb_factor_amp
     if cfg.reeb_model == "sphere":
         T = cfg.T if cfg.T is not None else math.pi / 4.0
         starts = [0.0, math.pi]
         span = 2.0 * T
-
-        def f(theta):
-            return base + amp * math.sin(theta)
+        speed, omega = 2.0, 1.0
     elif cfg.reeb_model == "circle":
         T = cfg.T if cfg.T is not None else 0.25
         starts = [0.0]
         span = T
-
-        def f(theta):
-            return base + amp * math.sin(2 * math.pi * theta)
+        speed, omega = 1.0, 2 * math.pi
     else:
         raise ConfigError(f"unknown reeb model {cfg.reeb_model!r}")
+
+    def f(theta):
+        return base + amp * np.sin(omega * theta)
+
+    def f_d(theta):
+        return amp * omega * np.cos(omega * theta)
+
     grid = np.linspace(0.0, span, 2001)
-    fmin = math.inf
-    for th0 in starts:
-        fmin = min(fmin, min(f(th0 + s) for s in grid))
+    fmin = min(float(f(th0 + grid).min()) for th0 in starts)
     if fmin <= 0.0:
         raise ConfigError("conformal factor must be positive on Sigma")
-    speed = 2.0 if cfg.reeb_model == "sphere" else 1.0
+    H = HamiltonianSpec(
+        chart=PhaseChart(dim_pairs=1, labels=("s", "theta")),
+        value=lambda x, t: speed * x[..., 0] * f(x[..., 1]),
+        gradient=lambda x, t: speed * np.stack(
+            [f(x[..., 1]), x[..., 0] * f_d(x[..., 1])], axis=-1),
+        name="reeb",
+    )
 
     times = []
     for th0 in starts:
-        def rhs(t, y):
-            return [speed * f(y[0])]
+        def arrive(x):
+            return x[1] - (th0 + span)
 
-        def hit(t, y):
-            return y[0] - (th0 + span)
-
-        hit.terminal = True
-        sol = solve_ivp(rhs, (0.0, 10.0 * T / fmin + 1.0), [th0],
-                        rtol=1e-12, atol=1e-14, events=[hit],
-                        method="DOP853")
-        if len(sol.t_events[0]):
-            times.append(float(sol.t_events[0][0]))
+        arrive.terminal = True
+        # s * f(theta) is conserved, so s stays within max f / min f; theta
+        # grows with T, so no escape ball applies
+        traj = integrate(H, [1.0, th0], 0.0, 10.0 * T / fmin + 1.0,
+                         tol=1e-12, escape_norm=math.inf, events=[arrive])
+        times.extend(traj.event_times[:1])
     found = len(times) == len(starts)
     time_len = min(times) if times else None
     return ScenarioReport(

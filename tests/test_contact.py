@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tetralab.contact import (CircleModel, ConstraintError, GeometryError,
+from tetralab.contact import (CircleModel, GeometryError,
                               ParameterError, RoundedRectangleLoop,
                               SphereModel, TorusModel, build_tetragon,
                               make_model, smooth_tetragon,
@@ -91,11 +91,6 @@ class TestReebFlows:
         y = model.reeb_flow(x, 0.17)
         assert abs(model.constraint_residual(y)) <= 1e-12
 
-    def test_off_sigma_rejected(self):
-        m = SphereModel(1)
-        with pytest.raises(ConstraintError):
-            m.check_on_sigma(np.array([2.0, 0.0]))
-
     @pytest.mark.parametrize("model", ALL_MODELS, ids=model_id)
     def test_contact_form_normalizations(self, model):
         """lambda0(Reeb) = 1 on Sigma and lambda0 = 0 on L-tangents."""
@@ -106,30 +101,6 @@ class TestReebFlows:
         for j in range(model.n_angles):
             v = model.legendrian_tangent([0.4] * model.n_angles, 0, j)
             assert abs(model.lambda0(x, v)) <= 1e-12
-
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=model_id)
-    def test_embed_project_round_trip(self, model):
-        x = model.reeb_flow(
-            model.legendrian_point([0.5] * model.n_angles), 0.1
-        )
-        amb = model.embed(x, 1.7)
-        xs, s = model.project(amb)
-        assert s == pytest.approx(1.7, abs=1e-12)
-        assert np.allclose(model.embed(xs, s), amb, atol=1e-12)
-
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=model_id)
-    def test_reeb_time_coordinate(self, model):
-        for t in [0.01, 0.1, 0.2]:
-            x = model.reeb_flow(model.legendrian_point(
-                [0.3] * model.n_angles), t)
-            amb = model.embed(x, 1.5)
-            assert model.reeb_time(amb) == pytest.approx(t, abs=1e-10)
-
-    def test_project_excludes_origin(self):
-        with pytest.raises(ConstraintError):
-            SphereModel(1).project(np.zeros(2))
-        with pytest.raises(ConstraintError):
-            TorusModel(2).project(np.zeros(4))
 
 
 class TestMakeModel:

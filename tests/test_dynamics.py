@@ -52,6 +52,24 @@ class TestIntegrate:
             assert y[0] == pytest.approx(1.0 + rate * t, abs=1e-10)
             assert y[1] == pytest.approx(0.125, abs=1e-12)
 
+    @pytest.mark.parametrize("t0", [0.0, 0.3])
+    def test_time_dependent_closed_form(self, t0):
+        """H = p^2/2 + sin(2 pi t) q, started at absolute time t0."""
+        w = 2 * math.pi
+        H = HamiltonianSpec(
+            chart=PLANE,
+            value=lambda x, t: 0.5 * x[0] ** 2 + math.sin(w * t) * x[1],
+            gradient=lambda x, t: np.array([x[0], math.sin(w * t)]),
+            autonomous=False,
+        )
+        p0, q0 = 0.5, 0.25
+        traj = integrate(H, [p0, q0], t0, t0 + 1.0, tol=1e-12)
+        for t in np.linspace(t0, t0 + 1.0, 11):
+            p = p0 + (math.cos(w * t) - math.cos(w * t0)) / w
+            q = (q0 + (p0 - math.cos(w * t0) / w) * (t - t0)
+                 + (math.sin(w * t) - math.sin(w * t0)) / w ** 2)
+            assert np.allclose(traj(t), [p, q], rtol=0.0, atol=1e-9)
+
     def test_time_window_validation(self):
         with pytest.raises(ValueError):
             integrate(harmonic(), [1.0, 0.0], 1.0, 0.5)

@@ -1,12 +1,17 @@
 """Source hygiene: every module-level import in the package is used,
-every top-level ``def`` and ``class`` is read somewhere, and the package
-reads no environment variable but ``TETRALAB_OUT``.
+every top-level ``def`` and ``class`` is read somewhere, the package
+reads no environment variable but ``TETRALAB_OUT``, and scipy is loaded
+and ``solve_ivp`` named only where ``SCIPY_ALLOWED`` and
+``SOLVE_IVP_ALLOWED`` say.
 
 Stdlib ``ast`` checks, so they need no linter.  An import statement with
 ``# noqa: F401`` on one of its lines is exempt (re-exports, and names
 kept for callers that patch them).  Behaviour is chosen by arguments and
 config files, not by the environment, so a new variable needs a reason
-to join ``ENV_ALLOWED``.
+to join ``ENV_ALLOWED``.  Every trajectory comes from
+``dynamics.integrate`` or the ensemble sweep, and a module-level scipy
+import is paid by every ``import tetralab``, so a module joins the scipy
+lists only with a reason.
 """
 
 import ast
@@ -21,6 +26,8 @@ SOURCES = sorted(p for d in ("src", "tests", "bench")
                  for p in (ROOT / d).rglob("*.py"))
 ENV_ALLOWED = {"TETRALAB_OUT"}
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+SCIPY_ALLOWED = {"dynamics.py", "phase_core.py"}
+SOLVE_IVP_ALLOWED = {"dynamics.py"}
 
 
 def unused_imports(source):
@@ -153,3 +160,48 @@ def test_env_checker_flags_every_read():
 def test_module_reads_only_allowed_env(path):
     reads = env_reads(path.read_text(encoding="utf-8"))
     assert [r for r in reads if r[1] not in ENV_ALLOWED] == []
+
+
+def module_scipy_imports(source):
+    """Lines of the top-level statements that import scipy."""
+    lines = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m.split(".")[0] == "scipy" for m in modules):
+            lines.append(node.lineno)
+    return lines
+
+
+def solve_ivp_lines(source):
+    """Lines that name ``solve_ivp``: imports, bare names, attributes."""
+    return sorted({
+        node.lineno for node in ast.walk(ast.parse(source))
+        if "solve_ivp" in (getattr(node, "id", None),
+                           getattr(node, "attr", None))
+        or isinstance(node, ast.alias)
+        and node.name.split(".")[-1] == "solve_ivp"
+    })
+
+
+def test_scipy_checker_flags_imports_and_solve_ivp():
+    src = ("import numpy\nimport scipy.linalg\n"
+           "from scipy.integrate import solve_ivp as ivp\n"
+           "def f():\n    from scipy import optimize\n"
+           "    return scipy.integrate.solve_ivp, optimize\n")
+    assert module_scipy_imports(src) == [2, 3]
+    assert solve_ivp_lines(src) == [3, 6]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_uses_scipy_only_where_allowed(path):
+    source = path.read_text(encoding="utf-8")
+    if path.name not in SCIPY_ALLOWED:
+        assert module_scipy_imports(source) == []
+    if path.name not in SOLVE_IVP_ALLOWED:
+        assert solve_ivp_lines(source) == []

@@ -177,6 +177,51 @@ class TestFeasibility:
             Pb4Problem(window=problem.window, masks=masks)
 
 
+def manhattan_ball(mask, r, periodic_u):
+    """Reference thickening: every node within Manhattan distance r of a
+    mask node, the u-distance taken around the cylinder if periodic."""
+    n_u = mask.shape[1]
+    i, j = np.indices(mask.shape)
+    out = np.zeros_like(mask)
+    for a, b in zip(*np.nonzero(mask)):
+        du = np.abs(j - b)
+        if periodic_u:
+            du = np.minimum(du, n_u - du)
+        out |= np.abs(i - a) + du <= r
+    return out
+
+
+def single_mask_problem(mask, r, periodic_u):
+    n_s, n_u = mask.shape
+    w = GridWindow(0.0, 1.0, 0.0, 1.0, n_s, n_u, periodic_u=periodic_u)
+    empty = np.zeros_like(mask)
+    return Pb4Problem(window=w, masks={"X0": mask, "X1": empty,
+                                       "Y0": empty, "Y1": empty},
+                      thicken_radius=r)
+
+
+class TestThickening:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_s=st.integers(2, 9), n_u=st.integers(2, 9),
+           periodic_u=st.booleans())
+    def test_matches_manhattan_ball(self, data, n_s, n_u, periodic_u):
+        r = data.draw(st.integers(0, min(n_s, n_u) - 1))
+        bits = data.draw(st.lists(st.booleans(), min_size=n_s * n_u,
+                                  max_size=n_s * n_u))
+        mask = np.array(bits).reshape(n_s, n_u)
+        problem = single_mask_problem(mask, r, periodic_u)
+        assert np.array_equal(problem.thickened("X0"),
+                              manhattan_ball(mask, r, periodic_u))
+
+    @pytest.mark.parametrize("r", [-1, 8, 20])
+    def test_radius_out_of_range_rejected(self, r):
+        mask = np.zeros((8, 10), dtype=bool)
+        with pytest.raises(ValueError, match="thicken_radius"):
+            single_mask_problem(mask, r, True)
+        with pytest.raises(ValueError, match="thicken_radius"):
+            prototype_problem(8, thicken_radius=r)
+
+
 class TestPrototype:
     def test_masks_touch_the_four_sides(self):
         problem = prototype_problem(64)

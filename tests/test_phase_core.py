@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from tetralab.phase_core import (EvaluationError, HamiltonianSpec,
-                                 PhaseChart, autonomize, constant_hamiltonian,
-                                 extended_chart, join_extended,
+                                 PhaseChart, constant_hamiltonian,
                                  omega_matrix, poisson_bracket, sgrad,
-                                 split_extended, volume_factor)
+                                 volume_factor)
 
 from conftest import (check_gradient, fd_bracket_spec, fd_gradient,
                       polynomial_hamiltonian)
@@ -199,70 +198,6 @@ class TestPoissonBracket:
             PLANE2, (rng.standard_normal((4, 4)), rng.standard_normal(4))
         )
         check_gradient(F, rng.standard_normal((5, 4)))
-
-
-class TestExtendedChart:
-    def test_round_trip(self):
-        chart = PhaseChart(dim_pairs=2)
-        ext = extended_chart(chart)
-        assert ext.dim_pairs == 3
-        assert ext.periodic == (False, False, True)
-        coords = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 0.25])
-        base, r, theta = split_extended(coords, chart)
-        assert np.allclose(base, [1.0, 2.0, 4.0, 5.0])
-        assert r == 3.0 and theta == 0.25
-        assert np.allclose(join_extended(base, r, theta, chart), coords)
-
-    def test_labels_carry_over(self):
-        chart = PhaseChart(dim_pairs=1, labels=("s", "u"))
-        assert extended_chart(chart).labels == ("s", "r", "u", "theta")
-
-
-class TestAutonomize:
-    @staticmethod
-    def driven():
-        return HamiltonianSpec(
-            chart=PLANE,
-            value=lambda x, t: 0.5 * x[0] ** 2
-            + math.sin(2 * math.pi * t) * x[1],
-            gradient=lambda x, t: np.array(
-                [x[0], math.sin(2 * math.pi * t)]
-            ),
-            autonomous=False,
-        )
-
-    def test_rejects_autonomous(self):
-        H = polynomial_hamiltonian(PLANE, (np.eye(2), [0, 0]))
-        with pytest.raises(ValueError):
-            autonomize(H)
-
-    def test_value_splits_into_base_plus_r(self):
-        G = self.driven()
-        A = autonomize(G)
-        c = join_extended([0.5, 0.25], 2.0, 0.1, PLANE)
-        assert A(c) == pytest.approx(G([0.5, 0.25], 0.1) + 2.0)
-
-    def test_theta_advances_at_unit_rate(self):
-        from tetralab.dynamics import integrate
-
-        A = autonomize(self.driven())
-        c0 = join_extended([0.5, 0.25], 0.0, 0.0, PLANE)
-        traj = integrate(A, c0, 0.0, 0.5, tol=1e-12)
-        _, _, theta = split_extended(traj(0.5), PLANE)
-        assert theta == pytest.approx(0.5, abs=1e-10)
-
-    def test_projection_is_base_trajectory(self):
-        from tetralab.dynamics import integrate
-
-        G = self.driven()
-        A = autonomize(G)
-        x0 = np.array([0.5, 0.25])
-        base_traj = integrate(G, x0, 0.0, 1.0, tol=1e-12)
-        ext_traj = integrate(A, join_extended(x0, 0.0, 0.0, PLANE),
-                             0.0, 1.0, tol=1e-12)
-        for t in np.linspace(0.0, 1.0, 11):
-            base, _, _ = split_extended(ext_traj(t), PLANE)
-            assert np.allclose(base, base_traj(t), atol=1e-9)
 
 
 class TestVolumeFactor:
