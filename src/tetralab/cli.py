@@ -41,10 +41,7 @@ class UsageError(ValueError):
 # Strict config parsing
 # ---------------------------------------------------------------------------
 
-_PERTURBATION_SCHEMA = {
-    "delta_target": float, "tube_radius": float,
-    "away_factor": float, "time_periodic": bool,
-}
+_PERTURBATION_SCHEMA = {"delta_target": float, "away_factor": float}
 
 _SCENARIO_SCHEMA = {
     "scenario": str, "k": int, "R0": float, "R1": float, "T": float,

@@ -117,6 +117,17 @@ class ContactModel:
     max_reeb_time = math.inf
     max_reeb_time_inclusive = False
 
+    def check_reeb_time(self, T):
+        """Raise ``ParameterError`` unless T satisfies (C2)."""
+        tmax = self.max_reeb_time
+        strict = not self.max_reeb_time_inclusive
+        if T <= 0.0 or (T >= tmax if strict else T > tmax):
+            cmp = "<" if strict else "<="
+            raise ParameterError(
+                f"Reeb time T={T} violates 0 < T {cmp} {tmax} "
+                f"for the {self.kind} model"
+            )
+
     # -- Sigma-level operations -------------------------------------------
     def constraint_residual(self, x):
         raise NotImplementedError
@@ -612,14 +623,7 @@ def build_tetragon(model: ContactModel, R0, R1, T) -> Tetragon:
     """
     if not (0.0 < R0 < R1):
         raise ParameterError(f"need 0 < R0 < R1, got R0={R0}, R1={R1}")
-    tmax = model.max_reeb_time
-    strict = not model.max_reeb_time_inclusive
-    if T <= 0.0 or (T >= tmax if strict else T > tmax):
-        cmp = "<" if strict else "<="
-        raise ParameterError(
-            f"Reeb time T={T} violates 0 < T {cmp} {tmax} "
-            f"for the {model.kind} model"
-        )
+    model.check_reeb_time(T)
 
     def horizontal(name, R):
         return Region(

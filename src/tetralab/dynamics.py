@@ -1,10 +1,11 @@
 """Trajectory integration, separation and floor-to-ceiling chord search.
 
-The chord search sweeps a deterministic seed grid on the start region
-(and start phases for time-periodic Hamiltonians).  All seeds x phases
-are integrated together by one vectorised DOP853 ensemble
-(``ensemble_sweep``) with event detection on the target region's
-enclosing hypersurface; hits are certified by a membership test.  The
+Every flow runs through one DOP853 stepper: ``integrate`` advances one
+point, ``ensemble_sweep`` many at once.  The chord search sweeps a
+deterministic seed grid on the start region (and start phases for
+time-periodic Hamiltonians), all seeds x phases in one ensemble with
+event detection on the target region's enclosing hypersurface; hits are
+certified by a membership test.  The
 earliest hit (else the closest miss) seeds one derivative-free pattern
 search that ranks any certified hit above any miss, an earlier hit above
 a later one and a closer miss above a farther one.  Each evaluation runs
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.integrate._ivp.rk import DOP853, MAX_FACTOR, MIN_FACTOR, SAFETY
 
 from .contact import Region
@@ -90,58 +90,250 @@ class Trajectory:
         return self.chart.wrap(self.dense(np.atleast_1d(ts)).T)
 
 
+# ---------------------------------------------------------------------------
+# DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.5-II.6), scipy's step
+# control.  Each helper takes one point, (dim,), or rows of points, (m, dim).
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+_ERR_EXP = -1.0 / (DOP853.error_estimator_order + 1)
+_N_STAGES = DOP853.n_stages + 1  # stages of a step, its end slope included
+_N_EXTENDED = _N_STAGES + len(DOP853.C_EXTRA)
+
+
+def _norm(x):
+    """Euclidean norm of one point (a BLAS dot, as in scipy) or each row."""
+    return np.linalg.norm(x) if x.ndim == 1 else np.linalg.norm(x, axis=-1)
+
+
+def _stage_sum(c, K):
+    """sum_j c[j] * K[j] over the stages K of one point, ``(s, dim)``, or
+    of rows, ``(s, m, dim)``; a 2-D ``c`` gives one sum per row of ``c``.
+    One point sums by BLAS, rounding as scipy does.  Rows sum term by term
+    in stage order (numpy keeps it given two numbers per stage), so that,
+    unlike with BLAS, a row does not depend on which rows share a batch."""
+    if K.ndim == 2:
+        return np.dot(c, K) if c.ndim == 2 else np.dot(K.T, c)
+    if c.ndim == 2:
+        return np.stack([_stage_sum(row, K) for row in c])
+    flat = K.reshape(len(c), -1)
+    return (c[:, None] * flat).sum(axis=0).reshape(K.shape[1:])
+
+
+def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
+    """scipy's ``select_initial_step``, for one point or every row."""
+    span, root_n = t_end - t0, y0.shape[-1] ** 0.5
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _norm(y0 / scale) / root_n, _norm(f0 / scale) / root_n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6,
+                                 0.01 * d0 / d1), span)
+        f1 = rhs(t0 + h0, y0 + np.expand_dims(h0, -1) * f0)
+        d2 = _norm((f1 - f0) / scale) / root_n / h0
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                      np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.maximum(d1, d2)) ** (-_ERR_EXP))
+    return np.minimum(np.minimum(100 * h0, h1), span)
+
+
+def _next_step(t, h_abs, fresh, t_end):
+    """``(t_new, h, failed)`` of the next trial from t, ending by t_end.
+    A step's first trial (``fresh``) is raised to 10 ulps of t; a retrial
+    below that is a step underflow (``failed``)."""
+    min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+    h_abs = np.where(fresh & (h_abs < min_step), min_step, h_abs)
+    t_new = np.minimum(t + h_abs, t_end)
+    return t_new, t_new - t, h_abs < min_step
+
+
+def _trial(rhs, t, y, f, h, K, rtol, atol):
+    """One DOP853 trial step of size h from (t, y), f = rhs(t, y): the new
+    state, its slope and the error norm (HNW II.5; scipy's ``rk_step`` and
+    ``_estimate_error_norm``).  Fills the stages K, ``(13,) + y.shape``."""
+    hc = np.expand_dims(h, -1)
+    K[0] = f
+    for s, (a, c) in enumerate(zip(DOP853.A[1:], DOP853.C[1:]), start=1):
+        K[s] = rhs(t + c * h, y + _stage_sum(a[:s], K[:s]) * hc)
+    y_new = y + hc * _stage_sum(DOP853.B, K[:-1])
+    f_new = rhs(t + h, y_new)
+    K[-1] = f_new
+    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+    e5 = _norm(_stage_sum(DOP853.E5, K) / scale) ** 2
+    e3 = _norm(_stage_sum(DOP853.E3, K) / scale) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.where((e5 == 0) & (e3 == 0), 0.0,
+                       np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3)
+                                                * y.shape[-1]))
+    # a point's error is a scalar: a 0-d array's power rounds differently
+    return y_new, f_new, err[()]
+
+
+def _step_factor(err, fresh):
+    """Factor on |h| after a trial with error norm err: an accepted trial
+    (err < 1) grows by at most MAX_FACTOR, and not after a rejection in
+    the same step (``fresh`` false); a rejected one shrinks."""
+    with np.errstate(divide="ignore"):
+        p = SAFETY * err ** _ERR_EXP
+    grow = np.where(err == 0, MAX_FACTOR, np.minimum(MAX_FACTOR, p))
+    return np.where(err < 1, np.where(fresh, grow, np.minimum(1, grow)),
+                    np.fmax(MIN_FACTOR, p))
+
+
+def _dense_coeffs(rhs, t, h, y, y_new, K):
+    """Coefficients, ``(7,) + y.shape``, of the continuous extension of the
+    step of size h from (t, y) to y_new.  K, ``(16,) + y.shape``, holds
+    the step's 13 stages and receives the 3 extra ones."""
+    hc = np.expand_dims(h, -1)
+    for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA),
+                               start=_N_STAGES):
+        K[s] = rhs(t + c * h, y + _stage_sum(a[:s], K[:s]) * hc)
+    dy = y_new - y
+    return np.stack([dy, hc * K[0] - dy,
+                     2 * dy - hc * (K[_N_STAGES - 1] + K[0]),
+                     *(hc * _stage_sum(DOP853.D, K))])
+
+
+def _dense(F, y_old, x):
+    """The continuous extension with coefficients F at unit-step fractions
+    x.  A scalar x gives one point; an array x one row per entry, of one
+    step's F or of each row's own F, ``(7, m, dim)``."""
+    x = np.expand_dims(x, -1)
+    y = np.zeros(np.broadcast_shapes(x.shape, F.shape[1:]))
+    for i, f in enumerate(F[::-1]):
+        y += f
+        y *= x if i % 2 == 0 else 1 - x
+    return y + y_old
+
+
+def _event_root(value, lo, hi, g_lo, g_hi):
+    """A root in each bracket [lo, hi] of an event whose end values g_lo,
+    g_hi differ in sign or vanish; ``value(t, i)`` evaluates the event of
+    brackets i at times t.
+
+    Illinois regula falsi per bracket, to the 4-eps tolerance of scipy's
+    event solver; a secant point outside its bracket bisects instead, so
+    a jump is found as well as a zero.  The root is an end where the event
+    vanishes, else the end of the final bracket with the smaller |value|.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    fa, fb = np.array(g_lo, dtype=float), np.array(g_hi, dtype=float)
+    hi = np.where(fa == 0, lo, hi)
+    lo = np.where(fb == 0, hi, lo)
+    side = np.zeros(lo.shape)  # end moved last: -1 lo, 1 hi
+    for _ in range(100):
+        i = np.flatnonzero(hi - lo >= 4 * _EPS * (1.0 + np.abs(lo)))
+        if not i.size:
+            break
+        a, b, ya, yb = lo[i], hi[i], fa[i], fb[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = b - yb * (b - a) / (yb - ya)
+        c = np.where((a < c) & (c < b), c, a + 0.5 * (b - a))
+        fc = value(c, i)
+        left = np.sign(fc) != np.sign(ya)  # the root is in [a, c]
+        # Illinois: an end kept twice in a row has its value halved
+        fa[i] = np.where(left, np.where(side[i] == 1, 0.5 * ya, ya), fc)
+        fb[i] = np.where(left, fc, np.where(side[i] == -1, 0.5 * yb, yb))
+        lo[i] = np.where(left & (fc != 0), a, c)
+        hi[i] = np.where(left, c, b)
+        side[i] = np.where(left, 1, -1)
+    return np.where(np.abs(fb) < np.abs(fa), hi, lo)
+
+
 def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
               escape_norm=100.0, events=None) -> Trajectory:
     """Adaptive dense-output integration of the Hamiltonian flow of H.
 
-    Periodic coordinates are integrated unwrapped and reduced on output;
-    the right-hand side wraps before evaluating the gradient so the
-    dynamics itself never sees drifted angles.
+    DOP853 at rtol ``tol`` and atol ``tol / 100`` with the stepper of
+    ``ensemble_sweep``; one point takes scipy's DOP853 steps, rounded
+    alike.  ``event_times`` lists the roots of the caller's events; one
+    with ``terminal = True`` ends the trajectory at its first root.
+    Leaving the ``escape_norm`` ball raises ``EscapeError``, a step
+    underflow ``StiffnessError``.  A step's dense coefficients are built
+    when first read.  Periodic coordinates are integrated unwrapped and
+    reduced on output; the right-hand side wraps before evaluating the
+    gradient so the dynamics itself never sees drifted angles.
     """
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    chart = H.chart
+    chart, rtol, atol = H.chart, tol, tol * 1e-2
 
     def rhs(t, y):
         return sgrad(H, y, t)  # H.grad reduces periodic coordinates
 
-    ev_list = []
+    # event 0 is the escape ball; the caller's events see wrapped states
+    events = list(events or ())
+    funcs = [lambda y: escape_norm - float(np.linalg.norm(y))]
+    funcs += [lambda y, g=g: g(chart.wrap(y)) for g in events]
+    terminal = np.array([True] + [getattr(g, "terminal", False)
+                                  for g in events])
 
-    def escape(t, y):
-        return escape_norm - float(np.linalg.norm(y))
+    t, t1 = float(t0), float(t1)
+    y = np.asarray(chart.wrap(x0), dtype=float)
+    f = rhs(t, y)
+    h_abs = _initial_step(rhs, t, y, f, t1, rtol, atol)
+    g = np.array([fn(y) for fn in funcs])
+    times, states, roots = [t], [y], [[] for _ in funcs]
+    steps = []  # [t, h, y, y_new, K, dense coefficients or None]
 
-    escape.terminal = True
-    ev_list.append(escape)
-    user_events = []
-    if events:
-        for g in events:
-            def wrapped(t, y, g=g):
-                return g(chart.wrap(y))
+    def at(k, tq):  # dense output of step k
+        step = steps[k]
+        if step[5] is None:
+            step[5] = _dense_coeffs(rhs, *step[:5])
+        return _dense(step[5], step[2], (tq - step[0]) / step[1])
 
-            wrapped.terminal = getattr(g, "terminal", False)
-            user_events.append(wrapped)
-    ev_list.extend(user_events)
+    stop = False
+    while not stop:
+        K, err, fresh = np.empty((_N_EXTENDED, y.size)), 1.0, True
+        while not err < 1:
+            t_new, h, failed = _next_step(t, h_abs, fresh, t1)
+            if failed:
+                raise StiffnessError(
+                    f"integrator failed: step size underflow at t={t}")
+            y_new, f_new, err = _trial(rhs, t, y, f, h, K[:_N_STAGES],
+                                       rtol, atol)
+            h_abs, fresh = np.abs(h) * _step_factor(err, fresh), False
+        k = len(steps)
+        steps.append([t, h, y, y_new, K, None])
+        g_old, g = g, np.array([fn(y_new) for fn in funcs])
+        t, y, f = t_new, y_new, f_new
+        stop = t >= t1
+        act = np.flatnonzero(((g_old <= 0) & (g >= 0))
+                             | ((g_old >= 0) & (g <= 0)))
+        if act.size:
+            r = _event_root(
+                lambda tc, i: np.array([funcs[act[j]](at(k, tj))
+                                        for j, tj in zip(i, tc)]),
+                np.full(act.size, steps[k][0]), np.full(act.size, t),
+                g_old[act], g[act])
+            if terminal[act].any():  # keep the roots up to the first stop
+                order = np.argsort(r)
+                n = np.argmax(terminal[act[order]]) + 1
+                act, r = act[order[:n]], r[order[:n]]
+                t, y, stop = r[-1], at(k, r[-1]), True
+            for e, root in zip(act, r):
+                roots[e].append(float(root))
+        times.append(t)
+        states.append(y)
+    if roots[0]:
+        raise EscapeError(f"trajectory norm exceeded {escape_norm}",
+                          roots[0][0], chart.wrap(y))
+    ts = np.array(times)
 
-    x0 = np.asarray(chart.wrap(x0), dtype=float)
-    sol = solve_ivp(rhs, (t0, t1), x0, method="DOP853", rtol=tol,
-                    atol=tol * 1e-2, dense_output=True, events=ev_list)
-    if sol.status == -1:
-        raise StiffnessError(f"integrator failed: {sol.message}")
-    if sol.status == 1 and len(sol.t_events[0]) > 0:
-        raise EscapeError(
-            f"trajectory norm exceeded {escape_norm}",
-            sol.t_events[0][0], chart.wrap(sol.y[:, -1]),
-        )
-    ev_times = tuple(
-        float(t) for te in sol.t_events[1:] for t in te
-    )
-    states = chart.wrap(sol.y.T)
+    def dense(tq):
+        """As scipy's ``OdeSolution``: a step boundary reads the earlier."""
+        tq = np.asarray(tq)
+        seg = np.clip(np.searchsorted(ts, tq) - 1, 0, len(steps) - 1)
+        if tq.ndim == 0:
+            return at(seg, tq)
+        out = np.empty((tq.size, y.size))
+        for k in np.unique(seg):
+            out[seg == k] = at(k, tq[seg == k])
+        return out.T
+
     return Trajectory(
-        chart=chart,
-        times=np.asarray(sol.t, dtype=float),
-        states=states,
-        event_times=tuple(sorted(ev_times)),
-        dense=sol.sol,
+        chart=chart, times=ts, states=chart.wrap(np.array(states)),
+        event_times=tuple(sorted(t for rs in roots[1:] for t in rs)),
+        dense=dense,
     )
 
 
@@ -149,16 +341,14 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
 # Ensemble integration
 # ---------------------------------------------------------------------------
 
-_EPS = np.finfo(float).eps
-_ERR_EXP = -1.0 / (DOP853.error_estimator_order + 1)
 # target-distance samples per chord window, shared by the sweep and the
 # refinement so that both measure a miss at the same times
 MISS_SAMPLES = 64
 # once a hit at t* is certified, refinement and certification integrate
 # only to t* + INCUMBENT_MARGIN * budget; the margin covers the hit-time
 # shift a shorter span causes (at most 5.4e-10 on the scenario fixtures at
-# ode_tol 1e-9, over 1000x below the margin) and the 1e-9 by which the
-# sweep's hit times agree with integrate's
+# ode_tol 1e-9, over 1000x below the margin) and the gap between the
+# sweep's hit times and integrate's (at most 3.4e-10 on the test sweeps)
 INCUMBENT_MARGIN = 1e-6
 # pattern_search stops after a poll that does not improve and whose every
 # value lies within FLAT_ULPS ulps of the incumbent's.  On the wall-witness
@@ -168,51 +358,6 @@ INCUMBENT_MARGIN = 1e-6
 # values trim a few chord evaluations more (default scenarios: 237 at 32,
 # 221 at 64, 201 at 1024) for a looser stop.
 FLAT_ULPS = 64
-
-
-def _rms(x):
-    """Row-wise RMS norm, as scipy's ``norm`` on each row."""
-    return np.sqrt(np.sum(x * x, axis=-1)) / x.shape[-1] ** 0.5
-
-
-def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
-    """scipy's ``select_initial_step`` for every row at once."""
-    span = t_end - t0
-    scale = atol + np.abs(y0) * rtol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-        h0 = np.minimum(h0, span)
-        f1 = rhs(t0 + h0, y0 + h0[:, None] * f0)
-        d2 = _rms((f1 - f0) / scale) / h0
-        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
-                      np.maximum(1e-6, h0 * 1e-3),
-                      (0.01 / np.maximum(d1, d2)) ** (-_ERR_EXP))
-    return np.minimum(np.minimum(100 * h0, h1), span)
-
-
-def _combine(coeffs, K):
-    """sum_j coeffs[j] * K[j], term by term.
-
-    Elementwise products and sums round the same way whatever the array
-    length, so a member's trajectory does not depend on which members
-    share its batch (a BLAS dot product does not promise that).
-    """
-    out = np.zeros_like(K[0])
-    for c, k in zip(coeffs, K):
-        if c:
-            out = out + c * k
-    return out
-
-
-def _dense(F, y_old, x):
-    """DOP853 continuous extension (7 terms) at unit-step fractions x."""
-    y = np.zeros_like(y_old)
-    x = x[:, None]
-    for i, f in enumerate(F[::-1]):
-        y += f
-        y *= x if i % 2 == 0 else 1 - x
-    return y + y_old
 
 
 @dataclass(frozen=True)
@@ -236,19 +381,20 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
                    member_tol=1e-6) -> SweepResult:
     """Integrate every start point from its phase over the budget at once.
 
-    Each member follows scipy's DOP853 exactly as ``integrate`` would
-    (initial step, error norm, step factors, step underflow counted as
-    stiff) but all members advance together as ``(N, 2n)`` arrays.  After
-    every accepted step, sign changes of the target event are bisected on
-    the dense interpolant; the first root with ``t - phase > 1e-12``
-    whose point lies in X1 ends the member as a hit.  A member whose state
-    norm reaches ``escape_norm`` before a hit is lost as escaped.  Target
-    distances are sampled at ``linspace(phase, phase + time_budget,
-    MISS_SAMPLES)`` until some hit exists; from then on sampling stops and
-    members that can no longer arrive before the best hit are dropped
-    (their ``hit`` stays nan).  The stepper treats every member alike (see
-    ``_combine``), so a member's outcome does not depend on the rest of
-    the batch, except for being dropped, as long as G's callbacks do not.
+    Each member takes the DOP853 steps of ``integrate`` (same initial
+    step, error norm and step factors, step underflow counted as stiff),
+    but all members advance together as ``(N, 2n)`` arrays.  After every
+    accepted step, sign changes of the target event are solved on the
+    dense interpolant by ``_event_root``; the first root with ``t - phase
+    > 1e-12`` whose point lies in X1 ends the member as a hit.  A member
+    whose state norm reaches ``escape_norm`` before a hit is lost as
+    escaped.  Target distances are sampled at ``linspace(phase, phase +
+    time_budget, MISS_SAMPLES)`` until some hit exists; from then on
+    sampling stops and members that can no longer arrive before the best
+    hit are dropped (their ``hit`` stays nan).  Rows sum their stages
+    term by term (``_stage_sum``), so a member's outcome does not depend
+    on the rest of the batch, except for being dropped, as long as G's
+    callbacks do not; it matches ``integrate``'s to rounding.
     """
     chart = G.chart
     rtol, atol = tol, tol * 1e-2
@@ -282,41 +428,13 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
     fresh = np.ones(n_all, dtype=bool)
     next_sample = np.zeros(n_all, dtype=int)
     best = np.inf
-    K = np.empty((DOP853.n_stages + 1,) + y.shape)
 
     while idx.size:
-        m, dim = y.shape
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = np.where(fresh & (h_abs < min_step), min_step, h_abs)
-        failed = h_abs < min_step
-        t_new = np.minimum(t + h_abs, t_end)
-        h = t_new - t
-        h_abs = np.abs(h)
-
-        Kv = K[:, :m]
-        Kv[0] = f
-        for s_, (a, c) in enumerate(zip(DOP853.A[1:], DOP853.C[1:]),
-                                    start=1):
-            dy = _combine(a[:s_], Kv[:s_]) * h[:, None]
-            Kv[s_] = rhs(t + c * h, y + dy)
-        y_new = y + h[:, None] * _combine(DOP853.B, Kv[:-1])
-        f_new = rhs(t + h, y_new)
-        Kv[-1] = f_new
-
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        e5 = np.linalg.norm(_combine(DOP853.E5, Kv) / scale, axis=-1) ** 2
-        e3 = np.linalg.norm(_combine(DOP853.E3, Kv) / scale, axis=-1) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            err = np.where((e5 == 0) & (e3 == 0), 0.0,
-                           h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * dim))
-            grow = np.where(err == 0, MAX_FACTOR,
-                            np.minimum(MAX_FACTOR, SAFETY * err ** _ERR_EXP))
-            shrink = np.maximum(MIN_FACTOR, SAFETY * err ** _ERR_EXP)
-        accept = (err < 1) & ~failed
-        h_abs = h_abs * np.where(accept, np.where(fresh, grow,
-                                                  np.minimum(1, grow)),
-                                 shrink)
-        fresh = accept
+        t_new, h, failed = _next_step(t, h_abs, fresh, t_end)
+        K = np.empty((_N_STAGES,) + y.shape)
+        y_new, f_new, err = _trial(rhs, t, y, f, h, K, rtol, atol)
+        h_abs = np.abs(h) * _step_factor(err, fresh)
+        fresh = accept = (err < 1) & ~failed
         done = failed.copy()
         stiff[idx[failed]] = True
 
@@ -341,30 +459,21 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
             need = np.flatnonzero(cross | due)
             if need.size:
                 # dense output of the step for the members that need it
-                Kx = np.empty((len(DOP853.C_EXTRA) + DOP853.n_stages + 1,
-                               need.size, dim))
-                Kx[:DOP853.n_stages + 1] = Kv[:, acc[need]]
+                Kx = np.empty((_N_EXTENDED, need.size, y.shape[1]))
+                Kx[:_N_STAGES] = K[:, acc[need]]
                 hn = h_a[need]
-                for s_, (a, c) in enumerate(
-                        zip(DOP853.A_EXTRA, DOP853.C_EXTRA),
-                        start=DOP853.n_stages + 1):
-                    dy = _combine(a[:s_], Kx[:s_]) * hn[:, None]
-                    Kx[s_] = rhs(ta[need] + c * hn, ya[need] + dy)
-                dyn = yn[need] - ya[need]
-                hc = hn[:, None]
-                F = np.empty((7, need.size, dim))
-                F[0] = dyn
-                F[1] = hc * Kx[0] - dyn
-                F[2] = 2 * dyn - hc * (Kx[DOP853.n_stages] + Kx[0])
-                F[3:] = hc * np.array([_combine(d, Kx) for d in DOP853.D])
+                F = _dense_coeffs(rhs, ta[need], hn, ya[need], yn[need], Kx)
                 pos = np.full(acc.size, -1)
                 pos[need] = np.arange(need.size)
 
                 rc = np.flatnonzero(cross)
                 if rc.size:
                     j = pos[rc]
-                    root = _bisect_event(event, F[:, j], ya[rc], ta[rc],
-                                         hn[j], ga[rc])
+                    root = _event_root(
+                        lambda tc, i: event(_dense(
+                            F[:, j[i]], ya[rc[i]],
+                            (tc - ta[rc[i]]) / hn[j[i]])),
+                        ta[rc], t_new[acc[rc]], ga[rc], g_new[rc])
                     y_root = _dense(F[:, j], ya[rc], (root - ta[rc]) / hn[j])
                     ok = ((root - t0[acc[rc]] > 1e-12)
                           & (np.linalg.norm(y_root, axis=-1) < escape_norm))
@@ -409,26 +518,6 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
                 a[keep] for a in (h_abs, g, g_esc, fresh, next_sample))
     dist[escaped | stiff] = np.inf
     return SweepResult(hit=hit, distance=dist, escaped=escaped, stiff=stiff)
-
-
-def _bisect_event(event, F, y_old, t_old, h, g_old):
-    """Roots of the event along each member's step, by bisection on the
-    dense interpolant to the 4-eps tolerance of scipy's event solver."""
-    lo, hi = t_old.copy(), t_old + h
-    g_lo = g_old.copy()
-    for _ in range(80):
-        mid = lo + 0.5 * (hi - lo)
-        open_ = (hi - lo) > 4 * _EPS * (1.0 + np.abs(mid))
-        if not open_.any():
-            break
-        g_mid = event(_dense(F, y_old, (mid - t_old) / h))
-        left = np.sign(g_mid) != np.sign(g_lo)
-        left |= g_mid == 0
-        hi = np.where(open_ & left, mid, hi)
-        lo = np.where(open_ & ~left, mid, lo)
-        g_lo = np.where(open_ & ~left, g_mid, g_lo)
-    return np.where(g_old == 0, t_old, lo + 0.5 * (hi - lo))
-
 
 # ---------------------------------------------------------------------------
 # Derivative-free local refinement

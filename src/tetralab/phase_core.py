@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 
 class EvaluationError(ValueError):
@@ -164,6 +163,8 @@ def poisson_bracket(F: HamiltonianSpec, G: HamiltonianSpec, x, t=0.0):
 
 def _pfaffian(a):
     """Pfaffian of a real antisymmetric matrix via the real Schur form."""
+    import scipy.linalg  # here, so that importing the package skips it
+
     a = np.asarray(a, dtype=float)
     m = a.shape[0]
     if m % 2:

@@ -36,16 +36,14 @@ class PerturbationSpec:
     """Wall-localized perturbation with a large-amplitude far bump.
 
     ``delta_target`` is the requested separation increment
-    |Delta(F; low wall, high wall)|; the amplitude is calibrated by
-    bisection.  ``away_factor`` scales the far bump relative to the wall
+    |Delta(F; low wall, high wall)|; ``calibrate_perturbation`` sets the
+    amplitude.  ``away_factor`` scales the far bump relative to the wall
     bump; it sits away from both walls and from the chord corridor, so
     it may be large without destroying chords.
     """
 
     delta_target: float = 0.25
-    tube_radius: float = 0.15
     away_factor: float = 10.0
-    time_periodic: bool = True
 
 
 @dataclass(frozen=True)
@@ -234,8 +232,7 @@ def add_hamiltonians(G: HamiltonianSpec, F: HamiltonianSpec,
 
 
 def wall_perturbation(amplitude, R0=1.0, R1=2.0, away_factor=10.0,
-                      tube_radius=0.15, time_periodic=True
-                      ) -> HamiltonianSpec:
+                      time_periodic=True) -> HamiltonianSpec:
     """Planar (k=1) perturbation F = -A on the high wall, vanishing on
     the low wall, plus an away_factor*A bump supported near the
     anti-diagonal ring — far from both walls and from the floor-to-
@@ -243,12 +240,13 @@ def wall_perturbation(amplitude, R0=1.0, R1=2.0, away_factor=10.0,
 
     The gradient evaluates its four plateaus in one ``PlateauStack``
     pass.  Each gradient term carries a factor of the near-wall tube
-    (|q| < tube_radius) or of the anti-diagonal band (|p + q| < 0.2), and
+    (|q| < 0.15) or of the anti-diagonal band (|p + q| < 0.2), and
     both vanish with their slopes where their falling argument
     ``(y - hi)/roll`` reaches 1.  A point or stack with no row inside
     either gets an exact zero gradient without evaluating the rest,
     which is where the chord search's single-point calls all fall."""
     chart = PhaseChart(dim_pairs=1)
+    tube_radius = 0.15
     ring = Plateau(lo=R0, hi=R1, roll=0.2)
     nearq = Plateau(lo=0.0, hi=(tube_radius / 3.0) ** 2,
                     roll=tube_radius ** 2 - (tube_radius / 3.0) ** 2)
@@ -297,40 +295,25 @@ def wall_perturbation(amplitude, R0=1.0, R1=2.0, away_factor=10.0,
 
 
 def calibrate_perturbation(tet, spec: PerturbationSpec):
-    """Bisect the amplitude until |Delta(F; low, high)| is within 0.005 of
-    the target, for at most 40 steps.  Returns F, its measured
-    |Delta|, the amplitude and the number of separations measured."""
-    target = spec.delta_target
-    steps = 0
-
+    """Scale the wall perturbation so that |Delta(F; low, high)| is the
+    target.  Every term of F is proportional to its amplitude, so
+    Delta(F_A) = A Delta(F_1): one separation at A = 1 fixes A, and a
+    second measures the |Delta| of F_A that the budget uses.  Returns F,
+    its measured |Delta|, the amplitude and the number of separations
+    measured (2)."""
     def measured(a):
-        nonlocal steps
-        steps += 1
         F = wall_perturbation(a, R0=tet.R0, R1=tet.R1,
-                              away_factor=spec.away_factor,
-                              tube_radius=spec.tube_radius,
-                              time_periodic=spec.time_periodic)
+                              away_factor=spec.away_factor)
         return abs(separation(F, tet.low_wall, tet.high_wall,
                               n_samples=64).delta), F
 
-    lo, hi = 0.0, max(2.0 * target, 0.1)
-    d_hi, F = measured(hi)
-    it = 0
-    while d_hi < target and it < 10:
-        hi *= 2.0
-        d_hi, F = measured(hi)
-        it += 1
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        d_mid, F_mid = measured(mid)
-        if abs(d_mid - target) <= 0.005:
-            return F_mid, d_mid, mid, steps
-        if d_mid < target:
-            lo = mid
-        else:
-            hi = mid
-    d_mid, F_mid = measured(0.5 * (lo + hi))
-    return F_mid, d_mid, 0.5 * (lo + hi), steps
+    unit, _ = measured(1.0)
+    if unit == 0.0:
+        raise ConfigError("the wall perturbation leaves the separation "
+                          "unchanged; no amplitude reaches the target")
+    amp = spec.delta_target / unit
+    delta, F = measured(amp)
+    return F, delta, amp, 2
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +432,8 @@ def _check_shell_max(G: HamiltonianSpec, cfg: ScenarioConfig):
 
 def run_reeb_chord(cfg: ScenarioConfig) -> ScenarioReport:
     """Chords of the conformally rescaled Reeb flow (speed f along Reeb
-    lines) from L to psi_T(L); time is bounded by T / min f over the
-    swept arcs.
+    lines) from L to psi_T(L), for T in the model's (C2) range; time is
+    bounded by T / min f over the swept arcs.
 
     The Reeb angle obeys theta' = speed * f(theta), the flow of
     H(s, theta) = speed * s * f(theta) on a plane chart: theta' = dH/ds
@@ -460,16 +443,17 @@ def run_reeb_chord(cfg: ScenarioConfig) -> ScenarioReport:
     base, amp = cfg.reeb_factor_base, cfg.reeb_factor_amp
     if cfg.reeb_model == "sphere":
         T = cfg.T if cfg.T is not None else math.pi / 4.0
-        starts = [0.0, math.pi]
+        model, starts = SphereModel(1), [0.0, math.pi]
         span = 2.0 * T
         speed, omega = 2.0, 1.0
     elif cfg.reeb_model == "circle":
         T = cfg.T if cfg.T is not None else 0.25
-        starts = [0.0]
+        model, starts = CircleModel(), [0.0]
         span = T
         speed, omega = 1.0, 2 * math.pi
     else:
         raise ConfigError(f"unknown reeb model {cfg.reeb_model!r}")
+    model.check_reeb_time(T)
 
     def f(theta):
         return base + amp * np.sin(omega * theta)

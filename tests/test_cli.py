@@ -63,6 +63,10 @@ class TestScenarioCommand:
                                       "n_seeds": "many"})
         assert main(["scenario", "run", cfg]) == 1
 
+    def test_reeb_time_outside_c2_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, {"scenario": "reeb_chord", "T": 0.0})
+        assert main(["scenario", "run", cfg]) == 1
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -131,6 +131,72 @@ class TestIntegrate:
         assert np.linalg.det(jac) == pytest.approx(1.0, abs=1e-5)
 
 
+    def test_terminal_event_ends_at_its_root(self):
+        """q = sin t: the terminal event q = 0.5 ends the curve at pi/6,
+        after the root of q = 0.3 and before that of q = 0.6."""
+        def stop(c):
+            return c[1] - 0.5
+
+        stop.terminal = True
+        traj = integrate(harmonic(), [1.0, 0.0], 0.0, 7.0, tol=1e-12,
+                         events=[lambda c: c[1] - 0.3, stop,
+                                 lambda c: c[1] - 0.6])
+        assert traj.event_times[-1] == traj.t1
+        assert np.allclose(traj.event_times, [math.asin(0.3), math.pi / 6],
+                           atol=1e-12)
+        assert np.array_equal(traj.states[-1], traj(traj.t1))
+
+    def test_event_zero_at_start_reports_start(self):
+        traj = integrate(harmonic(), [1.0, 0.0], 0.25, 1.0,
+                         events=[lambda c: c[1]])
+        assert traj.event_times[0] == 0.25
+
+    def test_singular_time_dependence_is_stiff(self):
+        """H = p / (1 - t): q' = 1 / (1 - t) blows up at t = 1."""
+        H = HamiltonianSpec(
+            chart=PLANE, value=lambda x, t: x[0] / (1.0 - t),
+            gradient=lambda x, t: np.array([1.0 / (1.0 - t), 0.0]),
+            autonomous=False)
+        with pytest.raises(StiffnessError):
+            integrate(H, [0.0, 0.0], 0.0, 2.0)
+
+
+class TestStepper:
+    """The DOP853 helpers shared by ``integrate`` and the sweep."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.integers(1, 16), m=st.integers(1, 70),
+           dim=st.sampled_from([2, 4, 6]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_stage_sum_rows_are_batch_independent(self, s, m, dim, seed):
+        """Phase-space rows: numpy sums a single column pairwise."""
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(s) * (rng.random(s) < 0.8)
+        K = rng.standard_normal((s, m, dim)) * 10.0 ** rng.integers(
+            -6, 7, (s, 1, 1))
+        rows = dynamics._stage_sum(c, K)
+        for j in range(m):
+            term = c[0] * K[0, j]
+            for cj, kj in zip(c[1:], K[1:, j]):
+                term = term + cj * kj
+            assert np.array_equal(rows[j], term)
+            assert np.array_equal(rows[j],
+                                  dynamics._stage_sum(c, K[:, j:j + 1])[0])
+        assert np.array_equal(dynamics._stage_sum(c, K[:, 0]),
+                              np.dot(K[:, 0].T, c))
+
+    def test_event_root_finds_a_jump(self):
+        """The circle's wall event jumps from 0.5 to -0.5 at u = 0.5; the
+        root lies within scipy's 4-eps tolerance, 4 eps (1 + |u|)."""
+        model = CircleModel()
+
+        def value(t, i=None):
+            return model.wall_event(np.stack([np.ones_like(t), t], -1), 0.0)
+
+        lo, hi = np.array([0.3, 0.45, 0.1]), np.array([0.7, 0.9, 0.5000001])
+        root = dynamics._event_root(value, lo, hi, value(lo), value(hi))
+        assert np.all(np.abs(root - 0.5) <= 4 * EPS * 1.5)
+
+
 class TestDeterministicMap:
     def test_preserves_order(self):
         items = list(range(40))

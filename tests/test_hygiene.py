@@ -26,8 +26,8 @@ SOURCES = sorted(p for d in ("src", "tests", "bench")
                  for p in (ROOT / d).rglob("*.py"))
 ENV_ALLOWED = {"TETRALAB_OUT"}
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
-SCIPY_ALLOWED = {"dynamics.py", "phase_core.py"}
-SOLVE_IVP_ALLOWED = {"dynamics.py"}
+SCIPY_ALLOWED = {"dynamics.py"}
+SOLVE_IVP_ALLOWED = set()
 
 
 def unused_imports(source):

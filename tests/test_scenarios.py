@@ -1,12 +1,14 @@
 """Scenario runners, perturbation calibration and config validation."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from tetralab.contact import SphereModel, build_tetragon
+from tetralab import scenarios
+from tetralab.contact import ParameterError, SphereModel, build_tetragon
 from tetralab.dynamics import find_chord, separation
 from tetralab.phase_core import constant_hamiltonian
 from tetralab.scenarios import (ConfigError, PerturbationSpec, Plateau,
@@ -132,7 +134,7 @@ class TestPerturbedUnstable:
         assert rep.passed
         assert abs(rep.delta_perturbation - 0.25) <= 0.01
         assert rep.details["away_factor"] == 10.0
-        # at most the initial bracket, 10 doublings and 41 bisections
+        # one separation sizes the amplitude, one measures the result
         assert 1 <= rep.describe()["calibration_steps"] <= 52
         assert rep.describe()["n_separation_evals"] > 0
 
@@ -150,6 +152,20 @@ class TestPerturbedUnstable:
             deltas.append(abs(separation(F, tet.low_wall, tet.high_wall,
                                          n_samples=64).delta))
         assert deltas[0] < deltas[1] < deltas[2]
+
+    def test_separation_is_linear_in_amplitude(self):
+        tet = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
+        ratios = [separation(wall_perturbation(a), tet.low_wall,
+                             tet.high_wall, n_samples=64).delta / a
+                  for a in (0.1, 0.25, 1.0)]
+        assert max(ratios) - min(ratios) <= 1e-15
+
+    def test_calibration_rejects_a_null_perturbation(self, monkeypatch):
+        tet = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
+        monkeypatch.setattr(scenarios, "separation",
+                            lambda *args, **kw: SimpleNamespace(delta=0.0))
+        with pytest.raises(ConfigError):
+            calibrate_perturbation(tet, PerturbationSpec())
 
     def test_calibration_hits_target(self):
         tet = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
@@ -211,6 +227,14 @@ class TestReebChord:
         rep = reeb_constant_run.value
         assert rep.passed
         assert abs(rep.time_length - (math.pi / 4) / 1.5) <= 1e-8
+
+    @pytest.mark.parametrize("model, T", [
+        ("sphere", 0.0), ("sphere", -0.5), ("sphere", 2.0),
+        ("circle", 1.0), ("circle", 3.0)])
+    def test_reeb_time_outside_c2_rejected(self, model, T):
+        with pytest.raises(ParameterError):
+            run_reeb_chord(ScenarioConfig(scenario="reeb_chord",
+                                          reeb_model=model, T=T))
 
     def test_circle_model_matches_quadrature(self):
         rep = run_reeb_chord(ScenarioConfig(scenario="reeb_chord",
