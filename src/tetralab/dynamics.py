@@ -1,7 +1,10 @@
 """Trajectory integration, separation and floor-to-ceiling chord search.
 
-Every flow runs through one DOP853 stepper: ``integrate`` advances one
-point, ``ensemble_sweep`` many at once.  The chord search sweeps a
+Every flow runs through one DOP853 stepper, whose tableau the package
+carries (``dop853``; importing the package loads no scipy):
+``integrate`` steps one point with its step control on Python floats,
+taking and rounding scipy's DOP853 steps exactly, and ``ensemble_sweep``
+steps rows of points as arrays.  The chord search sweeps a
 deterministic seed grid on the start region (and start phases for
 time-periodic Hamiltonians), all seeds x phases in one ensemble with
 event detection on the target region's enclosing hypersurface; hits are
@@ -30,9 +33,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate._ivp.rk import DOP853, MAX_FACTOR, MIN_FACTOR, SAFETY
 
 from .contact import Region
+from .dop853 import (A, B, C, D, E3, E5, ERROR_ESTIMATOR_ORDER, MAX_FACTOR,
+                     MIN_FACTOR, N_STAGES, N_STAGES_EXTENDED, SAFETY)
 from .phase_core import HamiltonianSpec, sgrad
 
 
@@ -92,28 +96,26 @@ class Trajectory:
 
 # ---------------------------------------------------------------------------
 # DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.5-II.6), scipy's step
-# control.  Each helper takes one point, (dim,), or rows of points, (m, dim).
+# control.  ``integrate`` steps one point on floats with the ``_point_*``
+# helpers, rounding as scipy does; ``ensemble_sweep`` steps rows of points,
+# ``(m, dim)`` arrays, with the others.
 # ---------------------------------------------------------------------------
 
-_EPS = np.finfo(float).eps
-_ERR_EXP = -1.0 / (DOP853.error_estimator_order + 1)
-_N_STAGES = DOP853.n_stages + 1  # stages of a step, its end slope included
-_N_EXTENDED = _N_STAGES + len(DOP853.C_EXTRA)
-
-
-def _norm(x):
-    """Euclidean norm of one point (a BLAS dot, as in scipy) or each row."""
-    return np.linalg.norm(x) if x.ndim == 1 else np.linalg.norm(x, axis=-1)
+_EPS = float(np.finfo(float).eps)
+_ERR_EXP = -1.0 / (ERROR_ESTIMATOR_ORDER + 1)
+_N_STAGES = N_STAGES + 1  # stages of a step, its end slope included
+# (a, c) of each stage after the first: the rest of a step, then the extra
+# stages of its continuous extension
+_STAGES = [(A[s, :s], float(C[s])) for s in range(1, N_STAGES)]
+_EXTRA = [(A[s, :s], float(C[s]))
+          for s in range(_N_STAGES, N_STAGES_EXTENDED)]
 
 
 def _stage_sum(c, K):
-    """sum_j c[j] * K[j] over the stages K of one point, ``(s, dim)``, or
-    of rows, ``(s, m, dim)``; a 2-D ``c`` gives one sum per row of ``c``.
-    One point sums by BLAS, rounding as scipy does.  Rows sum term by term
-    in stage order (numpy keeps it given two numbers per stage), so that,
-    unlike with BLAS, a row does not depend on which rows share a batch."""
-    if K.ndim == 2:
-        return np.dot(c, K) if c.ndim == 2 else np.dot(K.T, c)
+    """sum_j c[j] * K[j] over the stages K of rows, ``(s, m, dim)``; a 2-D
+    ``c`` gives one sum per row of ``c``.  Terms add in stage order (numpy
+    keeps it given two numbers per stage), so that, unlike with BLAS, a
+    row does not depend on which rows share a batch."""
     if c.ndim == 2:
         return np.stack([_stage_sum(row, K) for row in c])
     flat = K.reshape(len(c), -1)
@@ -121,25 +123,42 @@ def _stage_sum(c, K):
 
 
 def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
-    """scipy's ``select_initial_step``, for one point or every row."""
+    """scipy's ``select_initial_step`` for every row."""
     span, root_n = t_end - t0, y0.shape[-1] ** 0.5
     scale = atol + np.abs(y0) * rtol
-    d0, d1 = _norm(y0 / scale) / root_n, _norm(f0 / scale) / root_n
+    d0 = np.linalg.norm(y0 / scale, axis=-1) / root_n
+    d1 = np.linalg.norm(f0 / scale, axis=-1) / root_n
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6,
                                  0.01 * d0 / d1), span)
-        f1 = rhs(t0 + h0, y0 + np.expand_dims(h0, -1) * f0)
-        d2 = _norm((f1 - f0) / scale) / root_n / h0
+        f1 = rhs(t0 + h0, y0 + h0[:, None] * f0)
+        d2 = np.linalg.norm((f1 - f0) / scale, axis=-1) / root_n / h0
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                       np.maximum(1e-6, h0 * 1e-3),
                       (0.01 / np.maximum(d1, d2)) ** (-_ERR_EXP))
     return np.minimum(np.minimum(100 * h0, h1), span)
 
 
+def _point_initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
+    """scipy's ``select_initial_step`` for one point."""
+    span, root_n = t_end - t0, y0.size ** 0.5
+    scale = atol + np.abs(y0) * rtol
+    d0 = np.linalg.norm(y0 / scale) / root_n
+    d1 = np.linalg.norm(f0 / scale) / root_n
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    f1 = rhs(t0 + h0, y0 + h0 * f0)
+    d2 = np.linalg.norm((f1 - f0) / scale) / root_n / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (-_ERR_EXP)
+    return float(min(100 * h0, h1, span))
+
+
 def _next_step(t, h_abs, fresh, t_end):
-    """``(t_new, h, failed)`` of the next trial from t, ending by t_end.
-    A step's first trial (``fresh``) is raised to 10 ulps of t; a retrial
-    below that is a step underflow (``failed``)."""
+    """``(t_new, h, failed)`` of each row's next trial from t, ending by
+    t_end.  A step's first trial (``fresh``) is raised to 10 ulps of t; a
+    retrial below that is a step underflow (``failed``)."""
     min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
     h_abs = np.where(fresh & (h_abs < min_step), min_step, h_abs)
     t_new = np.minimum(t + h_abs, t_end)
@@ -147,31 +166,50 @@ def _next_step(t, h_abs, fresh, t_end):
 
 
 def _trial(rhs, t, y, f, h, K, rtol, atol):
-    """One DOP853 trial step of size h from (t, y), f = rhs(t, y): the new
-    state, its slope and the error norm (HNW II.5; scipy's ``rk_step`` and
-    ``_estimate_error_norm``).  Fills the stages K, ``(13,) + y.shape``."""
-    hc = np.expand_dims(h, -1)
+    """One DOP853 trial step of size h from (t, y), f = rhs(t, y), for
+    every row: the new states, their slopes and error norms (HNW II.5;
+    scipy's ``rk_step`` and ``_estimate_error_norm``).  Fills the stages
+    K, ``(13, m, dim)``."""
+    hc = h[:, None]
     K[0] = f
-    for s, (a, c) in enumerate(zip(DOP853.A[1:], DOP853.C[1:]), start=1):
-        K[s] = rhs(t + c * h, y + _stage_sum(a[:s], K[:s]) * hc)
-    y_new = y + hc * _stage_sum(DOP853.B, K[:-1])
+    for s, (a, c) in enumerate(_STAGES, start=1):
+        K[s] = rhs(t + c * h, y + _stage_sum(a, K[:s]) * hc)
+    y_new = y + hc * _stage_sum(B, K[:-1])
     f_new = rhs(t + h, y_new)
     K[-1] = f_new
     scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-    e5 = _norm(_stage_sum(DOP853.E5, K) / scale) ** 2
-    e3 = _norm(_stage_sum(DOP853.E3, K) / scale) ** 2
+    e5 = np.linalg.norm(_stage_sum(E5, K) / scale, axis=-1) ** 2
+    e3 = np.linalg.norm(_stage_sum(E3, K) / scale, axis=-1) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         err = np.where((e5 == 0) & (e3 == 0), 0.0,
                        np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3)
                                                 * y.shape[-1]))
-    # a point's error is a scalar: a 0-d array's power rounds differently
-    return y_new, f_new, err[()]
+    return y_new, f_new, err
+
+
+def _point_trial(rhs, t, y, f, h, K, rtol, atol):
+    """``_trial`` for one point, ``(dim,)``: stage sums by BLAS and the
+    error norm on floats, rounding as scipy does.  Fills K[:13]."""
+    K[0] = f
+    for s, (a, c) in enumerate(_STAGES, start=1):
+        K[s] = rhs(t + c * h, y + np.dot(K[:s].T, a) * h)
+    y_new = y + h * np.dot(K[:N_STAGES].T, B)
+    f_new = rhs(t + h, y_new)
+    K[N_STAGES] = f_new
+    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+    e5 = np.linalg.norm(np.dot(K[:_N_STAGES].T, E5) / scale) ** 2
+    e3 = np.linalg.norm(np.dot(K[:_N_STAGES].T, E3) / scale) ** 2
+    if e5 == 0 and e3 == 0:
+        return y_new, f_new, 0.0
+    return y_new, f_new, float(abs(h) * e5
+                               / math.sqrt((e5 + 0.01 * e3) * y.size))
 
 
 def _step_factor(err, fresh):
-    """Factor on |h| after a trial with error norm err: an accepted trial
-    (err < 1) grows by at most MAX_FACTOR, and not after a rejection in
-    the same step (``fresh`` false); a rejected one shrinks."""
+    """Factor on each row's |h| after a trial with error norm err: an
+    accepted trial (err < 1) grows by at most MAX_FACTOR, and not after a
+    rejection in the same step (``fresh`` false); a rejected one
+    shrinks."""
     with np.errstate(divide="ignore"):
         p = SAFETY * err ** _ERR_EXP
     grow = np.where(err == 0, MAX_FACTOR, np.minimum(MAX_FACTOR, p))
@@ -179,26 +217,54 @@ def _step_factor(err, fresh):
                     np.fmax(MIN_FACTOR, p))
 
 
+def _point_step_factor(err, fresh):
+    """``_step_factor`` for one point; a nan error shrinks, as with
+    ``np.fmax``."""
+    if err < 1:
+        grow = MAX_FACTOR if err == 0 else min(MAX_FACTOR,
+                                                SAFETY * err ** _ERR_EXP)
+        return grow if fresh else min(1, grow)
+    return max(MIN_FACTOR, SAFETY * err ** _ERR_EXP)
+
+
 def _dense_coeffs(rhs, t, h, y, y_new, K):
-    """Coefficients, ``(7,) + y.shape``, of the continuous extension of the
-    step of size h from (t, y) to y_new.  K, ``(16,) + y.shape``, holds
-    the step's 13 stages and receives the 3 extra ones."""
-    hc = np.expand_dims(h, -1)
-    for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA),
-                               start=_N_STAGES):
-        K[s] = rhs(t + c * h, y + _stage_sum(a[:s], K[:s]) * hc)
+    """Coefficients, ``(7, m, dim)``, of the continuous extension of each
+    row's step of size h from (t, y) to y_new.  K, ``(16, m, dim)``, holds
+    the steps' 13 stages and receives the 3 extra ones."""
+    hc = h[:, None]
+    for s, (a, c) in enumerate(_EXTRA, start=_N_STAGES):
+        K[s] = rhs(t + c * h, y + _stage_sum(a, K[:s]) * hc)
     dy = y_new - y
     return np.stack([dy, hc * K[0] - dy,
-                     2 * dy - hc * (K[_N_STAGES - 1] + K[0]),
-                     *(hc * _stage_sum(DOP853.D, K))])
+                     2 * dy - hc * (K[N_STAGES] + K[0]),
+                     *(hc * _stage_sum(D, K))])
+
+
+def _point_dense_coeffs(rhs, t, h, y, y_new, K):
+    """``_dense_coeffs`` for one point: K is ``(16, dim)``, the result
+    ``(7, dim)``, summed by BLAS as scipy does."""
+    for s, (a, c) in enumerate(_EXTRA, start=_N_STAGES):
+        K[s] = rhs(t + c * h, y + np.dot(K[:s].T, a) * h)
+    dy = y_new - y
+    return np.stack([dy, h * K[0] - dy, 2 * dy - h * (K[N_STAGES] + K[0]),
+                     *(h * np.dot(D, K))])
 
 
 def _dense(F, y_old, x):
-    """The continuous extension with coefficients F at unit-step fractions
-    x.  A scalar x gives one point; an array x one row per entry, of one
-    step's F or of each row's own F, ``(7, m, dim)``."""
-    x = np.expand_dims(x, -1)
-    y = np.zeros(np.broadcast_shapes(x.shape, F.shape[1:]))
+    """The continuous extension with coefficients F at the unit-step
+    fractions x, ``(m,)``: one row per entry, of one step's F, ``(7,
+    dim)``, or of each row's own F, ``(7, m, dim)``."""
+    x = x[:, None]
+    y = np.zeros((len(x), F.shape[-1]))
+    for i, f in enumerate(F[::-1]):
+        y += f
+        y *= x if i % 2 == 0 else 1 - x
+    return y + y_old
+
+
+def _point_dense(F, y_old, x):
+    """``_dense`` for one point at the float fraction x."""
+    y = np.zeros(F.shape[-1])
     for i, f in enumerate(F[::-1]):
         y += f
         y *= x if i % 2 == 0 else 1 - x
@@ -239,19 +305,49 @@ def _event_root(value, lo, hi, g_lo, g_hi):
     return np.where(np.abs(fb) < np.abs(fa), hi, lo)
 
 
+def _sign(v):
+    """np.sign on a float: -1, 0, 1, or nan for nan."""
+    return (v > 0) - (v < 0) if v == v else math.nan
+
+
+def _point_root(value, lo, hi, fa, fb):
+    """``_event_root`` for one bracket on floats, ``value(t)`` evaluating
+    the event at t as a float: the same iterations and the same root."""
+    lo, hi, fa, fb = float(lo), float(hi), float(fa), float(fb)
+    if fa == 0:
+        hi = lo
+    if fb == 0:
+        lo = hi
+    side = 0  # end moved last: -1 lo, 1 hi
+    for _ in range(100):
+        if not hi - lo >= 4 * _EPS * (1.0 + abs(lo)):
+            break
+        # a secant through equal values leaves the bracket: bisect
+        c = hi - fb * (hi - lo) / (fb - fa) if fb != fa else math.nan
+        if not lo < c < hi:
+            c = lo + 0.5 * (hi - lo)
+        fc = value(c)
+        if _sign(fc) != _sign(fa):  # the root is in [lo, c]
+            fa, fb = (0.5 * fa if side == 1 else fa), fc
+            lo, hi, side = (lo if fc != 0 else c), c, 1
+        else:
+            fa, fb = fc, (0.5 * fb if side == -1 else fb)
+            lo, side = c, -1
+    return hi if abs(fb) < abs(fa) else lo
+
 def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
               escape_norm=100.0, events=None) -> Trajectory:
     """Adaptive dense-output integration of the Hamiltonian flow of H.
 
-    DOP853 at rtol ``tol`` and atol ``tol / 100`` with the stepper of
-    ``ensemble_sweep``; one point takes scipy's DOP853 steps, rounded
-    alike.  ``event_times`` lists the roots of the caller's events; one
-    with ``terminal = True`` ends the trajectory at its first root.
-    Leaving the ``escape_norm`` ball raises ``EscapeError``, a step
-    underflow ``StiffnessError``.  A step's dense coefficients are built
-    when first read.  Periodic coordinates are integrated unwrapped and
-    reduced on output; the right-hand side wraps before evaluating the
-    gradient so the dynamics itself never sees drifted angles.
+    DOP853 at rtol ``tol`` and atol ``tol / 100``, stepping the point on
+    floats; it takes scipy's DOP853 steps, rounded alike.  ``event_times``
+    lists the roots of the caller's events; one with ``terminal = True``
+    ends the trajectory at its first root.  Leaving the ``escape_norm``
+    ball raises ``EscapeError``, a step underflow ``StiffnessError``.  A
+    step's dense coefficients are built when first read.  Periodic
+    coordinates are integrated unwrapped and reduced on output; the
+    right-hand side wraps before evaluating the gradient so the dynamics
+    itself never sees drifted angles.
     """
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -263,55 +359,59 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
     # event 0 is the escape ball; the caller's events see wrapped states
     events = list(events or ())
     funcs = [lambda y: escape_norm - float(np.linalg.norm(y))]
-    funcs += [lambda y, g=g: g(chart.wrap(y)) for g in events]
-    terminal = np.array([True] + [getattr(g, "terminal", False)
-                                  for g in events])
+    funcs += [lambda y, g=g: float(g(chart.wrap(y))) for g in events]
+    terminal = [True] + [getattr(g, "terminal", False) for g in events]
 
     t, t1 = float(t0), float(t1)
     y = np.asarray(chart.wrap(x0), dtype=float)
     f = rhs(t, y)
-    h_abs = _initial_step(rhs, t, y, f, t1, rtol, atol)
-    g = np.array([fn(y) for fn in funcs])
+    h_abs = _point_initial_step(rhs, t, y, f, t1, rtol, atol)
+    g = [fn(y) for fn in funcs]
     times, states, roots = [t], [y], [[] for _ in funcs]
     steps = []  # [t, h, y, y_new, K, dense coefficients or None]
 
-    def at(k, tq):  # dense output of step k
+    def coeffs(k):
         step = steps[k]
         if step[5] is None:
-            step[5] = _dense_coeffs(rhs, *step[:5])
-        return _dense(step[5], step[2], (tq - step[0]) / step[1])
+            step[5] = _point_dense_coeffs(rhs, *step[:5])
+        return step[5]
+
+    def at(k, tq):  # dense output of step k at the time tq
+        return _point_dense(coeffs(k), steps[k][2],
+                            (tq - steps[k][0]) / steps[k][1])
 
     stop = False
     while not stop:
-        K, err, fresh = np.empty((_N_EXTENDED, y.size)), 1.0, True
+        K, err, fresh = np.empty((N_STAGES_EXTENDED, y.size)), 1.0, True
         while not err < 1:
-            t_new, h, failed = _next_step(t, h_abs, fresh, t1)
-            if failed:
+            min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+            if fresh:
+                h_abs = max(h_abs, min_step)
+            elif h_abs < min_step:
                 raise StiffnessError(
                     f"integrator failed: step size underflow at t={t}")
-            y_new, f_new, err = _trial(rhs, t, y, f, h, K[:_N_STAGES],
-                                       rtol, atol)
-            h_abs, fresh = np.abs(h) * _step_factor(err, fresh), False
+            t_new = min(t + h_abs, t1)
+            h = t_new - t
+            y_new, f_new, err = _point_trial(rhs, t, y, f, h, K, rtol, atol)
+            h_abs, fresh = abs(h) * _point_step_factor(err, fresh), False
         k = len(steps)
         steps.append([t, h, y, y_new, K, None])
-        g_old, g = g, np.array([fn(y_new) for fn in funcs])
+        g_old, g = g, [fn(y_new) for fn in funcs]
         t, y, f = t_new, y_new, f_new
         stop = t >= t1
-        act = np.flatnonzero(((g_old <= 0) & (g >= 0))
-                             | ((g_old >= 0) & (g <= 0)))
-        if act.size:
-            r = _event_root(
-                lambda tc, i: np.array([funcs[act[j]](at(k, tj))
-                                        for j, tj in zip(i, tc)]),
-                np.full(act.size, steps[k][0]), np.full(act.size, t),
-                g_old[act], g[act])
-            if terminal[act].any():  # keep the roots up to the first stop
-                order = np.argsort(r)
-                n = np.argmax(terminal[act[order]]) + 1
-                act, r = act[order[:n]], r[order[:n]]
+        act = [e for e, (a, b) in enumerate(zip(g_old, g))
+               if a <= 0 <= b or b <= 0 <= a]
+        if act:
+            r = [_point_root(lambda tc, e=e: funcs[e](at(k, tc)),
+                             steps[k][0], t, g_old[e], g[e]) for e in act]
+            if any(terminal[e] for e in act):  # keep roots to the first stop
+                order = sorted(range(len(act)), key=r.__getitem__)
+                n = next(i for i, j in enumerate(order) if terminal[act[j]])
+                act = [act[j] for j in order[:n + 1]]
+                r = [r[j] for j in order[:n + 1]]
                 t, y, stop = r[-1], at(k, r[-1]), True
             for e, root in zip(act, r):
-                roots[e].append(float(root))
+                roots[e].append(root)
         times.append(t)
         states.append(y)
     if roots[0]:
@@ -324,10 +424,12 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
         tq = np.asarray(tq)
         seg = np.clip(np.searchsorted(ts, tq) - 1, 0, len(steps) - 1)
         if tq.ndim == 0:
-            return at(seg, tq)
+            return at(seg, float(tq))
         out = np.empty((tq.size, y.size))
         for k in np.unique(seg):
-            out[seg == k] = at(k, tq[seg == k])
+            sel = seg == k
+            out[sel] = _dense(coeffs(k), steps[k][2],
+                              (tq[sel] - steps[k][0]) / steps[k][1])
         return out.T
 
     return Trajectory(
@@ -459,7 +561,7 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
             need = np.flatnonzero(cross | due)
             if need.size:
                 # dense output of the step for the members that need it
-                Kx = np.empty((_N_EXTENDED, need.size, y.shape[1]))
+                Kx = np.empty((N_STAGES_EXTENDED, need.size, y.shape[1]))
                 Kx[:_N_STAGES] = K[:, acc[need]]
                 hn = h_a[need]
                 F = _dense_coeffs(rhs, ta[need], hn, ya[need], yn[need], Kx)

@@ -15,7 +15,7 @@ from tetralab.dynamics import (Chord, ChordSearchConfig, EscapeError,
                                pattern_search, separation)
 from tetralab.pb4 import wall_witness
 from tetralab.phase_core import (HamiltonianSpec, PhaseChart,
-                                 constant_hamiltonian)
+                                 constant_hamiltonian, sgrad)
 from tetralab.scenarios import (add_hamiltonians, channel_potential,
                                 mechanical_hamiltonian, unstable_hamiltonian,
                                 wall_perturbation)
@@ -28,6 +28,12 @@ EPS = np.finfo(float).eps
 
 def harmonic():
     return polynomial_hamiltonian(PLANE, (0.5 * np.eye(2), [0.0, 0.0]))
+
+
+def assert_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestIntegrate:
@@ -161,8 +167,27 @@ class TestIntegrate:
             integrate(H, [0.0, 0.0], 0.0, 2.0)
 
 
+class TestTableau:
+    def test_matches_scipy_bit_for_bit(self):
+        from scipy.integrate._ivp import dop853_coefficients, rk
+
+        from tetralab import dop853
+
+        for name in ("A", "B", "C", "E3", "E5", "D"):
+            assert_bits(getattr(dop853, name),
+                        getattr(dop853_coefficients, name))
+        assert dop853.N_STAGES == dop853_coefficients.N_STAGES
+        assert (dop853.N_STAGES_EXTENDED
+                == dop853_coefficients.N_STAGES_EXTENDED)
+        assert (dop853.ERROR_ESTIMATOR_ORDER
+                == rk.DOP853.error_estimator_order)
+        for name in ("SAFETY", "MIN_FACTOR", "MAX_FACTOR"):
+            assert getattr(dop853, name) == getattr(rk, name)
+            assert type(getattr(dop853, name)) is type(getattr(rk, name))
+
+
 class TestStepper:
-    """The DOP853 helpers shared by ``integrate`` and the sweep."""
+    """The DOP853 helpers of ``integrate`` and the sweep."""
 
     @settings(max_examples=60, deadline=None)
     @given(s=st.integers(1, 16), m=st.integers(1, 70),
@@ -181,8 +206,6 @@ class TestStepper:
             assert np.array_equal(rows[j], term)
             assert np.array_equal(rows[j],
                                   dynamics._stage_sum(c, K[:, j:j + 1])[0])
-        assert np.array_equal(dynamics._stage_sum(c, K[:, 0]),
-                              np.dot(K[:, 0].T, c))
 
     def test_event_root_finds_a_jump(self):
         """The circle's wall event jumps from 0.5 to -0.5 at u = 0.5; the
@@ -195,6 +218,49 @@ class TestStepper:
         lo, hi = np.array([0.3, 0.45, 0.1]), np.array([0.7, 0.9, 0.5000001])
         root = dynamics._event_root(value, lo, hi, value(lo), value(hi))
         assert np.all(np.abs(root - 0.5) <= 4 * EPS * 1.5)
+        # one point's routine takes the same iterations on floats
+        point = [dynamics._point_root(lambda t: float(value(np.array(t))),
+                                      a, b, value(a), value(b))
+                 for a, b in zip(lo, hi)]
+        assert np.array_equal(point, root)
+
+
+# (H, x0, t0, t1, p at the event) for the stepper's match with scipy
+SCIPY_CASES = {
+    "unstable": (unstable_hamiltonian(1), [0.3, 0.4], 0.0, 1.0, 0.6),
+    "channel_periodic": (channel_potential(1), [0.7, 1.3], 0.0, 2.0, 5.0),
+    "mechanical": (mechanical_hamiltonian(1), [0.4, 1.2], 0.0,
+                   math.pi / 4, 0.0),
+    "perturbed": (add_hamiltonians(unstable_hamiltonian(1),
+                                   wall_perturbation(0.25)),
+                  [0.05, 0.1], 0.2, 2.2, 0.3),
+}
+
+
+class TestMatchesScipy:
+    """``integrate`` takes the steps of scipy's DOP853 and rounds alike."""
+
+    @pytest.mark.parametrize("case", sorted(SCIPY_CASES))
+    def test_steps_states_dense_output_and_event(self, case):
+        from scipy.integrate import solve_ivp
+
+        H, x0, t0, t1, level = SCIPY_CASES[case]
+        tol = 1e-10
+        traj = integrate(H, x0, t0, t1, tol=tol,
+                         events=[lambda c: c[0] - level])
+        ref = solve_ivp(lambda t, y: sgrad(H, y, t), (t0, t1),
+                        H.chart.wrap(np.asarray(x0, dtype=float)),
+                        method="DOP853", rtol=tol, atol=tol / 100,
+                        dense_output=True,
+                        events=[lambda t, y: y[0] - level])
+        assert len(ref.t) > 3
+        assert_bits(traj.times, ref.t)
+        assert_bits(traj.states, H.chart.wrap(ref.y.T))
+        ts = np.linspace(t0, t1, 64)
+        assert_bits(traj.dense(ts), ref.sol(ts))
+        assert_bits(traj.dense(ts[5]), ref.sol(ts[5]))
+        (root,), (ref_root,) = traj.event_times, ref.t_events[0]
+        assert abs(root - ref_root) <= 4 * EPS * (1 + abs(ref_root))
 
 
 class TestDeterministicMap:

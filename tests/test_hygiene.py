@@ -11,11 +11,15 @@ config files, not by the environment, so a new variable needs a reason
 to join ``ENV_ALLOWED``.  Every trajectory comes from
 ``dynamics.integrate`` or the ensemble sweep, and a module-level scipy
 import is paid by every ``import tetralab``, so a module joins the scipy
-lists only with a reason.
+lists only with a reason; a fresh ``import tetralab.cli`` loads no scipy
+module at all.
 """
 
 import ast
 import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,7 +30,7 @@ SOURCES = sorted(p for d in ("src", "tests", "bench")
                  for p in (ROOT / d).rglob("*.py"))
 ENV_ALLOWED = {"TETRALAB_OUT"}
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
-SCIPY_ALLOWED = {"dynamics.py"}
+SCIPY_ALLOWED = set()
 SOLVE_IVP_ALLOWED = set()
 
 
@@ -205,3 +209,14 @@ def test_module_uses_scipy_only_where_allowed(path):
         assert module_scipy_imports(source) == []
     if path.name not in SOLVE_IVP_ALLOWED:
         assert solve_ivp_lines(source) == []
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = ("import sys, tetralab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
