@@ -454,11 +454,11 @@ MISS_SAMPLES = 64
 INCUMBENT_MARGIN = 1e-6
 # pattern_search stops after a poll that does not improve and whose every
 # value lies within FLAT_ULPS ulps of the incumbent's.  On the wall-witness
-# sweep the miss distances of late polls differ by at most 24 ulps, which
-# is rounding noise of the integration, not progress: 24 still halves down
-# to the step floor there (76 evaluations), 32 and up stop at 12.  Larger
-# values trim a few chord evaluations more (default scenarios: 237 at 32,
-# 221 at 64, 201 at 1024) for a looser stop.
+# sweep the miss distances of late polls differ by a few tens of ulps,
+# which is rounding noise of the integration, not progress: at 24 the
+# search takes 34 evaluations there, at 32 and up 16.  Larger values trim
+# a few chord evaluations more (default scenarios: 188 at 32, 187 at 64,
+# 171 at 1024) for a looser stop.
 FLAT_ULPS = 64
 
 
@@ -638,8 +638,8 @@ def _flat(fy, fx):
 def pattern_search(f, x0, bounds, max_evals=200):
     """Coordinate pattern search on a box; deterministic poll order.
 
-    Steps start at a tenth of each side and halve after a poll that does
-    not improve, unless the poll was *flat*: every value it took lies
+    Steps start at a hundredth of each side and halve after a poll that
+    does not improve, unless the poll was *flat*: every value it took lies
     within ``FLAT_ULPS`` ulps of the incumbent's (for ``(rank, value)``
     tuples: the same rank and a flat value).  A flat poll ends the
     search.  On a convex 1-D objective the improvement left after a
@@ -655,7 +655,7 @@ def pattern_search(f, x0, bounds, max_evals=200):
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     x = np.array([min(max(v, lo), hi)
                   for v, (lo, hi) in zip(np.atleast_1d(x0), bounds)])
-    steps = np.array([(hi - lo) * 0.1 for lo, hi in bounds])
+    steps = np.array([(hi - lo) * 0.01 for lo, hi in bounds])
     fx = f(x)
     evals = 1
     was_flat = False
