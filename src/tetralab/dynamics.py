@@ -335,6 +335,7 @@ def _point_root(value, lo, hi, fa, fb):
             lo, side = c, -1
     return hi if abs(fb) < abs(fa) else lo
 
+
 def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
               escape_norm=100.0, events=None) -> Trajectory:
     """Adaptive dense-output integration of the Hamiltonian flow of H.
