@@ -98,7 +98,7 @@ class Trajectory:
 # DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.5-II.6), scipy's step
 # control.  ``integrate`` steps one point on floats with the ``_point_*``
 # helpers, rounding as scipy does; ``ensemble_sweep`` steps rows of points,
-# ``(m, dim)`` arrays, with the others.
+# ``(m, dim)`` arrays, with the others.  Both read dense output by ``_dense``.
 # ---------------------------------------------------------------------------
 
 _EPS = float(np.finfo(float).eps)
@@ -252,19 +252,11 @@ def _point_dense_coeffs(rhs, t, h, y, y_new, K):
 
 def _dense(F, y_old, x):
     """The continuous extension with coefficients F at the unit-step
-    fractions x, ``(m,)``: one row per entry, of one step's F, ``(7,
-    dim)``, or of each row's own F, ``(7, m, dim)``."""
-    x = x[:, None]
-    y = np.zeros((len(x), F.shape[-1]))
-    for i, f in enumerate(F[::-1]):
-        y += f
-        y *= x if i % 2 == 0 else 1 - x
-    return y + y_old
-
-
-def _point_dense(F, y_old, x):
-    """``_dense`` for one point at the float fraction x."""
-    y = np.zeros(F.shape[-1])
+    fraction x, a float (one point), or at fractions ``(m,)``: one row per
+    entry, of one step's F, ``(7, dim)``, or of each row's own F, ``(7,
+    m, dim)``."""
+    x = np.asarray(x)[..., None]
+    y = np.zeros(x.shape[:-1] + F.shape[-1:])
     for i, f in enumerate(F[::-1]):
         y += f
         y *= x if i % 2 == 0 else 1 - x
@@ -359,7 +351,7 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
 
     # event 0 is the escape ball; the caller's events see wrapped states
     events = list(events or ())
-    funcs = [lambda y: escape_norm - float(np.linalg.norm(y))]
+    funcs = [lambda y: float(escape_norm - np.linalg.norm(y))]
     funcs += [lambda y, g=g: float(g(chart.wrap(y))) for g in events]
     terminal = [True] + [getattr(g, "terminal", False) for g in events]
 
@@ -378,7 +370,7 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
         return step[5]
 
     def at(k, tq):  # dense output of step k at the time tq
-        return _point_dense(coeffs(k), steps[k][2],
+        return _dense(coeffs(k), steps[k][2],
                             (tq - steps[k][0]) / steps[k][1])
 
     stop = False

@@ -88,6 +88,16 @@ class TestIntegrate:
         assert np.linalg.norm(exc.value.state) == pytest.approx(10.0,
                                                                 rel=1e-6)
 
+    def test_escape_norm_may_be_a_numpy_float(self):
+        H = unstable_hamiltonian(1)
+        caught = []
+        for radius in (10.0, np.float64(10.0)):
+            with pytest.raises(EscapeError) as exc:
+                integrate(H, [2.0, 2.0], 0.0, 10.0, escape_norm=radius)
+            caught.append(exc.value)
+        assert caught[1].t == caught[0].t
+        assert str(caught[1]) == str(caught[0])
+
     def test_event_roots_of_circular_orbit(self):
         # q(t) = sin t crosses zero at multiples of pi
         traj = integrate(harmonic(), [1.0, 0.0], 0.0, 7.0, tol=1e-12,
