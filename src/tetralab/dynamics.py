@@ -450,8 +450,8 @@ INCUMBENT_MARGIN = 1e-6
 # sweep the miss distances of late polls differ by a few tens of ulps,
 # which is rounding noise of the integration, not progress: at 24 the
 # search takes 34 evaluations there, at 32 and up 16.  Larger values trim
-# a few chord evaluations more (default scenarios: 188 at 32, 187 at 64,
-# 171 at 1024) for a looser stop.
+# a few chord evaluations more (default scenarios: 190 at 32, 189 at 64,
+# 173 at 1024) for a looser stop.
 FLAT_ULPS = 64
 
 
@@ -631,19 +631,22 @@ def _flat(fy, fx):
 def pattern_search(f, x0, bounds, max_evals=200):
     """Coordinate pattern search on a box; deterministic poll order.
 
-    Steps start at a hundredth of each side and halve after a poll that
-    does not improve, unless the poll was *flat*: every value it took lies
-    within ``FLAT_ULPS`` ulps of the incumbent's (for ``(rank, value)``
-    tuples: the same rank and a flat value).  A flat poll ends the
-    search.  On a convex 1-D objective the improvement left after a
-    non-improving poll at ``x +- s`` is at most the poll's largest rise,
-    so the stop gives up at most ``FLAT_ULPS`` ulps of the value.  Where
-    the box clips a probe, the poll lacks that side, and it ends the
-    search only if the poll before it was flat too: the probes at ``x +
-    2s`` and ``x + s`` then bound the same improvement.  The search also
-    ends once the steps fall below 1e-12 or after ``max_evals``
-    evaluations.  Values are compared only with ``<`` and ``_flat``, so
-    ``f`` may return a float or a ``(rank, float)`` tuple.
+    Steps start at a hundredth of each side.  A step doubles, up to its
+    side, after a move that repeats its coordinate's move in the poll
+    before (same direction), so that a start far from the optimum strides
+    out to it.  Steps halve after a poll that does not improve, unless
+    the poll was *flat*: every value it took lies within ``FLAT_ULPS``
+    ulps of the incumbent's (for ``(rank, value)`` tuples: the same rank
+    and a flat value).  A flat poll ends the search.  On a convex 1-D
+    objective the improvement left after a non-improving poll at ``x +-
+    s`` is at most the poll's largest rise, so the stop gives up at most
+    ``FLAT_ULPS`` ulps of the value.  Where the box clips a probe, the
+    poll lacks that side, and it ends the search only if the poll before
+    it was flat too: the probes at ``x + 2s`` and ``x + s`` then bound the
+    same improvement.  The search also ends once the steps fall below
+    1e-12 or after ``max_evals`` evaluations.  Values are compared only
+    with ``<`` and ``_flat``, so ``f`` may return a float or a ``(rank,
+    float)`` tuple.
     """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     x = np.array([min(max(v, lo), hi)
@@ -652,8 +655,10 @@ def pattern_search(f, x0, bounds, max_evals=200):
     fx = f(x)
     evals = 1
     was_flat = False
+    last = np.zeros(len(x))  # each coordinate's move in the last poll
     while evals < max_evals and steps.max() > 1e-12:
         improved, flat, clipped = False, True, False
+        moved = np.zeros(len(x))
         for i in range(len(x)):
             for sign in (1.0, -1.0):
                 y = x.copy()
@@ -667,13 +672,16 @@ def pattern_search(f, x0, bounds, max_evals=200):
                 evals += 1
                 if fy < fx:
                     x, fx = y, fy
-                    improved = True
+                    improved, moved[i] = True, sign
+                    if last[i] == sign:
+                        steps[i] = min(2 * steps[i], hi - lo)
                     break
                 flat = flat and _flat(fy, fx)
                 if evals >= max_evals:
                     break
             if evals >= max_evals:
                 break
+        last = moved
         if not improved:
             if flat and (was_flat or not clipped):
                 break

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tetralab import dynamics
 from tetralab.contact import (CircleModel, SphereModel, TorusModel,
@@ -326,15 +326,26 @@ class TestPatternSearch:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(a=st.floats(0.05, 0.95), c=st.floats(0.1, 1.0),
            x0=st.floats(0.0, 1.0))
+    @example(a=0.0625, c=0.8, x0=0.8997)  # a start across the box
     def test_flat_stop_costs_at_most_ulps(self, a, c, x0):
-        """On a convex objective the flat stop gives up only ulps.  Steps
-        of a hundredth of the side take up to 2 evaluations each across
-        it, so the budget is set where the flat stop, not the budget,
-        ends the search."""
-        _, fx, evals = pattern_search(lambda z: c + (z[0] - a) ** 2, [x0],
-                                      [(0.0, 1.0)], max_evals=1000)
-        assert evals < 1000
+        """On a convex objective the flat stop gives up only ulps."""
+        _, fx, _ = pattern_search(lambda z: c + (z[0] - a) ** 2, [x0],
+                                  [(0.0, 1.0)])
         assert c <= fx <= c + 256 * EPS * c
+
+    def test_repeated_moves_stride_out(self):
+        """Steps double along a repeated move: from one end of the box the
+        search reaches the other at its 8th evaluation (0.01, 0.02, ...,
+        0.64, then 1), not after 100 steps of a hundredth."""
+        probes = []
+
+        def rise(z):
+            probes.append(z[0])
+            return -z[0]
+
+        x, _, _ = pattern_search(rise, [0.0], [(0.0, 1.0)])
+        assert x[0] == 1.0
+        assert probes.index(1.0) == 8
 
 
 class TestSeparation:
