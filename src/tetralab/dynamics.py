@@ -4,26 +4,28 @@ Every flow runs through one DOP853 stepper, whose tableau the package
 carries (``dop853``; importing the package loads no scipy):
 ``integrate`` steps one point with its step control on Python floats,
 taking and rounding scipy's DOP853 steps exactly, and ``ensemble_sweep``
-steps rows of points as arrays.  The chord search sweeps a
-deterministic seed grid on the start region (and start phases for
-time-periodic Hamiltonians), all seeds x phases in one ensemble with
-event detection on the target region's enclosing hypersurface; hits are
-certified by a membership test.  The
-earliest hit (else the closest miss) seeds one derivative-free pattern
-search that ranks any certified hit above any miss, an earlier hit above
-a later one and a closer miss above a farther one.  Each evaluation runs
-``integrate`` over the incumbent window: the whole budget until the
-search has certified a hit, then only up to the best certified arrival
-time t* plus ``INCUMBENT_MARGIN`` of the budget, since a candidate that
-has not arrived by then cannot win.  The search stops at the first poll
-that does not improve and whose values all lie within ``FLAT_ULPS`` ulps
-of the incumbent's (two such polls in a row where the box clips a
-probe), since later polls would only chase rounding noise
-(``pattern_search``); the same stop serves the separation estimates.
-The winner is re-certified by ``integrate`` over the same window, and
-once more at a hundredth of the ODE tolerance for its error bar.  The
-returned chord is the minimal-time certified chord over the sweep, with
-ties broken by seed order.
+steps rows of points as arrays.  The chord search sweeps a deterministic
+seed grid on the start region (and start phases for time-periodic
+Hamiltonians), all seeds x phases in one ensemble with event detection
+on the target region's enclosing hypersurface; hits are certified by a
+membership test, in order of arrival, and a root later than the best hit
+is not tested.  The earliest hit (else the closest miss) seeds one
+derivative-free pattern search that ranks any certified hit above any
+miss, an earlier hit above a later one and a closer miss above a farther
+one.  Each evaluation runs ``integrate`` over the incumbent window: the
+whole budget until the search has certified a hit, then only up to the
+best certified arrival time t* plus ``INCUMBENT_MARGIN`` of the budget,
+since a candidate that has not arrived by then cannot win.  A start is
+integrated at most once; polling it again reuses its value where the
+current window would give it again, and ranks it a miss where it could
+no longer win.  The search stops at the first poll that does not improve
+and whose values all lie within ``FLAT_ULPS`` ulps of the incumbent's
+(two such polls in a row where the box clips a probe), since later polls
+would only chase rounding noise (``pattern_search``); the same stop
+serves the separation estimates.  The winner is re-certified by
+``integrate`` over the same window, and once more at a hundredth of the
+ODE tolerance for its error bar.  The returned chord is the minimal-time
+certified chord over the sweep, with ties broken by seed order.
 """
 
 from __future__ import annotations
@@ -481,15 +483,20 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
     but all members advance together as ``(N, 2n)`` arrays.  After every
     accepted step, sign changes of the target event are solved on the
     dense interpolant by ``_event_root``; the first root with ``t - phase
-    > 1e-12`` whose point lies in X1 ends the member as a hit.  A member
-    whose state norm reaches ``escape_norm`` before a hit is lost as
-    escaped.  Target distances are sampled at ``linspace(phase, phase +
-    time_budget, MISS_SAMPLES)`` until some hit exists; from then on
-    sampling stops and members that can no longer arrive before the best
-    hit are dropped (their ``hit`` stays nan).  Rows sum their stages
-    term by term (``_stage_sum``), so a member's outcome does not depend
-    on the rest of the batch, except for being dropped, as long as G's
-    callbacks do not; it matches ``integrate``'s to rounding.
+    > 1e-12`` whose point lies in X1 ends the member as a hit.  A step's
+    roots are certified in order of arrival (time since the phase), and a
+    root later than the best hit so far is not tested: its member is
+    dropped.  A member whose state norm reaches ``escape_norm`` before a
+    hit is lost as escaped.  Target distances are sampled at
+    ``linspace(phase, phase + time_budget, MISS_SAMPLES)`` until some hit
+    exists; a step's due samples are evaluated in passes of whole members,
+    each of at most ``n_all + MISS_SAMPLES - 1`` rows for ``n_all`` start
+    points.  Once a hit exists, sampling stops and members that can no
+    longer arrive before the best hit are dropped (their ``hit`` stays
+    nan).  Rows sum their stages term by term (``_stage_sum``), so a
+    member's outcome does not depend on the rest of the batch, except for
+    being dropped, as long as G's callbacks do not; it matches
+    ``integrate``'s to rounding.
     """
     chart = G.chart
     rtol, atol = tol, tol * 1e-2
@@ -570,32 +577,52 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
                             (tc - ta[rc[i]]) / hn[j[i]])),
                         ta[rc], t_new[acc[rc]], ga[rc], g_new[rc])
                     y_root = _dense(F[:, j], ya[rc], (root - ta[rc]) / hn[j])
-                    ok = ((root - t0[acc[rc]] > 1e-12)
+                    local = root - t0[acc[rc]]
+                    ok = ((local > 1e-12)
                           & (np.linalg.norm(y_root, axis=-1) < escape_norm))
-                    # one membership query per candidate root keeps the
-                    # query count equal to the number of roots tested
-                    for r in np.flatnonzero(ok):
-                        ok[r] = X1.membership(chart.wrap(y_root[r]),
-                                              member_tol)
+                    # certify in order of arrival, one membership query per
+                    # root; a root later than the best hit cannot win, and
+                    # its member is dropped uncertified
+                    late = np.zeros(rc.size, dtype=bool)
+                    for r in np.argsort(local, kind="stable"):
+                        if not ok[r]:
+                            continue
+                        late[r] = local[r] > best + 1e-12
+                        ok[r] = not late[r] and X1.membership(
+                            chart.wrap(y_root[r]), member_tol)
+                        if ok[r]:
+                            best = min(best, float(local[r]))
                     members = acc[rc[ok]]
-                    hit[idx[members]] = root[ok] - t0[members]
+                    hit[idx[members]] = local[ok]
                     done[members] = True
-                    if ok.any():
-                        best = min(best, float(np.nanmin(hit)))
+                    done[acc[rc[late]]] = True
 
                 rs = np.flatnonzero(due & ~done[acc])
                 if rs.size:
                     first, stop = next_sample[acc[rs]], n_due[rs]
-                    # one dense evaluation per sample index keeps memory at
-                    # one row per member however long the step
-                    for k in range(first.min(), stop.max()):
-                        mem = rs[(first <= k) & (k < stop)]
+                    n = stop - first
+                    end = np.cumsum(n)
+                    start = end - n  # first row of each member
+                    # one row per due sample, member by member, in passes
+                    # of whole members: a pass closes once it holds n_all
+                    # rows, so it stays below n_all + MISS_SAMPLES rows
+                    # however long the step
+                    lo = 0
+                    while lo < rs.size:
+                        hi = min(rs.size, 1 + int(
+                            np.searchsorted(end, start[lo] + n_all)))
+                        part = slice(lo, hi)
+                        mem = np.repeat(rs[part], n[part])
+                        k = (np.arange(start[lo], end[hi - 1])
+                             - np.repeat(start[part] - first[part], n[part]))
                         j = pos[mem]
                         ts = sample_t[ph_row[idx[acc[mem]]], k]
                         ys = _dense(F[:, j], ya[mem], (ts - ta[mem]) / hn[j])
-                        who = idx[acc[mem]]
-                        dist[who] = np.minimum(dist[who],
-                                               X1.distance(chart.wrap(ys)))
+                        d = np.minimum.reduceat(X1.distance(chart.wrap(ys)),
+                                                start[part] - start[lo])
+                        who = idx[acc[rs[part]]]
+                        dist[who] = np.minimum(dist[who], d)
+                        lo = hi
                     next_sample[acc[rs]] = stop
 
             esc = (((gea <= 0) & (ge_new >= 0)) | ((gea >= 0) & (ge_new <= 0)))
@@ -831,7 +858,9 @@ class ChordSearchResult:
     members lost to the escape ball or to step underflow;
     ``n_refine_evals`` counts the pattern-search evaluations and
     ``n_refine_failed`` those whose integration raised ``EscapeError`` or
-    ``StiffnessError``.
+    ``StiffnessError``.  Both count evaluations, not integrations: a start
+    polled again is answered from its one integration, and counts as
+    failed again if that integration failed.
     """
 
     found: bool
@@ -897,13 +926,18 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
     does not set it).  Each evaluation integrates to ``phase + min(budget,
     t* + margin)``, with ``margin = INCUMBENT_MARGIN * budget``; once t*
     is finite, a candidate with no hit in that window ranks ``(1, inf)``,
-    as it cannot beat a hit.  The pattern search stops at a flat poll
+    as it cannot beat a hit.  Each start is integrated at most once in a
+    call: a stored miss is returned as it is while t* is inf (the window
+    is then the same) and as ``(1, inf)`` after; a stored hit at time t is
+    returned as ``(0, t)`` while ``t <= t* + margin`` and as ``(1, inf)``
+    after.  The pattern search stops at a flat poll
     (see ``pattern_search``).  The winner is re-integrated over
     ``min(budget, its time + margin)`` and certified over ``min(budget,
     hit + margin)``, for the hit that run certifies.
     """
-    if time_budget <= 0.0:
-        raise ValueError("time_budget must be positive")
+    if not 0.0 < time_budget < math.inf:
+        raise ValueError(
+            f"time_budget must be positive and finite, got {time_budget}")
     for x in X0.sample_points(32):
         if X1.membership(x, config.tol):
             raise ValueError("start and target regions are not disjoint")
@@ -933,19 +967,39 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
     phase, pr, comp = jobs[best_idx]
     margin = INCUMBENT_MARGIN * time_budget
     incumbent, n_failed = math.inf, 0
+    seen = {}  # start parameters -> their rank, None for a failed run
 
     def rank(params):
         """(0, arrival time) for a certified hit, else (1, closest sampled
         target distance); tuples order every hit before every miss."""
-        nonlocal incumbent, n_failed
+        nonlocal n_failed
+        key = tuple(params.tolist())
+        fresh = key not in seen
+        if fresh:
+            seen[key] = integrate_rank(params)
+        value = seen[key]
+        if value is None:
+            n_failed += 1
+            return 1, math.inf
+        # a stored value stands while the current window would give it
+        # again: a miss until the first hit, a hit while it can still win
+        missed, v = value
+        if not fresh and (incumbent < math.inf if missed
+                          else v > incumbent + margin):
+            return 1, math.inf
+        return value
+
+    def integrate_rank(params):
+        """``rank`` of a start not evaluated before, None if its
+        integration fails; a certified hit lowers the incumbent."""
+        nonlocal incumbent
         try:
             traj, escaped = _chord_trajectory(
                 G, X0.param_point(params, comp), phase,
                 min(time_budget, incumbent + margin), X1, config.ode_tol,
                 config.escape_norm)
         except (EscapeError, StiffnessError):
-            n_failed += 1
-            return 1, math.inf
+            return None
         hit = _first_hit(traj, X1, phase, config.tol)
         if hit is not None:
             incumbent = min(incumbent, hit - phase)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tetralab import dynamics
-from tetralab.contact import (CircleModel, SphereModel, TorusModel,
+from tetralab.contact import (CircleModel, Region, SphereModel, TorusModel,
                               build_tetragon)
 from tetralab.dynamics import (Chord, ChordSearchConfig, EscapeError,
                                StiffnessError, chord_budget, deterministic_map,
@@ -438,6 +438,14 @@ class TestFindChord:
         with pytest.raises(ValueError):
             find_chord(channel_potential(1), tet.floor, tet.ceiling, 0.0)
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf])
+    def test_budget_must_be_finite(self, budget):
+        """A NaN budget is not blamed on the Hamiltonian, and an infinite
+        one finds no chord."""
+        tet = build_tetragon(CircleModel(), 1.0, 2.0, 0.25)
+        with pytest.raises(ValueError, match="time_budget"):
+            find_chord(channel_potential(1), tet.floor, tet.ceiling, budget)
+
     def test_regions_must_be_disjoint(self):
         tet = build_tetragon(CircleModel(), 1.0, 2.0, 0.25)
         with pytest.raises(ValueError):
@@ -517,13 +525,13 @@ class TestFindChord:
 
 
 def _record_integrate(monkeypatch):
-    """Make ``dynamics.integrate`` append ``(t0, t1, trajectory)`` to the
-    returned list on every call that returns."""
+    """Make ``dynamics.integrate`` append ``(x0, t0, t1, trajectory)`` to
+    the returned list on every call that returns."""
     calls, real = [], dynamics.integrate
 
     def spy(H, x0, t0, t1, **kwargs):
         traj = real(H, x0, t0, t1, **kwargs)
-        calls.append((t0, t1, traj))
+        calls.append((tuple(np.asarray(x0, float).tolist()), t0, t1, traj))
         return traj
 
     monkeypatch.setattr(dynamics, "integrate", spy)
@@ -548,11 +556,13 @@ class TestIncumbentWindow:
         assert res.found
         assert res.chord.time_length == pytest.approx(0.5 * math.log(2),
                                                       abs=1e-9)
-        assert len(calls) == res.n_refine_evals + 2
+        starts = [x0 for x0, *_ in calls[:-2]]
+        assert len(set(starts)) == len(starts)
+        assert len(calls) <= res.n_refine_evals + 2
         assert res.n_refine_failed == 0
         margin = dynamics.INCUMBENT_MARGIN * budget
         best, windowed = math.inf, 0
-        for t0, t1, traj in calls:
+        for _, t0, t1, traj in calls:
             if best < math.inf:
                 assert t1 <= t0 + (best + margin)
                 windowed += 1
@@ -561,6 +571,21 @@ class TestIncumbentWindow:
                 best = min(best, hit - t0)
         assert windowed >= len(calls) - 1
         assert res.chord.trajectory.t1 <= res.chord.t1 + margin
+
+    def test_no_start_is_integrated_twice(self, monkeypatch):
+        """Pattern search polls the start it just left; refinement answers
+        such a poll from its first integration, so every start in the
+        search is integrated once (the last two runs certify the
+        winner)."""
+        H, X0, X1, budget, _, n = SWEEP_CASES["unstable"]
+        calls = _record_integrate(monkeypatch)
+        res = find_chord(H, X0, X1, budget, ChordSearchConfig(n_seeds=n))
+        assert res.found
+        starts = [x0 for x0, *_ in calls[:-2]]
+        assert len(set(starts)) == len(starts)
+        assert len(starts) < res.n_refine_evals
+        winner = calls[-2][0]
+        assert calls[-1][0] == winner and winner in starts
 
     def test_no_hit_refines_over_the_full_budget(self, monkeypatch):
         """With no hit anywhere there is no incumbent: every refinement
@@ -573,7 +598,7 @@ class TestIncumbentWindow:
         assert res.best_distance == pytest.approx(math.sqrt(2) - 1,
                                                   abs=1e-6)
         assert len(calls) == res.n_refine_evals > 0
-        assert all(t1 - t0 == 1.0 for t0, t1, _ in calls)
+        assert all(t1 - t0 == 1.0 for _, t0, t1, _ in calls)
         assert res.n_refine_failed == 0
         assert f"{res.n_refine_evals} refinement evaluations, 0 failed" \
             in res.message
@@ -694,3 +719,55 @@ class TestEnsembleSweep:
             assert np.array_equal(batch.distance, dists)
         else:
             assert np.nanargmin(batch.hit) == np.nanargmin(hits)
+
+    @pytest.mark.parametrize("case, n", [("perturbed", 16), ("unstable", 16)])
+    def test_roots_after_the_best_hit_are_not_queried(self, monkeypatch,
+                                                      case, n):
+        """Roots are certified in order of arrival, so a root that arrives
+        after the best hit in its step costs no membership query.  (With
+        the perturbed fixture's 6 seeds every root has a step of its own;
+        16 seeds put several in one.)  The earliest hit is unchanged."""
+        H, X0, X1, budget, phases, _ = SWEEP_CASES[case]
+        starts = np.tile(np.array(X0.sample_points(n)), (len(phases), 1))
+        ph = np.repeat(phases, n)
+        roots, queries = [], []
+        real_root, real_member = dynamics._event_root, Region.membership
+
+        def count_roots(*args):
+            out = real_root(*args)
+            roots.extend(out)
+            return out
+
+        def count_queries(self, coords, tol=1e-6):
+            queries.append(coords)
+            return real_member(self, coords, tol)
+
+        monkeypatch.setattr(dynamics, "_event_root", count_roots)
+        monkeypatch.setattr(Region, "membership", count_queries)
+        batch = ensemble_sweep(H, X1, starts, ph, budget)
+        monkeypatch.undo()
+        assert 0 < len(queries) < len(roots)
+        alone = np.array([ensemble_sweep(H, X1, x0[None], [p], budget).hit[0]
+                          for x0, p in zip(starts, ph)])
+        kept = ~np.isnan(batch.hit)
+        assert np.array_equal(batch.hit[kept], alone[kept])
+        assert np.nanargmin(batch.hit) == np.nanargmin(alone)
+
+    @pytest.mark.parametrize("case", ["wall_witness", "constant"])
+    def test_miss_samples_come_in_bounded_passes(self, monkeypatch, case):
+        """With no hit every member is sampled at each of its
+        MISS_SAMPLES times exactly once, in distance calls of at most
+        n_all + MISS_SAMPLES - 1 rows."""
+        H, X0, X1, budget, phases, n = SWEEP_CASES[case]
+        starts = np.tile(np.array(X0.sample_points(n)), (len(phases), 1))
+        rows, real = [], Region.distance
+
+        def spy(self, coords):
+            rows.append(len(np.atleast_2d(coords)))
+            return real(self, coords)
+
+        monkeypatch.setattr(Region, "distance", spy)
+        batch = ensemble_sweep(H, X1, starts, np.repeat(phases, n), budget)
+        assert np.isnan(batch.hit).all()
+        assert max(rows) <= len(starts) + dynamics.MISS_SAMPLES - 1
+        assert sum(rows) == len(starts) * dynamics.MISS_SAMPLES
