@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .contact import make_model, build_tetragon, smooth_tetragon
+from .contact import MEMBER_TOL, build_tetragon, make_model, smooth_tetragon
 from .dynamics import ChordSearchConfig, chord_budget, find_chord, separation
 # feasible_pair_value is unused here but patched by bench/tracing.py
 from .pb4 import (estimate_pb4_plus, feasible_pair_value,  # noqa: F401
@@ -41,14 +41,14 @@ class UsageError(ValueError):
 # Strict config parsing
 # ---------------------------------------------------------------------------
 
-_PERTURBATION_SCHEMA = {"delta_target": float, "away_factor": float}
+_PERTURBATION_SCHEMA = {"delta_target": float}
 
 _SCENARIO_SCHEMA = {
     "scenario": str, "k": int, "R0": float, "R1": float, "T": float,
-    "beta": float, "potential_time_amp": float, "reeb_model": str,
+    "beta": float, "reeb_model": str,
     "reeb_factor_base": float, "reeb_factor_amp": float,
     "perturbation": _PERTURBATION_SCHEMA,
-    "n_seeds": int, "n_phases": int, "ode_tol": float, "tol": float,
+    "n_seeds": int, "n_phases": int, "ode_tol": float,
 }
 
 # The pb4 estimate uses no randomness; optimizer.seed is accepted and
@@ -56,7 +56,7 @@ _SCENARIO_SCHEMA = {
 _OPTIMIZER_SCHEMA = {"seed": int}
 
 _PB4_SCHEMA = {
-    "n": int, "R0": float, "R1": float, "T": float, "s_margin": float,
+    "n": int, "R0": float, "R1": float, "T": float,
     "thicken_radius": int, "two_grid": bool,
     "expected_low": float, "expected_high": float,
     "optimizer": _OPTIMIZER_SCHEMA,
@@ -65,7 +65,7 @@ _PB4_SCHEMA = {
 _CHORD_SCHEMA = {
     "model": str, "k": int, "R0": float, "R1": float, "T": float,
     "hamiltonian": str, "beta": float, "time_budget": float,
-    "n_seeds": int, "n_phases": int, "tol": float, "ode_tol": float,
+    "n_seeds": int, "n_phases": int, "ode_tol": float,
 }
 
 _TETRAGON_SCHEMA = {
@@ -192,15 +192,11 @@ def _cmd_scenario(cfg):
 
 
 def _cmd_pb4(cfg):
-    def problem(n):
-        return prototype_problem(
-            n=n, R0=cfg.get("R0", 1.0), R1=cfg.get("R1", 2.0),
-            T=cfg.get("T", 0.25), s_margin=cfg.get("s_margin", 0.5),
-            thicken_radius=cfg.get("thicken_radius", 0),
-        )
-
+    # the keys the config leaves out keep prototype_problem's defaults
+    geometry = {key: cfg[key] for key in ("R0", "R1", "T", "thicken_radius")
+                if key in cfg}
     n = cfg.get("n", 128)
-    coarse = problem(n)
+    coarse = prototype_problem(n, **geometry)
     report = estimate_pb4_plus(coarse)
     payload = {
         "command": "pb4",
@@ -210,7 +206,7 @@ def _cmd_pb4(cfg):
         "tolerances": {"feasibility": 1e-12},
     }
     if cfg.get("two_grid"):
-        report2 = estimate_pb4_plus(problem(2 * n))
+        report2 = estimate_pb4_plus(prototype_problem(2 * n, **geometry))
         payload["report"]["two_grid_estimate"] = report2.estimate
         payload["report"]["two_grid_difference"] = abs(
             report2.estimate - report.estimate
@@ -264,7 +260,6 @@ def _cmd_chord(cfg):
     search = ChordSearchConfig(
         n_seeds=cfg.get("n_seeds", 64),
         n_phases=cfg.get("n_phases", 16),
-        tol=cfg.get("tol", 1e-6),
         ode_tol=cfg.get("ode_tol", 1e-9),
     )
     result = find_chord(H, tet.floor, tet.ceiling, budget, search)
@@ -288,7 +283,7 @@ def _cmd_chord(cfg):
             "n_refine_failed": result.n_refine_failed,
             "n_separation_evals": sep.n_evals,
         },
-        "tolerances": {"membership": search.tol, "ode": search.ode_tol},
+        "tolerances": {"membership": MEMBER_TOL, "ode": search.ode_tol},
     }
     csvs = {}
     if result.found:

@@ -14,14 +14,14 @@ explicit symplectization chart:
 
 A tetragon is built from a Legendrian L, Reeb time T and radii
 0 < R0 < R1 as the image of L x [R0, R1] x [0, T] under
-Phi(x, s, t) = embed(psi_t(x), s).  Each model supplies Phi in closed
-form and the distance and event functionals of a horizontal piece and of
-a wall; ``build_tetragon`` lays out the four regions floor / ceiling /
-low wall / high wall once for all models.  Regions expose membership
-with a tolerance band, a nonnegative distance proxy that vanishes
-exactly on the region, a deterministic seed sampler, and a scalar event
-functional whose zero level encloses the region (used for trajectory
-event detection).
+Phi(x, s, t) = embed(psi_t(x), s).  Each model supplies Phi and its
+tangents in closed form, and the distance and event functionals of a
+horizontal piece and of a wall; ``build_tetragon`` lays out the four
+regions floor / ceiling / low wall / high wall once for all models.
+Regions expose membership within the band ``MEMBER_TOL``, a
+nonnegative distance proxy that vanishes exactly on the region, a
+deterministic seed sampler, and a scalar event functional whose zero
+level encloses the region (used for trajectory event detection).
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ import numpy as np
 from .phase_core import PhaseChart
 
 _TINY = np.finfo(float).tiny
+
+# a point is a member of a region within this distance of it
+MEMBER_TOL = 1e-6
 
 
 class ParameterError(ValueError):
@@ -104,8 +107,8 @@ def unit_sphere_tangent(angles, k, j):
 class ContactModel:
     """Common interface of the three model geometries.
 
-    A model supplies the Reeb flow, the embedding of the symplectization,
-    the tetragon map ``phi`` and the closed-form distance and event
+    A model supplies the Reeb flow, the tetragon map ``phi`` with its
+    tangents ``phi_tangents`` and the closed-form distance and event
     functionals of a horizontal piece and of a wall; ``build_tetragon``
     lays the four regions out from these.  Condition (C2) bounds the
     tetragon time by ``0 < T < max_reeb_time`` (``<=`` where
@@ -135,14 +138,6 @@ class ContactModel:
     def reeb_flow(self, x, t):
         raise NotImplementedError
 
-    def reeb_vector(self, x):
-        raise NotImplementedError
-
-    def flow_pushforward(self, v, t):
-        """Differential of the Reeb flow applied to a Sigma-tangent vector
-        (closed form: every model flow is linear or affine)."""
-        raise NotImplementedError
-
     # -- Legendrian --------------------------------------------------------
     n_angles = 0
     n_components = 1
@@ -156,9 +151,6 @@ class ContactModel:
     def legendrian_point(self, angles=(), component=0):
         raise NotImplementedError
 
-    def legendrian_tangent(self, angles, component, j):
-        raise NotImplementedError
-
     def legendrian_distance(self, x):
         """Distance on Sigma (proxy) from x to the Legendrian L."""
         raise NotImplementedError
@@ -166,14 +158,16 @@ class ContactModel:
     # -- symplectization and tetragon pieces -------------------------------
     chart: PhaseChart
 
-    def embed_tangent(self, x, s, v, s_dot):
-        raise NotImplementedError
-
     def phi(self, s, t, angles=(), component=0):
         """Phi(x, s, t) = embed(psi_t(x), s) at the Legendrian point
         x = legendrian_point(angles, component), periodic coordinates
         reduced to [0, 1).  ``x % 1.0`` rounds a tiny negative x up to
         1.0; reducing twice maps that to 0.0."""
+        raise NotImplementedError
+
+    def phi_tangents(self, s, t, angles=(), component=0):
+        """Partial derivatives of ``phi`` at (s, t, angles): the list
+        d/d angle_j for each Legendrian angle, then d/ds and d/dt."""
         raise NotImplementedError
 
     # The functionals take a point or an (m, dim) stack of points.
@@ -212,12 +206,6 @@ class CircleModel(ContactModel):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return np.array([(x[0] + t) % 1.0])
 
-    def reeb_vector(self, x):
-        return np.array([1.0])
-
-    def lambda0(self, x, v):
-        return float(np.atleast_1d(v)[0])
-
     def legendrian_point(self, angles=(), component=0):
         return np.array([0.0])
 
@@ -229,11 +217,11 @@ class CircleModel(ContactModel):
         u = float(np.atleast_1d(x)[0])
         return np.array([s, u % 1.0])
 
-    def embed_tangent(self, x, s, v, s_dot):
-        return np.array([s_dot, float(np.atleast_1d(v)[0])])
-
     def phi(self, s, t, angles=(), component=0):
         return np.array([s, t % 1.0 % 1.0])
+
+    def phi_tangents(self, s, t, angles=(), component=0):
+        return [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
 
     def horizontal_distance(self, c, R, T):
         u = c[..., 1]
@@ -278,28 +266,9 @@ class TorusModel(ContactModel):
         p, q = x[: self.k], x[self.k:]
         return np.concatenate([p, (q + p * t) % 1.0])
 
-    def reeb_vector(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.concatenate([np.zeros(self.k), x[: self.k]])
-
-    def flow_pushforward(self, v, t):
-        v = np.asarray(v, dtype=float)
-        out = v.copy()
-        out[self.k:] = v[self.k:] + v[: self.k] * t
-        return out
-
-    def lambda0(self, x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return float(np.dot(x[: self.k], v[self.k:]))
-
     def legendrian_point(self, angles=(), component=0):
         p = unit_sphere_point(angles, self.k)
         return np.concatenate([p, np.zeros(self.k)])
-
-    def legendrian_tangent(self, angles, component, j):
-        dp = unit_sphere_tangent(angles, self.k, j)
-        return np.concatenate([dp, np.zeros(self.k)])
 
     def legendrian_distance(self, x):
         x = np.asarray(x, dtype=float)
@@ -309,13 +278,6 @@ class TorusModel(ContactModel):
         x = np.asarray(x, dtype=float)
         return np.concatenate([s * x[: self.k], x[self.k:] % 1.0])
 
-    def embed_tangent(self, x, s, v, s_dot):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return np.concatenate(
-            [s_dot * x[: self.k] + s * v[: self.k], v[self.k:]]
-        )
-
     def phi(self, s, t, angles=(), component=0):
         # rows s * p and t * p for the unit momentum p = L(angles)
         out = np.multiply.outer((s, t), unit_sphere_point(angles, self.k))
@@ -323,6 +285,16 @@ class TorusModel(ContactModel):
         q %= 1.0
         q %= 1.0
         return out.ravel()
+
+    def phi_tangents(self, s, t, angles=(), component=0):
+        p = unit_sphere_point(angles, self.k)
+        zero = np.zeros(self.k)
+        d_angles = []
+        for j in range(self.n_angles):
+            dp = unit_sphere_tangent(angles, self.k, j)
+            d_angles.append(np.concatenate([s * dp, t * dp]))
+        return d_angles + [np.concatenate([p, zero]),
+                           np.concatenate([zero, p])]
 
     def _split(self, c, s_min):
         """|p|, wrapped q and p/|p| (p itself where |p| < s_min)."""
@@ -381,29 +353,11 @@ class SphereModel(ContactModel):
     def reeb_flow(self, x, t):
         return self._rotate(x, 2.0 * t)
 
-    def reeb_vector(self, x):
-        # d/dt e^{2it} z at t=0 is 2 i z
-        z = np.asarray(x, dtype=float)
-        return np.concatenate([-2.0 * z[self.k:], 2.0 * z[: self.k]])
-
-    def flow_pushforward(self, v, t):
-        return self.reeb_flow(v, t)  # the flow is linear
-
-    def lambda0(self, x, v):
-        z = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        p, q = z[: self.k], z[self.k:]
-        return float((np.dot(p, v[self.k:]) - np.dot(q, v[: self.k])) / 2.0)
-
     def legendrian_point(self, angles=(), component=0):
         x = unit_sphere_point(angles, self.k)
         if self.k == 1:
             x = x * (1.0 if component == 0 else -1.0)
         return np.concatenate([x, np.zeros(self.k)])
-
-    def legendrian_tangent(self, angles, component, j):
-        dx = unit_sphere_tangent(angles, self.k, j)
-        return np.concatenate([dx, np.zeros(self.k)])
 
     def legendrian_distance(self, x):
         z = np.asarray(x, dtype=float)
@@ -412,12 +366,6 @@ class SphereModel(ContactModel):
 
     def embed(self, x, s):
         return math.sqrt(s) * np.asarray(x, dtype=float)
-
-    def embed_tangent(self, x, s, v, s_dot):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        rs = math.sqrt(s)
-        return rs * v + (s_dot / (2.0 * rs)) * x
 
     def _polar_angle(self, coords):
         """2*phi for z ~ |z| e^{i phi} x with x real; range (-pi, pi]."""
@@ -429,6 +377,20 @@ class SphereModel(ContactModel):
     def phi(self, s, t, angles=(), component=0):
         x = self.legendrian_point(angles, component)
         return math.sqrt(s) * self.reeb_flow(x, t)
+
+    def phi_tangents(self, s, t, angles=(), component=0):
+        # psi_t is linear, so d/d angle_j flows the tangent dx of L; d/dt
+        # is 2 J psi_t(x) with J(p, q) = (-q, p)
+        rs = math.sqrt(s)
+        zero = np.zeros(self.k)
+        d_angles = []
+        for j in range(self.n_angles):
+            dx = np.concatenate([unit_sphere_tangent(angles, self.k, j),
+                                 zero])
+            d_angles.append(rs * self.reeb_flow(dx, t))
+        xt = self.reeb_flow(self.legendrian_point(angles, component), t)
+        return d_angles + [xt / (2.0 * rs), 2.0 * rs * np.concatenate(
+            [-xt[self.k:], xt[: self.k]])]
 
     def horizontal_distance(self, c, R, T):
         """Distance to {sqrt(R) e^{i phi} x : phi in [0, 2T], x in L}."""
@@ -530,8 +492,9 @@ class Region:
         ``(m, dim)`` stack (an array)."""
         return _float_or_array(self.distance_fn(np.asarray(coords, float)))
 
-    def membership(self, coords, tol=1e-6):
-        return self.distance(coords) <= tol
+    def membership(self, coords):
+        """Whether the point lies within ``MEMBER_TOL`` of the region."""
+        return self.distance(coords) <= MEMBER_TOL
 
     def event_value(self, coords):
         return _float_or_array(self.event_fn(np.asarray(coords, float)))
@@ -759,21 +722,13 @@ class SmoothedTetragon:
         return model.phi(s, t, angles, component)
 
     def tangent_frame(self, angles, component, sigma):
-        """Analytic tangent vectors of Phi along the surface (Legendrian
-        directions, loop direction), by the chain rule."""
-        model = self.tetragon.model
+        """Tangent vectors of the surface: the model's ``phi_tangents``
+        along the Legendrian angles, then ds d/ds Phi + dt d/dt Phi along
+        the loop's velocity (ds, dt)."""
         (s, t), (ds, dt) = self.loop.point_and_velocity(sigma)
-        x = model.legendrian_point(angles, component)
-        xt = model.reeb_flow(x, t)
-        frame = []
-        for j in range(model.n_angles):
-            v = model.legendrian_tangent(angles, component, j)
-            # push the Legendrian tangent through the (linear) Reeb flow
-            vt = model.flow_pushforward(v, t)
-            frame.append(model.embed_tangent(xt, s, vt, 0.0))
-        reeb = model.reeb_vector(xt)
-        frame.append(model.embed_tangent(xt, s, dt * reeb, ds))
-        return frame
+        *d_angles, d_s, d_t = self.tetragon.model.phi_tangents(
+            s, t, angles, component)
+        return d_angles + [ds * d_s + dt * d_t]
 
     def lagrangian_residual(self, n_samples=1000):
         """Max |omega(v_a, v_b)| over sampled points (seeded draws) and

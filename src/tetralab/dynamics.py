@@ -474,8 +474,8 @@ class SweepResult:
 
 
 def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
-                   time_budget, tol=1e-10, escape_norm=100.0,
-                   member_tol=1e-6) -> SweepResult:
+                   time_budget, tol=1e-10, escape_norm=100.0
+                   ) -> SweepResult:
     """Integrate every start point from its phase over the budget at once.
 
     Each member takes the DOP853 steps of ``integrate`` (same initial
@@ -589,7 +589,7 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
                             continue
                         late[r] = local[r] > best + 1e-12
                         ok[r] = not late[r] and X1.membership(
-                            chart.wrap(y_root[r]), member_tol)
+                            chart.wrap(y_root[r]))
                         if ok[r]:
                             best = min(best, float(local[r]))
                     members = acc[rc[ok]]
@@ -840,10 +840,10 @@ class Chord:
     def time_length(self):
         return self.t1 - self.t0
 
-    def validate(self, X0: Region, X1: Region, time_budget, tol=1e-6):
+    def validate(self, X0: Region, X1: Region, time_budget):
         ok = (
-            X0.distance(self.start) <= tol
-            and X1.distance(self.end) <= tol
+            X0.membership(self.start)
+            and X1.membership(self.end)
             and 0.0 < self.time_length <= time_budget + 1e-12
         )
         return bool(ok)
@@ -878,13 +878,23 @@ class ChordSearchResult:
 @dataclass(frozen=True)
 class ChordSearchConfig:
     """Chord-search settings.  The sweep runs serially, as one vectorised
-    ensemble."""
+    ensemble, and certifies hits with the regions' membership band
+    ``contact.MEMBER_TOL``.  ``n_seeds`` and ``n_phases`` must be at
+    least 1 and ``ode_tol`` positive and finite (``ValueError``)."""
 
     n_seeds: int = 64
     n_phases: int = 16
-    tol: float = 1e-6
     ode_tol: float = 1e-10
     escape_norm: float = 100.0
+
+    def __post_init__(self):
+        for name in ("n_seeds", "n_phases"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got "
+                                 f"{getattr(self, name)}")
+        if not 0.0 < self.ode_tol < math.inf:
+            raise ValueError(f"ode_tol must be positive and finite, got "
+                             f"{self.ode_tol}")
 
 
 def _chord_trajectory(G, x0, phase, span, X1, ode_tol, escape_norm):
@@ -908,10 +918,10 @@ def _chord_trajectory(G, x0, phase, span, X1, ode_tol, escape_norm):
         return run(t_cut), True
 
 
-def _first_hit(traj, X1, phase, tol):
+def _first_hit(traj, X1, phase):
     """First event root after the start that X1's membership certifies."""
     for tr in traj.event_times:
-        if tr - phase > 1e-12 and X1.membership(traj(tr), tol):
+        if tr - phase > 1e-12 and X1.membership(traj(tr)):
             return tr
     return None
 
@@ -939,7 +949,7 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
         raise ValueError(
             f"time_budget must be positive and finite, got {time_budget}")
     for x in X0.sample_points(32):
-        if X1.membership(x, config.tol):
+        if X1.membership(x):
             raise ValueError("start and target regions are not disjoint")
 
     phases = [0.0]
@@ -952,7 +962,7 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
     sweep = ensemble_sweep(
         G, X1, np.tile(seed_points, (len(phases), 1)),
         np.repeat(phases, len(seeds)), time_budget, tol=config.ode_tol,
-        escape_norm=config.escape_norm, member_tol=config.tol)
+        escape_norm=config.escape_norm)
     counts = dict(n_seeds=len(seeds), n_phases=len(phases),
                   n_escaped=int(sweep.escaped.sum()),
                   n_stiff=int(sweep.stiff.sum()))
@@ -1000,7 +1010,7 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
                 config.escape_norm)
         except (EscapeError, StiffnessError):
             return None
-        hit = _first_hit(traj, X1, phase, config.tol)
+        hit = _first_hit(traj, X1, phase)
         if hit is not None:
             incumbent = min(incumbent, hit - phase)
             return 0, hit - phase
@@ -1059,7 +1069,7 @@ def _certify(G, X0, X1, params, comp, phase, span, margin, config,
     x0 = X0.param_point(params, comp)
     traj, _ = _chord_trajectory(G, x0, phase, span, X1, config.ode_tol,
                                 config.escape_norm)
-    hit = _first_hit(traj, X1, phase, config.tol)
+    hit = _first_hit(traj, X1, phase)
     if hit is None:
         return ChordSearchResult(
             found=False, chord=None, best_distance=float(best_dist),
@@ -1072,7 +1082,7 @@ def _certify(G, X0, X1, params, comp, phase, span, margin, config,
     except (EscapeError, StiffnessError):
         fine_hit = None
     else:
-        fine_hit = _first_hit(fine, X1, phase, config.tol)
+        fine_hit = _first_hit(fine, X1, phase)
     end = traj(hit)
     chord = Chord(
         trajectory=_cut(traj, phase + window),

@@ -36,6 +36,7 @@ class GridWindow:
 
     On cylinder windows (periodic_u) the u-axis has n_u cells without a
     duplicated endpoint; the s-axis always includes both endpoints.
+    Both axes need at least two nodes (``ValueError``).
     """
 
     s_lo: float
@@ -45,6 +46,11 @@ class GridWindow:
     n_s: int
     n_u: int
     periodic_u: bool = True
+
+    def __post_init__(self):
+        if self.n_s < 2 or self.n_u < 2:
+            raise ValueError(f"a grid window needs n_s, n_u >= 2, got "
+                             f"n_s={self.n_s}, n_u={self.n_u}")
 
     @property
     def h_s(self):
@@ -354,15 +360,16 @@ def relabeled(problem: Pb4Problem) -> Pb4Problem:
 # Prototype instance: cylinder tetragon masks
 # ---------------------------------------------------------------------------
 
-def prototype_problem(n=128, R0=1.0, R1=2.0, T=0.25, s_margin=0.5,
+def prototype_problem(n=128, R0=1.0, R1=2.0, T=0.25,
                       thicken_radius=0) -> Pb4Problem:
     """Cylinder-window instance whose exact invariant is 1/((R1-R0)*T).
 
-    Masks are the grid cells meeting the floor (X0, s=R0), ceiling
-    (X1, s=R1), low wall (Y0, u=T) and high wall (Y1, u=0).
+    The window reaches 0.5 beyond R0 and R1 in s.  Masks are the grid
+    cells meeting the floor (X0, s=R0), ceiling (X1, s=R1), low wall
+    (Y0, u=T) and high wall (Y1, u=0).
     """
     w = GridWindow(
-        s_lo=R0 - s_margin, s_hi=R1 + s_margin,
+        s_lo=R0 - 0.5, s_hi=R1 + 0.5,
         u_lo=0.0, u_hi=1.0, n_s=n, n_u=n, periodic_u=True,
     )
     s = w.s_nodes()

@@ -26,6 +26,9 @@ from .profiles import Plateau, PlateauStack
 # a found chord's increment passes within this of the expected increment
 INCREMENT_TOL = 1e-6
 
+# the far bump of the wall perturbation is this many times the wall bump
+AWAY_FACTOR = 10.0
+
 
 class ConfigError(ValueError):
     """A scenario configuration violates a precondition."""
@@ -37,13 +40,13 @@ class PerturbationSpec:
 
     ``delta_target`` is the requested separation increment
     |Delta(F; low wall, high wall)|; ``calibrate_perturbation`` sets the
-    amplitude.  ``away_factor`` scales the far bump relative to the wall
-    bump; it sits away from both walls and from the chord corridor, so
-    it may be large without destroying chords.
+    amplitude.  The far bump is ``AWAY_FACTOR`` times the wall bump; it
+    sits away from both walls and from the chord corridor, so it may be
+    large without destroying chords.  Only the unstable-equilibrium
+    scenario takes a perturbation.
     """
 
     delta_target: float = 0.25
-    away_factor: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,6 @@ class ScenarioConfig:
     R1: float = 2.0
     T: Optional[float] = None
     beta: float = 0.5
-    potential_time_amp: float = 0.0
     reeb_model: str = "sphere"
     reeb_factor_base: float = 1.5
     reeb_factor_amp: float = 0.3
@@ -62,7 +64,6 @@ class ScenarioConfig:
     n_seeds: int = 64
     n_phases: int = 16
     ode_tol: float = 1e-9
-    tol: float = 1e-6
 
     def __post_init__(self):
         if self.k < 1:
@@ -74,6 +75,9 @@ class ScenarioConfig:
             )
         if not (0.0 < self.R0 < self.R1):
             raise ConfigError("need 0 < R0 < R1")
+        if self.perturbation and self.scenario != "unstable_equilibrium":
+            raise ConfigError(f"scenario {self.scenario!r} takes no "
+                              "perturbation; only unstable_equilibrium does")
 
 
 @dataclass(frozen=True)
@@ -231,10 +235,10 @@ def add_hamiltonians(G: HamiltonianSpec, F: HamiltonianSpec,
     )
 
 
-def wall_perturbation(amplitude, R0=1.0, R1=2.0, away_factor=10.0,
+def wall_perturbation(amplitude, R0=1.0, R1=2.0,
                       time_periodic=True) -> HamiltonianSpec:
     """Planar (k=1) perturbation F = -A on the high wall, vanishing on
-    the low wall, plus an away_factor*A bump supported near the
+    the low wall, plus an ``AWAY_FACTOR``*A bump supported near the
     anti-diagonal ring — far from both walls and from the floor-to-
     ceiling chord corridor along the main diagonal.
 
@@ -263,7 +267,7 @@ def wall_perturbation(amplitude, R0=1.0, R1=2.0, away_factor=10.0,
         rho = p * p + q * q
         wall = -amplitude * ring.value(rho) * nearq.value(q * q)
         w2 = 0.5 * (p + q) ** 2
-        far = away_factor * amplitude * near_anti.value(w2) \
+        far = AWAY_FACTOR * amplitude * near_anti.value(w2) \
             * far_ring.value(rho) * tfac(t)
         return wall + far
 
@@ -280,7 +284,7 @@ def wall_perturbation(amplitude, R0=1.0, R1=2.0, away_factor=10.0,
         rho = p * p + qq
         (rv, nv, na, fr), (rd, nd, nad, frd) = bumps.values_and_slopes(
             np.stack([rho, qq, w2, rho]))
-        tf = away_factor * amplitude * tfac(t)
+        tf = AWAY_FACTOR * amplitude * tfac(t)
         ns, nf = nad * s * fr, na * frd * 2
         g0 = -amplitude * rd * 2 * p * nv + tf * (ns + nf * p)
         g1 = -amplitude * (rd * 2 * q * nv + rv * nd * 2 * q) \
@@ -302,8 +306,7 @@ def calibrate_perturbation(tet, spec: PerturbationSpec):
     its measured |Delta|, the amplitude and the number of separations
     measured (2)."""
     def measured(a):
-        F = wall_perturbation(a, R0=tet.R0, R1=tet.R1,
-                              away_factor=spec.away_factor)
+        F = wall_perturbation(a, R0=tet.R0, R1=tet.R1)
         return abs(separation(F, tet.low_wall, tet.high_wall,
                               n_samples=64).delta), F
 
@@ -328,8 +331,8 @@ def _chord_report(scenario, cfg: ScenarioConfig, tet, G: HamiltonianSpec,
     coordinates, or over the p-block with ``p_only``."""
     budget = chord_budget(tet.kappa, sep.delta, delta_pert)
     search = ChordSearchConfig(
-        n_seeds=cfg.n_seeds, n_phases=cfg.n_phases, tol=cfg.tol,
-        ode_tol=cfg.ode_tol, escape_norm=10.0 * (math.sqrt(cfg.R1) + 1.0),
+        n_seeds=cfg.n_seeds, n_phases=cfg.n_phases, ode_tol=cfg.ode_tol,
+        escape_norm=10.0 * (math.sqrt(cfg.R1) + 1.0),
     )
     result = find_chord(G, tet.floor, tet.ceiling, budget, search)
     time_len = inc = time_err = None
@@ -373,7 +376,7 @@ def run_unstable_equilibrium(cfg: ScenarioConfig) -> ScenarioReport:
         G = add_hamiltonians(G0, F)
         details["perturbation_amplitude"] = amp
         details["calibration_steps"] = steps
-        details["away_factor"] = cfg.perturbation.away_factor
+        details["away_factor"] = AWAY_FACTOR
     return _chord_report(
         "unstable_equilibrium", cfg, tet, G, sep, details,
         delta_pert=delta_pert,
@@ -400,34 +403,11 @@ def run_mechanical(cfg: ScenarioConfig) -> ScenarioReport:
     T = cfg.T if cfg.T is not None else math.pi / 4.0
     model = SphereModel(cfg.k)
     tet = build_tetragon(model, cfg.R0, cfg.R1, T)
-    G = mechanical_hamiltonian(cfg.k, cfg.beta, cfg.R0, cfg.R1,
-                               time_amp=cfg.potential_time_amp)
-    _check_shell_max(G, cfg)
+    G = mechanical_hamiltonian(cfg.k, cfg.beta, cfg.R0, cfg.R1)
     sep = separation(G, tet.low_wall, tet.high_wall)
     return _chord_report(
         "mechanical", cfg, tet, G, sep,
         {"model": "sphere", "k": cfg.k, "beta": cfg.beta})
-
-
-def _check_shell_max(G: HamiltonianSpec, cfg: ScenarioConfig):
-    """The potential's max over the q-shell x period must be <= -beta."""
-    k = cfg.k
-    times = [0.0] if G.autonomous else np.linspace(0.0, 1.0, 17)[:-1]
-    worst = -math.inf
-    for rho in np.linspace(math.sqrt(cfg.R0), math.sqrt(cfg.R1), 21):
-        for ang in np.linspace(0.0, 2 * math.pi, 16, endpoint=False):
-            q = rho * np.array([math.cos(ang), math.sin(ang)])[:k] \
-                if k > 1 else np.array([rho * math.cos(ang)])
-            if k == 1 and abs(q[0]) < math.sqrt(cfg.R0) - 1e-9:
-                continue
-            x = np.concatenate([np.zeros(k), q])
-            for t in times:
-                worst = max(worst, G(x, t))
-    if worst > -cfg.beta + 1e-9:
-        raise ConfigError(
-            f"potential max over the shell is {worst:.6f} > -beta = "
-            f"{-cfg.beta}; re-declare beta to match"
-        )
 
 
 def run_reeb_chord(cfg: ScenarioConfig) -> ScenarioReport:

@@ -9,6 +9,7 @@ import pytest
 
 from tetralab import cli
 from tetralab.cli import emit_report, main
+from tetralab.dynamics import ChordSearchConfig
 from tetralab.scenarios import PerturbationSpec, ScenarioConfig
 
 
@@ -76,6 +77,17 @@ class TestScenarioCommand:
         cfg = write_config(tmp_path, {"scenario": "nonsense"})
         assert main(["scenario", "run", cfg]) == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("ode_tol", 0), ("ode_tol", -1e-9), ("n_seeds", 0), ("n_seeds", -5),
+        ("n_phases", 0)])
+    def test_chord_search_number_rejected(self, tmp_path, capsys, key,
+                                          value):
+        cfg = write_config(tmp_path, {"scenario": "unstable_equilibrium",
+                                      key: value})
+        assert main(["scenario", "run", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+        assert key in capsys.readouterr().err
+
     def test_report_bytes_reproducible(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "reeb_chord"})
         outs = []
@@ -130,6 +142,13 @@ class TestPb4Command:
         assert main(["pb4", "estimate", cfg, "--out",
                      str(tmp_path / "o")]) == 1
         assert "optimizer.n_starts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_grid_below_two_nodes_rejected(self, tmp_path, capsys, n):
+        cfg = write_config(tmp_path, {"n": n})
+        assert main(["pb4", "estimate", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+        assert "n_s, n_u >= 2" in capsys.readouterr().err
 
 
 class TestChordCommand:
@@ -230,6 +249,15 @@ class TestSchemas:
     def test_perturbation_schema_matches_spec_fields(self):
         assert set(cli._PERTURBATION_SCHEMA) == \
             {f.name for f in fields(PerturbationSpec)}
+
+    def test_chord_search_keys_are_config_fields(self):
+        """The chord keys that set neither the tetragon nor the
+        Hamiltonian nor the budget go to ``ChordSearchConfig``; a field
+        deleted there cannot stay an accepted key."""
+        search_keys = set(cli._CHORD_SCHEMA) - set(cli._TETRAGON_SCHEMA) \
+            - {"hamiltonian", "beta", "time_budget"}
+        assert search_keys == {"n_seeds", "n_phases", "ode_tol"}
+        assert search_keys <= {f.name for f in fields(ChordSearchConfig)}
 
 
 class TestValidateCommand:

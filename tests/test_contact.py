@@ -10,12 +10,23 @@ from tetralab.contact import (CircleModel, GeometryError,
                               SphereModel, TorusModel, build_tetragon,
                               make_model, smooth_tetragon,
                               unit_sphere_point, unit_sphere_tangent)
+from tetralab.phase_core import omega_matrix
 
 ALL_MODELS = [CircleModel(), TorusModel(2), SphereModel(1), SphereModel(2)]
 
 
 def model_id(m):
     return f"{m.kind}{m.k}"
+
+
+def tetragon_samples(model, n=20):
+    """Seeded (s, t, angles, component) over L x [1, 2] x [0, T]."""
+    rng = np.random.default_rng(5)
+    T = math.pi / 4 if model.kind == "sphere" else 0.25
+    for _ in range(n):
+        yield (float(rng.uniform(1.0, 2.0)), float(rng.uniform(0.0, T)),
+               [float(rng.uniform(lo, hi)) for lo, hi in model.angle_bounds],
+               int(rng.integers(model.n_components)))
 
 
 class TestSphereParametrization:
@@ -93,14 +104,36 @@ class TestReebFlows:
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=model_id)
     def test_contact_form_normalizations(self, model):
-        """lambda0(Reeb) = 1 on Sigma and lambda0 = 0 on L-tangents."""
-        x = model.legendrian_point([0.4] * model.n_angles)
-        assert model.lambda0(x, model.reeb_vector(x)) == pytest.approx(
-            1.0, abs=1e-12
-        )
-        for j in range(model.n_angles):
-            v = model.legendrian_tangent([0.4] * model.n_angles, 0, j)
-            assert abs(model.lambda0(x, v)) <= 1e-12
+        """omega = d(s lambda0) on the symplectization, so lambda0(Reeb)
+        = 1 reads omega(d/ds Phi, d/dt Phi) = 1, the area density behind
+        kappa = (R1 - R0) T, and lambda0 = 0 on L reads omega(d/da Phi,
+        d/ds Phi) = omega(d/da Phi, d/dt Phi) = 0 along each angle a."""
+        omega = omega_matrix(model.chart.dim_pairs)
+        for s, t, angles, comp in tetragon_samples(model):
+            *d_angles, d_s, d_t = model.phi_tangents(s, t, angles, comp)
+            assert d_s @ omega @ d_t == pytest.approx(1.0, abs=1e-14)
+            for d_a in d_angles:
+                assert abs(d_a @ omega @ d_s) <= 1e-14
+                assert abs(d_a @ omega @ d_t) <= 1e-14
+
+    @pytest.mark.parametrize("model", ALL_MODELS + [TorusModel(3)],
+                             ids=model_id)
+    def test_phi_tangents_match_differences(self, model):
+        """Each closed-form tangent is the central difference of phi in
+        (angles..., s, t), periodic coordinates compared mod 1."""
+        h, k = 1e-6, model.chart.dim_pairs
+        for s, t, angles, comp in tetragon_samples(model):
+            args = np.array([*angles, s, t])
+            for i, d in enumerate(model.phi_tangents(s, t, angles, comp)):
+                lo, hi = args.copy(), args.copy()
+                lo[i] -= h
+                hi[i] += h
+                diff = model.phi(hi[-2], hi[-1], hi[:-2], comp) \
+                    - model.phi(lo[-2], lo[-1], lo[:-2], comp)
+                for j, periodic in enumerate(model.chart.periodic):
+                    if periodic:
+                        diff[k + j] -= round(diff[k + j])
+                assert np.allclose(diff / (2 * h), d, rtol=0, atol=1e-8)
 
 
 class TestMakeModel:

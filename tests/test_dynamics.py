@@ -407,6 +407,16 @@ class TestChordBudget:
             chord_budget(0.25, 0.2, 0.3)
 
 
+class TestChordSearchConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("n_seeds", 0), ("n_seeds", -5), ("n_phases", 0),
+        ("ode_tol", 0.0), ("ode_tol", -1e-9), ("ode_tol", math.nan),
+        ("ode_tol", math.inf)])
+    def test_out_of_range_value_names_its_field(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ChordSearchConfig(**{name: value})
+
+
 class TestFindChord:
     def test_channel_chord_has_analytic_time(self):
         tet = build_tetragon(CircleModel(), 1.0, 2.0, 0.25)
@@ -738,9 +748,9 @@ class TestEnsembleSweep:
             roots.extend(out)
             return out
 
-        def count_queries(self, coords, tol=1e-6):
+        def count_queries(self, coords):
             queries.append(coords)
-            return real_member(self, coords, tol)
+            return real_member(self, coords)
 
         monkeypatch.setattr(dynamics, "_event_root", count_roots)
         monkeypatch.setattr(Region, "membership", count_queries)

@@ -48,6 +48,11 @@ class TestGridWindow:
         w = GridWindow(0.0, 1.0, 0.0, 1.0, 11, 11, periodic_u=False)
         assert w.h_u == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("n_s, n_u", [(1, 8), (8, 1)])
+    def test_needs_two_nodes_per_axis(self, n_s, n_u):
+        with pytest.raises(ValueError, match="n_s, n_u >= 2"):
+            GridWindow(0.0, 1.0, 0.0, 1.0, n_s, n_u)
+
 
 def null_mode_pair(n):
     """F = 1 on the rows of the ceiling row's parity, projected, with G

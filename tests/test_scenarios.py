@@ -92,12 +92,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_scenario(cfg)
 
-    def test_mechanical_shell_max_recheck(self):
-        # time modulation lifts the potential above -beta on the shell
-        cfg = ScenarioConfig(scenario="mechanical", beta=0.5,
-                             potential_time_amp=0.5)
-        with pytest.raises(ConfigError):
-            run_scenario(cfg)
+    @pytest.mark.parametrize("scenario", ["superconductivity",
+                                          "mechanical", "reeb_chord"])
+    def test_perturbation_only_on_unstable_equilibrium(self, scenario):
+        """No other runner reads a perturbation; it must not pass
+        silently unapplied."""
+        with pytest.raises(ConfigError, match="takes no perturbation"):
+            ScenarioConfig(scenario=scenario,
+                           perturbation=PerturbationSpec(0.2))
 
     def test_reeb_factor_must_stay_positive(self):
         cfg = ScenarioConfig(scenario="reeb_chord",
