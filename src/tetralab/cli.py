@@ -1,6 +1,7 @@
 """Configuration-driven command line runner with reproducible reports.
 
-One JSON config file describes one command.  Unknown keys are rejected;
+One JSON config file describes one command.  Unknown keys are rejected,
+and so is a scenario key its kind does not read (``SCENARIO_KEYS``);
 CLI ``--set`` flags override leaf keys via dotted paths.  Reports are
 written as JSON with stable key order; wall-clock statistics go to a
 separate timing file so the scientific report is byte-reproducible.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -27,10 +27,10 @@ from .dynamics import ChordSearchConfig, chord_budget, find_chord, separation
 # feasible_pair_value is unused here but patched by bench/tracing.py
 from .pb4 import (estimate_pb4_plus, feasible_pair_value,  # noqa: F401
                   prototype_problem)
-from .scenarios import (INCREMENT_TOL, ConfigError, PerturbationSpec,
-                        ScenarioConfig, channel_potential,
-                        mechanical_hamiltonian, run_scenario,
-                        unstable_hamiltonian)
+from .scenarios import (INCREMENT_TOL, SEARCH_KEYS, ConfigError,
+                        PerturbationSpec, ScenarioConfig, channel_potential,
+                        check_scenario_keys, mechanical_hamiltonian,
+                        run_scenario, unstable_hamiltonian)
 
 
 class UsageError(ValueError):
@@ -129,6 +129,9 @@ def load_config(path, overrides, schema):
         )
     cfg = _apply_overrides(cfg, overrides)
     _check_keys(cfg, schema)
+    if schema is _SCENARIO_SCHEMA:
+        # beyond the schema, only the keys the scenario kind reads
+        check_scenario_keys(cfg.get("scenario"), cfg)
     return cfg
 
 
@@ -228,40 +231,40 @@ def _cmd_pb4(cfg):
     return payload, csvs, status
 
 
-def _hamiltonian_for(cfg):
+def _hamiltonian_for(cfg, tet):
+    """The config's Hamiltonian on the tetragon's k, R0 and R1."""
     name = cfg.get("hamiltonian", "unstable")
-    k = cfg.get("k", 1)
+    k = tet.model.k
+    if "beta" in cfg and name != "mechanical":
+        raise UsageError(f"hamiltonian {name!r} does not read beta; "
+                         "only 'mechanical' does")
     if name == "unstable":
         return unstable_hamiltonian(k)
     if name == "channel":
         return channel_potential(k)
     if name == "mechanical":
-        return mechanical_hamiltonian(k, cfg.get("beta", 0.5),
-                                      cfg.get("R0", 1.0),
-                                      cfg.get("R1", 2.0))
+        beta = {"beta": cfg["beta"]} if "beta" in cfg else {}
+        return mechanical_hamiltonian(k, R0=tet.R0, R1=tet.R1, **beta)
     raise UsageError(f"unknown hamiltonian {name!r}")
 
 
 def _tetragon_for(cfg):
-    """The config's tetragon.  T defaults to pi/4 on the sphere and 0.25
-    on the circle and the torus, as in the scenarios."""
+    """The config's tetragon; T defaults to the model's
+    ``default_reeb_time``, as in the scenarios."""
     model = make_model(cfg.get("model", "sphere"), cfg.get("k", 1))
-    T = cfg.get("T", math.pi / 4 if model.kind == "sphere" else 0.25)
+    T = cfg.get("T", model.default_reeb_time)
     return build_tetragon(model, cfg.get("R0", 1.0), cfg.get("R1", 2.0), T)
 
 
 def _cmd_chord(cfg):
     tet = _tetragon_for(cfg)
-    H = _hamiltonian_for(cfg)
+    H = _hamiltonian_for(cfg, tet)
     budget = cfg.get("time_budget")
     sep = separation(H, tet.low_wall, tet.high_wall)
     if budget is None:
         budget = chord_budget(tet.kappa, sep.delta)
     search = ChordSearchConfig(
-        n_seeds=cfg.get("n_seeds", 64),
-        n_phases=cfg.get("n_phases", 16),
-        ode_tol=cfg.get("ode_tol", 1e-9),
-    )
+        **{key: cfg[key] for key in SEARCH_KEYS if key in cfg})
     result = find_chord(H, tet.floor, tet.ceiling, budget, search)
     payload = {
         "command": "chord",

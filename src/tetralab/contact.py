@@ -112,13 +112,15 @@ class ContactModel:
     functionals of a horizontal piece and of a wall; ``build_tetragon``
     lays the four regions out from these.  Condition (C2) bounds the
     tetragon time by ``0 < T < max_reeb_time`` (``<=`` where
-    ``max_reeb_time_inclusive``).
+    ``max_reeb_time_inclusive``); ``default_reeb_time`` is the T that
+    scenarios and commands use when a config sets none.
     """
 
     kind = ""
     k = 1
     max_reeb_time = math.inf
     max_reeb_time_inclusive = False
+    default_reeb_time = 0.25
 
     def check_reeb_time(self, T):
         """Raise ``ParameterError`` unless T satisfies (C2)."""
@@ -329,7 +331,7 @@ class SphereModel(ContactModel):
     """Standard contact sphere S^{2k-1} in C^k with Reeb flow e^{2it}."""
 
     kind = "sphere"
-    max_reeb_time = math.pi / 4.0
+    max_reeb_time = default_reeb_time = math.pi / 4.0
     max_reeb_time_inclusive = True
 
     def __init__(self, k):
@@ -453,6 +455,10 @@ class SphereModel(ContactModel):
 def make_model(kind, k=1) -> ContactModel:
     kind = kind.lower()
     if kind == "circle":
+        if k != 1:
+            raise ParameterError(
+                f"the circle model has k = 1, got k = {k}; use the torus "
+                "for k >= 2")
         return CircleModel()
     if kind == "torus":
         return TorusModel(k)
@@ -715,11 +721,6 @@ class SmoothedTetragon:
     @property
     def area(self):
         return self.loop.area
-
-    def surface_point(self, angles, component, sigma):
-        model = self.tetragon.model
-        (s, t), _ = self.loop.point_and_velocity(sigma)
-        return model.phi(s, t, angles, component)
 
     def tangent_frame(self, angles, component, sigma):
         """Tangent vectors of the surface: the model's ``phi_tangents``

@@ -880,11 +880,14 @@ class ChordSearchConfig:
     """Chord-search settings.  The sweep runs serially, as one vectorised
     ensemble, and certifies hits with the regions' membership band
     ``contact.MEMBER_TOL``.  ``n_seeds`` and ``n_phases`` must be at
-    least 1 and ``ode_tol`` positive and finite (``ValueError``)."""
+    least 1 and ``ode_tol`` positive and finite (``ValueError``).
+
+    These defaults are the only ones the chord search has: scenarios and
+    ``tetralab chord find`` pass on only the search keys a config sets."""
 
     n_seeds: int = 64
     n_phases: int = 16
-    ode_tol: float = 1e-10
+    ode_tol: float = 1e-9
     escape_norm: float = 100.0
 
     def __post_init__(self):

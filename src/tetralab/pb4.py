@@ -18,7 +18,7 @@ or of a projected warm start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -344,18 +344,6 @@ def estimate_pb4_plus(problem: Pb4Problem, warm_start=None) -> Pb4Report:
     )
 
 
-def relabeled(problem: Pb4Problem) -> Pb4Problem:
-    """The (Y1, Y0, X0, X1) relabeling whose estimate agrees with the
-    original by anti-symmetry of the invariant."""
-    m = problem.masks
-    return Pb4Problem(
-        window=problem.window,
-        masks={"X0": m["Y1"], "X1": m["Y0"],
-               "Y0": m["X0"], "Y1": m["X1"]},
-        thicken_radius=problem.thicken_radius,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Prototype instance: cylinder tetragon masks
 # ---------------------------------------------------------------------------
@@ -394,28 +382,6 @@ def prototype_problem(n=128, R0=1.0, R1=2.0, T=0.25,
         "Y1": shell[:, None] & u_near(0.0)[None, :],
     }
     return Pb4Problem(window=w, masks=masks, thicken_radius=thicken_radius)
-
-
-def shrink_prototype_masks(problem: Pb4Problem, cells=2) -> Pb4Problem:
-    """Shrink every mask by trimming ``cells`` columns/rows from the
-    ends of its arc; the feasible set grows, so the invariant estimate
-    cannot increase (tested with warm starts)."""
-    out = {}
-    for name, m in problem.masks.items():
-        m = np.asarray(m, dtype=bool)
-        new = m.copy()
-        if name in ("X0", "X1"):
-            cols = np.where(m.any(axis=0))[0]
-            drop = set(list(cols[:cells]) + list(cols[-cells:]))
-            new[:, sorted(drop)] = False
-        else:
-            rows = np.where(m.any(axis=1))[0]
-            drop = set(list(rows[:cells]) + list(rows[-cells:]))
-            new[sorted(drop), :] = False
-        if not new.any():
-            raise ValueError(f"shrinking emptied mask {name}")
-        out[name] = new
-    return replace(problem, masks=out)
 
 
 # ---------------------------------------------------------------------------

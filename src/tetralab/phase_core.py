@@ -130,16 +130,6 @@ class HamiltonianSpec:
         return g
 
 
-def constant_hamiltonian(chart, c=0.0, name="const"):
-    return HamiltonianSpec(
-        chart=chart,
-        value=lambda x, t: np.full(np.shape(x)[:-1], float(c))[()],
-        gradient=lambda x, t: np.zeros(np.shape(x)),
-        autonomous=True,
-        name=name,
-    )
-
-
 def sgrad(H: HamiltonianSpec, x, t=0.0):
     """Hamiltonian vector field of H at (x, t): (-dH/dq, +dH/dp).
 

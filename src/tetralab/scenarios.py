@@ -12,7 +12,7 @@ self-certifying pass/fail verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -51,6 +51,13 @@ class PerturbationSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario run.  ``SCENARIO_KEYS`` names the fields each kind
+    reads; a field outside its kind's entry must keep its default
+    (``ConfigError`` names every one that does not).  ``T`` defaults to
+    the contact model's ``default_reeb_time``.  The search fields
+    ``n_seeds``, ``n_phases`` and ``ode_tol`` default to None, "not
+    set": the chord search then uses ``ChordSearchConfig``'s value."""
+
     scenario: str
     k: int = 1
     R0: float = 1.0
@@ -61,11 +68,14 @@ class ScenarioConfig:
     reeb_factor_base: float = 1.5
     reeb_factor_amp: float = 0.3
     perturbation: Optional[PerturbationSpec] = None
-    n_seeds: int = 64
-    n_phases: int = 16
-    ode_tol: float = 1e-9
+    n_seeds: Optional[int] = None
+    n_phases: Optional[int] = None
+    ode_tol: Optional[float] = None
 
     def __post_init__(self):
+        check_scenario_keys(self.scenario, [
+            f.name for f in fields(self)
+            if getattr(self, f.name) != f.default])
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if self.k > 2:
@@ -75,9 +85,6 @@ class ScenarioConfig:
             )
         if not (0.0 < self.R0 < self.R1):
             raise ConfigError("need 0 < R0 < R1")
-        if self.perturbation and self.scenario != "unstable_equilibrium":
-            raise ConfigError(f"scenario {self.scenario!r} takes no "
-                              "perturbation; only unstable_equilibrium does")
 
 
 @dataclass(frozen=True)
@@ -331,9 +338,9 @@ def _chord_report(scenario, cfg: ScenarioConfig, tet, G: HamiltonianSpec,
     coordinates, or over the p-block with ``p_only``."""
     budget = chord_budget(tet.kappa, sep.delta, delta_pert)
     search = ChordSearchConfig(
-        n_seeds=cfg.n_seeds, n_phases=cfg.n_phases, ode_tol=cfg.ode_tol,
         escape_norm=10.0 * (math.sqrt(cfg.R1) + 1.0),
-    )
+        **{key: getattr(cfg, key) for key in SEARCH_KEYS
+           if getattr(cfg, key) is not None})
     result = find_chord(G, tet.floor, tet.ceiling, budget, search)
     time_len = inc = time_err = None
     if result.found:
@@ -355,10 +362,14 @@ def _chord_report(scenario, cfg: ScenarioConfig, tet, G: HamiltonianSpec,
     )
 
 
+def _reeb_time(cfg, model):
+    """The config's T, or the model's default."""
+    return model.default_reeb_time if cfg.T is None else cfg.T
+
+
 def run_unstable_equilibrium(cfg: ScenarioConfig) -> ScenarioReport:
-    T = cfg.T if cfg.T is not None else math.pi / 4.0
     model = SphereModel(cfg.k)
-    tet = build_tetragon(model, cfg.R0, cfg.R1, T)
+    tet = build_tetragon(model, cfg.R0, cfg.R1, _reeb_time(cfg, model))
     G0 = unstable_hamiltonian(cfg.k)
     sep = separation(G0, tet.low_wall, tet.high_wall)
     delta_pert, G = 0.0, G0
@@ -384,10 +395,10 @@ def run_unstable_equilibrium(cfg: ScenarioConfig) -> ScenarioReport:
 
 
 def run_superconductivity(cfg: ScenarioConfig) -> ScenarioReport:
-    r = cfg.T if cfg.T is not None else 0.25
+    model = CircleModel() if cfg.k == 1 else TorusModel(cfg.k)
+    r = _reeb_time(cfg, model)
     if not r < 0.5:
         raise ConfigError(f"channel scenario requires r < 1/2, got {r}")
-    model = CircleModel() if cfg.k == 1 else TorusModel(cfg.k)
     tet = build_tetragon(model, cfg.R0, cfg.R1, r)
     H = channel_potential(cfg.k)
     sep = separation(H, tet.low_wall, tet.high_wall)
@@ -400,9 +411,8 @@ def run_superconductivity(cfg: ScenarioConfig) -> ScenarioReport:
 
 
 def run_mechanical(cfg: ScenarioConfig) -> ScenarioReport:
-    T = cfg.T if cfg.T is not None else math.pi / 4.0
     model = SphereModel(cfg.k)
-    tet = build_tetragon(model, cfg.R0, cfg.R1, T)
+    tet = build_tetragon(model, cfg.R0, cfg.R1, _reeb_time(cfg, model))
     G = mechanical_hamiltonian(cfg.k, cfg.beta, cfg.R0, cfg.R1)
     sep = separation(G, tet.low_wall, tet.high_wall)
     return _chord_report(
@@ -422,18 +432,17 @@ def run_reeb_chord(cfg: ScenarioConfig) -> ScenarioReport:
     """
     base, amp = cfg.reeb_factor_base, cfg.reeb_factor_amp
     if cfg.reeb_model == "sphere":
-        T = cfg.T if cfg.T is not None else math.pi / 4.0
         model, starts = SphereModel(1), [0.0, math.pi]
-        span = 2.0 * T
         speed, omega = 2.0, 1.0
     elif cfg.reeb_model == "circle":
-        T = cfg.T if cfg.T is not None else 0.25
         model, starts = CircleModel(), [0.0]
-        span = T
         speed, omega = 1.0, 2 * math.pi
     else:
         raise ConfigError(f"unknown reeb model {cfg.reeb_model!r}")
+    T = _reeb_time(cfg, model)
     model.check_reeb_time(T)
+    # theta' = speed at f = 1: theta sweeps 2T on the sphere, T on the circle
+    span = speed * T
 
     def f(theta):
         return base + amp * np.sin(omega * theta)
@@ -483,13 +492,36 @@ _RUNNERS = {
     "reeb_chord": run_reeb_chord,
 }
 
+# the ChordSearchConfig fields a scenario config may set
+SEARCH_KEYS = ("n_seeds", "n_phases", "ode_tol")
+
+# The config fields each scenario kind reads.  Pass rule: every chord
+# kind accepts n_phases, although find_chord sweeps a single phase when
+# G is autonomous, so that one set of search sizes fits every kind.
+SCENARIO_KEYS = {
+    "unstable_equilibrium": ("k", "R0", "R1", "T", "perturbation")
+    + SEARCH_KEYS,
+    "superconductivity": ("k", "R0", "R1", "T") + SEARCH_KEYS,
+    "mechanical": ("k", "R0", "R1", "T", "beta") + SEARCH_KEYS,
+    "reeb_chord": ("T", "reeb_model", "reeb_factor_base", "reeb_factor_amp"),
+}
+
+
+def check_scenario_keys(scenario, keys):
+    """Raise ``ConfigError`` naming every key in ``keys`` (besides
+    ``scenario``) that the kind does not read, or the unknown kind."""
+    if scenario not in SCENARIO_KEYS:
+        raise ConfigError(f"unknown scenario {scenario!r}; "
+                          f"choose from {sorted(SCENARIO_KEYS)}")
+    unread = [key for key in keys
+              if key != "scenario" and key not in SCENARIO_KEYS[scenario]]
+    if unread:
+        raise ConfigError(
+            f"scenario {scenario!r} takes no {', '.join(unread)}; "
+            f"it reads {', '.join(SCENARIO_KEYS[scenario])}")
+
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
-    if cfg.scenario not in _RUNNERS:
-        raise ConfigError(
-            f"unknown scenario {cfg.scenario!r}; "
-            f"choose from {sorted(_RUNNERS)}"
-        )
     return _RUNNERS[cfg.scenario](cfg)
 
 

@@ -7,14 +7,14 @@ fixture records its wall-clock time so runtime budgets can be asserted.
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from tetralab.dynamics import ChordSearchConfig, find_chord, separation
-from tetralab.pb4 import (estimate_pb4_plus, prototype_problem, relabeled,
-                          shrink_prototype_masks, wall_witness)
+from tetralab.pb4 import (Pb4Problem, estimate_pb4_plus, prototype_problem,
+                          wall_witness)
 from tetralab.phase_core import HamiltonianSpec, poisson_bracket
 from tetralab.contact import CircleModel, build_tetragon
 from tetralab.scenarios import (PerturbationSpec, ScenarioConfig,
@@ -93,6 +93,16 @@ def polynomial_hamiltonian(chart, coeffs):
     )
 
 
+def constant_hamiltonian(chart, c=0.0, name="const"):
+    return HamiltonianSpec(
+        chart=chart,
+        value=lambda x, t: np.full(np.shape(x)[:-1], float(c))[()],
+        gradient=lambda x, t: np.zeros(np.shape(x)),
+        autonomous=True,
+        name=name,
+    )
+
+
 def gaussian_hamiltonian(chart, centers, widths, amps, name="bumps"):
     """Sum of radial Gaussian bumps with analytic gradients; accepts a
     point or a stack of points (the HamiltonianSpec batch contract)."""
@@ -114,6 +124,46 @@ def gaussian_hamiltonian(chart, centers, widths, amps, name="bumps"):
 
     return HamiltonianSpec(chart=chart, value=value, gradient=gradient,
                            name=name)
+
+
+def surface_point(smoothed, angles, component, sigma):
+    """The smoothed tetragon's point Phi(angles, gamma_eps(sigma))."""
+    (s, t), _ = smoothed.loop.point_and_velocity(sigma)
+    return smoothed.tetragon.model.phi(s, t, angles, component)
+
+
+def relabeled(problem: Pb4Problem) -> Pb4Problem:
+    """The (Y1, Y0, X0, X1) relabeling whose estimate agrees with the
+    original by anti-symmetry of the invariant."""
+    m = problem.masks
+    return Pb4Problem(
+        window=problem.window,
+        masks={"X0": m["Y1"], "X1": m["Y0"],
+               "Y0": m["X0"], "Y1": m["X1"]},
+        thicken_radius=problem.thicken_radius,
+    )
+
+
+def shrink_prototype_masks(problem: Pb4Problem, cells=2) -> Pb4Problem:
+    """Shrink every mask by trimming ``cells`` columns/rows from the
+    ends of its arc; the feasible set grows, so the invariant estimate
+    cannot increase (tested with warm starts)."""
+    out = {}
+    for name, m in problem.masks.items():
+        m = np.asarray(m, dtype=bool)
+        new = m.copy()
+        if name in ("X0", "X1"):
+            cols = np.where(m.any(axis=0))[0]
+            drop = set(list(cols[:cells]) + list(cols[-cells:]))
+            new[:, sorted(drop)] = False
+        else:
+            rows = np.where(m.any(axis=1))[0]
+            drop = set(list(rows[:cells]) + list(rows[-cells:]))
+            new[sorted(drop), :] = False
+        if not new.any():
+            raise ValueError(f"shrinking emptied mask {name}")
+        out[name] = new
+    return replace(problem, masks=out)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +254,11 @@ def witness_run():
         H = ww.hamiltonian()
         tet = build_tetragon(CircleModel(), 1.0, 2.0, 0.25)
         budget = 0.25 / 1.01 - 0.01
+        # ode_tol 1e-10 is the tolerance the refinement pins in
+        # test_dynamics were measured at (the default 1e-9 takes 17
+        # refinement evaluations here, not 16)
         search = find_chord(H, tet.high_wall, tet.low_wall, budget,
-                            ChordSearchConfig(n_seeds=1001))
+                            ChordSearchConfig(n_seeds=1001, ode_tol=1e-10))
         sep = separation(H, tet.floor, tet.ceiling)
         return ww, search, sep
 

@@ -9,7 +9,7 @@ import pytest
 
 from tetralab import cli
 from tetralab.cli import emit_report, main
-from tetralab.dynamics import ChordSearchConfig
+from tetralab.dynamics import ChordSearchConfig, find_chord
 from tetralab.scenarios import PerturbationSpec, ScenarioConfig
 
 
@@ -59,10 +59,29 @@ class TestScenarioCommand:
                                       "bogus": 1})
         assert main(["scenario", "run", cfg]) == 1
 
-    def test_wrong_type_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, {"scenario": "reeb_chord",
+    def test_wrong_type_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"scenario": "unstable_equilibrium",
                                       "n_seeds": "many"})
         assert main(["scenario", "run", cfg]) == 1
+        assert "n_seeds must be int" in capsys.readouterr().err
+
+    def test_unread_keys_rejected(self, tmp_path, capsys):
+        """A key the kind does not read fails the run, even at its
+        default value; the message names every such key."""
+        unread = {"n_seeds": 0, "ode_tol": -1, "beta": 7, "R0": 5, "R1": 6}
+        for payload in (unread, {"beta": 0.5}):
+            cfg = write_config(tmp_path, {"scenario": "reeb_chord",
+                                          **payload})
+            assert main(["scenario", "run", cfg, "--out",
+                         str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert all(key in err for key in payload)
+        assert main(["validate", "config", cfg]) == 1
+
+    def test_missing_scenario_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"k": 1})
+        assert main(["scenario", "run", cfg]) == 1
+        assert "unknown scenario None" in capsys.readouterr().err
 
     def test_reeb_time_outside_c2_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "reeb_chord", "T": 0.0})
@@ -193,6 +212,38 @@ class TestChordCommand:
         assert main(["chord", "find", cfg, "--out",
                      str(tmp_path / "o")]) == 1
 
+    def test_beta_only_with_mechanical(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"hamiltonian": "unstable",
+                                      "beta": 7})
+        assert main(["chord", "find", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+        assert "beta" in capsys.readouterr().err
+
+    def test_circle_with_k_above_one_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": "circle", "k": 2,
+                                      "hamiltonian": "channel"})
+        assert main(["chord", "find", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+        assert "k = 1" in capsys.readouterr().err
+
+    def test_search_defaults_come_from_chord_search_config(
+            self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(*args):
+            seen.append(args[-1])
+            return find_chord(*args)
+
+        monkeypatch.setattr(cli, "find_chord", record)
+        cfg = write_config(tmp_path, {"model": "circle",
+                                      "hamiltonian": "channel"})
+        out = tmp_path / "out"
+        assert main(["chord", "find", cfg, "--out", str(out)]) == 0
+        default = ChordSearchConfig()
+        assert [(c.n_seeds, c.n_phases, c.ode_tol) for c in seen] == \
+            [(default.n_seeds, default.n_phases, default.ode_tol)]
+        assert read_report(out)["tolerances"]["ode"] == default.ode_tol
+
 
 class TestEmitReport:
     def test_csv_text_is_pinned(self, tmp_path):
@@ -239,6 +290,12 @@ class TestTetragonCommand:
         cfg = write_config(tmp_path, {"model": "circle", "T": 1.5})
         assert main(["tetragon", "build", cfg, "--out",
                      str(tmp_path / "o")]) == 1
+
+    def test_circle_with_k_above_one_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": "circle", "k": 3})
+        assert main(["tetragon", "build", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+        assert "k = 1" in capsys.readouterr().err
 
 
 class TestSchemas:

@@ -12,6 +12,8 @@ from tetralab.contact import (CircleModel, GeometryError,
                               unit_sphere_point, unit_sphere_tangent)
 from tetralab.phase_core import omega_matrix
 
+from conftest import surface_point
+
 ALL_MODELS = [CircleModel(), TorusModel(2), SphereModel(1), SphereModel(2)]
 
 
@@ -145,6 +147,15 @@ class TestMakeModel:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             make_model("klein")
+
+    @pytest.mark.parametrize("k", [0, 2, 3])
+    def test_circle_has_k1(self, k):
+        with pytest.raises(ParameterError, match="k = 1"):
+            make_model("circle", k)
+
+    def test_default_reeb_time_satisfies_c2(self):
+        for model in ALL_MODELS:
+            model.check_reeb_time(model.default_reeb_time)
 
     def test_torus_needs_k2(self):
         with pytest.raises(ParameterError):
@@ -326,5 +337,5 @@ class TestSmoothing:
         tet = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
         sm = smooth_tetragon(tet, 0.05)
         # sigma = 0 is the start of the bottom edge (Reeb time 0)
-        z = sm.surface_point([], 0, 0.0)
+        z = surface_point(sm, [], 0, 0.0)
         assert tet.high_wall.distance(z) <= 1e-9

@@ -14,13 +14,12 @@ from tetralab.dynamics import (Chord, ChordSearchConfig, EscapeError,
                                ensemble_sweep, find_chord, integrate,
                                pattern_search, separation)
 from tetralab.pb4 import wall_witness
-from tetralab.phase_core import (HamiltonianSpec, PhaseChart,
-                                 constant_hamiltonian, sgrad)
+from tetralab.phase_core import HamiltonianSpec, PhaseChart, sgrad
 from tetralab.scenarios import (add_hamiltonians, channel_potential,
                                 mechanical_hamiltonian, unstable_hamiltonian,
                                 wall_perturbation)
 
-from conftest import polynomial_hamiltonian
+from conftest import constant_hamiltonian, polynomial_hamiltonian
 
 PLANE = PhaseChart(dim_pairs=1)
 EPS = np.finfo(float).eps

@@ -12,11 +12,10 @@ from tetralab.pb4 import (GridWindow, InfeasibleError, Pb4Problem,
                           discrete_bracket, estimate_pb4_plus,
                           feasible_pair_value, interpolant_pair,
                           project_fields, prototype_hamiltonian_pair,
-                          prototype_problem, relabeled,
-                          shrink_prototype_masks, wall_witness)
+                          prototype_problem, wall_witness)
 from tetralab.phase_core import poisson_bracket
 
-from conftest import check_gradient
+from conftest import check_gradient, relabeled, shrink_prototype_masks
 
 
 def plane_problem(n=32):

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from tetralab.phase_core import (EvaluationError, HamiltonianSpec,
-                                 PhaseChart, constant_hamiltonian,
-                                 omega_matrix, poisson_bracket, sgrad,
-                                 volume_factor)
+                                 PhaseChart, omega_matrix, poisson_bracket,
+                                 sgrad, volume_factor)
 
-from conftest import (check_gradient, fd_bracket_spec, fd_gradient,
-                      polynomial_hamiltonian)
+from conftest import (check_gradient, constant_hamiltonian, fd_bracket_spec,
+                      fd_gradient, polynomial_hamiltonian)
 
 
 PLANE = PhaseChart(dim_pairs=1)

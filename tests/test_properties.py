@@ -13,13 +13,13 @@ from tetralab.contact import (CircleModel, RoundedRectangleLoop, SphereModel,
 from tetralab.dynamics import pattern_search
 from tetralab.pb4 import prototype_hamiltonian_pair, wall_witness
 from tetralab.profiles import Plateau, PlateauStack
-from tetralab.phase_core import (PhaseChart, constant_hamiltonian,
-                                 poisson_bracket)
+from tetralab.phase_core import PhaseChart, poisson_bracket
 from tetralab.scenarios import (add_hamiltonians, channel_potential,
                                 mechanical_hamiltonian, unstable_hamiltonian,
                                 wall_perturbation)
 
-from conftest import check_gradient, polynomial_hamiltonian
+from conftest import (check_gradient, constant_hamiltonian,
+                      polynomial_hamiltonian)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 

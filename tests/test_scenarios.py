@@ -9,8 +9,7 @@ from scipy.integrate import quad
 
 from tetralab import scenarios
 from tetralab.contact import ParameterError, SphereModel, build_tetragon
-from tetralab.dynamics import find_chord, separation
-from tetralab.phase_core import constant_hamiltonian
+from tetralab.dynamics import ChordSearchConfig, find_chord, separation
 from tetralab.scenarios import (ConfigError, PerturbationSpec, Plateau,
                                 ScenarioConfig, ScenarioReport,
                                 add_hamiltonians,
@@ -19,7 +18,7 @@ from tetralab.scenarios import (ConfigError, PerturbationSpec, Plateau,
                                 run_reeb_chord, run_scenario,
                                 unstable_hamiltonian, wall_perturbation)
 
-from conftest import check_gradient, scenario_payload
+from conftest import check_gradient, constant_hamiltonian, scenario_payload
 
 
 class TestHamiltonianGradients:
@@ -111,6 +110,56 @@ class TestConfigValidation:
         cfg = ScenarioConfig(scenario="reeb_chord", reeb_model="plane")
         with pytest.raises(ConfigError):
             run_scenario(cfg)
+
+
+# the unread keys of a reeb_chord config that once ran and exited 0
+UNREAD_REEB = {"n_seeds": 0, "ode_tol": -1, "beta": 7, "R0": 5, "R1": 6}
+
+
+class RecordingConfig:
+    """Proxy of a config that records the fields a runner reads."""
+
+    def __init__(self, cfg):
+        self.cfg, self.read = cfg, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.cfg, name)
+
+
+class TestScenarioKeys:
+    @pytest.mark.parametrize("kind", sorted(scenarios.SCENARIO_KEYS))
+    def test_runner_reads_exactly_its_keys(self, kind):
+        keys = scenarios.SCENARIO_KEYS[kind]
+        sizes = {"n_seeds": 4, "n_phases": 2} if "n_seeds" in keys else {}
+        proxy = RecordingConfig(ScenarioConfig(scenario=kind, **sizes))
+        scenarios._RUNNERS[kind](proxy)
+        assert proxy.read == set(keys)
+
+    def test_unread_keys_named_together(self):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig(scenario="reeb_chord", **UNREAD_REEB)
+        for key in UNREAD_REEB:
+            assert key in str(err.value)
+
+    def test_unread_key_at_its_default_passes(self):
+        """Only a value that differs from the default reaches a run."""
+        ScenarioConfig(scenario="reeb_chord", beta=0.5, R0=1.0)
+
+    def test_search_defaults_come_from_chord_search_config(self,
+                                                          monkeypatch):
+        seen = []
+
+        def record(G, X0, X1, budget, config):
+            seen.append(config)
+            raise RuntimeError("recorded")
+
+        monkeypatch.setattr(scenarios, "find_chord", record)
+        with pytest.raises(RuntimeError, match="recorded"):
+            run_scenario(ScenarioConfig(scenario="superconductivity"))
+        default = ChordSearchConfig()
+        assert [(c.n_seeds, c.n_phases, c.ode_tol) for c in seen] == \
+            [(default.n_seeds, default.n_phases, default.ode_tol)]
 
 
 class TestUnstableEquilibrium:
