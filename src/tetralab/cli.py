@@ -22,15 +22,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .contact import MEMBER_TOL, build_tetragon, make_model, smooth_tetragon
+from .contact import (_DEFAULT_R0, _DEFAULT_R1, MEMBER_TOL, build_tetragon,
+                      make_model, smooth_tetragon)
 from .dynamics import ChordSearchConfig, chord_budget, find_chord, separation
 # feasible_pair_value is unused here but patched by bench/tracing.py
 from .pb4 import (estimate_pb4_plus, feasible_pair_value,  # noqa: F401
                   prototype_problem)
-from .scenarios import (INCREMENT_TOL, SEARCH_KEYS, ConfigError,
-                        PerturbationSpec, ScenarioConfig, channel_potential,
-                        check_scenario_keys, mechanical_hamiltonian,
-                        run_scenario, unstable_hamiltonian)
+from .scenarios import (_DEFAULT_BETA, INCREMENT_TOL, SEARCH_KEYS,
+                        ConfigError, PerturbationSpec, ScenarioConfig,
+                        channel_potential, check_scenario_keys,
+                        mechanical_hamiltonian, run_scenario,
+                        unstable_hamiltonian)
 
 
 class UsageError(ValueError):
@@ -129,9 +131,11 @@ def load_config(path, overrides, schema):
         )
     cfg = _apply_overrides(cfg, overrides)
     _check_keys(cfg, schema)
+    # beyond the schema, only what the scenario kind or Hamiltonian reads
     if schema is _SCENARIO_SCHEMA:
-        # beyond the schema, only the keys the scenario kind reads
         check_scenario_keys(cfg.get("scenario"), cfg)
+    elif schema is _CHORD_SCHEMA:
+        _check_chord_hamiltonian(cfg)
     return cfg
 
 
@@ -231,21 +235,30 @@ def _cmd_pb4(cfg):
     return payload, csvs, status
 
 
-def _hamiltonian_for(cfg, tet):
-    """The config's Hamiltonian on the tetragon's k, R0 and R1."""
+# chord find's Hamiltonians on the tetragon's k, R0 and R1; only the
+# mechanical one reads beta
+_CHORD_HAMILTONIANS = {
+    "unstable": lambda tet, cfg: unstable_hamiltonian(tet.model.k),
+    "channel": lambda tet, cfg: channel_potential(tet.model.k),
+    "mechanical": lambda tet, cfg: mechanical_hamiltonian(
+        tet.model.k, cfg.get("beta", _DEFAULT_BETA), tet.R0, tet.R1),
+}
+
+
+def _check_chord_hamiltonian(cfg):
+    """A known ``hamiltonian``, and ``beta`` only with the mechanical one."""
     name = cfg.get("hamiltonian", "unstable")
-    k = tet.model.k
+    if name not in _CHORD_HAMILTONIANS:
+        raise UsageError(f"unknown hamiltonian {name!r}; "
+                         f"choose from {sorted(_CHORD_HAMILTONIANS)}")
     if "beta" in cfg and name != "mechanical":
         raise UsageError(f"hamiltonian {name!r} does not read beta; "
                          "only 'mechanical' does")
-    if name == "unstable":
-        return unstable_hamiltonian(k)
-    if name == "channel":
-        return channel_potential(k)
-    if name == "mechanical":
-        beta = {"beta": cfg["beta"]} if "beta" in cfg else {}
-        return mechanical_hamiltonian(k, R0=tet.R0, R1=tet.R1, **beta)
-    raise UsageError(f"unknown hamiltonian {name!r}")
+
+
+def _hamiltonian_for(cfg, tet):
+    """The config's Hamiltonian (checked by ``load_config``)."""
+    return _CHORD_HAMILTONIANS[cfg.get("hamiltonian", "unstable")](tet, cfg)
 
 
 def _tetragon_for(cfg):
@@ -253,7 +266,8 @@ def _tetragon_for(cfg):
     ``default_reeb_time``, as in the scenarios."""
     model = make_model(cfg.get("model", "sphere"), cfg.get("k", 1))
     T = cfg.get("T", model.default_reeb_time)
-    return build_tetragon(model, cfg.get("R0", 1.0), cfg.get("R1", 2.0), T)
+    return build_tetragon(model, cfg.get("R0", _DEFAULT_R0),
+                          cfg.get("R1", _DEFAULT_R1), T)
 
 
 def _cmd_chord(cfg):

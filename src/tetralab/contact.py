@@ -39,6 +39,9 @@ _TINY = np.finfo(float).tiny
 # a point is a member of a region within this distance of it
 MEMBER_TOL = 1e-6
 
+# the radial levels R0 < R1 of a tetragon whose caller names none
+_DEFAULT_R0, _DEFAULT_R1 = 1.0, 2.0
+
 
 class ParameterError(ValueError):
     """A model or tetragon parameter is out of its admissible range."""

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contact import _DEFAULT_R0, _DEFAULT_R1
 from .phase_core import HamiltonianSpec, PhaseChart
 from .profiles import quintic, quintic_d, smoothstep, smoothstep_int
 
@@ -348,7 +349,7 @@ def estimate_pb4_plus(problem: Pb4Problem, warm_start=None) -> Pb4Report:
 # Prototype instance: cylinder tetragon masks
 # ---------------------------------------------------------------------------
 
-def prototype_problem(n=128, R0=1.0, R1=2.0, T=0.25,
+def prototype_problem(n=128, R0=_DEFAULT_R0, R1=_DEFAULT_R1, T=0.25,
                       thicken_radius=0) -> Pb4Problem:
     """Cylinder-window instance whose exact invariant is 1/((R1-R0)*T).
 
@@ -388,7 +389,7 @@ def prototype_problem(n=128, R0=1.0, R1=2.0, T=0.25,
 # Analytic prototype Hamiltonian pair (for the chord mean-value check)
 # ---------------------------------------------------------------------------
 
-def prototype_hamiltonian_pair(R0=1.0, R1=2.0, T=0.25):
+def prototype_hamiltonian_pair(R0=_DEFAULT_R0, R1=_DEFAULT_R1, T=0.25):
     """Smooth representatives (F, G) of the prototype feasible pair on
     the cylinder chart (p = s, q = u).
 

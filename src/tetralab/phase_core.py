@@ -20,6 +20,7 @@ it is fixed once here and everything else in the package follows it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,7 +35,7 @@ class EvaluationError(ValueError):
 
     def __init__(self, message, point):
         super().__init__(f"{message} at point {np.asarray(point)!r}")
-        self.point = np.asarray(point, dtype=float)
+        self.point = np.array(point, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,12 @@ class HamiltonianSpec:
 
     ``value(x, t)`` returns a float, ``gradient(x, t)`` the covector
     ``(dH/dp_1.., dH/dq_1..)`` as a length-2n array.  Callbacks receive a
-    plain ndarray (periodic coordinates reduced) and must be pure.
+    float ndarray and must be pure: on a chart with a periodic
+    coordinate it is a reduced copy, on a flat chart the caller's own
+    array, so a callback must not write to it.  ``H(x, t)`` and
+    ``H.grad(x, t)`` return arrays that share no memory with ``x`` and
+    test the result for finiteness with one reduction, raising
+    ``EvaluationError`` at the first non-finite row.
 
     Batch contract: both callbacks also accept a stack of points of shape
     ``(..., 2n)`` and return ``value`` of shape ``(...)`` and ``gradient``
@@ -117,17 +123,27 @@ class HamiltonianSpec:
             raise EvaluationError(f"non-finite {what} of {self.name or 'H'}",
                                   x[bad][0] if x.ndim > 1 else x)
 
+    def _evaluate(self, what, fn, x, t):
+        """``fn`` at (x, t) as a float array of its own."""
+        if self.chart._periodic_cols.size:
+            x = self.chart.wrap(x)
+        else:
+            x = np.asarray(x, dtype=float)  # no copy: callbacks are pure
+        out = np.asarray(fn(x, t), dtype=float)
+        # a non-finite element makes the sum non-finite; an overflowing
+        # sum of finite elements passes _check
+        if not math.isfinite(out.sum()):
+            self._check(what, out, x)
+        if np.may_share_memory(out, x):
+            out = out.copy()
+        return out
+
     def __call__(self, x, t=0.0):
-        x = self.chart.wrap(x)
-        v = np.asarray(self.value(x, t), dtype=float)
-        self._check("value", v, x)
+        v = self._evaluate("value", self.value, x, t)
         return float(v) if v.ndim == 0 else v
 
     def grad(self, x, t=0.0):
-        x = self.chart.wrap(x)
-        g = np.asarray(self.gradient(x, t), dtype=float)
-        self._check("gradient", g, x)
-        return g
+        return self._evaluate("gradient", self.gradient, x, t)
 
 
 def sgrad(H: HamiltonianSpec, x, t=0.0):
@@ -138,7 +154,7 @@ def sgrad(H: HamiltonianSpec, x, t=0.0):
     g = H.grad(x, t)
     n = H.chart.dim_pairs
     out = np.empty_like(g)
-    out[..., :n] = -g[..., n:]
+    np.negative(g[..., n:], out=out[..., :n])
     out[..., n:] = g[..., :n]
     return out
 

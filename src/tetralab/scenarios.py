@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .contact import CircleModel, SphereModel, TorusModel, build_tetragon
+from .contact import (_DEFAULT_R0, _DEFAULT_R1, CircleModel, SphereModel,
+                      TorusModel, build_tetragon)
 from .dynamics import (ChordSearchConfig, chord_budget, deterministic_map,
                        find_chord, integrate, separation)
 from .phase_core import HamiltonianSpec, PhaseChart
@@ -28,6 +29,9 @@ INCREMENT_TOL = 1e-6
 
 # the far bump of the wall perturbation is this many times the wall bump
 AWAY_FACTOR = 10.0
+
+# depth of the mechanical potential well when a caller names none
+_DEFAULT_BETA = 0.5
 
 
 class ConfigError(ValueError):
@@ -60,10 +64,10 @@ class ScenarioConfig:
 
     scenario: str
     k: int = 1
-    R0: float = 1.0
-    R1: float = 2.0
+    R0: float = _DEFAULT_R0
+    R1: float = _DEFAULT_R1
     T: Optional[float] = None
-    beta: float = 0.5
+    beta: float = _DEFAULT_BETA
     reeb_model: str = "sphere"
     reeb_factor_base: float = 1.5
     reeb_factor_amp: float = 0.3
@@ -197,8 +201,8 @@ def channel_potential(k=1) -> HamiltonianSpec:
                            name="channel-potential")
 
 
-def mechanical_hamiltonian(k=1, beta=0.5, R0=1.0, R1=2.0,
-                           time_amp=0.0) -> HamiltonianSpec:
+def mechanical_hamiltonian(k=1, beta=_DEFAULT_BETA, R0=_DEFAULT_R0,
+                           R1=_DEFAULT_R1, time_amp=0.0) -> HamiltonianSpec:
     """G = |p|^2/2 + U(q[, t]) with U = -beta on the q-shell
     sqrt(R0) <= |q| <= sqrt(R1) and U = 0 near q = 0."""
     chart = PhaseChart(dim_pairs=k)
@@ -235,27 +239,33 @@ def add_hamiltonians(G: HamiltonianSpec, F: HamiltonianSpec,
     return HamiltonianSpec(
         chart=G.chart,
         value=lambda x, t: G.value(x, t) + F.value(x, t),
-        gradient=lambda x, t: np.asarray(G.gradient(x, t), float)
-        + np.asarray(F.gradient(x, t), float),
+        gradient=lambda x, t: np.add(G.gradient(x, t), F.gradient(x, t),
+                                     dtype=float),
         autonomous=G.autonomous and F.autonomous,
         name=name or f"{G.name}+{F.name}",
     )
 
 
-def wall_perturbation(amplitude, R0=1.0, R1=2.0,
+def wall_perturbation(amplitude, R0=_DEFAULT_R0, R1=_DEFAULT_R1,
                       time_periodic=True) -> HamiltonianSpec:
     """Planar (k=1) perturbation F = -A on the high wall, vanishing on
     the low wall, plus an ``AWAY_FACTOR``*A bump supported near the
     anti-diagonal ring — far from both walls and from the floor-to-
     ceiling chord corridor along the main diagonal.
 
-    The gradient evaluates its four plateaus in one ``PlateauStack``
-    pass.  Each gradient term carries a factor of the near-wall tube
-    (|q| < 0.15) or of the anti-diagonal band (|p + q| < 0.2), and
-    both vanish with their slopes where their falling argument
-    ``(y - hi)/roll`` reaches 1.  A point or stack with no row inside
-    either gets an exact zero gradient without evaluating the rest,
-    which is where the chord search's single-point calls all fall."""
+    The gradient is the sum of two terms, each supported where its
+    narrow bump is: the wall term (ring times the near-wall tube
+    |q| < 0.15) and the far term (anti-diagonal band |p + q| < 0.2 times
+    the far ring times the time factor).  A bump and its slope vanish
+    where its falling argument ``(y - hi)/roll`` reaches 1, and that
+    argument grows with y, so a term whose argument is at least 1 at
+    the batch minimum of y is exactly zero on every row and is not
+    evaluated.  Each term that runs evaluates its two plateaus in one
+    ``PlateauStack`` pass; the far term is added after the wall term.
+    The values are those of the whole gradient up to the sign of an
+    exact zero.  The chord search's single-point calls lie off both
+    bumps and get an exact zero; its sweep batches mostly have rows in
+    the tube and none in the band, and evaluate the wall term alone."""
     chart = PhaseChart(dim_pairs=1)
     tube_radius = 0.15
     ring = Plateau(lo=R0, hi=R1, roll=0.2)
@@ -278,25 +288,38 @@ def wall_perturbation(amplitude, R0=1.0, R1=2.0,
             * far_ring.value(rho) * tfac(t)
         return wall + far
 
-    bumps = PlateauStack((ring, nearq, near_anti, far_ring))
+    wall_bumps = PlateauStack((ring, nearq))
+    far_bumps = PlateauStack((near_anti, far_ring))
+
+    def reaches(bump, y):
+        """Some element of y has ``bump``'s falling argument below 1 (or
+        is NaN), the only place the bump or its slope can be nonzero."""
+        low = y.min() if y.ndim else y  # a one-point y is a numpy scalar
+        return not (low - bump.hi) / bump.roll >= 1.0
 
     def gradient(x, t):
         p, q = x[..., 0], x[..., 1]
         qq, s = q * q, p + q
         w2 = 0.5 * (s * s)
-        # off both narrow bumps every term carries a zero factor
-        if np.all((qq - nearq.hi) / nearq.roll >= 1.0) and \
-                np.all((w2 - near_anti.hi) / near_anti.roll >= 1.0):
+        wall, far = reaches(nearq, qq), reaches(near_anti, w2)
+        if not (wall or far):
             return np.zeros(np.shape(x))
         rho = p * p + qq
-        (rv, nv, na, fr), (rd, nd, nad, frd) = bumps.values_and_slopes(
-            np.stack([rho, qq, w2, rho]))
-        tf = AWAY_FACTOR * amplitude * tfac(t)
-        ns, nf = nad * s * fr, na * frd * 2
-        g0 = -amplitude * rd * 2 * p * nv + tf * (ns + nf * p)
-        g1 = -amplitude * (rd * 2 * q * nv + rv * nd * 2 * q) \
-            + tf * (ns + nf * q)
-        return np.stack([g0, g1], axis=-1)
+        if wall:
+            (rv, nv), (rd, nd) = wall_bumps.values_and_slopes(
+                np.array([rho, qq]))
+            g0 = -amplitude * rd * 2 * p * nv
+            g1 = -amplitude * (rd * 2 * q * nv + rv * nd * 2 * q)
+        if far:
+            (na, fr), (nad, frd) = far_bumps.values_and_slopes(
+                np.array([w2, rho]))
+            tf = AWAY_FACTOR * amplitude * tfac(t)
+            ns, nf = nad * s * fr, na * frd * 2
+            f0, f1 = tf * (ns + nf * p), tf * (ns + nf * q)
+            g0, g1 = (g0 + f0, g1 + f1) if wall else (f0, f1)
+        g = np.empty(np.shape(x))
+        g[..., 0], g[..., 1] = g0, g1
+        return g
 
     return HamiltonianSpec(
         chart=chart, value=value, gradient=gradient,

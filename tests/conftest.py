@@ -6,6 +6,7 @@ fixture records its wall-clock time so runtime budgets can be asserted.
 """
 
 import json
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -17,7 +18,8 @@ from tetralab.pb4 import (Pb4Problem, estimate_pb4_plus, prototype_problem,
                           wall_witness)
 from tetralab.phase_core import HamiltonianSpec, poisson_bracket
 from tetralab.contact import CircleModel, build_tetragon
-from tetralab.scenarios import (PerturbationSpec, ScenarioConfig,
+from tetralab.profiles import Plateau, PlateauStack
+from tetralab.scenarios import (AWAY_FACTOR, PerturbationSpec, ScenarioConfig,
                                 run_mechanical, run_reeb_chord,
                                 run_superconductivity,
                                 run_unstable_equilibrium)
@@ -124,6 +126,44 @@ def gaussian_hamiltonian(chart, centers, widths, amps, name="bumps"):
 
     return HamiltonianSpec(chart=chart, value=value, gradient=gradient,
                            name=name)
+
+
+def four_plateau_gradient(amplitude, R0=1.0, R1=2.0, time_periodic=True):
+    """Reference for ``wall_perturbation``'s gradient callback: the whole
+    gradient from its four plateaus in one ``PlateauStack`` pass, with an
+    exact zero only where no row lies in the near-wall tube or the
+    anti-diagonal band."""
+    tube_radius = 0.15
+    ring = Plateau(lo=R0, hi=R1, roll=0.2)
+    nearq = Plateau(lo=0.0, hi=(tube_radius / 3.0) ** 2,
+                    roll=tube_radius ** 2 - (tube_radius / 3.0) ** 2)
+    far_ring = Plateau(lo=R0 + 0.2, hi=R1 - 0.2, roll=0.15)
+    near_anti = Plateau(lo=0.0, hi=0.005, roll=0.015)
+    bumps = PlateauStack((ring, nearq, near_anti, far_ring))
+
+    def tfac(t):
+        if not time_periodic:
+            return 1.0
+        return 0.5 * (1.0 + np.sin(2 * math.pi * np.asarray(t)))
+
+    def gradient(x, t):
+        p, q = x[..., 0], x[..., 1]
+        qq, s = q * q, p + q
+        w2 = 0.5 * (s * s)
+        if np.all((qq - nearq.hi) / nearq.roll >= 1.0) and \
+                np.all((w2 - near_anti.hi) / near_anti.roll >= 1.0):
+            return np.zeros(np.shape(x))
+        rho = p * p + qq
+        (rv, nv, na, fr), (rd, nd, nad, frd) = bumps.values_and_slopes(
+            np.stack([rho, qq, w2, rho]))
+        tf = AWAY_FACTOR * amplitude * tfac(t)
+        ns, nf = nad * s * fr, na * frd * 2
+        g0 = -amplitude * rd * 2 * p * nv + tf * (ns + nf * p)
+        g1 = -amplitude * (rd * 2 * q * nv + rv * nd * 2 * q) \
+            + tf * (ns + nf * q)
+        return np.stack([g0, g1], axis=-1)
+
+    return gradient
 
 
 def surface_point(smoothed, angles, component, sigma):

@@ -334,3 +334,24 @@ class TestValidateCommand:
         code = main(["validate", "config", cfg, "--set",
                      "perturbation.delta_target=0.2"])
         assert code == 0
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"hamiltonian": "unstable", "beta": 7},
+         "error: hamiltonian 'unstable' does not read beta; "
+         "only 'mechanical' does"),
+        ({"hamiltonian": "nope"},
+         "error: unknown hamiltonian 'nope'; "
+         "choose from ['channel', 'mechanical', 'unstable']"),
+    ], ids=["beta_without_mechanical", "unknown_hamiltonian"])
+    def test_chord_config_that_find_rejects_is_invalid(
+            self, tmp_path, capsys, payload, message):
+        """``validate config --command chord`` and ``chord find`` run
+        the same check: both exit 1 with the same message, and ``chord
+        find`` writes no report."""
+        cfg = write_config(tmp_path, payload)
+        assert main(["validate", "config", cfg, "--command", "chord"]) == 1
+        assert capsys.readouterr().err.strip() == message
+        out = tmp_path / "o"
+        assert main(["chord", "find", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not (out / "report.json").exists()

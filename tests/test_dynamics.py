@@ -15,9 +15,10 @@ from tetralab.dynamics import (Chord, ChordSearchConfig, EscapeError,
                                pattern_search, separation)
 from tetralab.pb4 import wall_witness
 from tetralab.phase_core import HamiltonianSpec, PhaseChart, sgrad
-from tetralab.scenarios import (add_hamiltonians, channel_potential,
-                                mechanical_hamiltonian, unstable_hamiltonian,
-                                wall_perturbation)
+from tetralab.scenarios import (PerturbationSpec, ScenarioConfig,
+                                add_hamiltonians, channel_potential,
+                                mechanical_hamiltonian, run_scenario,
+                                unstable_hamiltonian, wall_perturbation)
 
 from conftest import constant_hamiltonian, polynomial_hamiltonian
 
@@ -780,3 +781,33 @@ class TestEnsembleSweep:
         assert np.isnan(batch.hit).all()
         assert max(rows) <= len(starts) + dynamics.MISS_SAMPLES - 1
         assert sum(rows) == len(starts) * dynamics.MISS_SAMPLES
+
+
+class TestRhsLookup:
+    def test_every_gradient_goes_through_the_module_sgrad(self,
+                                                         monkeypatch):
+        """A tracer counts right-hand sides by replacing ``dynamics.sgrad``
+        (``bench/tracing.py``).  In the perturbed scenario at quick size,
+        the batched sweep and the one-point integrations both call it
+        there, and every gradient the run evaluates comes through it, so
+        an integrator bound to the RHS directly cannot leave that count
+        silently at zero."""
+        ndims, grads = [], [0]
+        real_sgrad, real_grad = dynamics.sgrad, HamiltonianSpec.grad
+
+        def counting_sgrad(H, x, t=0.0):
+            ndims.append(np.ndim(x))
+            return real_sgrad(H, x, t)
+
+        def counting_grad(self, x, t=0.0):
+            grads[0] += 1
+            return real_grad(self, x, t)
+
+        monkeypatch.setattr(dynamics, "sgrad", counting_sgrad)
+        monkeypatch.setattr(HamiltonianSpec, "grad", counting_grad)
+        report = run_scenario(ScenarioConfig(
+            scenario="unstable_equilibrium",
+            perturbation=PerturbationSpec(), n_seeds=8, n_phases=4))
+        assert report.found
+        assert ndims.count(2) > 0 and ndims.count(1) > 0
+        assert len(ndims) == grads[0]

@@ -13,13 +13,14 @@ from tetralab.contact import (CircleModel, RoundedRectangleLoop, SphereModel,
 from tetralab.dynamics import pattern_search
 from tetralab.pb4 import prototype_hamiltonian_pair, wall_witness
 from tetralab.profiles import Plateau, PlateauStack
-from tetralab.phase_core import PhaseChart, poisson_bracket
+from tetralab.phase_core import (EvaluationError, HamiltonianSpec,
+                                 PhaseChart, poisson_bracket)
 from tetralab.scenarios import (add_hamiltonians, channel_potential,
                                 mechanical_hamiltonian, unstable_hamiltonian,
                                 wall_perturbation)
 
 from conftest import (check_gradient, constant_hamiltonian,
-                      polynomial_hamiltonian)
+                      four_plateau_gradient, polynomial_hamiltonian)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -345,3 +346,160 @@ def test_perturbation_gradient_zero_off_bumps(F, data):
 @given(x=in_bump, t=phase)
 def test_perturbation_gradient_matches_central_differences(F, x, t):
     check_gradient(F, [x], t=t)
+
+
+# ---------------------------------------------------------------------------
+# Term-wise perturbation gradient against the four-plateau reference
+# ---------------------------------------------------------------------------
+
+REFERENCES = [four_plateau_gradient(0.25),
+              four_plateau_gradient(0.25, time_periodic=False)]
+# the perturbation's two narrow bumps, built as wall_perturbation builds
+# them: near-wall tube in q*q, anti-diagonal band in w2 = (p + q)^2 / 2
+NEARQ = Plateau(lo=0.0, hi=(0.15 / 3.0) ** 2,
+                roll=0.15 ** 2 - (0.15 / 3.0) ** 2)
+NEAR_ANTI = Plateau(lo=0.0, hi=0.005, roll=0.015)
+
+
+def _falling(bump, y):
+    return (y - bump.hi) / bump.roll
+
+
+def _straddle(arg, x):
+    """The two inputs one ulp apart where the increasing ``arg`` crosses
+    1: the last with arg < 1 and the first with arg >= 1."""
+    while arg(x) >= 1.0:
+        x = np.nextafter(x, -np.inf)
+    while arg(x) < 1.0:
+        x = np.nextafter(x, np.inf)
+    return np.nextafter(x, -np.inf), x
+
+
+# seam rows: q on the tube's seam, where (q*q - hi)/roll is exactly 1
+# (q = 0.15) or just below it; (p, Q_BAND) on the band's seam, with
+# Q_BAND off the tube and rho inside the far ring
+Q_BELOW, Q_ONE = _straddle(lambda q: _falling(NEARQ, q * q), 0.15)
+Q_BAND = 0.96875
+P_BELOW, P_ABOVE = _straddle(
+    lambda p: _falling(NEAR_ANTI, 0.5 * ((p + Q_BAND) * (p + Q_BAND))),
+    0.2 - Q_BAND)
+
+tube_q = st.floats(min_value=-0.1499, max_value=0.1499)
+band_s = st.floats(min_value=-0.1999, max_value=0.1999)
+off_q = st.one_of(st.floats(min_value=0.1501, max_value=2.5),
+                  st.floats(min_value=-2.5, max_value=-0.1501))
+off_s = st.one_of(st.floats(min_value=0.2001, max_value=4.0),
+                  st.floats(min_value=-4.0, max_value=-0.2001))
+
+
+def _rows(qs, ss):
+    return st.builds(lambda q, s: np.array([s - q, q]), qs, ss)
+
+
+sign = st.sampled_from([1.0, -1.0])
+tube_seam = st.builds(
+    lambda p, q, a, b: np.array([a * p, b * q]),
+    st.floats(min_value=0.9, max_value=1.4), st.sampled_from([Q_BELOW, Q_ONE]),
+    sign, sign)
+band_seam = st.builds(lambda p, a: a * np.array([p, Q_BAND]),
+                      st.sampled_from([P_BELOW, P_ABOVE]), sign)
+any_row = st.one_of(_rows(tube_q, off_s), _rows(off_q, band_s),
+                    _rows(tube_q, band_s), _rows(off_q, off_s),
+                    tube_seam, band_seam)
+
+
+def test_seam_rows_straddle_the_falling_edge():
+    """The seam rows sit where the tests skipping a term decide, and a
+    row just below the edge has a gradient that a term skipped there
+    would lose."""
+    assert Q_ONE == 0.15 and _falling(NEARQ, Q_ONE * Q_ONE) == 1.0
+    assert _falling(NEARQ, Q_BELOW * Q_BELOW) < 1.0
+    s_below, s_above = P_BELOW + Q_BAND, P_ABOVE + Q_BAND
+    assert _falling(NEAR_ANTI, 0.5 * (s_below * s_below)) < 1.0 \
+        <= _falling(NEAR_ANTI, 0.5 * (s_above * s_above))
+    for reference in REFERENCES:
+        for x in ([1.2, Q_BELOW], [P_BELOW, Q_BAND]):
+            assert np.any(reference(np.array(x), 0.3))
+        for x in ([1.2, Q_ONE], [P_ABOVE, Q_BAND]):
+            assert not np.any(reference(np.array(x), 0.3))
+
+
+@pytest.mark.parametrize("F, reference", zip(PERTURBATIONS, REFERENCES),
+                         ids=["periodic", "static"])
+@SETTINGS
+@given(data=st.data())
+def test_termwise_gradient_equals_four_plateau_reference(F, reference,
+                                                          data):
+    """Batches mixing tube-only, band-only, both, neither and seam rows
+    give the reference's values, as a batch and row by row."""
+    X = np.array(data.draw(st.lists(any_row, min_size=1, max_size=8)))
+    ts = np.array([data.draw(phase) for _ in X])
+    assert np.array_equal(F.grad(X, ts), reference(X, ts))
+    for x, t in zip(X, ts):
+        assert np.array_equal(F.grad(x, t), reference(x, t))
+
+
+# ---------------------------------------------------------------------------
+# RHS contract: inputs untouched, results owned, one finiteness check
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(LIBRARY))
+@SETTINGS
+@given(data=st.data())
+def test_evaluation_leaves_its_input_unchanged(name, data):
+    H = LIBRARY[name]
+    X = _stack(data, H.chart.dim)
+    ts = data.draw(arrays(float, (len(X),),
+                          elements=st.floats(min_value=0.0, max_value=1.0)))
+    before = X.tobytes()
+    H(X, ts)
+    H.grad(X, ts)
+    for x, t in zip(X, ts):
+        H(x, t)
+        H.grad(x, t)
+    assert X.tobytes() == before
+
+
+def test_results_do_not_alias_the_callers_array():
+    """On a flat chart the callbacks see the caller's array; a callback
+    returning it (or a view of it) still gives the caller a result of
+    its own."""
+    H = HamiltonianSpec(chart=PhaseChart(dim_pairs=1),
+                        value=lambda x, t: x[..., 0],
+                        gradient=lambda x, t: x)
+    for x in (np.array([0.5, -1.5]), np.array([[0.5, -1.5], [2.0, 3.0]])):
+        before = x.copy()
+        H.grad(x)[...] = 7.0
+        assert np.array_equal(x, before)
+    X = np.array([[0.5, -1.5], [2.0, 3.0]])
+    H(X)[...] = 7.0
+    assert np.array_equal(X, [[0.5, -1.5], [2.0, 3.0]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("periodic", [False, True], ids=["flat", "periodic"])
+def test_nonfinite_row_is_named(bad, periodic):
+    chart = PhaseChart(dim_pairs=1, periodic=(periodic,))
+    H = HamiltonianSpec(chart=chart, value=lambda x, t: x.sum(axis=-1),
+                        gradient=lambda x, t: 2.0 * x, name="probe")
+    X = np.array([[i + 0.5, 0.125 * i] for i in range(5)])
+    X[3, 0] = bad
+    for call, what in ((H.grad, "gradient"), (H, "value")):
+        for arg in (X, X[3]):
+            with pytest.raises(EvaluationError,
+                               match=f"non-finite {what} of probe") as err:
+                call(arg)
+            assert np.array_equal(err.value.point, X[3], equal_nan=True)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_sum_of_finite_values_is_no_error():
+    """The one-reduction check may overflow on finite values; the row
+    check behind it then finds nothing to report."""
+    H = HamiltonianSpec(chart=PhaseChart(dim_pairs=1),
+                        value=lambda x, t: 1e308 * np.ones(np.shape(x)[:-1]),
+                        gradient=lambda x, t: 1e308 * np.ones(np.shape(x)))
+    X = np.zeros((3, 2))
+    assert np.all(H.grad(X) == 1e308)
+    assert np.all(H(X) == 1e308)
