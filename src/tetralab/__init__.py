@@ -15,7 +15,6 @@ from .phase_core import (  # noqa: F401
 )
 from .contact import (  # noqa: F401
     CircleModel,
-    GeometryError,
     ParameterError,
     SphereModel,
     Tetragon,

@@ -26,9 +26,9 @@ from .contact import (_DEFAULT_R0, _DEFAULT_R1, MEMBER_TOL, build_tetragon,
                       make_model, smooth_tetragon)
 from .dynamics import ChordSearchConfig, chord_budget, find_chord, separation
 # feasible_pair_value is unused here but patched by bench/tracing.py
-from .pb4 import (estimate_pb4_plus, feasible_pair_value,  # noqa: F401
-                  prototype_problem)
-from .scenarios import (_DEFAULT_BETA, INCREMENT_TOL, SEARCH_KEYS,
+from .pb4 import (FEASIBILITY_TOL, estimate_pb4_plus,  # noqa: F401
+                  feasible_pair_value, prototype_problem)
+from .scenarios import (_DEFAULT_BETA, INCREMENT_TOL, SEARCH_KEYS, TIME_TOL,
                         ConfigError, PerturbationSpec, ScenarioConfig,
                         channel_potential, check_scenario_keys,
                         mechanical_hamiltonian, run_scenario,
@@ -193,7 +193,7 @@ def _cmd_scenario(cfg):
         "artifact_version": __version__,
         "config": _to_jsonable(cfg),
         "report": report.describe(),
-        "tolerances": {"time": 1e-6, "increment": INCREMENT_TOL},
+        "tolerances": {"time": TIME_TOL, "increment": INCREMENT_TOL},
     }
     return payload, {}, 0 if report.passed else 2
 
@@ -210,7 +210,7 @@ def _cmd_pb4(cfg):
         "artifact_version": __version__,
         "config": _to_jsonable(cfg),
         "report": report.describe(),
-        "tolerances": {"feasibility": 1e-12},
+        "tolerances": {"feasibility": FEASIBILITY_TOL},
     }
     if cfg.get("two_grid"):
         report2 = estimate_pb4_plus(prototype_problem(2 * n, **geometry))
@@ -334,7 +334,7 @@ def _cmd_tetragon(cfg):
         "artifact_version": __version__,
         "config": _to_jsonable(cfg),
         "report": report,
-        "tolerances": {"constraint": 1e-10},
+        "tolerances": {},
     }
     return payload, {}, 0
 

@@ -18,6 +18,10 @@ Phi(x, s, t) = embed(psi_t(x), s).  Each model supplies Phi and its
 tangents in closed form, and the distance and event functionals of a
 horizontal piece and of a wall; ``build_tetragon`` lays out the four
 regions floor / ceiling / low wall / high wall once for all models.
+Condition (C2), psi_t(L) disjoint from L for 0 < t <= T, is checked
+once, in closed form: ``ContactModel.check_reeb_time`` keeps T within
+the model's first return of L to itself, and a property test checks
+each model's bound.
 Regions expose membership within the band ``MEMBER_TOL``, a
 nonnegative distance proxy that vanishes exactly on the region, a
 deterministic seed sampler, and a scalar event functional whose zero
@@ -45,10 +49,6 @@ _DEFAULT_R0, _DEFAULT_R1 = 1.0, 2.0
 
 class ParameterError(ValueError):
     """A model or tetragon parameter is out of its admissible range."""
-
-
-class GeometryError(ValueError):
-    """A constructed geometric object violates a defining condition."""
 
 
 def _wrap_half(x):
@@ -156,10 +156,6 @@ class ContactModel:
     def legendrian_point(self, angles=(), component=0):
         raise NotImplementedError
 
-    def legendrian_distance(self, x):
-        """Distance on Sigma (proxy) from x to the Legendrian L."""
-        raise NotImplementedError
-
     # -- symplectization and tetragon pieces -------------------------------
     chart: PhaseChart
 
@@ -213,10 +209,6 @@ class CircleModel(ContactModel):
 
     def legendrian_point(self, angles=(), component=0):
         return np.array([0.0])
-
-    def legendrian_distance(self, x):
-        u = float(np.atleast_1d(x)[0])
-        return abs(float(_wrap_half(u)))
 
     def embed(self, x, s):
         u = float(np.atleast_1d(x)[0])
@@ -274,10 +266,6 @@ class TorusModel(ContactModel):
     def legendrian_point(self, angles=(), component=0):
         p = unit_sphere_point(angles, self.k)
         return np.concatenate([p, np.zeros(self.k)])
-
-    def legendrian_distance(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(np.linalg.norm(_wrap_half(x[self.k:])))
 
     def embed(self, x, s):
         x = np.asarray(x, dtype=float)
@@ -363,11 +351,6 @@ class SphereModel(ContactModel):
         if self.k == 1:
             x = x * (1.0 if component == 0 else -1.0)
         return np.concatenate([x, np.zeros(self.k)])
-
-    def legendrian_distance(self, x):
-        z = np.asarray(x, dtype=float)
-        # distance to {q = 0, |p| = 1} within the unit sphere (proxy)
-        return float(np.linalg.norm(z[self.k:]))
 
     def embed(self, x, s):
         return math.sqrt(s) * np.asarray(x, dtype=float)
@@ -484,8 +467,9 @@ class Region:
     """A parametrized subset of the ambient symplectic chart.
 
     ``param_bounds`` are the continuous parameter axes of the region
-    (Reeb time or radial coordinate first, then Legendrian angles);
-    disconnected Legendrians add a discrete component index.
+    (Reeb time or radial coordinate first, then Legendrian angles), so
+    every region has at least one axis; disconnected Legendrians add a
+    discrete component index.
     """
 
     name: str
@@ -519,27 +503,21 @@ class Region:
         """
         d = len(self.param_bounds)
         per_comp = max(1, n // self.n_components)
-        if d == 0:
-            grids = [np.zeros((1, 0))]
-        else:
-            m = max(2, int(round(per_comp ** (1.0 / d))))
-            # give the first axis the leftover budget in 1D/2D cases
-            counts = [m] * d
-            if d == 1:
-                counts = [per_comp]
-            elif d == 2:
-                counts[0] = max(2, per_comp // m)
-            axes = [
-                np.linspace(lo, hi, c)
-                for (lo, hi), c in zip(self.param_bounds, counts)
-            ]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            grids = [np.stack([g.ravel() for g in mesh], axis=-1)]
-        out = []
-        for comp in range(self.n_components):
-            for row in grids[0]:
-                out.append((np.array(row, dtype=float), comp))
-        return out
+        m = max(2, int(round(per_comp ** (1.0 / d))))
+        # give the first axis the leftover budget in 1D/2D cases
+        counts = [m] * d
+        if d == 1:
+            counts = [per_comp]
+        elif d == 2:
+            counts[0] = max(2, per_comp // m)
+        axes = [
+            np.linspace(lo, hi, c)
+            for (lo, hi), c in zip(self.param_bounds, counts)
+        ]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        grid = np.stack([g.ravel() for g in mesh], axis=-1)
+        return [(np.array(row, dtype=float), comp)
+                for comp in range(self.n_components) for row in grid]
 
     def sample_points(self, n):
         return [self.param_point(p, c) for p, c in self.sample_params(n)]
@@ -617,37 +595,9 @@ def build_tetragon(model: ContactModel, R0, R1, T) -> Tetragon:
             event_fn=lambda c: model.wall_event(c, t),
         )
 
-    tet = Tetragon(model, float(R0), float(R1), float(T),
-                   horizontal("floor", R0), horizontal("ceiling", R1),
-                   wall("low_wall", T), wall("high_wall", 0.0))
-    _check_disjoint_sweep(model, T)
-    return tet
-
-
-def _check_disjoint_sweep(model, T):
-    """(C2): psi_t(L) stays disjoint from L for 32 sampled t in (0, T],
-    tested at 16 sampled angles on each component of L."""
-    n_time, n_leg = 32, 16
-    pts = []
-    for comp in range(model.n_components):
-        if model.n_angles == 0:
-            pts.append(model.legendrian_point((), comp))
-        else:
-            for j in range(n_leg):
-                ang = [
-                    2 * math.pi * j / n_leg if a == 0 else
-                    math.pi * (j + 0.5) / n_leg
-                    for a in range(model.n_angles)
-                ]
-                pts.append(model.legendrian_point(ang, comp))
-    for i in range(1, n_time + 1):
-        t = T * i / n_time
-        gap = min(model.legendrian_distance(model.reeb_flow(x, t))
-                  for x in pts)
-        if gap <= 1e-9:
-            raise GeometryError(
-                f"psi_t(L) meets L at t={t:.6f}; condition (C2) fails"
-            )
+    return Tetragon(model, float(R0), float(R1), float(T),
+                    horizontal("floor", R0), horizontal("ceiling", R1),
+                    wall("low_wall", T), wall("high_wall", 0.0))
 
 
 # ---------------------------------------------------------------------------

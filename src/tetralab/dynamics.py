@@ -767,15 +767,9 @@ def _extremize_on_region(G, region: Region, n_samples, sign):
         t = z[-1] if time_axis else t0
         return sign * G(region.param_point(params, comp), t)
 
-    evals = 0
-    if bounds:
-        z, fv, evals = pattern_search(obj, np.array(x0), bounds,
-                                      max_evals=120)
-        params = z[:-1] if time_axis else z
-        t = float(z[-1]) if time_axis else t0
-    else:
-        fv = float(vals[best])
-        params, t = pr, t0
+    z, fv, evals = pattern_search(obj, np.array(x0), bounds, max_evals=120)
+    params = z[:-1] if time_axis else z
+    t = float(z[-1]) if time_axis else t0
     return sign * fv, region.param_point(params, comp), t, evals
 
 
@@ -1022,14 +1016,12 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
         ts = np.linspace(traj.t0, traj.t1, MISS_SAMPLES)
         return 1, float(np.min(X1.distance(traj.sample(ts))))
 
-    n_evals = 0
-    if len(X0.param_bounds) > 0:
-        z, (missed, value), n_evals = pattern_search(rank, np.array(pr),
-                                                     X0.param_bounds)
-        if not missed and value <= best_time:
-            pr, best_time = z, value
-        elif best_time == math.inf:
-            best_dist = min(best_dist, value)
+    z, (missed, value), n_evals = pattern_search(rank, np.array(pr),
+                                                 X0.param_bounds)
+    if not missed and value <= best_time:
+        pr, best_time = z, value
+    elif best_time == math.inf:
+        best_dist = min(best_dist, value)
     counts.update(n_refine_evals=n_evals, n_refine_failed=n_failed)
     if best_time == math.inf:
         return ChordSearchResult(

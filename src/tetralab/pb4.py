@@ -22,9 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import _DEFAULT_R0, _DEFAULT_R1
+from .contact import _DEFAULT_R0, _DEFAULT_R1, CircleModel
 from .phase_core import HamiltonianSpec, PhaseChart
 from .profiles import quintic, quintic_d, smoothstep, smoothstep_int
+
+
+# a grid field meets a constraint when it misses it by at most this
+FEASIBILITY_TOL = 1e-12
 
 
 class InfeasibleError(ValueError):
@@ -156,10 +160,10 @@ def discrete_bracket(problem: Pb4Problem, F, G):
     return np.stack([lower, upper])
 
 
-def feasible_pair_value(problem: Pb4Problem, F, G, tol=1e-12):
+def feasible_pair_value(problem: Pb4Problem, F, G):
     """Max of the discrete bracket over all triangles, after checking
-    every constraint; any feasible pair upper-estimates the invariant of
-    the triangulated problem."""
+    every constraint to within ``FEASIBILITY_TOL``; any feasible pair
+    upper-estimates the invariant of the triangulated problem."""
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
     frame = problem.frame_mask()
@@ -172,16 +176,16 @@ def feasible_pair_value(problem: Pb4Problem, F, G, tol=1e-12):
     for name, vals, kind, bound in checks:
         if vals.size == 0:
             raise InfeasibleError(f"constraint mask {name} is empty")
-        if kind == "max" and vals.max() > bound + tol:
+        if kind == "max" and vals.max() > bound + FEASIBILITY_TOL:
             raise InfeasibleError(
                 f"field violates {name}: max {vals.max():.3e} > {bound}"
             )
-        if kind == "min" and vals.min() < bound - tol:
+        if kind == "min" and vals.min() < bound - FEASIBILITY_TOL:
             raise InfeasibleError(
                 f"field violates {name}: min {vals.min():.3e} < {bound}"
             )
     for nm, A in (("F", F), ("G", G)):
-        if np.abs(A[frame]).max() > tol:
+        if np.abs(A[frame]).max() > FEASIBILITY_TOL:
             raise InfeasibleError(f"{nm} does not vanish on the frame")
     return float(discrete_bracket(problem, F, G).max())
 
@@ -349,7 +353,8 @@ def estimate_pb4_plus(problem: Pb4Problem, warm_start=None) -> Pb4Report:
 # Prototype instance: cylinder tetragon masks
 # ---------------------------------------------------------------------------
 
-def prototype_problem(n=128, R0=_DEFAULT_R0, R1=_DEFAULT_R1, T=0.25,
+def prototype_problem(n=128, R0=_DEFAULT_R0, R1=_DEFAULT_R1,
+                      T=CircleModel.default_reeb_time,
                       thicken_radius=0) -> Pb4Problem:
     """Cylinder-window instance whose exact invariant is 1/((R1-R0)*T).
 
@@ -389,7 +394,8 @@ def prototype_problem(n=128, R0=_DEFAULT_R0, R1=_DEFAULT_R1, T=0.25,
 # Analytic prototype Hamiltonian pair (for the chord mean-value check)
 # ---------------------------------------------------------------------------
 
-def prototype_hamiltonian_pair(R0=_DEFAULT_R0, R1=_DEFAULT_R1, T=0.25):
+def prototype_hamiltonian_pair(R0=_DEFAULT_R0, R1=_DEFAULT_R1,
+                               T=CircleModel.default_reeb_time):
     """Smooth representatives (F, G) of the prototype feasible pair on
     the cylinder chart (p = s, q = u).
 

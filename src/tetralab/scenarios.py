@@ -24,6 +24,9 @@ from .dynamics import (ChordSearchConfig, chord_budget, deterministic_map,
 from .phase_core import HamiltonianSpec, PhaseChart
 from .profiles import Plateau, PlateauStack
 
+# a found chord passes within this of its time budget
+TIME_TOL = 1e-6
+
 # a found chord's increment passes within this of the expected increment
 INCREMENT_TOL = 1e-6
 
@@ -120,10 +123,11 @@ class ScenarioReport:
 
     @property
     def passed(self):
-        """A chord was found within budget + 1e-6 and, when an increment
-        is expected, its increment lies within ``INCREMENT_TOL`` of it."""
+        """A chord was found within budget + ``TIME_TOL`` and, when an
+        increment is expected, its increment lies within ``INCREMENT_TOL``
+        of it."""
         ok = self.found and self.time_length is not None \
-            and self.time_length <= self.budget + 1e-6
+            and self.time_length <= self.budget + TIME_TOL
         if ok and self.expected_increment is not None:
             ok = abs(self.increment - self.expected_increment) \
                 <= INCREMENT_TOL

@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from tetralab.contact import (CircleModel, GeometryError,
-                              ParameterError, RoundedRectangleLoop,
-                              SphereModel, TorusModel, build_tetragon,
-                              make_model, smooth_tetragon,
+from tetralab.contact import (CircleModel, ParameterError,
+                              RoundedRectangleLoop, SphereModel, TorusModel,
+                              build_tetragon, make_model, smooth_tetragon,
                               unit_sphere_point, unit_sphere_tangent)
 from tetralab.phase_core import omega_matrix
 
@@ -138,6 +138,55 @@ class TestReebFlows:
                 assert np.allclose(diff / (2 * h), d, rtol=0, atol=1e-8)
 
 
+# wall_distance works on wrapped coordinates, whose round-off (about
+# 1e-16) lies far below this.  Reeb times are drawn at least this far from
+# 0 and from the circle's first return t = 1 (its strict bound), so a wall
+# distance above a tenth of it tells a miss from round-off.
+RESOLVED = 1e-12
+
+C2_MODELS = [CircleModel(), TorusModel(2), TorusModel(3), SphereModel(1),
+             SphereModel(2)]
+
+
+@st.composite
+def reeb_times(draw):
+    """A model, a Reeb time T within its (C2) bound and t in (0, T]."""
+    model = draw(st.sampled_from(C2_MODELS))
+    top = model.max_reeb_time
+    if not model.max_reeb_time_inclusive:
+        top -= RESOLVED
+    T = draw(st.floats(RESOLVED, top))
+    return model, T, draw(st.floats(RESOLVED, T))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=reeb_times(), s=st.floats(1.0, 2.0),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+       comp=st.integers(0, 1))
+# each model's first return, where psi_t(L) meets L again: past every
+# bound, so check_reeb_time must reject them
+@example(case=(CircleModel(), 1.0, 1.0), s=1.5, fracs=[0.0, 0.0], comp=0)
+@example(case=(TorusModel(2), 1.0, 1.0), s=1.5, fracs=[0.0, 0.0], comp=0)
+@example(case=(TorusModel(3), 1.0, 1.0), s=1.5, fracs=[0.0, 0.0], comp=0)
+@example(case=(SphereModel(1), math.pi / 2, math.pi / 2), s=1.5,
+         fracs=[0.0, 0.0], comp=0)
+@example(case=(SphereModel(2), math.pi / 2, math.pi / 2), s=1.5,
+         fracs=[0.3, 0.0], comp=0)
+def test_reeb_time_bound_gives_c2(case, s, fracs, comp):
+    """Every T that check_reeb_time accepts satisfies (C2): for t in
+    (0, T] the wall at Reeb time t misses the wall at time 0, so
+    psi_t(L) misses L."""
+    model, T, t = case
+    try:
+        model.check_reeb_time(T)
+    except ParameterError:
+        assume(False)
+    angles = [lo + f * (hi - lo)
+              for (lo, hi), f in zip(model.angle_bounds, fracs)]
+    c = model.phi(s, t, angles, comp % model.n_components)
+    assert model.wall_distance(c, 0.0, 1.0, 2.0) > RESOLVED / 10
+
+
 class TestMakeModel:
     def test_kinds(self):
         assert make_model("circle").kind == "circle"
@@ -184,6 +233,10 @@ class TestTetragonConstruction:
             build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4 + 1e-6)
         # the sphere bound is inclusive
         build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
+        # (C2) holds for every T inside the bound, however close to it
+        for model in ALL_MODELS:
+            build_tetragon(model, 1.0, 2.0, 1e-12)
+        build_tetragon(CircleModel(), 1.0, 2.0, 1.0 - 1e-12)
 
     def test_kappa(self):
         tet = build_tetragon(CircleModel(), 1.0, 2.0, 0.25)

@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import in the package is used,
-every top-level ``def`` and ``class`` is read somewhere, the package
+every top-level ``def`` and ``class`` and every method but a dunder is
+read somewhere, the package
 reads no environment variable but ``TETRALAB_OUT``, and scipy is loaded
 and ``solve_ivp`` named only where ``SCIPY_ALLOWED`` and
 ``SOLVE_IVP_ALLOWED`` say.
@@ -87,13 +88,20 @@ def read_names(tree, skip=None):
 
 def unreferenced_defs(source, elsewhere):
     """``(line, name)`` of each top-level ``def`` or ``class`` of
-    ``source`` read neither in ``elsewhere`` nor in ``source`` outside
-    its own definition."""
+    ``source``, and of each ``def`` in a top-level class body but a
+    dunder, read neither in ``elsewhere`` nor in ``source`` outside its
+    own definition."""
     tree = ast.parse(source)
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [(node.lineno, node.name) for node in tree.body
-            if isinstance(node, defs) and node.name not in elsewhere
-            and node.name not in read_names(tree, skip=node)]
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    nodes = [node for node in tree.body
+             if isinstance(node, funcs + (ast.ClassDef,))]
+    nodes += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+              for node in cls.body if isinstance(node, funcs)
+              and not (node.name.startswith("__")
+                       and node.name.endswith("__"))]
+    return sorted((node.lineno, node.name) for node in nodes
+                  if node.name not in elsewhere
+                  and node.name not in read_names(tree, skip=node))
 
 
 @functools.lru_cache(maxsize=None)
@@ -106,11 +114,19 @@ def test_def_checker_flags_unreferenced():
            "def api():\n    return helper()\n"
            "def recursive(n):\n    return recursive(n - 1)\n"
            "class Model:\n    pass\n"
-           "def dead():\n    pass\n")
-    other = "from mod import dead, recursive\nimport mod\nmod.api(mod.Model)\n"
+           "def dead():\n    pass\n"
+           "class Base:\n"
+           "    def __init__(self):\n        self.used()\n"
+           "    def used(self):\n        pass\n"
+           "    def dead_method(self):\n        pass\n"
+           "class Child(Base):\n"
+           "    def dead_method(self):\n        pass\n")
+    other = ("from mod import dead, recursive\nimport mod\n"
+             "mod.api(mod.Model, mod.Child())\n")
     elsewhere = read_names(ast.parse(other))
-    assert unreferenced_defs(src, elsewhere) == [(5, "recursive"),
-                                                 (9, "dead")]
+    assert unreferenced_defs(src, elsewhere) == [
+        (5, "recursive"), (9, "dead"), (16, "dead_method"),
+        (19, "dead_method")]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
