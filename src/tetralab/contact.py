@@ -137,9 +137,6 @@ class ContactModel:
             )
 
     # -- Sigma-level operations -------------------------------------------
-    def constraint_residual(self, x):
-        raise NotImplementedError
-
     def reeb_flow(self, x, t):
         raise NotImplementedError
 
@@ -200,9 +197,6 @@ class CircleModel(ContactModel):
         self.chart = PhaseChart(dim_pairs=1, periodic=(True,),
                                 labels=("s", "u"))
 
-    def constraint_residual(self, x):
-        return 0.0
-
     def reeb_flow(self, x, t):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return np.array([(x[0] + t) % 1.0])
@@ -254,10 +248,6 @@ class TorusModel(ContactModel):
         self.chart = PhaseChart(dim_pairs=k, periodic=(True,) * k)
 
     # Sigma points are (p, q) with |p| = 1, q in T^k.
-    def constraint_residual(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(np.linalg.norm(x[: self.k]) - 1.0)
-
     def reeb_flow(self, x, t):
         x = np.asarray(x, dtype=float)
         p, q = x[: self.k], x[self.k:]
@@ -334,9 +324,6 @@ class SphereModel(ContactModel):
         self.chart = PhaseChart(dim_pairs=k)
 
     # Sigma points are z = (p, q) in R^{2k} with |z| = 1.
-    def constraint_residual(self, x):
-        return float(np.linalg.norm(np.asarray(x, dtype=float)) - 1.0)
-
     def _rotate(self, z, phi):
         z = np.asarray(z, dtype=float)
         p, q = z[..., : self.k], z[..., self.k:]

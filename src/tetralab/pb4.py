@@ -437,11 +437,26 @@ def prototype_hamiltonian_pair(R0=_DEFAULT_R0, R1=_DEFAULT_R1,
         d = quintic_d(bump_arg(s)) / roll
         return np.where(s > R1, -d, d)
 
+    def g_point_gradient(x, t):
+        """G's gradient at one point: the branches above on floats."""
+        s, q = x
+        q = q % 1.0
+        if q <= T:
+            g, g_d = 1.0 - q / T, -1.0 / T
+        else:
+            g = min(max((q - lo) / (hi - lo), 0.0), 1.0)
+            g_d = 1.0 / (hi - lo) if lo < q < hi else 0.0
+        arg = (s - (R1 + pad)) / roll if s > R1 else ((R0 - pad) - s) / roll
+        d = quintic_d(arg) / roll
+        return [g * (-d if s > R1 else d), g_d * (1.0 - quintic(arg))]
+
     F = HamiltonianSpec(
         chart=chart,
         value=lambda x, t: f_ramp(x[..., 0])[()],
         gradient=lambda x, t: np.stack(
             [f_ramp_d(x[..., 0]), np.zeros(np.shape(x)[:-1])], axis=-1),
+        point_gradient=lambda x, t: [
+            1.0 / width if R0 <= x[0] <= R1 else 0.0, 0.0],
         name="prototype-F",
     )
     G = HamiltonianSpec(
@@ -450,6 +465,7 @@ def prototype_hamiltonian_pair(R0=_DEFAULT_R0, R1=_DEFAULT_R1,
         gradient=lambda x, t: np.stack(
             [g_desc(x[..., 1]) * bump_d(x[..., 0]),
              g_desc_d(x[..., 1]) * bump(x[..., 0])], axis=-1),
+        point_gradient=g_point_gradient,
         name="prototype-G",
     )
     return F, G
@@ -506,6 +522,9 @@ class WallWitness:
         g[..., 0] = self.slope(x[..., 0][()])
         return g
 
+    def _point_gradient(self, x, t):
+        return [self.slope(x[0]), 0.0]
+
     def hamiltonian(self) -> HamiltonianSpec:
         """u(s) as a Hamiltonian on the cylinder chart (p = s, q = u):
         its flow advances u at rate u'(s) along Reeb lines."""
@@ -515,6 +534,7 @@ class WallWitness:
             chart=chart,
             value=lambda x, t: self.profile(x[..., 0]),
             gradient=self._gradient,
+            point_gradient=self._point_gradient,
             name="wall-witness",
         )
 

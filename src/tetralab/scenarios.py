@@ -175,7 +175,11 @@ def unstable_hamiltonian(k=1) -> HamiltonianSpec:
     def gradient(x, t):
         return np.concatenate([x[..., :k], -x[..., k:]], axis=-1)
 
+    def point_gradient(x, t):
+        return x[:k] + [-v for v in x[k:]]
+
     return HamiltonianSpec(chart=chart, value=value, gradient=gradient,
+                           point_gradient=point_gradient,
                            name="unstable-equilibrium")
 
 
@@ -201,7 +205,18 @@ def channel_potential(k=1) -> HamiltonianSpec:
             g[..., k + i] = -2 * math.pi * sin[..., i] * others
         return g
 
+    def point_gradient(x, t):
+        # math's cos and sin round as numpy's do on these angles (the
+        # batch-contract property test compares the two paths)
+        angle = [2 * math.pi * v for v in x[k:]]
+        cos = [math.cos(a) for a in angle]
+        return [0.0] * k + [
+            -2 * math.pi * math.sin(angle[i])
+            * math.prod(cos[j] for j in range(k) if j != i)
+            for i in range(k)]
+
     return HamiltonianSpec(chart=chart, value=value, gradient=gradient,
+                           point_gradient=point_gradient,
                            name="channel-potential")
 
 
@@ -214,23 +229,32 @@ def mechanical_hamiltonian(k=1, beta=_DEFAULT_BETA, R0=_DEFAULT_R0,
     if shell.lo - shell.roll <= 0.0:
         raise ConfigError("potential shell reaches q = 0")
 
-    def tfac(t):
+    def tfac(t, sin=np.sin):
+        """The time factor; ``sin=math.sin`` takes a float t."""
         if not time_amp:
             return 1.0
-        return 1.0 + time_amp * np.sin(2 * math.pi * np.asarray(t))
+        return 1.0 + time_amp * sin(2 * math.pi * t)
 
     def value(x, t):
         y = _sq(x[..., k:])
-        return 0.5 * _sq(x[..., :k]) - beta * shell.value(y) * tfac(t)
+        return 0.5 * _sq(x[..., :k]) \
+            - beta * shell.value(y) * tfac(np.asarray(t))
 
     def gradient(x, t):
         y = _sq(x[..., k:])
-        dq = -beta * shell.deriv(y) * tfac(t) * 2.0
+        dq = -beta * shell.deriv(y) * tfac(np.asarray(t)) * 2.0
         return np.concatenate([x[..., :k], np.asarray(dq)[..., None]
                                * x[..., k:]], axis=-1)
 
+    def point_gradient(x, t):
+        q = x[k:]
+        dq = -beta * shell.deriv(sum(v * v for v in q)) \
+            * tfac(t, math.sin) * 2.0
+        return x[:k] + [dq * v for v in q]
+
     return HamiltonianSpec(
         chart=chart, value=value, gradient=gradient,
+        point_gradient=point_gradient,
         autonomous=time_amp == 0.0,
         name="mechanical",
     )
@@ -240,11 +264,17 @@ def add_hamiltonians(G: HamiltonianSpec, F: HamiltonianSpec,
                      name="") -> HamiltonianSpec:
     if G.chart.dim != F.chart.dim:
         raise ValueError("chart dimensions differ")
+    point_gradient = None
+    if G.point_gradient and F.point_gradient:
+        def point_gradient(x, t):
+            return [a + b for a, b in zip(G.point_gradient(x, t),
+                                          F.point_gradient(x, t))]
     return HamiltonianSpec(
         chart=G.chart,
         value=lambda x, t: G.value(x, t) + F.value(x, t),
         gradient=lambda x, t: np.add(G.gradient(x, t), F.gradient(x, t),
                                      dtype=float),
+        point_gradient=point_gradient,
         autonomous=G.autonomous and F.autonomous,
         name=name or f"{G.name}+{F.name}",
     )
@@ -265,7 +295,8 @@ def wall_perturbation(amplitude, R0=_DEFAULT_R0, R1=_DEFAULT_R1,
     argument grows with y, so a term whose argument is at least 1 at
     the batch minimum of y is exactly zero on every row and is not
     evaluated.  Each term that runs evaluates its two plateaus in one
-    ``PlateauStack`` pass; the far term is added after the wall term.
+    ``PlateauStack`` pass, or at one point plateau by plateau on floats
+    (``point_gradient``); the far term is added after the wall term.
     The values are those of the whole gradient up to the sign of an
     exact zero.  The chord search's single-point calls lie off both
     bumps and get an exact zero; its sweep batches mostly have rows in
@@ -278,10 +309,11 @@ def wall_perturbation(amplitude, R0=_DEFAULT_R0, R1=_DEFAULT_R1,
     far_ring = Plateau(lo=R0 + 0.2, hi=R1 - 0.2, roll=0.15)
     near_anti = Plateau(lo=0.0, hi=0.005, roll=0.015)
 
-    def tfac(t):
+    def tfac(t, sin=np.sin):
+        """The time factor; ``sin=math.sin`` takes a float t."""
         if not time_periodic:
             return 1.0
-        return 0.5 * (1.0 + np.sin(2 * math.pi * np.asarray(t)))
+        return 0.5 * (1.0 + sin(2 * math.pi * t))
 
     def value(x, t):
         p, q = np.moveaxis(x, -1, 0)
@@ -289,44 +321,64 @@ def wall_perturbation(amplitude, R0=_DEFAULT_R0, R1=_DEFAULT_R1,
         wall = -amplitude * ring.value(rho) * nearq.value(q * q)
         w2 = 0.5 * (p + q) ** 2
         far = AWAY_FACTOR * amplitude * near_anti.value(w2) \
-            * far_ring.value(rho) * tfac(t)
+            * far_ring.value(rho) * tfac(np.asarray(t))
         return wall + far
 
-    wall_bumps = PlateauStack((ring, nearq))
-    far_bumps = PlateauStack((near_anti, far_ring))
+    # each term's two plateaus, and the stack evaluating them together
+    pairs = ((ring, nearq), (near_anti, far_ring))
+    stacks = tuple(PlateauStack(pair) for pair in pairs)
 
     def reaches(bump, y):
         """Some element of y has ``bump``'s falling argument below 1 (or
         is NaN), the only place the bump or its slope can be nonzero."""
-        low = y.min() if y.ndim else y  # a one-point y is a numpy scalar
+        low = y.min() if getattr(y, "ndim", 0) else y  # one point: a scalar
         return not (low - bump.hi) / bump.roll >= 1.0
 
-    def gradient(x, t):
-        p, q = x[..., 0], x[..., 1]
+    def stack_bumps(i, ys):
+        return stacks[i].values_and_slopes(np.array(ys))
+
+    def plateau_bumps(i, ys):
+        """``stack_bumps`` on floats, plateau by plateau: the stacks
+        match ``Plateau.value`` and ``Plateau.deriv`` bit for bit."""
+        return ([pl.value(y) for pl, y in zip(pairs[i], ys)],
+                [pl.deriv(y) for pl, y in zip(pairs[i], ys)])
+
+    def terms(p, q, t, sin, bumps):
+        """(dF/dp, dF/dq) at points (p, q), or None where both terms
+        vanish; ``bumps(i, ys)`` gives the values and the slopes of term
+        i's plateaus at ys."""
         qq, s = q * q, p + q
         w2 = 0.5 * (s * s)
         wall, far = reaches(nearq, qq), reaches(near_anti, w2)
         if not (wall or far):
-            return np.zeros(np.shape(x))
+            return None
         rho = p * p + qq
         if wall:
-            (rv, nv), (rd, nd) = wall_bumps.values_and_slopes(
-                np.array([rho, qq]))
+            (rv, nv), (rd, nd) = bumps(0, (rho, qq))
             g0 = -amplitude * rd * 2 * p * nv
             g1 = -amplitude * (rd * 2 * q * nv + rv * nd * 2 * q)
         if far:
-            (na, fr), (nad, frd) = far_bumps.values_and_slopes(
-                np.array([w2, rho]))
-            tf = AWAY_FACTOR * amplitude * tfac(t)
+            (na, fr), (nad, frd) = bumps(1, (w2, rho))
+            tf = AWAY_FACTOR * amplitude * tfac(t, sin)
             ns, nf = nad * s * fr, na * frd * 2
             f0, f1 = tf * (ns + nf * p), tf * (ns + nf * q)
             g0, g1 = (g0 + f0, g1 + f1) if wall else (f0, f1)
-        g = np.empty(np.shape(x))
-        g[..., 0], g[..., 1] = g0, g1
+        return g0, g1
+
+    def gradient(x, t):
+        g = np.zeros(np.shape(x))
+        pq = terms(x[..., 0], x[..., 1], np.asarray(t), np.sin, stack_bumps)
+        if pq is not None:
+            g[..., 0], g[..., 1] = pq
         return g
+
+    def point_gradient(x, t):
+        pq = terms(*x, t, math.sin, plateau_bumps)
+        return [0.0, 0.0] if pq is None else list(pq)
 
     return HamiltonianSpec(
         chart=chart, value=value, gradient=gradient,
+        point_gradient=point_gradient,
         autonomous=not time_periodic,
         name="wall-perturbation",
     )
@@ -471,11 +523,11 @@ def run_reeb_chord(cfg: ScenarioConfig) -> ScenarioReport:
     # theta' = speed at f = 1: theta sweeps 2T on the sphere, T on the circle
     span = speed * T
 
-    def f(theta):
-        return base + amp * np.sin(omega * theta)
+    def f(theta, sin=np.sin):
+        return base + amp * sin(omega * theta)
 
-    def f_d(theta):
-        return amp * omega * np.cos(omega * theta)
+    def f_d(theta, cos=np.cos):
+        return amp * omega * cos(omega * theta)
 
     grid = np.linspace(0.0, span, 2001)
     fmin = min(float(f(th0 + grid).min()) for th0 in starts)
@@ -486,6 +538,9 @@ def run_reeb_chord(cfg: ScenarioConfig) -> ScenarioReport:
         value=lambda x, t: speed * x[..., 0] * f(x[..., 1]),
         gradient=lambda x, t: speed * np.stack(
             [f(x[..., 1]), x[..., 0] * f_d(x[..., 1])], axis=-1),
+        point_gradient=lambda x, t: [
+            speed * f(x[1], math.sin),
+            speed * (x[0] * f_d(x[1], math.cos))],
         name="reeb",
     )
 

@@ -248,7 +248,10 @@ SCIPY_CASES = {
 
 
 class TestMatchesScipy:
-    """``integrate`` takes the steps of scipy's DOP853 and rounds alike."""
+    """``integrate`` takes the steps of scipy's DOP853 and rounds alike.
+    scipy's right-hand side is a one-row stack, so it evaluates through
+    ``H.grad`` while ``integrate``'s one-point calls take the specs' float
+    path: the comparison checks that path too."""
 
     @pytest.mark.parametrize("case", sorted(SCIPY_CASES))
     def test_steps_states_dense_output_and_event(self, case):
@@ -258,7 +261,7 @@ class TestMatchesScipy:
         tol = 1e-10
         traj = integrate(H, x0, t0, t1, tol=tol,
                          events=[lambda c: c[0] - level])
-        ref = solve_ivp(lambda t, y: sgrad(H, y, t), (t0, t1),
+        ref = solve_ivp(lambda t, y: sgrad(H, y[None], t)[0], (t0, t1),
                         H.chart.wrap(np.asarray(x0, dtype=float)),
                         method="DOP853", rtol=tol, atol=tol / 100,
                         dense_output=True,
@@ -791,23 +794,39 @@ class TestRhsLookup:
         the batched sweep and the one-point integrations both call it
         there, and every gradient the run evaluates comes through it, so
         an integrator bound to the RHS directly cannot leave that count
-        silently at zero."""
-        ndims, grads = [], [0]
-        real_sgrad, real_grad = dynamics.sgrad, HamiltonianSpec.grad
+        silently at zero.  Evaluations are counted at the specs'
+        ``gradient`` and ``point_gradient`` callbacks, outermost calls
+        only: a sum's callback calls its terms'."""
+        ndims, calls, depth = [], {"gradient": 0, "point_gradient": 0}, [0]
+        real_sgrad, real_init = dynamics.sgrad, HamiltonianSpec.__init__
 
         def counting_sgrad(H, x, t=0.0):
             ndims.append(np.ndim(x))
             return real_sgrad(H, x, t)
 
-        def counting_grad(self, x, t=0.0):
-            grads[0] += 1
-            return real_grad(self, x, t)
+        def counted(what, fn):
+            def call(x, t):
+                calls[what] += depth[0] == 0
+                depth[0] += 1
+                try:
+                    return fn(x, t)
+                finally:
+                    depth[0] -= 1
+            return call
+
+        def counting_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            for what in calls:
+                if getattr(self, what) is not None:
+                    object.__setattr__(self, what,
+                                       counted(what, getattr(self, what)))
 
         monkeypatch.setattr(dynamics, "sgrad", counting_sgrad)
-        monkeypatch.setattr(HamiltonianSpec, "grad", counting_grad)
+        monkeypatch.setattr(HamiltonianSpec, "__init__", counting_init)
         report = run_scenario(ScenarioConfig(
             scenario="unstable_equilibrium",
             perturbation=PerturbationSpec(), n_seeds=8, n_phases=4))
         assert report.found
         assert ndims.count(2) > 0 and ndims.count(1) > 0
-        assert len(ndims) == grads[0]
+        assert calls == {"gradient": ndims.count(2),
+                         "point_gradient": ndims.count(1)}

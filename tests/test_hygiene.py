@@ -1,9 +1,10 @@
 """Source hygiene: every module-level import in the package is used,
 every top-level ``def`` and ``class`` and every method but a dunder is
 read somewhere, the package
-reads no environment variable but ``TETRALAB_OUT``, and scipy is loaded
+reads no environment variable but ``TETRALAB_OUT``, scipy is loaded
 and ``solve_ivp`` named only where ``SCIPY_ALLOWED`` and
-``SOLVE_IVP_ALLOWED`` say.
+``SOLVE_IVP_ALLOWED`` say, and every ``HamiltonianSpec`` the package
+builds passes ``point_gradient``.
 
 Stdlib ``ast`` checks, so they need no linter.  An import statement with
 ``# noqa: F401`` on one of its lines is exempt (re-exports, and names
@@ -236,3 +237,32 @@ def test_importing_the_cli_loads_no_scipy():
                          env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def specs_without_point_gradient(source):
+    """Lines of the ``HamiltonianSpec(...)`` calls that pass no
+    ``point_gradient=`` keyword."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "HamiltonianSpec" in (getattr(node.func, "id", None),
+                                  getattr(node.func, "attr", None))
+        and "point_gradient" not in (k.arg for k in node.keywords))
+
+
+def test_spec_checker_flags_a_missing_point_gradient():
+    src = ("a = HamiltonianSpec(chart=c, value=v, gradient=g,\n"
+           "                    point_gradient=p)\n"
+           "b = HamiltonianSpec(chart=c, value=v, gradient=g)\n"
+           "c = phase_core.HamiltonianSpec(c, v, g)\n")
+    assert specs_without_point_gradient(src) == [3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_specs_pass_point_gradient(path):
+    """One-point right-hand sides run on Python floats only for specs
+    with ``point_gradient``; a spec without it silently takes the slower
+    array path."""
+    source = path.read_text(encoding="utf-8")
+    assert specs_without_point_gradient(source) == []

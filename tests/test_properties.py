@@ -1,11 +1,12 @@
 """Randomized property checks (hypothesis-driven)."""
 
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tetralab.contact import (CircleModel, RoundedRectangleLoop, SphereModel,
@@ -15,7 +16,7 @@ from tetralab.dynamics import pattern_search
 from tetralab.pb4 import prototype_hamiltonian_pair, wall_witness
 from tetralab.profiles import Plateau, PlateauStack
 from tetralab.phase_core import (EvaluationError, HamiltonianSpec,
-                                 PhaseChart, poisson_bracket)
+                                 PhaseChart, poisson_bracket, sgrad)
 from tetralab.scenarios import (add_hamiltonians, channel_potential,
                                 mechanical_hamiltonian, unstable_hamiltonian,
                                 wall_perturbation)
@@ -126,6 +127,36 @@ coord = st.floats(min_value=-2.5, max_value=2.5, allow_nan=False)
 seam = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -1e-17, -5e-324,
                         1.0 - 1e-16, -1.0 - 1e-16, 0.5])
 
+# the perturbation's two narrow bumps, built as wall_perturbation builds
+# them: near-wall tube in q*q, anti-diagonal band in w2 = (p + q)^2 / 2
+NEARQ = Plateau(lo=0.0, hi=(0.15 / 3.0) ** 2,
+                roll=0.15 ** 2 - (0.15 / 3.0) ** 2)
+NEAR_ANTI = Plateau(lo=0.0, hi=0.005, roll=0.015)
+
+
+def _falling(bump, y):
+    return (y - bump.hi) / bump.roll
+
+
+def _straddle(arg, x):
+    """The two inputs one ulp apart where the increasing ``arg`` crosses
+    1: the last with arg < 1 and the first with arg >= 1."""
+    while arg(x) >= 1.0:
+        x = np.nextafter(x, -np.inf)
+    while arg(x) < 1.0:
+        x = np.nextafter(x, np.inf)
+    return np.nextafter(x, -np.inf), x
+
+
+# seam rows: q on the tube's seam, where (q*q - hi)/roll is exactly 1
+# (q = 0.15) or just below it; (p, Q_BAND) on the band's seam, with
+# Q_BAND off the tube and rho inside the far ring
+Q_BELOW, Q_ONE = _straddle(lambda q: _falling(NEARQ, q * q), 0.15)
+Q_BAND = 0.96875
+P_BELOW, P_ABOVE = _straddle(
+    lambda p: _falling(NEAR_ANTI, 0.5 * ((p + Q_BAND) * (p + Q_BAND))),
+    0.2 - Q_BAND)
+
 
 def _library():
     F, G = prototype_hamiltonian_pair()
@@ -183,17 +214,43 @@ def _stack(data, dim):
                             elements=st.one_of(coord, seam)))
 
 
+# stacks of up to six 4-vectors and six times, cut to a spec's dimension
+stacks = st.integers(min_value=1, max_value=6).flatmap(
+    lambda m: arrays(float, (m, 4), elements=st.one_of(coord, seam)))
+times = arrays(float, (6,), elements=st.floats(min_value=0.0, max_value=1.0))
+
+
 @pytest.mark.parametrize("name", sorted(LIBRARY))
 @SETTINGS
-@given(data=st.data())
-def test_batched_hamiltonian_matches_rows(name, data):
+@given(X=stacks, ts=times)
+@example(X=np.array([[0.0, -1e-17, -1e-17, -1e-17]]), ts=np.full(6, 0.3))
+@example(X=np.array([[1.2, Q_BELOW, 1.2, Q_BELOW],
+                     [1.2, Q_ONE, 1.2, Q_ONE],
+                     [P_BELOW, Q_BAND, P_BELOW, Q_BAND],
+                     [P_ABOVE, Q_BAND, P_ABOVE, Q_BAND]]),
+         ts=np.full(6, 0.3))
+def test_batched_hamiltonian_matches_rows(name, X, ts):
+    """A stack gives the rows' results.  The one-point ``sgrad`` takes
+    the float path of a spec with ``point_gradient`` (``constant`` has
+    none), so the batch checks that path row by row; the examples are
+    the wrap seam and the perturbation's tube and band seams."""
     H = LIBRARY[name]
-    X = _stack(data, H.chart.dim)
-    ts = data.draw(arrays(float, (len(X),),
-                          elements=st.floats(min_value=0.0, max_value=1.0)))
+    X, ts = X[:, :H.chart.dim], ts[:len(X)]
     assert_rows_equal(H(X, ts), [H(x, t) for x, t in zip(X, ts)])
     assert_rows_equal(H.grad(X, ts), [H.grad(x, t) for x, t in zip(X, ts)])
     assert_rows_equal(H(X, 0.25), [H(x, 0.25) for x in X])
+    assert_rows_equal(sgrad(H, X, ts), [sgrad(H, x, t) for x, t in zip(X, ts)])
+
+
+@SETTINGS
+@given(arrays(float, (16,), elements=st.floats(min_value=-20.0,
+                                                 max_value=20.0)))
+def test_math_trig_rounds_as_numpy(A):
+    """The channel's, the Reeb chord's and the time factors' float
+    gradients call math's sin and cos where their array gradients call
+    numpy's, so the two must round alike."""
+    assert np.array_equal(np.sin(A), [math.sin(a) for a in A])
+    assert np.array_equal(np.cos(A), [math.cos(a) for a in A])
 
 
 @SETTINGS
@@ -355,35 +412,6 @@ def test_perturbation_gradient_matches_central_differences(F, x, t):
 
 REFERENCES = [four_plateau_gradient(0.25),
               four_plateau_gradient(0.25, time_periodic=False)]
-# the perturbation's two narrow bumps, built as wall_perturbation builds
-# them: near-wall tube in q*q, anti-diagonal band in w2 = (p + q)^2 / 2
-NEARQ = Plateau(lo=0.0, hi=(0.15 / 3.0) ** 2,
-                roll=0.15 ** 2 - (0.15 / 3.0) ** 2)
-NEAR_ANTI = Plateau(lo=0.0, hi=0.005, roll=0.015)
-
-
-def _falling(bump, y):
-    return (y - bump.hi) / bump.roll
-
-
-def _straddle(arg, x):
-    """The two inputs one ulp apart where the increasing ``arg`` crosses
-    1: the last with arg < 1 and the first with arg >= 1."""
-    while arg(x) >= 1.0:
-        x = np.nextafter(x, -np.inf)
-    while arg(x) < 1.0:
-        x = np.nextafter(x, np.inf)
-    return np.nextafter(x, -np.inf), x
-
-
-# seam rows: q on the tube's seam, where (q*q - hi)/roll is exactly 1
-# (q = 0.15) or just below it; (p, Q_BAND) on the band's seam, with
-# Q_BAND off the tube and rho inside the far ring
-Q_BELOW, Q_ONE = _straddle(lambda q: _falling(NEARQ, q * q), 0.15)
-Q_BAND = 0.96875
-P_BELOW, P_ABOVE = _straddle(
-    lambda p: _falling(NEAR_ANTI, 0.5 * ((p + Q_BAND) * (p + Q_BAND))),
-    0.2 - Q_BAND)
 
 tube_q = st.floats(min_value=-0.1499, max_value=0.1499)
 band_s = st.floats(min_value=-0.1999, max_value=0.1999)
@@ -483,10 +511,14 @@ def test_results_do_not_alias_the_callers_array():
 def test_nonfinite_row_is_named(bad, periodic):
     chart = PhaseChart(dim_pairs=1, periodic=(periodic,))
     H = HamiltonianSpec(chart=chart, value=lambda x, t: x.sum(axis=-1),
-                        gradient=lambda x, t: 2.0 * x, name="probe")
+                        gradient=lambda x, t: 2.0 * x,
+                        point_gradient=lambda x, t: [2.0 * v for v in x],
+                        name="probe")
     X = np.array([[i + 0.5, 0.125 * i] for i in range(5)])
     X[3, 0] = bad
-    for call, what in ((H.grad, "gradient"), (H, "value")):
+    # one point through sgrad takes the float path, then H.grad's check
+    for call, what in ((H.grad, "gradient"), (H, "value"),
+                       (functools.partial(sgrad, H), "gradient")):
         for arg in (X, X[3]):
             with pytest.raises(EvaluationError,
                                match=f"non-finite {what} of probe") as err:
