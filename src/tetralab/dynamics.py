@@ -2,30 +2,17 @@
 
 Every flow runs through one DOP853 stepper, whose tableau the package
 carries (``dop853``; importing the package loads no scipy):
-``integrate`` steps one point with its step control on Python floats,
-taking and rounding scipy's DOP853 steps exactly, and ``ensemble_sweep``
-steps rows of points as arrays.  The chord search sweeps a deterministic
-seed grid on the start region (and start phases for time-periodic
-Hamiltonians), all seeds x phases in one ensemble with event detection
-on the target region's enclosing hypersurface; hits are certified by a
-membership test, in order of arrival, and a root later than the best hit
-is not tested.  The earliest hit (else the closest miss) seeds one
-derivative-free pattern search that ranks any certified hit above any
-miss, an earlier hit above a later one and a closer miss above a farther
-one.  Each evaluation runs ``integrate`` over the incumbent window: the
-whole budget until the search has certified a hit, then only up to the
-best certified arrival time t* plus ``INCUMBENT_MARGIN`` of the budget,
-since a candidate that has not arrived by then cannot win.  A start is
-integrated at most once; polling it again reuses its value where the
-current window would give it again, and ranks it a miss where it could
-no longer win.  The search stops at the first poll that does not improve
-and whose values all lie within ``FLAT_ULPS`` ulps of the incumbent's
-(two such polls in a row where the box clips a probe), since later polls
-would only chase rounding noise (``pattern_search``); the same stop
-serves the separation estimates.  The winner is re-certified by
-``integrate`` over the same window, and once more at a hundredth of the
-ODE tolerance for its error bar.  The returned chord is the minimal-time
-certified chord over the sweep, with ties broken by seed order.
+``ensemble_sweep`` steps rows of points as arrays, and ``integrate`` steps
+one point on Python floats, rounding as a row does, so a sweep member and
+its ``integrate`` run agree bit for bit.  The chord search sweeps a seed
+grid on the start region (and start phases for time-periodic
+Hamiltonians) in one ensemble, certifying target hits by membership in
+order of arrival.  The earliest hit (ties broken by seed order, else the
+closest miss) seeds one derivative-free pattern search (``find_chord``);
+its first evaluation repeats the sweep's, and it stops once its polls
+only chase rounding noise (``pattern_search``), as the separation
+estimates do.  The winning evaluation's run is the chord; one more run
+at a hundredth of the ODE tolerance gives its error bar.
 """
 
 from __future__ import annotations
@@ -37,8 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .contact import Region
-from .dop853 import (A, B, C, D, E3, E5, ERROR_ESTIMATOR_ORDER, MAX_FACTOR,
-                     MIN_FACTOR, N_STAGES, N_STAGES_EXTENDED, SAFETY)
+from .dop853 import (A, B, C, D, E3, E5, MAX_FACTOR, MIN_FACTOR, N_STAGES,
+                     N_STAGES_EXTENDED, SAFETY)
 from .phase_core import HamiltonianSpec, sgrad
 
 
@@ -98,19 +85,21 @@ class Trajectory:
 
 # ---------------------------------------------------------------------------
 # DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.5-II.6), scipy's step
-# control.  ``integrate`` steps one point on floats with the ``_point_*``
-# helpers, rounding as scipy does; ``ensemble_sweep`` steps rows of points,
-# ``(m, dim)`` arrays, with the others.  Both read dense output by ``_dense``.
+# control.  ``ensemble_sweep`` steps rows of points, ``(m, dim)`` arrays;
+# ``integrate`` steps one point on lists of floats with the ``_point_*``
+# helpers, which round as a row does.  Both read dense output by ``_dense``.
 # ---------------------------------------------------------------------------
 
 _EPS = float(np.finfo(float).eps)
-_ERR_EXP = -1.0 / (ERROR_ESTIMATOR_ORDER + 1)
 _N_STAGES = N_STAGES + 1  # stages of a step, its end slope included
-# (a, c) of each stage after the first: the rest of a step, then the extra
-# stages of its continuous extension
-_STAGES = [(A[s, :s], float(C[s])) for s in range(1, N_STAGES)]
-_EXTRA = [(A[s, :s], float(C[s]))
+# (a, a as floats, c) of each stage after the first: the rest of a step,
+# then the extra stages of its continuous extension
+_STAGES = [(A[s, :s], A[s, :s].tolist(), float(C[s]))
+           for s in range(1, N_STAGES)]
+_EXTRA = [(A[s, :s], A[s, :s].tolist(), float(C[s]))
           for s in range(_N_STAGES, N_STAGES_EXTENDED)]
+# one point's weights, as lists of floats
+_B, _E3, _E5, _D = B.tolist(), E3.tolist(), E5.tolist(), D.tolist()
 
 
 def _stage_sum(c, K):
@@ -122,6 +111,30 @@ def _stage_sum(c, K):
         return np.stack([_stage_sum(row, K) for row in c])
     flat = K.reshape(len(c), -1)
     return (c[:, None] * flat).sum(axis=0).reshape(K.shape[1:])
+
+
+def _point_sum(c, K):
+    """``_stage_sum`` of the first ``len(c)`` stages K of one point."""
+    out = []
+    for i in range(len(K[0])):
+        acc = c[0] * K[0][i]
+        for j in range(1, len(c)):
+            acc += c[j] * K[j][i]
+        out.append(acc)
+    return out
+
+
+def _point_norm(v):
+    """|v| as numpy's ``norm(axis=-1)`` takes it: squares added in order."""
+    s = 0.0
+    for x in v:
+        s += x * x
+    return math.sqrt(s)
+
+
+def _root8(x, sqrt=np.sqrt):
+    """x ** (1/8) by square roots: unlike pow, alike on floats and arrays."""
+    return sqrt(sqrt(sqrt(x)))
 
 
 def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
@@ -137,24 +150,23 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
         d2 = np.linalg.norm((f1 - f0) / scale, axis=-1) / root_n / h0
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                       np.maximum(1e-6, h0 * 1e-3),
-                      (0.01 / np.maximum(d1, d2)) ** (-_ERR_EXP))
+                      _root8(0.01 / np.maximum(d1, d2)))
     return np.minimum(np.minimum(100 * h0, h1), span)
 
 
 def _point_initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
-    """scipy's ``select_initial_step`` for one point."""
-    span, root_n = t_end - t0, y0.size ** 0.5
-    scale = atol + np.abs(y0) * rtol
-    d0 = np.linalg.norm(y0 / scale) / root_n
-    d1 = np.linalg.norm(f0 / scale) / root_n
+    """``_initial_step`` for one point, a list of floats."""
+    span, root_n = t_end - t0, len(y0) ** 0.5
+    scale = [atol + abs(v) * rtol for v in y0]
+    d0 = _point_norm([v / s for v, s in zip(y0, scale)]) / root_n
+    d1 = _point_norm([v / s for v, s in zip(f0, scale)]) / root_n
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    f1 = rhs(t0 + h0, y0 + h0 * f0)
-    d2 = np.linalg.norm((f1 - f0) / scale) / root_n / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (-_ERR_EXP)
-    return float(min(100 * h0, h1, span))
+    f1 = rhs(t0 + h0, [v + h0 * f for v, f in zip(y0, f0)])
+    d2 = _point_norm([(a - b) / s for a, b, s in zip(f1, f0, scale)]
+                     ) / root_n / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else _root8(0.01 / max(d1, d2), math.sqrt))
+    return min(100 * h0, h1, span)
 
 
 def _next_step(t, h_abs, fresh, t_end):
@@ -174,7 +186,7 @@ def _trial(rhs, t, y, f, h, K, rtol, atol):
     K, ``(13, m, dim)``."""
     hc = h[:, None]
     K[0] = f
-    for s, (a, c) in enumerate(_STAGES, start=1):
+    for s, (a, _, c) in enumerate(_STAGES, start=1):
         K[s] = rhs(t + c * h, y + _stage_sum(a, K[:s]) * hc)
     y_new = y + hc * _stage_sum(B, K[:-1])
     f_new = rhs(t + h, y_new)
@@ -190,21 +202,20 @@ def _trial(rhs, t, y, f, h, K, rtol, atol):
 
 
 def _point_trial(rhs, t, y, f, h, K, rtol, atol):
-    """``_trial`` for one point, ``(dim,)``: stage sums by BLAS and the
-    error norm on floats, rounding as scipy does.  Fills K[:13]."""
+    """``_trial`` for one point on lists of floats, rounding as a row of
+    ``_trial`` does; the RHS takes and returns lists.  Fills K[:13]."""
     K[0] = f
-    for s, (a, c) in enumerate(_STAGES, start=1):
-        K[s] = rhs(t + c * h, y + np.dot(K[:s].T, a) * h)
-    y_new = y + h * np.dot(K[:N_STAGES].T, B)
-    f_new = rhs(t + h, y_new)
-    K[N_STAGES] = f_new
-    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-    e5 = np.linalg.norm(np.dot(K[:_N_STAGES].T, E5) / scale) ** 2
-    e3 = np.linalg.norm(np.dot(K[:_N_STAGES].T, E3) / scale) ** 2
+    for s, (_, a, c) in enumerate(_STAGES, start=1):
+        K[s] = rhs(t + c * h, [v + d * h for v, d in zip(y, _point_sum(a, K))])
+    y_new = [v + h * d for v, d in zip(y, _point_sum(_B, K))]
+    f_new = K[N_STAGES] = rhs(t + h, y_new)
+    scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
+    r5, r3 = (_point_norm([v / s for v, s in zip(_point_sum(e, K), scale)])
+              for e in (_E5, _E3))
+    e5, e3 = r5 * r5, r3 * r3  # numpy's ** 2; Python's calls pow
     if e5 == 0 and e3 == 0:
         return y_new, f_new, 0.0
-    return y_new, f_new, float(abs(h) * e5
-                               / math.sqrt((e5 + 0.01 * e3) * y.size))
+    return y_new, f_new, abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
 
 
 def _step_factor(err, fresh):
@@ -213,20 +224,18 @@ def _step_factor(err, fresh):
     rejection in the same step (``fresh`` false); a rejected one
     shrinks."""
     with np.errstate(divide="ignore"):
-        p = SAFETY * err ** _ERR_EXP
-    grow = np.where(err == 0, MAX_FACTOR, np.minimum(MAX_FACTOR, p))
+        p = SAFETY / _root8(err)  # inf for err = 0
+    grow = np.minimum(MAX_FACTOR, p)
     return np.where(err < 1, np.where(fresh, grow, np.minimum(1, grow)),
                     np.fmax(MIN_FACTOR, p))
 
 
 def _point_step_factor(err, fresh):
-    """``_step_factor`` for one point; a nan error shrinks, as with
-    ``np.fmax``."""
+    """``_step_factor`` for one point (a nan error shrinks, as by fmax)."""
+    p = SAFETY / _root8(err, math.sqrt) if err else math.inf
     if err < 1:
-        grow = MAX_FACTOR if err == 0 else min(MAX_FACTOR,
-                                                SAFETY * err ** _ERR_EXP)
-        return grow if fresh else min(1, grow)
-    return max(MIN_FACTOR, SAFETY * err ** _ERR_EXP)
+        return min(MAX_FACTOR, p) if fresh else min(1, MAX_FACTOR, p)
+    return max(MIN_FACTOR, p)
 
 
 def _dense_coeffs(rhs, t, h, y, y_new, K):
@@ -234,7 +243,7 @@ def _dense_coeffs(rhs, t, h, y, y_new, K):
     row's step of size h from (t, y) to y_new.  K, ``(16, m, dim)``, holds
     the steps' 13 stages and receives the 3 extra ones."""
     hc = h[:, None]
-    for s, (a, c) in enumerate(_EXTRA, start=_N_STAGES):
+    for s, (a, _, c) in enumerate(_EXTRA, start=_N_STAGES):
         K[s] = rhs(t + c * h, y + _stage_sum(a, K[:s]) * hc)
     dy = y_new - y
     return np.stack([dy, hc * K[0] - dy,
@@ -243,13 +252,16 @@ def _dense_coeffs(rhs, t, h, y, y_new, K):
 
 
 def _point_dense_coeffs(rhs, t, h, y, y_new, K):
-    """``_dense_coeffs`` for one point: K is ``(16, dim)``, the result
-    ``(7, dim)``, summed by BLAS as scipy does."""
-    for s, (a, c) in enumerate(_EXTRA, start=_N_STAGES):
-        K[s] = rhs(t + c * h, y + np.dot(K[:s].T, a) * h)
-    dy = y_new - y
-    return np.stack([dy, h * K[0] - dy, 2 * dy - h * (K[N_STAGES] + K[0]),
-                     *(h * np.dot(D, K))])
+    """``_dense_coeffs`` for one point on lists of floats, as a ``(7,
+    dim)`` array; K holds the step's 13 stages and receives 3 more."""
+    for s, (_, a, c) in enumerate(_EXTRA, start=_N_STAGES):
+        K[s] = rhs(t + c * h, [v + d * h for v, d in zip(y, _point_sum(a, K))])
+    dy = [b - a for a, b in zip(y, y_new)]
+    return np.array([dy, [h * k - d for k, d in zip(K[0], dy)],
+                     [2 * d - h * (a + b)
+                      for d, a, b in zip(dy, K[N_STAGES], K[0])],
+                     *([h * v for v in _point_sum(row, K)]
+                       for row in _D)])
 
 
 def _dense(F, y_old, x):
@@ -335,14 +347,14 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
     """Adaptive dense-output integration of the Hamiltonian flow of H.
 
     DOP853 at rtol ``tol`` and atol ``tol / 100``, stepping the point on
-    floats; it takes scipy's DOP853 steps, rounded alike.  ``event_times``
-    lists the roots of the caller's events; one with ``terminal = True``
-    ends the trajectory at its first root.  Leaving the ``escape_norm``
-    ball raises ``EscapeError``, a step underflow ``StiffnessError``.  A
-    step's dense coefficients are built when first read.  Periodic
-    coordinates are integrated unwrapped and reduced on output; the
-    right-hand side wraps before evaluating the gradient so the dynamics
-    itself never sees drifted angles.
+    floats as ``ensemble_sweep`` steps a row.  ``event_times`` lists the
+    roots of the caller's events; one with ``terminal = True`` ends the
+    trajectory at its first root.  Leaving (or starting outside) the
+    ``escape_norm`` ball raises ``EscapeError``, a step underflow
+    ``StiffnessError``.  A step's dense coefficients are built when first
+    read.  Periodic coordinates are integrated unwrapped and reduced on
+    output; the right-hand side wraps before evaluating the gradient so
+    the dynamics itself never sees drifted angles.
     """
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -353,16 +365,18 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
 
     # event 0 is the escape ball; the caller's events see wrapped states
     events = list(events or ())
-    funcs = [lambda y: float(escape_norm - np.linalg.norm(y))]
+    funcs = [lambda y: float(escape_norm - _point_norm(y))]
     funcs += [lambda y, g=g: float(g(chart.wrap(y))) for g in events]
     terminal = [True] + [getattr(g, "terminal", False) for g in events]
 
     t, t1 = float(t0), float(t1)
-    y = np.asarray(chart.wrap(x0), dtype=float)
+    y = chart.wrap(x0).tolist()
     f = rhs(t, y)
     h_abs = _point_initial_step(rhs, t, y, f, t1, rtol, atol)
     g = [fn(y) for fn in funcs]
-    times, states, roots = [t], [y], [[] for _ in funcs]
+    times, states = [t], [y]
+    # a start on or outside the ball escapes at t0
+    roots = [[t] if g[0] <= 0 else []] + [[] for _ in events]
     steps = []  # [t, h, y, y_new, K, dense coefficients or None]
 
     def coeffs(k):
@@ -371,13 +385,15 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
             step[5] = _point_dense_coeffs(rhs, *step[:5])
         return step[5]
 
-    def at(k, tq):  # dense output of step k at the time tq
+    def at(k, tq):  # dense output of step k at the times tq
         return _dense(coeffs(k), steps[k][2],
-                            (tq - steps[k][0]) / steps[k][1])
+                      (tq - steps[k][0]) / steps[k][1])
 
-    stop = False
+    stop = bool(roots[0])
     while not stop:
-        K, err, fresh = np.empty((N_STAGES_EXTENDED, y.size)), 1.0, True
+        K, err, fresh = [None] * N_STAGES_EXTENDED, 1.0, True
+        # move at most the feature width
+        h_abs = min(h_abs, H.feature_width / max(_point_norm(f), _EPS))
         while not err < 1:
             min_step = 10 * abs(math.nextafter(t, math.inf) - t)
             if fresh:
@@ -420,11 +436,9 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
         seg = np.clip(np.searchsorted(ts, tq) - 1, 0, len(steps) - 1)
         if tq.ndim == 0:
             return at(seg, float(tq))
-        out = np.empty((tq.size, y.size))
+        out = np.empty((tq.size, len(y)))
         for k in np.unique(seg):
-            sel = seg == k
-            out[sel] = _dense(coeffs(k), steps[k][2],
-                              (tq[sel] - steps[k][0]) / steps[k][1])
+            out[seg == k] = at(k, tq[seg == k])
         return out.T
 
     return Trajectory(
@@ -444,16 +458,11 @@ MISS_SAMPLES = 64
 # once a hit at t* is certified, refinement and certification integrate
 # only to t* + INCUMBENT_MARGIN * budget; the margin covers the hit-time
 # shift a shorter span causes (at most 5.4e-10 on the scenario fixtures at
-# ode_tol 1e-9, over 1000x below the margin) and the gap between the
-# sweep's hit times and integrate's (at most 3.4e-10 on the test sweeps)
+# ode_tol 1e-9, over 1000x below the margin)
 INCUMBENT_MARGIN = 1e-6
-# pattern_search stops after a poll that does not improve and whose every
-# value lies within FLAT_ULPS ulps of the incumbent's.  On the wall-witness
-# sweep the miss distances of late polls differ by a few tens of ulps,
-# which is rounding noise of the integration, not progress: at 24 the
-# search takes 34 evaluations there, at 32 and up 16.  Larger values trim
-# a few chord evaluations more (default scenarios: 190 at 32, 189 at 64,
-# 173 at 1024) for a looser stop.
+# pattern_search takes a value within FLAT_ULPS ulps of the incumbent's
+# as flat: nearby miss distances differ by a few tens of ulps of rounding
+# noise of the integration, which is not progress
 FLAT_ULPS = 64
 
 
@@ -478,25 +487,23 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
                    ) -> SweepResult:
     """Integrate every start point from its phase over the budget at once.
 
-    Each member takes the DOP853 steps of ``integrate`` (same initial
-    step, error norm and step factors, step underflow counted as stiff),
-    but all members advance together as ``(N, 2n)`` arrays.  After every
-    accepted step, sign changes of the target event are solved on the
-    dense interpolant by ``_event_root``; the first root with ``t - phase
-    > 1e-12`` whose point lies in X1 ends the member as a hit.  A step's
-    roots are certified in order of arrival (time since the phase), and a
-    root later than the best hit so far is not tested: its member is
-    dropped.  A member whose state norm reaches ``escape_norm`` before a
-    hit is lost as escaped.  Target distances are sampled at
-    ``linspace(phase, phase + time_budget, MISS_SAMPLES)`` until some hit
-    exists; a step's due samples are evaluated in passes of whole members,
-    each of at most ``n_all + MISS_SAMPLES - 1`` rows for ``n_all`` start
-    points.  Once a hit exists, sampling stops and members that can no
-    longer arrive before the best hit are dropped (their ``hit`` stays
-    nan).  Rows sum their stages term by term (``_stage_sum``), so a
-    member's outcome does not depend on the rest of the batch, except for
-    being dropped, as long as G's callbacks do not; it matches
-    ``integrate``'s to rounding.
+    Each member takes the DOP853 steps of ``integrate`` (step underflow
+    counts as stiff), all advancing together as ``(N, 2n)`` arrays.  After
+    every accepted step, sign changes of the target event are solved on
+    the dense interpolant by ``_event_root``; the first root with ``t -
+    phase > 1e-12`` whose point lies in X1 ends the member as a hit.
+    Roots are certified in order of arrival (time since the phase), and a
+    member whose root comes later than the best hit is dropped untested.
+    A member whose state norm reaches ``escape_norm`` before a hit (or at
+    its start) is lost as escaped.  Until some hit exists, target
+    distances are sampled at ``linspace(phase, phase + time_budget,
+    MISS_SAMPLES)``, in passes of whole members of at most ``n_all +
+    MISS_SAMPLES - 1`` rows for ``n_all`` starts; after, members that can
+    no longer arrive before the best hit are dropped (``hit`` stays nan).
+    A member's outcome is that of its ``integrate`` run bit for bit, and
+    does not depend on the rest of the batch, except for being dropped,
+    as long as G's callbacks round a point as a row and rows alike in any
+    batch (``_stage_sum`` adds in stage order, unlike BLAS).
     """
     chart = G.chart
     rtol, atol = tol, tol * 1e-2
@@ -508,7 +515,6 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
 
     hit = np.full(n_all, np.nan)
     dist = np.full(n_all, np.inf)
-    escaped = np.zeros(n_all, dtype=bool)
     stiff = np.zeros(n_all, dtype=bool)
 
     def rhs(t, y):
@@ -518,20 +524,24 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
         return X1.event_value(chart.wrap(y))
 
     # per-member state, compacted to the active members after each trial
-    idx = np.arange(n_all)
-    t0 = phases.copy()
-    t_end = phases + time_budget
-    t = phases.copy()
     y = chart.wrap(np.asarray(starts, dtype=float))
+    escaped = np.linalg.norm(y, axis=-1) >= escape_norm  # at the start
+    idx = np.flatnonzero(~escaped)
+    if not idx.size:
+        return SweepResult(hit, dist, escaped, stiff)
+    y, t0 = y[idx], phases[idx]
+    t_end = t0 + time_budget
+    t = t0.copy()
     f = rhs(t, y)
     h_abs = _initial_step(rhs, t, y, f, t_end, rtol, atol)
     g = event(y)
-    g_esc = escape_norm - np.linalg.norm(y, axis=-1)
-    fresh = np.ones(n_all, dtype=bool)
-    next_sample = np.zeros(n_all, dtype=int)
+    fresh = np.ones(idx.size, dtype=bool)
+    next_sample = np.zeros(idx.size, dtype=int)
     best = np.inf
 
     while idx.size:
+        h_abs = np.minimum(h_abs, G.feature_width / np.maximum(
+            np.linalg.norm(f, axis=-1), _EPS))  # as in integrate
         t_new, h, failed = _next_step(t, h_abs, fresh, t_end)
         K = np.empty((_N_STAGES,) + y.shape)
         y_new, f_new, err = _trial(rhs, t, y, f, h, K, rtol, atol)
@@ -546,9 +556,7 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
             yn = y_new[acc]
             t[acc], y[acc], f[acc] = t_new[acc], yn, f_new[acc]
             g_new = event(yn)
-            ge_new = escape_norm - np.linalg.norm(yn, axis=-1)
-            ga, gea = g[acc], g_esc[acc]
-            g[acc], g_esc[acc] = g_new, ge_new
+            ga, g[acc] = g[acc], g_new
             cross = ((ga <= 0) & (g_new >= 0)) | ((ga >= 0) & (g_new <= 0))
             n_due = np.zeros(acc.size, dtype=int)  # samples up to t_new
             if not best < np.inf:
@@ -625,8 +633,8 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
                         lo = hi
                     next_sample[acc[rs]] = stop
 
-            esc = (((gea <= 0) & (ge_new >= 0)) | ((gea >= 0) & (ge_new <= 0)))
-            esc &= ~done[acc]
+            # a member inside the ball at the step's start leaves it
+            esc = (np.linalg.norm(yn, axis=-1) >= escape_norm) & ~done[acc]
             escaped[idx[acc[esc]]] = True
             done[acc[esc]] = True
             done[acc[t_new[acc] >= t_end[acc]]] = True
@@ -636,8 +644,8 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
             keep = ~done
             idx, t0, t_end, t, y, f = (a[keep] for a in
                                        (idx, t0, t_end, t, y, f))
-            h_abs, g, g_esc, fresh, next_sample = (
-                a[keep] for a in (h_abs, g, g_esc, fresh, next_sample))
+            h_abs, g, fresh, next_sample = (
+                a[keep] for a in (h_abs, g, fresh, next_sample))
     dist[escaped | stiff] = np.inf
     return SweepResult(hit=hit, distance=dist, escaped=escaped, stiff=stiff)
 
@@ -661,19 +669,18 @@ def pattern_search(f, x0, bounds, max_evals=200):
     Steps start at a hundredth of each side.  A step doubles, up to its
     side, after a move that repeats its coordinate's move in the poll
     before (same direction), so that a start far from the optimum strides
-    out to it.  Steps halve after a poll that does not improve, unless
-    the poll was *flat*: every value it took lies within ``FLAT_ULPS``
-    ulps of the incumbent's (for ``(rank, value)`` tuples: the same rank
-    and a flat value).  A flat poll ends the search.  On a convex 1-D
-    objective the improvement left after a non-improving poll at ``x +-
-    s`` is at most the poll's largest rise, so the stop gives up at most
-    ``FLAT_ULPS`` ulps of the value.  Where the box clips a probe, the
-    poll lacks that side, and it ends the search only if the poll before
-    it was flat too: the probes at ``x + 2s`` and ``x + s`` then bound the
-    same improvement.  The search also ends once the steps fall below
-    1e-12 or after ``max_evals`` evaluations.  Values are compared only
-    with ``<`` and ``_flat``, so ``f`` may return a float or a ``(rank,
-    float)`` tuple.
+    out to it.  Steps halve after a poll that does not improve, unless it
+    settles every coordinate, which ends the search.  A probe at ``x +-
+    s`` is flat if the box did not clip it and its value lies within
+    ``FLAT_ULPS`` ulps of the incumbent's (for ``(rank, value)`` tuples:
+    the same rank and a flat value).  A coordinate is settled when both
+    its probes are flat, or one is flat here and in the poll before (at
+    ``x +- 2s``) and the other, if taken, has the incumbent's rank.  On a
+    convex 1-D objective, whose probes lie at or above the incumbent, the
+    secants through flat values then leave at most ``FLAT_ULPS`` ulps of
+    improvement.  The search also ends once the steps fall below 1e-12 or
+    after ``max_evals`` evaluations.  ``f`` may return a float or a
+    ``(rank, float)`` tuple: values are compared by ``<`` and ``_flat``.
     """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     x = np.array([min(max(v, lo), hi)
@@ -681,10 +688,10 @@ def pattern_search(f, x0, bounds, max_evals=200):
     steps = np.array([(hi - lo) * 0.01 for lo, hi in bounds])
     fx = f(x)
     evals = 1
-    was_flat = False
+    kept = set()  # the flat probes (i, sign) of the last poll, if it kept x
     last = np.zeros(len(x))  # each coordinate's move in the last poll
     while evals < max_evals and steps.max() > 1e-12:
-        improved, flat, clipped = False, True, False
+        improved, flat, odd = False, set(), set()
         moved = np.zeros(len(x))
         for i in range(len(x)):
             for sign in (1.0, -1.0):
@@ -692,7 +699,6 @@ def pattern_search(f, x0, bounds, max_evals=200):
                 lo, hi = bounds[i]
                 probe = x[i] + sign * steps[i]
                 y[i] = min(max(probe, lo), hi)
-                clipped = clipped or y[i] != probe
                 if y[i] == x[i]:
                     continue
                 fy = f(y)
@@ -703,17 +709,22 @@ def pattern_search(f, x0, bounds, max_evals=200):
                     if last[i] == sign:
                         steps[i] = min(2 * steps[i], hi - lo)
                     break
-                flat = flat and _flat(fy, fx)
+                if y[i] == probe and _flat(fy, fx):
+                    flat.add((i, sign))
+                elif isinstance(fx, tuple) and fy[0] != fx[0]:
+                    odd.add((i, sign))
                 if evals >= max_evals:
                     break
             if evals >= max_evals:
                 break
         last = moved
         if not improved:
-            if flat and (was_flat or not clipped):
+            if all(any((i, s) in flat and ((i, -s) in flat or (i, s) in kept
+                                           and (i, -s) not in odd)
+                       for s in (1.0, -1.0)) for i in np.flatnonzero(steps)):
                 break
             steps *= 0.5
-        was_flat = flat and not improved
+        kept = set() if improved else flat
     return x, fx, evals
 
 
@@ -812,13 +823,13 @@ def chord_budget(kappa, delta_sep, delta_pert=0.0):
 class Chord:
     """A certified trajectory segment from X0 to X1.
 
-    ``trajectory`` runs over the certification window, which ends at
-    ``min(t0 + budget, t1 + margin)`` for the margin of ``find_chord``.
-    ``time_error`` is ``|t1 - t1'|``, where ``t1'`` is the arrival time
-    certified by a second integration at a hundredth of the ODE tolerance
-    (inf when that run certifies no hit).  By tolerance proportionality
-    (Hairer-Norsett-Wanner, Solving ODEs I, II.4) it estimates the error
-    of ``t1``; it is an estimate, not a rigorous bound.
+    ``trajectory`` is the winning refinement run, ending at ``min(t0 +
+    budget, t1 + margin)`` for the margin of ``find_chord``.
+    ``time_error`` is ``|t1 - t1'| + 4 eps (1 + |t1|)``, with ``t1'`` the
+    arrival time certified by a run at a hundredth of the ODE tolerance
+    (inf if none) and the event root's bracket: an estimate of the error
+    of ``t1`` by tolerance proportionality (Hairer-Norsett-Wanner,
+    Solving ODEs I, II.4), not a rigorous bound.
     """
 
     trajectory: Trajectory
@@ -874,7 +885,8 @@ class ChordSearchConfig:
     """Chord-search settings.  The sweep runs serially, as one vectorised
     ensemble, and certifies hits with the regions' membership band
     ``contact.MEMBER_TOL``.  ``n_seeds`` and ``n_phases`` must be at
-    least 1 and ``ode_tol`` positive and finite (``ValueError``).
+    least 1, ``ode_tol`` positive and finite, and ``escape_norm`` positive,
+    inf turning the escape ball off (``ValueError``).
 
     These defaults are the only ones the chord search has: scenarios and
     ``tetralab chord find`` pass on only the search keys a config sets."""
@@ -892,6 +904,9 @@ class ChordSearchConfig:
         if not 0.0 < self.ode_tol < math.inf:
             raise ValueError(f"ode_tol must be positive and finite, got "
                              f"{self.ode_tol}")
+        if not self.escape_norm > 0.0:
+            raise ValueError(f"escape_norm must be positive, got "
+                             f"{self.escape_norm}")
 
 
 def _chord_trajectory(G, x0, phase, span, X1, ode_tol, escape_norm):
@@ -928,19 +943,17 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
                ) -> ChordSearchResult:
     """Minimal-time certified chord from X0 to X1 within the budget.
 
-    Refinement keeps an incumbent t*, the best arrival time that its own
-    ``integrate`` runs have certified (inf at first; the sweep's hit time
-    does not set it).  Each evaluation integrates to ``phase + min(budget,
-    t* + margin)``, with ``margin = INCUMBENT_MARGIN * budget``; once t*
-    is finite, a candidate with no hit in that window ranks ``(1, inf)``,
-    as it cannot beat a hit.  Each start is integrated at most once in a
-    call: a stored miss is returned as it is while t* is inf (the window
-    is then the same) and as ``(1, inf)`` after; a stored hit at time t is
-    returned as ``(0, t)`` while ``t <= t* + margin`` and as ``(1, inf)``
-    after.  The pattern search stops at a flat poll
-    (see ``pattern_search``).  The winner is re-integrated over
-    ``min(budget, its time + margin)`` and certified over ``min(budget,
-    hit + margin)``, for the hit that run certifies.
+    Refinement starts at the sweep's earliest hit (else closest miss),
+    whose run it repeats bit for bit, and keeps an incumbent t*, the best
+    arrival time its ``integrate`` runs have certified (inf at first).
+    Each evaluation integrates to ``phase + min(budget, t* + margin)``,
+    with ``margin = INCUMBENT_MARGIN * budget``; once t* is finite, a
+    candidate with no hit in that window ranks ``(1, inf)``, as it cannot
+    beat a hit.  Each start is integrated at most once in a call: a stored
+    miss is returned as it is while t* is inf (the window is then the
+    same) and as ``(1, inf)`` after; a stored hit at time t is returned as
+    ``(0, t)`` while ``t <= t* + margin`` and as ``(1, inf)`` after.  The
+    run that set the final t* is the chord, whose time is t* exactly.
     """
     if not 0.0 < time_budget < math.inf:
         raise ValueError(
@@ -964,16 +977,15 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
                   n_escaped=int(sweep.escaped.sum()),
                   n_stiff=int(sweep.stiff.sum()))
 
-    best_idx, best_time = None, math.inf
+    # the earliest hit, ties to seed order, else the closest miss
+    best_idx, best_time = int(np.argmin(sweep.distance)), math.inf
     for idx, hit in enumerate(sweep.hit):
         if hit < best_time - 1e-15:
             best_idx, best_time = idx, float(hit)
-    best_dist = float(sweep.distance.min())
-    if best_idx is None:  # no hit: refine from the closest miss
-        best_idx = int(np.argmin(sweep.distance))
     phase, pr, comp = jobs[best_idx]
     margin = INCUMBENT_MARGIN * time_budget
     incumbent, n_failed = math.inf, 0
+    winner = None  # (trajectory, hit, window) of the run that set t*
     seen = {}  # start parameters -> their rank, None for a failed run
 
     def rank(params):
@@ -999,33 +1011,32 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
     def integrate_rank(params):
         """``rank`` of a start not evaluated before, None if its
         integration fails; a certified hit lowers the incumbent."""
-        nonlocal incumbent
+        nonlocal incumbent, winner
+        span = min(time_budget, incumbent + margin)
         try:
             traj, escaped = _chord_trajectory(
-                G, X0.param_point(params, comp), phase,
-                min(time_budget, incumbent + margin), X1, config.ode_tol,
-                config.escape_norm)
+                G, X0.param_point(params, comp), phase, span, X1,
+                config.ode_tol, config.escape_norm)
         except (EscapeError, StiffnessError):
             return None
         hit = _first_hit(traj, X1, phase)
         if hit is not None:
-            incumbent = min(incumbent, hit - phase)
+            if hit - phase < incumbent:
+                incumbent = hit - phase
+                winner = traj, hit, min(span, incumbent + margin)
             return 0, hit - phase
         if escaped or incumbent < math.inf:
             return 1, math.inf
         ts = np.linspace(traj.t0, traj.t1, MISS_SAMPLES)
         return 1, float(np.min(X1.distance(traj.sample(ts))))
 
-    z, (missed, value), n_evals = pattern_search(rank, np.array(pr),
+    _, (missed, value), n_evals = pattern_search(rank, np.array(pr),
                                                  X0.param_bounds)
-    if not missed and value <= best_time:
-        pr, best_time = z, value
-    elif best_time == math.inf:
-        best_dist = min(best_dist, value)
     counts.update(n_refine_evals=n_evals, n_refine_failed=n_failed)
-    if best_time == math.inf:
+    if missed:
         return ChordSearchResult(
-            found=False, chord=None, best_distance=best_dist,
+            found=False, chord=None,
+            best_distance=min(float(sweep.distance.min()), value),
             message=(
                 "no certified chord at the swept resolution: "
                 f"{counts['n_seeds']} seeds x {counts['n_phases']} phases, "
@@ -1033,9 +1044,7 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
                 f"{n_evals} refinement evaluations, {n_failed} failed"),
             **counts,
         )
-    return _certify(G, X0, X1, np.asarray(pr, float), comp, phase,
-                    min(time_budget, best_time + margin), margin, config,
-                    best_dist, counts)
+    return _certify(G, X0, X1, phase, *winner, config, counts)
 
 
 def _cut(traj, t_end):
@@ -1049,45 +1058,25 @@ def _cut(traj, t_end):
                                      if t <= t_end))
 
 
-def _certify(G, X0, X1, params, comp, phase, span, margin, config,
-             best_dist, counts) -> ChordSearchResult:
-    """Re-integrate the winning seed over ``[phase, phase + span]`` and
-    package the certified chord.
-
-    ``span`` is sized from the search's value, which this run's hit may
-    undercut by a few ulps (its last step is clipped to another window).
-    The chord's window is sized from the certified hit instead: the
-    trajectory is cut at ``phase + min(span, hit - phase + margin)``, and
-    the second run, at ``ode_tol / 100`` for ``time_error``, integrates
-    over the same window.
+def _certify(G, X0, X1, phase, traj, hit, window, config,
+             counts) -> ChordSearchResult:
+    """Package the refinement's winning run ``traj``, with first certified
+    hit ``hit``, cut at ``phase + window``, as the chord; a run from its
+    start over the same window at ``ode_tol / 100`` gives ``time_error``.
     """
-    x0 = X0.param_point(params, comp)
-    traj, _ = _chord_trajectory(G, x0, phase, span, X1, config.ode_tol,
-                                config.escape_norm)
-    hit = _first_hit(traj, X1, phase)
-    if hit is None:
-        return ChordSearchResult(
-            found=False, chord=None, best_distance=float(best_dist),
-            message="candidate failed re-certification", **counts,
-        )
-    window = min(span, hit - phase + margin)
     try:
-        fine, _ = _chord_trajectory(G, x0, phase, window, X1,
+        fine, _ = _chord_trajectory(G, traj.states[0], phase, window, X1,
                                     config.ode_tol / 100, config.escape_norm)
     except (EscapeError, StiffnessError):
         fine_hit = None
     else:
         fine_hit = _first_hit(fine, X1, phase)
-    end = traj(hit)
+    start, end = traj(phase), traj(hit)
     chord = Chord(
-        trajectory=_cut(traj, phase + window),
-        start=traj(phase),
-        end=end,
-        t0=float(phase),
-        t1=float(hit),
-        start_distance=X0.distance(traj(phase)),
+        trajectory=_cut(traj, phase + window), start=start, end=end,
+        t0=float(phase), t1=float(hit), start_distance=X0.distance(start),
         end_distance=X1.distance(end),
-        time_error=math.inf if fine_hit is None else abs(hit - fine_hit),
-    )
+        time_error=math.inf if fine_hit is None
+        else abs(hit - fine_hit) + 4 * _EPS * (1 + abs(hit)))
     return ChordSearchResult(found=True, chord=chord, best_distance=0.0,
                              **counts)

@@ -113,6 +113,10 @@ class HamiltonianSpec:
     result is 2n floats equal bit for bit to the row ``gradient`` gives.
     Only ``sgrad`` reads it, for one point, where it spares numpy's
     per-call cost on a 2n-vector.
+
+    ``feature_width`` (inf, the default: none) bounds the phase-space
+    width of H's narrowest localized feature from below: no integrator
+    step moves a point farther, so none crosses a feature unsampled.
     """
 
     chart: PhaseChart
@@ -121,6 +125,7 @@ class HamiltonianSpec:
     autonomous: bool = True
     name: str = ""
     point_gradient: Optional[Callable] = None
+    feature_width: float = math.inf
 
     def _check(self, what, out, x):
         """Raise on a non-finite result, naming the first bad point."""
@@ -160,11 +165,14 @@ def sgrad(H: HamiltonianSpec, x, t=0.0):
     Accepts a point or a ``(..., 2n)`` stack (see ``HamiltonianSpec``).
     One point of a spec with ``point_gradient`` is evaluated on Python
     floats; a non-finite component sends it through ``H.grad``, which
-    raises the ``EvaluationError``.  Stacks go through ``H.grad``.
+    raises the ``EvaluationError``.  Stacks go through ``H.grad``.  A
+    list of Python floats, as ``integrate`` steps a point, gets a list
+    back; any other ``x``, a nested list too, gets an array.
     """
     n = H.chart.dim_pairs
-    if H.point_gradient is not None and np.ndim(x) == 1:
-        xs = np.asarray(x, dtype=float).tolist()
+    floats = isinstance(x, list) and isinstance(x[0], float)
+    if H.point_gradient is not None and (floats or np.ndim(x) == 1):
+        xs = list(x) if floats else np.asarray(x, dtype=float).tolist()
         for i in H.chart._periodic_cols:
             w = xs[i] % 1.0
             xs[i] = 0.0 if w == 1.0 else w  # as PhaseChart.wrap
@@ -172,12 +180,12 @@ def sgrad(H: HamiltonianSpec, x, t=0.0):
         if all(map(math.isfinite, g)):
             out = [-v for v in g[n:]]
             out += g[:n]
-            return np.array(out)
+            return out if floats else np.array(out)
     g = H.grad(x, t)
     out = np.empty_like(g)
     np.negative(g[..., n:], out=out[..., :n])
     out[..., n:] = g[..., :n]
-    return out
+    return out.tolist() if floats else out
 
 
 def poisson_bracket(F: HamiltonianSpec, G: HamiltonianSpec, x, t=0.0):

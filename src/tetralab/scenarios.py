@@ -257,6 +257,8 @@ def mechanical_hamiltonian(k=1, beta=_DEFAULT_BETA, R0=_DEFAULT_R0,
         point_gradient=point_gradient,
         autonomous=time_amp == 0.0,
         name="mechanical",
+        # below the narrowest roll's width in |q|, sqrt(hi + roll) - sqrt(hi)
+        feature_width=shell.roll / (2.0 * math.sqrt(shell.hi + shell.roll)),
     )
 
 
@@ -275,6 +277,7 @@ def add_hamiltonians(G: HamiltonianSpec, F: HamiltonianSpec,
         gradient=lambda x, t: np.add(G.gradient(x, t), F.gradient(x, t),
                                      dtype=float),
         point_gradient=point_gradient,
+        feature_width=min(G.feature_width, F.feature_width),
         autonomous=G.autonomous and F.autonomous,
         name=name or f"{G.name}+{F.name}",
     )

@@ -295,8 +295,7 @@ def witness_run():
         tet = build_tetragon(CircleModel(), 1.0, 2.0, 0.25)
         budget = 0.25 / 1.01 - 0.01
         # ode_tol 1e-10 is the tolerance the refinement pins in
-        # test_dynamics were measured at (the default 1e-9 takes 17
-        # refinement evaluations here, not 16)
+        # test_dynamics were measured at
         search = find_chord(H, tet.high_wall, tet.low_wall, budget,
                             ChordSearchConfig(n_seeds=1001, ode_tol=1e-10))
         sep = separation(H, tet.floor, tet.ceiling)

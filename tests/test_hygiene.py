@@ -3,8 +3,9 @@ every top-level ``def`` and ``class`` and every method but a dunder is
 read somewhere, the package
 reads no environment variable but ``TETRALAB_OUT``, scipy is loaded
 and ``solve_ivp`` named only where ``SCIPY_ALLOWED`` and
-``SOLVE_IVP_ALLOWED`` say, and every ``HamiltonianSpec`` the package
-builds passes ``point_gradient``.
+``SOLVE_IVP_ALLOWED`` say, every ``HamiltonianSpec`` the package
+builds passes ``point_gradient``, and the integrator sums nothing by
+BLAS.
 
 Stdlib ``ast`` checks, so they need no linter.  An import statement with
 ``# noqa: F401`` on one of its lines is exempt (re-exports, and names
@@ -266,3 +267,41 @@ def test_package_specs_pass_point_gradient(path):
     array path."""
     source = path.read_text(encoding="utf-8")
     assert specs_without_point_gradient(source) == []
+
+
+def blas_sums(source):
+    """Lines that sum in an order of their own: ``np.dot``, ``@`` and
+    ``np.linalg.norm`` without ``axis=``.  BLAS does not add terms in
+    index order, and a 1-D ``norm`` is a BLAS dot."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.MatMult):
+            lines.add(node.lineno)
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        if name in ("np.dot", "numpy.dot") or (
+                name in ("np.linalg.norm", "numpy.linalg.norm")
+                and "axis" not in (k.arg for k in node.keywords)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_blas_checker_flags_dot_matmul_and_norm_without_axis():
+    src = ("import numpy as np\n"
+           "a = np.dot(x, y)\n"
+           "b = x @ y\n"
+           "c = np.linalg.norm(x)\n"
+           "d = np.linalg.norm(x, axis=-1)\n"
+           "x @= y\n"
+           "e = x.dot\n")
+    assert blas_sums(src) == [2, 3, 4, 6]
+
+
+def test_integrator_sums_in_index_order():
+    """The one-point stepper rounds as the sweep's rows do only while
+    both add in index order (``_stage_sum``, ``_point_sum``,
+    ``_point_norm``)."""
+    source = (PACKAGE / "dynamics.py").read_text(encoding="utf-8")
+    assert blas_sums(source) == []

@@ -1,6 +1,7 @@
 """Symplectic calculus: brackets, vector fields, identities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from tetralab.phase_core import (EvaluationError, HamiltonianSpec,
                                  PhaseChart, omega_matrix, poisson_bracket,
                                  sgrad, volume_factor)
+from tetralab.scenarios import unstable_hamiltonian
 
 from conftest import (check_gradient, constant_hamiltonian, fd_bracket_spec,
                       fd_gradient, polynomial_hamiltonian)
@@ -73,6 +75,28 @@ class TestSgrad:
         v = sgrad(H, [1.0, 0.25])
         assert v[0] == pytest.approx(2 * math.pi)  # pdot = -dH/dq
         assert v[1] == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("point", [True, False],
+                             ids=["point_gradient", "gradient_only"])
+    def test_list_in_list_out_and_stacks_as_arrays(self, point):
+        """A point as a list of floats gets a list; a nested list is a
+        stack, as its array is, and gets an array back."""
+        H = unstable_hamiltonian(1)
+        if not point:
+            H = replace(H, point_gradient=None)
+        X = [[0.5, -1.0], [2.0, 0.25], [-0.75, 3.0]]
+        want = sgrad(H, np.array(X))
+        assert isinstance(want, np.ndarray) and want.shape == (3, 2)
+        stack = sgrad(H, X)
+        assert isinstance(stack, np.ndarray)
+        assert np.array_equal(stack, want)
+        for x, row in zip(X, want):
+            got = sgrad(H, x)
+            assert type(got) is list and got == row.tolist()
+            for other in (np.array(x), tuple(x)):
+                out = sgrad(H, other)
+                assert isinstance(out, np.ndarray)
+                assert np.array_equal(out, row)
 
     def test_nonfinite_gradient_raises(self):
         H = HamiltonianSpec(

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from tetralab.contact import (CircleModel, RoundedRectangleLoop, SphereModel,
                               TorusModel, _interval_excess, _wrap_half,
                               build_tetragon)
+from tetralab import dynamics
 from tetralab.dynamics import pattern_search
 from tetralab.pb4 import prototype_hamiltonian_pair, wall_witness
 from tetralab.profiles import Plateau, PlateauStack
@@ -240,6 +241,51 @@ def test_batched_hamiltonian_matches_rows(name, X, ts):
     assert_rows_equal(H.grad(X, ts), [H.grad(x, t) for x, t in zip(X, ts)])
     assert_rows_equal(H(X, 0.25), [H(x, 0.25) for x in X])
     assert_rows_equal(sgrad(H, X, ts), [sgrad(H, x, t) for x, t in zip(X, ts)])
+
+
+def assert_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY))
+@SETTINGS
+@given(data=st.data())
+def test_point_stepper_rounds_as_a_row(name, data):
+    """``integrate``'s one-point DOP853 helpers, on lists of floats, give
+    the results of a one-row ensemble bit for bit: the norm, the initial
+    step, a trial's state, slope and error norm, the step factor and the
+    dense coefficients.  So a sweep member and its ``integrate`` run take
+    the same steps."""
+    H = LIBRARY[name]
+    y = data.draw(arrays(float, (H.chart.dim,), elements=coord))
+    t, fresh = data.draw(st.floats(0.0, 1.0)), data.draw(st.booleans())
+    h = data.draw(st.floats(1e-6, 0.5))
+    rtol, atol = 1e-9, 1e-11
+    ts, hs, row = np.array([t]), np.array([h]), y[None]
+
+    def rhs(t, x):
+        return sgrad(H, x, t)
+
+    f, f_row = rhs(t, y.tolist()), rhs(ts, row)
+    assert_bits([dynamics._point_norm(y.tolist())],
+                np.linalg.norm(row, axis=-1))
+    assert_bits([dynamics._point_initial_step(rhs, t, y.tolist(), f, t + 1,
+                                              rtol, atol)],
+                dynamics._initial_step(rhs, ts, row, f_row, ts + 1, rtol,
+                                       atol))
+    K, K_row = [None] * 16, np.empty((16, 1, H.chart.dim))
+    point = dynamics._point_trial(rhs, t, y.tolist(), f, h, K, rtol, atol)
+    rows = dynamics._trial(rhs, ts, row, f_row, hs, K_row[:13], rtol, atol)
+    for a, b in zip(point, rows):
+        assert_bits(a, np.asarray(b)[0])
+    assert_bits([dynamics._point_step_factor(point[2], fresh)],
+                dynamics._step_factor(rows[2], np.array([fresh])))
+    assert_bits(dynamics._point_dense_coeffs(rhs, t, h, y.tolist(), point[0],
+                                             K),
+                dynamics._dense_coeffs(rhs, ts, hs, row, rows[0],
+                                       K_row)[:, 0])
 
 
 @SETTINGS

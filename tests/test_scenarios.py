@@ -260,6 +260,18 @@ class TestSuperconductivity:
 
 
 class TestMechanical:
+    def test_feature_width_is_the_narrowest_roll(self):
+        """The shell's outer roll, |q|^2 from hi to hi + roll, is its
+        narrowest in |q|; a sum keeps the narrower width of its terms."""
+        H = mechanical_hamiltonian(1, beta=0.5)
+        hi, roll = 2.0 + 0.1, 0.25
+        assert 0.0 < H.feature_width <= math.sqrt(hi + roll) - math.sqrt(hi)
+        assert H.feature_width < math.sqrt(0.9) - math.sqrt(0.9 - roll)
+        U = unstable_hamiltonian(1)
+        assert U.feature_width == math.inf
+        assert add_hamiltonians(U, H).feature_width == H.feature_width
+        assert add_hamiltonians(U, U).feature_width == math.inf
+
     def test_report_values(self, mechanical_run):
         rep = mechanical_run.value
         assert rep.passed
