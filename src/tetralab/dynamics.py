@@ -660,7 +660,7 @@ def _flat(fy, fx):
         (ry, fy), (rx, fx) = fy, fx
         if ry != rx:
             return False
-    return abs(fy - fx) <= FLAT_ULPS * _EPS * max(abs(fx), abs(fy))
+    return abs(fy - fx) <= FLAT_ULPS * _EPS * max(abs(fx), abs(fy)) < math.inf
 
 
 def pattern_search(f, x0, bounds, max_evals=200):

@@ -1,11 +1,14 @@
 """Command line interface: configs, overrides, reports, exit codes."""
 
+import io
 import json
 import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tetralab import cli
 from tetralab.cli import emit_report, main
@@ -245,15 +248,57 @@ class TestChordCommand:
         assert read_report(out)["tolerances"]["ode"] == default.ode_tol
 
 
+# values a CSV writer could merge or misspell: both zeros, NaN, both
+# infinities, the smallest subnormal, a huge value, and plain repeats
+CSV_POOL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 0.1,
+            -3.0, 1.0]
+
+
+def savetxt_text(header, rows):
+    fh = io.StringIO()
+    np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=header,
+               comments="")
+    return fh.getvalue()
+
+
 class TestEmitReport:
     def test_csv_text_is_pinned(self, tmp_path):
         rows = np.array([[0.1, -0.0, 5e-324, math.nan, math.inf],
-                         [1.0, 2.5, -3.0, 1e300, 0.0]])
+                         [1.0, 2.5, -3.0, 1e300, 0.0],
+                         [0.0, -0.0, -math.inf, 0.1, 0.0]])
         emit_report({}, tmp_path, csv_files={"x.csv": ("a,b,c,d,e", rows)})
         assert (tmp_path / "x.csv").read_bytes() == (
             b"a,b,c,d,e\n"
             b"0.10000000000000001,-0,4.9406564584124654e-324,nan,inf\n"
-            b"1,2.5,-3,1.0000000000000001e+300,0\n")
+            b"1,2.5,-3,1.0000000000000001e+300,0\n"
+            b"0,-0,-inf,0.10000000000000001,0\n")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rows=arrays(np.float64,
+                       st.tuples(st.integers(1, 40), st.integers(1, 8)),
+                       elements=st.one_of(st.sampled_from(CSV_POOL),
+                                          st.floats())),
+           header=st.sampled_from(["a,b", "s\\u grid", ""]))
+    @example(rows=np.array([[0.0, -0.0], [-0.0, 0.0]]), header="a,b")
+    def test_csv_matches_savetxt(self, rows, header):
+        """The writer's text is ``np.savetxt``'s, on any shape and mix of
+        values."""
+        fh = io.StringIO()
+        cli.write_csv(fh, header, rows)
+        assert fh.getvalue() == savetxt_text(header, rows)
+
+    def test_one_dimensional_rows_are_one_line(self):
+        fh = io.StringIO()
+        cli.write_csv(fh, "a,b", np.array([1.0, -0.0]))
+        assert fh.getvalue() == savetxt_text("a,b", np.array([[1.0, -0.0]]))
+
+    def test_timing_gets_csv_seconds(self, tmp_path):
+        emit_report({"x": 1}, tmp_path, timing={"wall_clock_seconds": 2.0},
+                    csv_files={"x.csv": ("a", np.zeros((2, 1)))})
+        timing = json.loads((tmp_path / "timing.json").read_text())
+        assert sorted(timing) == ["csv_seconds", "wall_clock_seconds"]
+        assert timing["csv_seconds"] >= 0.0
+        assert read_report(tmp_path) == {"x": 1}
 
 
 class TestTetragonCommand:

@@ -380,6 +380,26 @@ class TestPatternSearch:
         assert (x[0], fx) == (0.5, (0, 0.5))
         assert evals == 1 + 2 * polls
 
+    @pytest.mark.parametrize("right, expected", [
+        ((1, math.inf), None), ((1, 0.5), 5)])
+    def test_a_failed_neighbour_of_a_miss_is_not_flat(self, right, expected):
+        """Before any hit, a neighbour ranked ``(1, inf)`` (its integration
+        failed or escaped) is not flat beside a finite miss, so the first
+        poll settles nothing.  With both neighbours failed the steps halve
+        down to the 1e-12 floor; with a flat miss on the other side the
+        second poll settles the coordinate as a one-sided plateau."""
+        def rank(z):
+            if z[0] == 0.5:
+                return 1, 0.5
+            return (1, math.inf) if z[0] < 0.5 else right
+
+        x, fx, evals = pattern_search(rank, [0.5], [(0.0, 1.0)])
+        polls, step = 0, 0.01
+        while step > 1e-12:
+            polls, step = polls + 1, step * 0.5
+        assert (x[0], fx) == (0.5, (1, 0.5))
+        assert evals == (expected or 1 + 2 * polls)
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(a=st.floats(0.05, 0.95), c=st.floats(0.1, 1.0),
            x0=st.floats(0.0, 1.0))

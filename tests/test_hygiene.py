@@ -4,8 +4,8 @@ read somewhere, the package
 reads no environment variable but ``TETRALAB_OUT``, scipy is loaded
 and ``solve_ivp`` named only where ``SCIPY_ALLOWED`` and
 ``SOLVE_IVP_ALLOWED`` say, every ``HamiltonianSpec`` the package
-builds passes ``point_gradient``, and the integrator sums nothing by
-BLAS.
+builds passes ``point_gradient``, the integrator sums nothing by
+BLAS, and every CSV goes through ``cli.write_csv`` (no ``savetxt``).
 
 Stdlib ``ast`` checks, so they need no linter.  An import statement with
 ``# noqa: F401`` on one of its lines is exempt (re-exports, and names
@@ -305,3 +305,29 @@ def test_integrator_sums_in_index_order():
     ``_point_norm``)."""
     source = (PACKAGE / "dynamics.py").read_text(encoding="utf-8")
     assert blas_sums(source) == []
+
+
+def savetxt_calls(source):
+    """Lines that call ``savetxt``, as a bare name or an attribute."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "savetxt" in (getattr(node.func, "id", None),
+                          getattr(node.func, "attr", None)))
+
+
+def test_savetxt_checker_flags_calls():
+    src = ("import numpy as np\nfrom numpy import savetxt\n"
+           "np.savetxt(fh, rows)\n"
+           "savetxt(fh, rows, fmt='%.17g')\n"
+           "write = np.savetxt\n")
+    assert savetxt_calls(src) == [3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_writes_csv_only_through_write_csv(path):
+    """``cli.write_csv`` writes ``np.savetxt``'s bytes at a fraction of
+    its time on the fields' repeated values; a second writer would have
+    to keep those bytes too."""
+    assert savetxt_calls(path.read_text(encoding="utf-8")) == []
