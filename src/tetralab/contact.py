@@ -25,7 +25,13 @@ each model's bound.
 Regions expose membership within the band ``MEMBER_TOL``, a
 nonnegative distance proxy that vanishes exactly on the region, a
 deterministic seed sampler, and a scalar event functional whose zero
-level encloses the region (used for trajectory event detection).
+level encloses the region (used for trajectory event detection).  A
+sample grid is evaluated in one call (``Region.param_points``: ``phi``
+takes arrays of parameters), and every event functional but the sphere
+wall's carries a float twin for one point, which ``dynamics.integrate``
+evaluates without numpy; the sphere wall's polar angle needs numpy's
+``arctan2``, which differs from ``math.atan2`` in the last bit on some
+arguments.  Squares are products, as the batch contract needs.
 """
 
 from __future__ import annotations
@@ -58,6 +64,12 @@ def _wrap_half(x):
     return np.where(w == 0.5, -0.5, w)
 
 
+def _point_wrap_half(x):
+    """``_wrap_half`` of a float, as a float."""
+    w = (x + 0.5) % 1.0 - 0.5
+    return -0.5 if w == 0.5 else w
+
+
 def _interval_excess(x, lo, hi):
     """Distance of x to the interval [lo, hi]."""
     return np.maximum(np.maximum(lo - x, 0.0), x - hi)
@@ -68,22 +80,45 @@ def _norm(x):
     return np.sqrt(np.sum(x * x, axis=-1))
 
 
+def _row_sum(v):
+    """The sum of the floats v as numpy's ``sum(axis=-1)`` adds a row of
+    fewer than 8: onto 0.0 in index order (so -0.0 terms sum to 0.0)."""
+    acc = 0.0
+    for x in v:
+        acc += x
+    return acc
+
+
+def _col(v):
+    """v against the last axis of a stack: a float as it is, an ``(m,)``
+    array as an ``(m, 1)`` column."""
+    return v[..., None] if np.ndim(v) else v
+
+
+def _cos_sin(a):
+    """(cos a, sin a): math's for a float, numpy's columns for an ``(m,)``
+    array (the two round alike)."""
+    if np.ndim(a):
+        return np.cos(a)[..., None], np.sin(a)[..., None]
+    return math.cos(a), math.sin(a)
+
+
 def unit_sphere_point(angles, k):
     """Hyperspherical parametrization of S^{k-1} in R^k by a sequence of
-    k - 1 angles.
+    k - 1 angles, or of each row of an ``(m, k - 1)`` array of them
+    (``(m, k)`` out).
 
     k = 1 has no angles (the caller picks the component +-1); for k >= 2
     the first angle runs over [0, 2 pi) so that k = 2 covers the circle.
     """
-    if k == 1:
-        return np.array([1.0])
-    x = np.empty(k)
+    angles = np.asarray(angles, dtype=float)
+    x = np.empty(angles.shape[:-1] + (k,))
     sin_prod = 1.0
     for j in range(k - 1):
-        a = angles[j]
-        x[j] = sin_prod * math.cos(a)
-        sin_prod *= math.sin(a)
-    x[k - 1] = sin_prod
+        cos, sin = _cos_sin(angles[..., j])
+        x[..., j:j + 1] = sin_prod * cos
+        sin_prod = sin_prod * sin
+    x[..., k - 1:] = sin_prod
     return x
 
 
@@ -160,7 +195,9 @@ class ContactModel:
         """Phi(x, s, t) = embed(psi_t(x), s) at the Legendrian point
         x = legendrian_point(angles, component), periodic coordinates
         reduced to [0, 1).  ``x % 1.0`` rounds a tiny negative x up to
-        1.0; reducing twice maps that to 0.0."""
+        1.0; reducing twice maps that to 0.0.  s or t may be an ``(m,)``
+        array, with angles an ``(m, n_angles)`` array: then the ``(m,
+        dim)`` points, each row equal bit for bit to its own call."""
         raise NotImplementedError
 
     def phi_tangents(self, s, t, angles=(), component=0):
@@ -184,6 +221,12 @@ class ContactModel:
     def wall_event(self, c, t):
         """Functional whose zero level contains the wall at Reeb time t."""
         raise NotImplementedError
+
+    # Float twins of the event functionals at one point, a list of floats
+    # with periodic coordinates reduced, equal bit for bit to the array
+    # functional's value there; None where a model has none.
+    point_horizontal_event = None
+    point_wall_event = None
 
 
 class CircleModel(ContactModel):
@@ -209,7 +252,10 @@ class CircleModel(ContactModel):
         return np.array([s, u % 1.0])
 
     def phi(self, s, t, angles=(), component=0):
-        return np.array([s, t % 1.0 % 1.0])
+        out = np.empty(np.broadcast(s, t).shape + (2,))
+        out[..., 0] = s
+        out[..., 1] = t % 1.0 % 1.0
+        return out
 
     def phi_tangents(self, s, t, angles=(), component=0):
         return [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
@@ -224,12 +270,18 @@ class CircleModel(ContactModel):
     def horizontal_event(self, c, R):
         return c[..., 0] - R
 
+    def point_horizontal_event(self, c, R):
+        return c[0] - R
+
     def wall_distance(self, c, t, R0, R1):
         return np.hypot(self.wall_event(c, t),
                         _interval_excess(c[..., 0], R0, R1))
 
     def wall_event(self, c, t):
         return _wrap_half(c[..., 1] - t)
+
+    def point_wall_event(self, c, t):
+        return _point_wrap_half(c[1] - t)
 
 
 class TorusModel(ContactModel):
@@ -262,12 +314,12 @@ class TorusModel(ContactModel):
         return np.concatenate([s * x[: self.k], x[self.k:] % 1.0])
 
     def phi(self, s, t, angles=(), component=0):
-        # rows s * p and t * p for the unit momentum p = L(angles)
-        out = np.multiply.outer((s, t), unit_sphere_point(angles, self.k))
-        q = out[1]
+        # s * p and t * p for the unit momentum p = L(angles)
+        p = unit_sphere_point(angles, self.k)
+        q = _col(t) * p
         q %= 1.0
         q %= 1.0
-        return out.ravel()
+        return np.concatenate([_col(s) * p, q], axis=-1)
 
     def phi_tangents(self, s, t, angles=(), component=0):
         p = unit_sphere_point(angles, self.k)
@@ -290,12 +342,15 @@ class TorusModel(ContactModel):
         s, q, phat = self._split(c, 1e-9)
         a = np.sum(q * phat, axis=-1)
         perp = q - a[..., None] * phat
-        d = np.sqrt((s - R) ** 2 + np.sum(perp * perp, axis=-1)
-                    + _interval_excess(a, 0.0, T) ** 2)
+        ds, da = s - R, _interval_excess(a, 0.0, T)
+        d = np.sqrt(ds * ds + np.sum(perp * perp, axis=-1) + da * da)
         return np.where(s < 1e-9, np.hypot(R, _norm(q)), d)
 
     def horizontal_event(self, c, R):
         return _norm(c[..., : self.k]) - R
+
+    def point_horizontal_event(self, c, R):
+        return math.sqrt(_row_sum([v * v for v in c[: self.k]])) - R
 
     def wall_distance(self, c, t, R0, R1):
         s, q, phat = self._split(c, 1e-9)
@@ -306,6 +361,14 @@ class TorusModel(ContactModel):
     def wall_event(self, c, t):
         s, q, phat = self._split(c, 1e-12)
         return np.where(s < 1e-12, -t, np.sum(q * phat, axis=-1) - t)
+
+    def point_wall_event(self, c, t):
+        p = c[: self.k]
+        s = math.sqrt(_row_sum([v * v for v in p]))
+        if s < 1e-12:
+            return -t
+        return _row_sum([_point_wrap_half(v) * (u / s)
+                         for u, v in zip(p, c[self.k:])]) - t
 
 
 class SphereModel(ContactModel):
@@ -325,9 +388,10 @@ class SphereModel(ContactModel):
 
     # Sigma points are z = (p, q) in R^{2k} with |z| = 1.
     def _rotate(self, z, phi):
+        """z rotated by the angle phi, a float or one per row of z."""
         z = np.asarray(z, dtype=float)
         p, q = z[..., : self.k], z[..., self.k:]
-        c, s = math.cos(phi), math.sin(phi)
+        c, s = _cos_sin(phi)
         return np.concatenate([c * p - s * q, s * p + c * q], axis=-1)
 
     def reeb_flow(self, x, t):
@@ -337,7 +401,7 @@ class SphereModel(ContactModel):
         x = unit_sphere_point(angles, self.k)
         if self.k == 1:
             x = x * (1.0 if component == 0 else -1.0)
-        return np.concatenate([x, np.zeros(self.k)])
+        return np.concatenate([x, np.zeros_like(x)], axis=-1)
 
     def embed(self, x, s):
         return math.sqrt(s) * np.asarray(x, dtype=float)
@@ -351,7 +415,7 @@ class SphereModel(ContactModel):
 
     def phi(self, s, t, angles=(), component=0):
         x = self.legendrian_point(angles, component)
-        return math.sqrt(s) * self.reeb_flow(x, t)
+        return _col(np.sqrt(s)) * self.reeb_flow(x, t)
 
     def phi_tangents(self, s, t, angles=(), component=0):
         # psi_t is linear, so d/d angle_j flows the tangent dx of L; d/dt
@@ -409,6 +473,9 @@ class SphereModel(ContactModel):
     def horizontal_event(self, c, R):
         return np.sum(c * c, axis=-1) - R
 
+    def point_horizontal_event(self, c, R):
+        return _row_sum([v * v for v in c]) - R
+
     def wall_distance(self, c, t, R0, R1):
         """Distance to {r e^{2it} x : sqrt(R0) <= r <= sqrt(R1)}."""
         z = self._rotate(c, -2.0 * t)
@@ -457,6 +524,12 @@ class Region:
     (Reeb time or radial coordinate first, then Legendrian angles), so
     every region has at least one axis; disconnected Legendrians add a
     discrete component index.
+
+    ``event_fn`` may carry a float twin as its attribute ``point``: the
+    event at one point on Python floats (a list with periodic coordinates
+    reduced as ``PhaseChart.wrap_point`` reduces them), a float equal bit
+    for bit to ``event_value``.  ``dynamics.integrate`` evaluates one
+    point's events by it.
     """
 
     name: str
@@ -483,6 +556,19 @@ class Region:
         return self.to_ambient(np.array(params, float, ndmin=1, copy=None),
                                component)
 
+    def param_points(self, params):
+        """``param_point`` of every ``(params, component)`` pair of the list
+        ``params`` (as ``sample_params`` gives it), as an ``(m, dim)``
+        array: one call of the model's ``phi`` on arrays per component,
+        each row equal bit for bit to its own ``param_point``."""
+        comps = np.array([comp for _, comp in params], dtype=int)
+        grid = np.array([pr for pr, _ in params], dtype=float)
+        out = np.empty((len(params), self.chart.dim))
+        for comp in np.unique(comps):
+            rows = comps == comp
+            out[rows] = self.to_ambient(grid[rows], int(comp))
+        return out
+
     def sample_params(self, n):
         """Deterministic grid of about n parameter tuples per component.
 
@@ -507,7 +593,8 @@ class Region:
                 for comp in range(self.n_components) for row in grid]
 
     def sample_points(self, n):
-        return [self.param_point(p, c) for p, c in self.sample_params(n)]
+        """The points of ``sample_params(n)``, an ``(m, dim)`` array."""
+        return self.param_points(self.sample_params(n))
 
 
 @dataclass(frozen=True)
@@ -562,14 +649,26 @@ def build_tetragon(model: ContactModel, R0, R1, T) -> Tetragon:
         raise ParameterError(f"need 0 < R0 < R1, got R0={R0}, R1={R1}")
     model.check_reeb_time(T)
 
+    def event(fn, twin, level):
+        """The event ``fn(c, level)``, carrying ``twin(c, level)`` as its
+        ``point`` attribute where the model has a twin."""
+        def event_fn(c):
+            return fn(c, level)
+        if twin is not None:
+            event_fn.point = lambda c: twin(c, level)
+        return event_fn
+
+    # ``par`` is one parameter tuple or an (m, d) array of them
     def horizontal(name, R):
         return Region(
             name=name, chart=model.chart,
             param_bounds=((0.0, T),) + model.angle_bounds,
             n_components=model.n_components,
-            to_ambient=lambda par, comp: model.phi(R, par[0], par[1:], comp),
+            to_ambient=lambda par, comp: model.phi(
+                R, par[..., 0], par[..., 1:], comp),
             distance_fn=lambda c: model.horizontal_distance(c, R, T),
-            event_fn=lambda c: model.horizontal_event(c, R),
+            event_fn=event(model.horizontal_event,
+                           model.point_horizontal_event, R),
         )
 
     def wall(name, t):
@@ -577,9 +676,10 @@ def build_tetragon(model: ContactModel, R0, R1, T) -> Tetragon:
             name=name, chart=model.chart,
             param_bounds=((R0, R1),) + model.angle_bounds,
             n_components=model.n_components,
-            to_ambient=lambda par, comp: model.phi(par[0], t, par[1:], comp),
+            to_ambient=lambda par, comp: model.phi(
+                par[..., 0], t, par[..., 1:], comp),
             distance_fn=lambda c: model.wall_distance(c, t, R0, R1),
-            event_fn=lambda c: model.wall_event(c, t),
+            event_fn=event(model.wall_event, model.point_wall_event, t),
         )
 
     return Tetragon(model, float(R0), float(R1), float(T),
@@ -608,7 +708,7 @@ class RoundedRectangleLoop:
     @property
     def area(self):
         return ((self.s1 - self.s0) * (self.t1 - self.t0)
-                - (4.0 - math.pi) * self.eps ** 2)
+                - (4.0 - math.pi) * (self.eps * self.eps))
 
     def _segments(self):
         e = self.eps

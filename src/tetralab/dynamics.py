@@ -4,15 +4,19 @@ Every flow runs through one DOP853 stepper, whose tableau the package
 carries (``dop853``; importing the package loads no scipy):
 ``ensemble_sweep`` steps rows of points as arrays, and ``integrate`` steps
 one point on Python floats, rounding as a row does, so a sweep member and
-its ``integrate`` run agree bit for bit.  The chord search sweeps a seed
-grid on the start region (and start phases for time-periodic
-Hamiltonians) in one ensemble, certifying target hits by membership in
-order of arrival.  The earliest hit (ties broken by seed order, else the
-closest miss) seeds one derivative-free pattern search (``find_chord``);
-its first evaluation repeats the sweep's, and it stops once its polls
-only chase rounding noise (``pattern_search``), as the separation
-estimates do.  The winning evaluation's run is the chord; one more run
-at a hundredth of the ODE tolerance gives its error bar.
+its ``integrate`` run agree bit for bit.  One point's dense output, its
+event roots and, for an event with a float twin (``point``, as the
+regions of ``contact.build_tetragon`` carry), its event values are on
+floats too.  The chord search sweeps a seed grid on the start region
+(and start phases for time-periodic Hamiltonians) in one ensemble,
+certifying target hits by membership in order of arrival; its seed
+points and its disjointness check take one call each on their grids.
+The earliest hit (ties broken by seed order, else the closest miss)
+seeds one derivative-free pattern search (``find_chord``); its first
+evaluation repeats the sweep's, and it stops once its polls only chase
+rounding noise (``pattern_search``), as the separation estimates do.
+The winning evaluation's run is the chord; one more run at a hundredth
+of the ODE tolerance gives its error bar.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .contact import Region
+from .contact import MEMBER_TOL, Region
 from .dop853 import (A, B, C, D, E3, E5, MAX_FACTOR, MIN_FACTOR, N_STAGES,
                      N_STAGES_EXTENDED, SAFETY)
 from .phase_core import HamiltonianSpec, sgrad
@@ -58,8 +62,8 @@ class Trajectory:
 
     ``times``/``states`` are the accepted solver steps (states wrapped to
     the chart); ``dense`` evaluates the unwrapped dense-output
-    interpolant.  ``event_times`` lists the detected roots of the caller
-    supplied event functional.
+    interpolant, at one time as a list of floats.  ``event_times`` lists
+    the detected roots of the caller supplied event functional.
     """
 
     chart: object
@@ -87,7 +91,8 @@ class Trajectory:
 # DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.5-II.6), scipy's step
 # control.  ``ensemble_sweep`` steps rows of points, ``(m, dim)`` arrays;
 # ``integrate`` steps one point on lists of floats with the ``_point_*``
-# helpers, which round as a row does.  Both read dense output by ``_dense``.
+# helpers, which round as a row does; dense output is ``_dense`` for rows
+# and ``_point_dense`` for one point.
 # ---------------------------------------------------------------------------
 
 _EPS = float(np.finfo(float).eps)
@@ -192,8 +197,9 @@ def _trial(rhs, t, y, f, h, K, rtol, atol):
     f_new = rhs(t + h, y_new)
     K[-1] = f_new
     scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-    e5 = np.linalg.norm(_stage_sum(E5, K) / scale, axis=-1) ** 2
-    e3 = np.linalg.norm(_stage_sum(E3, K) / scale, axis=-1) ** 2
+    r5, r3 = (np.linalg.norm(_stage_sum(e, K) / scale, axis=-1)
+              for e in (E5, E3))
+    e5, e3 = r5 * r5, r3 * r3
     with np.errstate(divide="ignore", invalid="ignore"):
         err = np.where((e5 == 0) & (e3 == 0), 0.0,
                        np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3)
@@ -212,7 +218,7 @@ def _point_trial(rhs, t, y, f, h, K, rtol, atol):
     scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
     r5, r3 = (_point_norm([v / s for v, s in zip(_point_sum(e, K), scale)])
               for e in (_E5, _E3))
-    e5, e3 = r5 * r5, r3 * r3  # numpy's ** 2; Python's calls pow
+    e5, e3 = r5 * r5, r3 * r3
     if e5 == 0 and e3 == 0:
         return y_new, f_new, 0.0
     return y_new, f_new, abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
@@ -252,16 +258,14 @@ def _dense_coeffs(rhs, t, h, y, y_new, K):
 
 
 def _point_dense_coeffs(rhs, t, h, y, y_new, K):
-    """``_dense_coeffs`` for one point on lists of floats, as a ``(7,
-    dim)`` array; K holds the step's 13 stages and receives 3 more."""
+    """``_dense_coeffs`` for one point on lists of floats, as 7 lists of
+    dim floats; K holds the step's 13 stages and receives 3 more."""
     for s, (_, a, c) in enumerate(_EXTRA, start=_N_STAGES):
         K[s] = rhs(t + c * h, [v + d * h for v, d in zip(y, _point_sum(a, K))])
     dy = [b - a for a, b in zip(y, y_new)]
-    return np.array([dy, [h * k - d for k, d in zip(K[0], dy)],
-                     [2 * d - h * (a + b)
-                      for d, a, b in zip(dy, K[N_STAGES], K[0])],
-                     *([h * v for v in _point_sum(row, K)]
-                       for row in _D)])
+    return [dy, [h * k - d for k, d in zip(K[0], dy)],
+            [2 * d - h * (a + b) for d, a, b in zip(dy, K[N_STAGES], K[0])],
+            *([h * v for v in _point_sum(row, K)] for row in _D)]
 
 
 def _dense(F, y_old, x):
@@ -275,6 +279,17 @@ def _dense(F, y_old, x):
         y += f
         y *= x if i % 2 == 0 else 1 - x
     return y + y_old
+
+
+def _point_dense(F, y_old, x):
+    """``_dense`` of one point's coefficients F, 7 lists of floats, at the
+    fraction x, a float: the same adds and multiplies in the same order,
+    so the same list of floats."""
+    y = [0.0] * len(y_old)
+    for i, f in enumerate(reversed(F)):
+        m = x if i % 2 == 0 else 1 - x
+        y = [(a + b) * m for a, b in zip(y, f)]
+    return [a + b for a, b in zip(y, y_old)]
 
 
 def _event_root(value, lo, hi, g_lo, g_hi):
@@ -349,12 +364,13 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
     DOP853 at rtol ``tol`` and atol ``tol / 100``, stepping the point on
     floats as ``ensemble_sweep`` steps a row.  ``event_times`` lists the
     roots of the caller's events; one with ``terminal = True`` ends the
-    trajectory at its first root.  Leaving (or starting outside) the
-    ``escape_norm`` ball raises ``EscapeError``, a step underflow
-    ``StiffnessError``.  A step's dense coefficients are built when first
-    read.  Periodic coordinates are integrated unwrapped and reduced on
-    output; the right-hand side wraps before evaluating the gradient so
-    the dynamics itself never sees drifted angles.
+    trajectory at its first root, and one with a float twin ``point``
+    (see ``contact.Region``) is evaluated by the twin.  Leaving (or
+    starting outside) the ``escape_norm`` ball raises ``EscapeError``, a
+    step underflow ``StiffnessError``.  A step's dense coefficients are
+    built when first read.  Periodic coordinates are integrated unwrapped
+    and reduced on output; the right-hand side wraps before evaluating the
+    gradient so the dynamics itself never sees drifted angles.
     """
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -363,10 +379,13 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
     def rhs(t, y):
         return sgrad(H, y, t)  # H.grad reduces periodic coordinates
 
-    # event 0 is the escape ball; the caller's events see wrapped states
+    # event 0 is the escape ball; the caller's events see wrapped states,
+    # as lists of floats where an event has a float twin (``point``)
     events = list(events or ())
     funcs = [lambda y: float(escape_norm - _point_norm(y))]
-    funcs += [lambda y, g=g: float(g(chart.wrap(y))) for g in events]
+    funcs += [(lambda y, p=g.point: p(chart.wrap_point(y)))
+              if getattr(g, "point", None) else
+              (lambda y, g=g: float(g(chart.wrap(y)))) for g in events]
     terminal = [True] + [getattr(g, "terminal", False) for g in events]
 
     t, t1 = float(t0), float(t1)
@@ -385,9 +404,9 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
             step[5] = _point_dense_coeffs(rhs, *step[:5])
         return step[5]
 
-    def at(k, tq):  # dense output of step k at the times tq
-        return _dense(coeffs(k), steps[k][2],
-                      (tq - steps[k][0]) / steps[k][1])
+    def at(k, tq):  # dense output of step k at the time tq, a float
+        t, h, y0 = steps[k][:3]
+        return _point_dense(coeffs(k), y0, (tq - t) / h)
 
     stop = bool(roots[0])
     while not stop:
@@ -431,14 +450,19 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
     ts = np.array(times)
 
     def dense(tq):
-        """As scipy's ``OdeSolution``: a step boundary reads the earlier."""
+        """As scipy's ``OdeSolution``: a step boundary reads the earlier.
+        One time gives a list of floats, times ``(m,)`` a ``(dim, m)``
+        array."""
+        if np.ndim(tq) == 0:
+            k = int(ts.searchsorted(tq)) - 1
+            return at(min(max(k, 0), len(steps) - 1), float(tq))
         tq = np.asarray(tq)
         seg = np.clip(np.searchsorted(ts, tq) - 1, 0, len(steps) - 1)
-        if tq.ndim == 0:
-            return at(seg, float(tq))
         out = np.empty((tq.size, len(y)))
         for k in np.unique(seg):
-            out[seg == k] = at(k, tq[seg == k])
+            t, h, y0 = steps[k][:3]
+            on = seg == k
+            out[on] = _dense(np.array(coeffs(k)), y0, (tq[on] - t) / h)
         return out.T
 
     return Trajectory(
@@ -759,7 +783,7 @@ def _extremize_on_region(G, region: Region, n_samples, sign):
     if not G.autonomous:
         times = np.linspace(0.0, 1.0, 17)[:-1]
     params = region.sample_params(n_samples)
-    pts = np.array([region.param_point(pr, comp) for pr, comp in params])
+    pts = region.param_points(params)
     # one evaluation over samples x times, in sample-major order so the
     # argmin is the first minimum of a sample-by-sample scan
     vals = sign * G(np.repeat(pts, len(times), axis=0),
@@ -958,9 +982,9 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
     if not 0.0 < time_budget < math.inf:
         raise ValueError(
             f"time_budget must be positive and finite, got {time_budget}")
-    for x in X0.sample_points(32):
-        if X1.membership(x):
-            raise ValueError("start and target regions are not disjoint")
+    # membership of the 32 sample points, by one distance call
+    if np.any(X1.distance(X0.sample_points(32)) <= MEMBER_TOL):
+        raise ValueError("start and target regions are not disjoint")
 
     phases = [0.0]
     if not G.autonomous:
@@ -968,7 +992,7 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
                                   endpoint=False))
     seeds = X0.sample_params(config.n_seeds)
     jobs = [(phase, pr, comp) for phase in phases for pr, comp in seeds]
-    seed_points = np.array([X0.param_point(pr, comp) for pr, comp in seeds])
+    seed_points = X0.param_points(seeds)
     sweep = ensemble_sweep(
         G, X1, np.tile(seed_points, (len(phases), 1)),
         np.repeat(phases, len(seeds)), time_budget, tol=config.ode_tol,

@@ -82,6 +82,15 @@ class PhaseChart:
             out[..., cols] = w
         return out
 
+    def wrap_point(self, xs):
+        """``wrap`` for one point on Python floats: a reduced copy of the
+        list ``xs``, each periodic coordinate rounding as in ``wrap``."""
+        xs = list(xs)
+        for i in self._periodic_cols:
+            w = xs[i] % 1.0
+            xs[i] = 0.0 if w == 1.0 else w
+        return xs
+
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
@@ -172,11 +181,8 @@ def sgrad(H: HamiltonianSpec, x, t=0.0):
     n = H.chart.dim_pairs
     floats = isinstance(x, list) and isinstance(x[0], float)
     if H.point_gradient is not None and (floats or np.ndim(x) == 1):
-        xs = list(x) if floats else np.asarray(x, dtype=float).tolist()
-        for i in H.chart._periodic_cols:
-            w = xs[i] % 1.0
-            xs[i] = 0.0 if w == 1.0 else w  # as PhaseChart.wrap
-        g = H.point_gradient(xs, t)
+        g = H.point_gradient(H.chart.wrap_point(
+            x if floats else np.asarray(x, dtype=float).tolist()), t)
         if all(map(math.isfinite, g)):
             out = [-v for v in g[n:]]
             out += g[:n]

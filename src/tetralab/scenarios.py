@@ -307,8 +307,9 @@ def wall_perturbation(amplitude, R0=_DEFAULT_R0, R1=_DEFAULT_R1,
     chart = PhaseChart(dim_pairs=1)
     tube_radius = 0.15
     ring = Plateau(lo=R0, hi=R1, roll=0.2)
-    nearq = Plateau(lo=0.0, hi=(tube_radius / 3.0) ** 2,
-                    roll=tube_radius ** 2 - (tube_radius / 3.0) ** 2)
+    core = tube_radius / 3.0
+    nearq = Plateau(lo=0.0, hi=core * core,
+                    roll=tube_radius * tube_radius - core * core)
     far_ring = Plateau(lo=R0 + 0.2, hi=R1 - 0.2, roll=0.15)
     near_anti = Plateau(lo=0.0, hi=0.005, roll=0.015)
 
@@ -322,7 +323,7 @@ def wall_perturbation(amplitude, R0=_DEFAULT_R0, R1=_DEFAULT_R1,
         p, q = np.moveaxis(x, -1, 0)
         rho = p * p + q * q
         wall = -amplitude * ring.value(rho) * nearq.value(q * q)
-        w2 = 0.5 * (p + q) ** 2
+        w2 = 0.5 * ((p + q) * (p + q))
         far = AWAY_FACTOR * amplitude * near_anti.value(w2) \
             * far_ring.value(rho) * tfac(np.asarray(t))
         return wall + far

@@ -173,6 +173,31 @@ class TestIntegrate:
                            atol=1e-12)
         assert np.array_equal(traj.states[-1], traj(traj.t1))
 
+    def test_one_point_runs_without_array_dense_output(self, monkeypatch):
+        """One point's dense output is evaluated on floats: with the array
+        ``_dense`` raising, ``integrate`` finds the ceiling's event root
+        (by the region's float twin) and a terminal stop, and the
+        trajectory answers at one time."""
+        tet = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
+        x0 = tet.floor.param_point([math.pi / 8])
+
+        def stop(c):
+            return c[0] - 1.5
+
+        stop.terminal = True
+        assert tet.ceiling.event_fn.point is not None
+
+        def array_dense(*args):
+            raise AssertionError("array dense output for one point")
+
+        monkeypatch.setattr(dynamics, "_dense", array_dense)
+        traj = integrate(unstable_hamiltonian(1), x0, 0.0, 2.0,
+                         events=[tet.ceiling.event_fn, stop])
+        hit, end = traj.event_times
+        assert hit < end == traj.t1
+        assert tet.ceiling.membership(traj(hit))
+        assert traj(end)[0] == pytest.approx(1.5, abs=1e-12)
+
     def test_event_zero_at_start_reports_start(self):
         traj = integrate(harmonic(), [1.0, 0.0], 0.25, 1.0,
                          events=[lambda c: c[1]])

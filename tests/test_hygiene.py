@@ -5,7 +5,8 @@ reads no environment variable but ``TETRALAB_OUT``, scipy is loaded
 and ``solve_ivp`` named only where ``SCIPY_ALLOWED`` and
 ``SOLVE_IVP_ALLOWED`` say, every ``HamiltonianSpec`` the package
 builds passes ``point_gradient``, the integrator sums nothing by
-BLAS, and every CSV goes through ``cli.write_csv`` (no ``savetxt``).
+BLAS, every CSV goes through ``cli.write_csv`` (no ``savetxt``), and
+the package squares by product, never by ``** 2``.
 
 Stdlib ``ast`` checks, so they need no linter.  An import statement with
 ``# noqa: F401`` on one of its lines is exempt (re-exports, and names
@@ -331,3 +332,39 @@ def test_package_writes_csv_only_through_write_csv(path):
     its time on the fields' repeated values; a second writer would have
     to keep those bytes too."""
     assert savetxt_calls(path.read_text(encoding="utf-8")) == []
+
+
+def squares_by_pow(source):
+    """Lines that square by ``** 2``.  Python's float ``x ** 2`` calls
+    ``pow`` and rounds unlike ``x * x`` on some x, while numpy's array
+    ``** 2`` is ``x * x``: a point and the same point in a stack could
+    then differ in the last bit."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp):
+            exponent = node.right
+        elif isinstance(node, ast.AugAssign):
+            exponent = node.value
+        else:
+            continue
+        if (isinstance(node.op, ast.Pow) and isinstance(exponent, ast.Constant)
+                and exponent.value == 2):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_square_checker_flags_pow_two():
+    src = ("a = x ** 2\n"
+           "b = (x - y) ** 2.0\n"
+           "c = x * x + x ** 0.5 + x ** 3\n"
+           "x **= 2\n"
+           "d = 2 ** x\n")
+    assert squares_by_pow(src) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_squares_by_product(path):
+    """A value the batch contract ties to its rows is squared as ``x *
+    x`` on floats and on arrays alike (the rule of ``profiles.py``)."""
+    assert squares_by_pow(path.read_text(encoding="utf-8")) == []

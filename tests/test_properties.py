@@ -197,12 +197,6 @@ REGIONS = [(model, name) for model in sorted(TETRAGONS)
            for name in ("floor", "ceiling", "low_wall", "high_wall")]
 
 
-def assert_rows_close(batch, rows):
-    rows = np.asarray(rows, dtype=float)
-    assert batch.shape == rows.shape
-    assert np.all(np.abs(batch - rows) <= 1e-14 * (1.0 + np.abs(rows)))
-
-
 def assert_rows_equal(batch, rows):
     rows = np.asarray(rows, dtype=float)
     assert batch.shape == rows.shape
@@ -318,13 +312,18 @@ def test_wrap_seam_rounds_to_zero():
 
 @pytest.mark.parametrize("model,name", REGIONS)
 @SETTINGS
-@given(data=st.data())
-def test_batched_region_matches_rows(model, name, data):
+@given(X=stacks)
+# on the torus2 ceiling a scalar ``** 2`` rounded this point alone 1 ulp
+# above its row
+@example(X=np.array([[-0.2040184148762073, -1.0679532896984685,
+                      -2.0106441972950084, -0.1065622114514838]]))
+def test_batched_region_matches_rows(model, name, X):
+    """A stack gives each row's distance and event value bit for bit, so
+    a sweep row and an ``integrate`` point see the same values."""
     region = TETRAGONS[model].regions()[name]
-    X = _stack(data, region.chart.dim)
-    assert_rows_close(region.distance(X), [region.distance(x) for x in X])
-    assert_rows_close(region.event_value(X),
-                      [region.event_value(x) for x in X])
+    X = X[:, :region.chart.dim]
+    assert_bits(region.distance(X), [region.distance(x) for x in X])
+    assert_bits(region.event_value(X), [region.event_value(x) for x in X])
     assert np.array_equal(region.membership(X),
                           [region.membership(x) for x in X])
 
@@ -359,6 +358,78 @@ def test_param_point_is_phi_on_chart(model, name, data):
     composed = m.embed(m.reeb_flow(m.legendrian_point(params[1:], comp), t),
                        s)
     assert np.all(np.abs(x - region.chart.wrap(composed)) <= 1e-15)
+
+
+# ---------------------------------------------------------------------------
+# One point on floats, many points in one call
+# ---------------------------------------------------------------------------
+
+# regions whose event functional has no float twin, and why
+NO_EVENT_TWIN = {
+    # the wall event's polar angle takes np.arctan2, which differs from
+    # math.atan2 in the last bit on some arguments
+    ("sphere1", "low_wall"), ("sphere1", "high_wall"),
+    ("sphere2", "low_wall"), ("sphere2", "high_wall"),
+}
+fractions = st.one_of(st.sampled_from([0.0, 1.0, -0.0, 0.5]),
+                      st.floats(min_value=-0.5, max_value=1.5))
+
+
+@SETTINGS
+@given(data=st.data(), x=fractions)
+def test_point_dense_is_dense_on_floats(data, x):
+    """``integrate``'s one-point dense output on floats gives ``_dense``'s
+    value bit for bit, at the step ends and at -0.0 too."""
+    dim = data.draw(st.sampled_from([2, 4, 6]))
+    F = data.draw(arrays(float, (7, dim), elements=coord))
+    y_old = data.draw(arrays(float, (dim,), elements=st.one_of(coord, seam)))
+    point = dynamics._point_dense(F.tolist(), y_old.tolist(), x)
+    assert all(type(v) is float for v in point)
+    assert_bits(point, dynamics._dense(F, y_old, x))
+
+
+@pytest.mark.parametrize("model,name", REGIONS)
+@SETTINGS
+@given(X=stacks)
+def test_event_twin_is_event_value_on_floats(model, name, X):
+    """Each region's float event twin gives ``event_value`` bit for bit
+    on a wrapped point; the regions without one are listed, with their
+    reason, in ``NO_EVENT_TWIN``."""
+    region = TETRAGONS[model].regions()[name]
+    twin = getattr(region.event_fn, "point", None)
+    assert (twin is None) == ((model, name) in NO_EVENT_TWIN)
+    if twin is None:
+        return
+    for x in region.chart.wrap(X[:, :region.chart.dim]):
+        value = twin(x.tolist())
+        assert type(value) is float
+        assert_bits([value], [region.event_value(x)])
+
+
+PARAM_REGIONS = REGIONS + [("torus3", name) for name in
+                           ("floor", "ceiling", "low_wall", "high_wall")]
+TORUS3 = build_tetragon(TorusModel(3), 1.0, 2.0, 0.25)
+
+
+@pytest.mark.parametrize("model,name", PARAM_REGIONS)
+@SETTINGS
+@given(data=st.data())
+def test_param_points_are_stacked_param_point(model, name, data):
+    """``param_points`` evaluates a grid in one call per component, each
+    row bit for bit its own ``param_point``: every region of both sphere
+    k=1 components, and of the torus k=3 with two angles."""
+    tet = TORUS3 if model == "torus3" else TETRAGONS[model]
+    region = tet.regions()[name]
+    m = data.draw(st.integers(min_value=1, max_value=8))
+    params = [(np.array([data.draw(st.floats(min_value=lo, max_value=hi))
+                         for lo, hi in region.param_bounds]),
+               data.draw(st.integers(0, region.n_components - 1)))
+              for _ in range(m)]
+    assert_bits(region.param_points(params),
+                [region.param_point(pr, comp) for pr, comp in params])
+    grid = region.sample_params(24)
+    assert_bits(region.param_points(grid),
+                [region.param_point(pr, comp) for pr, comp in grid])
 
 
 # ---------------------------------------------------------------------------
