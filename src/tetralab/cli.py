@@ -143,18 +143,10 @@ def load_config(path, overrides, schema):
 # Report emission
 # ---------------------------------------------------------------------------
 
-def _to_jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj.tolist()]
-    return obj
+def _json_default(obj):
+    """``json.dump``'s fallback for an array or a numpy scalar (a float64
+    is a float and never gets here): its ``tolist()``."""
+    return obj.tolist()
 
 
 def write_csv(fh, header, rows):
@@ -182,9 +174,9 @@ def emit_report(report_payload, out_dir, timing=None, csv_files=None):
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = _to_jsonable(report_payload)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(report_payload, fh, sort_keys=True, indent=2,
+                  default=_json_default)
         fh.write("\n")
     start = time.monotonic()
     for name, (header, rows) in (csv_files or {}).items():
@@ -193,7 +185,8 @@ def emit_report(report_payload, out_dir, timing=None, csv_files=None):
     if timing is not None:
         timing = {**timing, "csv_seconds": time.monotonic() - start}
         with open(out / "timing.json", "w", encoding="utf-8") as fh:
-            json.dump(_to_jsonable(timing), fh, sort_keys=True, indent=2)
+            json.dump(timing, fh, sort_keys=True, indent=2,
+                      default=_json_default)
             fh.write("\n")
     return out / "report.json"
 
@@ -213,7 +206,7 @@ def _cmd_scenario(cfg):
     payload = {
         "command": "scenario",
         "artifact_version": __version__,
-        "config": _to_jsonable(cfg),
+        "config": cfg,
         "report": report.describe(),
         "tolerances": {"time": TIME_TOL, "increment": INCREMENT_TOL},
     }
@@ -230,7 +223,7 @@ def _cmd_pb4(cfg):
     payload = {
         "command": "pb4",
         "artifact_version": __version__,
-        "config": _to_jsonable(cfg),
+        "config": cfg,
         "report": report.describe(),
         "tolerances": {"feasibility": FEASIBILITY_TOL},
     }
@@ -305,7 +298,7 @@ def _cmd_chord(cfg):
     payload = {
         "command": "chord",
         "artifact_version": __version__,
-        "config": _to_jsonable(cfg),
+        "config": cfg,
         "report": {
             "found": result.found,
             "budget": budget,
@@ -354,7 +347,7 @@ def _cmd_tetragon(cfg):
     payload = {
         "command": "tetragon",
         "artifact_version": __version__,
-        "config": _to_jsonable(cfg),
+        "config": cfg,
         "report": report,
         "tolerances": {},
     }

@@ -31,7 +31,8 @@ takes arrays of parameters), and every event functional but the sphere
 wall's carries a float twin for one point, which ``dynamics.integrate``
 evaluates without numpy; the sphere wall's polar angle needs numpy's
 ``arctan2``, which differs from ``math.atan2`` in the last bit on some
-arguments.  Squares are products, as the batch contract needs.
+arguments.  Squares are products, and a twin's sums are
+``phase_core.row_sum``, as the batch contract needs.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .phase_core import PhaseChart
+from .phase_core import PhaseChart, row_sum
 
 _TINY = np.finfo(float).tiny
 
@@ -78,15 +79,6 @@ def _interval_excess(x, lo, hi):
 def _norm(x):
     """Euclidean norm over the last axis."""
     return np.sqrt(np.sum(x * x, axis=-1))
-
-
-def _row_sum(v):
-    """The sum of the floats v as numpy's ``sum(axis=-1)`` adds a row of
-    fewer than 8: onto 0.0 in index order (so -0.0 terms sum to 0.0)."""
-    acc = 0.0
-    for x in v:
-        acc += x
-    return acc
 
 
 def _col(v):
@@ -350,7 +342,7 @@ class TorusModel(ContactModel):
         return _norm(c[..., : self.k]) - R
 
     def point_horizontal_event(self, c, R):
-        return math.sqrt(_row_sum([v * v for v in c[: self.k]])) - R
+        return math.sqrt(row_sum([v * v for v in c[: self.k]])) - R
 
     def wall_distance(self, c, t, R0, R1):
         s, q, phat = self._split(c, 1e-9)
@@ -364,11 +356,11 @@ class TorusModel(ContactModel):
 
     def point_wall_event(self, c, t):
         p = c[: self.k]
-        s = math.sqrt(_row_sum([v * v for v in p]))
+        s = math.sqrt(row_sum([v * v for v in p]))
         if s < 1e-12:
             return -t
-        return _row_sum([_point_wrap_half(v) * (u / s)
-                         for u, v in zip(p, c[self.k:])]) - t
+        return row_sum([_point_wrap_half(v) * (u / s)
+                        for u, v in zip(p, c[self.k:])]) - t
 
 
 class SphereModel(ContactModel):
@@ -474,7 +466,7 @@ class SphereModel(ContactModel):
         return np.sum(c * c, axis=-1) - R
 
     def point_horizontal_event(self, c, R):
-        return _row_sum([v * v for v in c]) - R
+        return row_sum([v * v for v in c]) - R
 
     def wall_distance(self, c, t, R0, R1):
         """Distance to {r e^{2it} x : sqrt(R0) <= r <= sqrt(R1)}."""

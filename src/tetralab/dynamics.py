@@ -9,10 +9,10 @@ event roots and, for an event with a float twin (``point``, as the
 regions of ``contact.build_tetragon`` carry), its event values are on
 floats too.  The chord search sweeps a seed grid on the start region
 (and start phases for time-periodic Hamiltonians) in one ensemble,
-certifying target hits by membership in order of arrival; its seed
-points and its disjointness check take one call each on their grids.
-The earliest hit (ties broken by seed order, else the closest miss)
-seeds one derivative-free pattern search (``find_chord``); its first
+certifying each step's target roots by one distance call on their stack;
+its seed points and its disjointness check take one call each on their
+grids.  The earliest hit (ties broken by seed order, else the closest
+miss) seeds one derivative-free pattern search (``find_chord``); its first
 evaluation repeats the sweep's, and it stops once its polls only chase
 rounding noise (``pattern_search``), as the separation estimates do.
 The winning evaluation's run is the chord; one more run at a hundredth
@@ -30,7 +30,7 @@ import numpy as np
 from .contact import MEMBER_TOL, Region
 from .dop853 import (A, B, C, D, E3, E5, MAX_FACTOR, MIN_FACTOR, N_STAGES,
                      N_STAGES_EXTENDED, SAFETY)
-from .phase_core import HamiltonianSpec, sgrad
+from .phase_core import HamiltonianSpec, row_sum, sgrad
 
 
 class EscapeError(RuntimeError):
@@ -62,7 +62,8 @@ class Trajectory:
 
     ``times``/``states`` are the accepted solver steps (states wrapped to
     the chart); ``dense`` evaluates the unwrapped dense-output
-    interpolant, at one time as a list of floats.  ``event_times`` lists
+    interpolant, at one time as a list of floats and at times ``(m,)`` as
+    a ``(dim, m)`` array of the same floats.  ``event_times`` lists
     the detected roots of the caller supplied event functional.
     """
 
@@ -108,12 +109,10 @@ _B, _E3, _E5, _D = B.tolist(), E3.tolist(), E5.tolist(), D.tolist()
 
 
 def _stage_sum(c, K):
-    """sum_j c[j] * K[j] over the stages K of rows, ``(s, m, dim)``; a 2-D
-    ``c`` gives one sum per row of ``c``.  Terms add in stage order (numpy
-    keeps it given two numbers per stage), so that, unlike with BLAS, a
-    row does not depend on which rows share a batch."""
-    if c.ndim == 2:
-        return np.stack([_stage_sum(row, K) for row in c])
+    """sum_j c[j] * K[j] over the stages K of rows, ``(s, m, dim)``, for
+    the weights c, ``(s,)``.  Terms add in stage order (numpy keeps it
+    given two numbers per stage), so that, unlike with BLAS, a row does
+    not depend on which rows share a batch."""
     flat = K.reshape(len(c), -1)
     return (c[:, None] * flat).sum(axis=0).reshape(K.shape[1:])
 
@@ -130,11 +129,8 @@ def _point_sum(c, K):
 
 
 def _point_norm(v):
-    """|v| as numpy's ``norm(axis=-1)`` takes it: squares added in order."""
-    s = 0.0
-    for x in v:
-        s += x * x
-    return math.sqrt(s)
+    """|v| as numpy's ``norm(axis=-1)`` takes it of a row (``row_sum``)."""
+    return math.sqrt(row_sum([x * x for x in v]))
 
 
 def _root8(x, sqrt=np.sqrt):
@@ -254,7 +250,7 @@ def _dense_coeffs(rhs, t, h, y, y_new, K):
     dy = y_new - y
     return np.stack([dy, hc * K[0] - dy,
                      2 * dy - hc * (K[N_STAGES] + K[0]),
-                     *(hc * _stage_sum(D, K))])
+                     *(hc * _stage_sum(d, K) for d in D)])
 
 
 def _point_dense_coeffs(rhs, t, h, y, y_new, K):
@@ -269,10 +265,10 @@ def _point_dense_coeffs(rhs, t, h, y, y_new, K):
 
 
 def _dense(F, y_old, x):
-    """The continuous extension with coefficients F at the unit-step
-    fraction x, a float (one point), or at fractions ``(m,)``: one row per
-    entry, of one step's F, ``(7, dim)``, or of each row's own F, ``(7,
-    m, dim)``."""
+    """The continuous extension of each row's step at its unit-step
+    fraction: coefficients F, ``(7, m, dim)``, at fractions x, ``(m,)``,
+    as the sweep reads its rows.  One point reads ``_point_dense``, its
+    float twin."""
     x = np.asarray(x)[..., None]
     y = np.zeros(x.shape[:-1] + F.shape[-1:])
     for i, f in enumerate(F[::-1]):
@@ -283,13 +279,12 @@ def _dense(F, y_old, x):
 
 def _point_dense(F, y_old, x):
     """``_dense`` of one point's coefficients F, 7 lists of floats, at the
-    fraction x, a float: the same adds and multiplies in the same order,
-    so the same list of floats."""
-    y = [0.0] * len(y_old)
-    for i, f in enumerate(reversed(F)):
-        m = x if i % 2 == 0 else 1 - x
-        y = [(a + b) * m for a, b in zip(y, f)]
-    return [a + b for a, b in zip(y, y_old)]
+    fraction x, a float: the same adds and multiplies in the same order
+    (from 0.0, F[6] first), so the same list of floats."""
+    u = 1 - x
+    return [(((((((0.0 + f6) * x + f5) * u + f4) * x + f3) * u + f2) * x
+              + f1) * u + f0) * x + y
+            for f0, f1, f2, f3, f4, f5, f6, y in zip(*F, y_old)]
 
 
 def _event_root(value, lo, hi, g_lo, g_hi):
@@ -368,9 +363,11 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
     (see ``contact.Region``) is evaluated by the twin.  Leaving (or
     starting outside) the ``escape_norm`` ball raises ``EscapeError``, a
     step underflow ``StiffnessError``.  A step's dense coefficients are
-    built when first read.  Periodic coordinates are integrated unwrapped
-    and reduced on output; the right-hand side wraps before evaluating the
-    gradient so the dynamics itself never sees drifted angles.
+    built when first read, as float lists; the dense output at an array
+    of times reads them time by time (``_point_dense``).  Periodic
+    coordinates are integrated unwrapped and reduced on output; the
+    right-hand side wraps before evaluating the gradient so the dynamics
+    itself never sees drifted angles.
     """
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -452,18 +449,14 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
     def dense(tq):
         """As scipy's ``OdeSolution``: a step boundary reads the earlier.
         One time gives a list of floats, times ``(m,)`` a ``(dim, m)``
-        array."""
-        if np.ndim(tq) == 0:
-            k = int(ts.searchsorted(tq)) - 1
-            return at(min(max(k, 0), len(steps) - 1), float(tq))
-        tq = np.asarray(tq)
-        seg = np.clip(np.searchsorted(ts, tq) - 1, 0, len(steps) - 1)
-        out = np.empty((tq.size, len(y)))
-        for k in np.unique(seg):
-            t, h, y0 = steps[k][:3]
-            on = seg == k
-            out[on] = _dense(np.array(coeffs(k)), y0, (tq[on] - t) / h)
-        return out.T
+        array of the same floats, time by time."""
+        if np.ndim(tq):
+            seg = np.clip(ts.searchsorted(tq) - 1, 0, len(steps) - 1)
+            return np.reshape([at(k, v) for k, v in zip(
+                seg.tolist(), np.asarray(tq, dtype=float).tolist())],
+                (-1, len(y))).T
+        k = int(ts.searchsorted(tq)) - 1
+        return at(min(max(k, 0), len(steps) - 1), float(tq))
 
     return Trajectory(
         chart=chart, times=ts, states=chart.wrap(np.array(states)),
@@ -515,9 +508,11 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
     counts as stiff), all advancing together as ``(N, 2n)`` arrays.  After
     every accepted step, sign changes of the target event are solved on
     the dense interpolant by ``_event_root``; the first root with ``t -
-    phase > 1e-12`` whose point lies in X1 ends the member as a hit.
-    Roots are certified in order of arrival (time since the phase), and a
-    member whose root comes later than the best hit is dropped untested.
+    phase > 1e-12`` whose point lies in X1 ends the member as a hit.  A
+    step certifies all its roots by one ``Region.distance`` call on their
+    stack (within ``MEMBER_TOL``, as ``membership`` tests one point); the
+    best hit is the earliest certified root so far, and a member whose
+    root comes more than 1e-12 after it is dropped uncertified.
     A member whose state norm reaches ``escape_norm`` before a hit (or at
     its start) is lost as escaped.  Until some hit exists, target
     distances are sampled at ``linspace(phase, phase + time_budget,
@@ -612,18 +607,15 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
                     local = root - t0[acc[rc]]
                     ok = ((local > 1e-12)
                           & (np.linalg.norm(y_root, axis=-1) < escape_norm))
-                    # certify in order of arrival, one membership query per
-                    # root; a root later than the best hit cannot win, and
-                    # its member is dropped uncertified
-                    late = np.zeros(rc.size, dtype=bool)
-                    for r in np.argsort(local, kind="stable"):
-                        if not ok[r]:
-                            continue
-                        late[r] = local[r] > best + 1e-12
-                        ok[r] = not late[r] and X1.membership(
-                            chart.wrap(y_root[r]))
-                        if ok[r]:
-                            best = min(best, float(local[r]))
+                    # certify the step's roots by one distance call; a root
+                    # later than the best hit cannot win, and its member is
+                    # dropped uncertified
+                    member = ok & (X1.distance(chart.wrap(y_root))
+                                   <= MEMBER_TOL)
+                    if member.any():
+                        best = min(best, float(local[member].min()))
+                    late = ok & (local > best + 1e-12)
+                    ok = member & ~late
                     members = acc[rc[ok]]
                     hit[idx[members]] = local[ok]
                     done[members] = True
@@ -768,17 +760,14 @@ class SeparationReport:
     max_value: float
     argmin: np.ndarray
     argmax: np.ndarray
-    argmin_time: float
-    argmax_time: float
-    n_samples: int
     separating: bool
     n_evals: int
 
 
 def _extremize_on_region(G, region: Region, n_samples, sign):
     """sign=+1 minimizes G over the region x time, sign=-1 maximizes.
-    Returns the extremum, its point and time, and the pattern-search
-    evaluation count."""
+    Returns the extremum, its point and the pattern-search evaluation
+    count."""
     times = np.array([0.0])
     if not G.autonomous:
         times = np.linspace(0.0, 1.0, 17)[:-1]
@@ -804,15 +793,14 @@ def _extremize_on_region(G, region: Region, n_samples, sign):
 
     z, fv, evals = pattern_search(obj, np.array(x0), bounds, max_evals=120)
     params = z[:-1] if time_axis else z
-    t = float(z[-1]) if time_axis else t0
-    return sign * fv, region.param_point(params, comp), t, evals
+    return sign * fv, region.param_point(params, comp), evals
 
 
 def separation(G: HamiltonianSpec, Y0: Region, Y1: Region,
                n_samples=256) -> SeparationReport:
     """Estimate Delta(G; Y0, Y1) by dense sampling plus local refinement."""
-    vmin, xmin, tmin, n_min = _extremize_on_region(G, Y1, n_samples, +1.0)
-    vmax, xmax, tmax, n_max = _extremize_on_region(G, Y0, n_samples, -1.0)
+    vmin, xmin, n_min = _extremize_on_region(G, Y1, n_samples, +1.0)
+    vmax, xmax, n_max = _extremize_on_region(G, Y0, n_samples, -1.0)
     delta = vmin - vmax
     return SeparationReport(
         delta=float(delta),
@@ -820,9 +808,6 @@ def separation(G: HamiltonianSpec, Y0: Region, Y1: Region,
         max_value=float(vmax),
         argmin=xmin,
         argmax=xmax,
-        argmin_time=float(tmin),
-        argmax_time=float(tmax),
-        n_samples=int(n_samples),
         separating=bool(delta > 0.0),
         n_evals=n_min + n_max,
     )

@@ -21,7 +21,7 @@ from .contact import (_DEFAULT_R0, _DEFAULT_R1, CircleModel, SphereModel,
                       TorusModel, build_tetragon)
 from .dynamics import (ChordSearchConfig, chord_budget, deterministic_map,
                        find_chord, integrate, separation)
-from .phase_core import HamiltonianSpec, PhaseChart
+from .phase_core import HamiltonianSpec, PhaseChart, row_sum
 from .profiles import Plateau, PlateauStack
 
 # a found chord passes within this of its time budget
@@ -248,7 +248,7 @@ def mechanical_hamiltonian(k=1, beta=_DEFAULT_BETA, R0=_DEFAULT_R0,
 
     def point_gradient(x, t):
         q = x[k:]
-        dq = -beta * shell.deriv(sum(v * v for v in q)) \
+        dq = -beta * shell.deriv(row_sum([v * v for v in q])) \
             * tfac(t, math.sin) * 2.0
         return x[:k] + [dq * v for v in q]
 

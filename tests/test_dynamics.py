@@ -847,6 +847,7 @@ class TestRefinementStop:
 
 def _sweep_cases():
     sphere = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
+    sphere4 = build_tetragon(SphereModel(4), 1.0, 2.0, math.pi / 4)
     circle = build_tetragon(CircleModel(), 1.0, 2.0, 0.25)
     torus = build_tetragon(TorusModel(2), 1.0, 2.0, 0.25)
     perturbed = add_hamiltonians(unstable_hamiltonian(1),
@@ -862,6 +863,9 @@ def _sweep_cases():
                        0.3, [0.0], 16),
         "mechanical": (mechanical_hamiltonian(1), sphere.floor,
                        sphere.ceiling, math.pi / 4, [0.0], 16),
+        # a dimension-8 chart, whose norms and events numpy adds pairwise
+        "sphere_k4": (unstable_hamiltonian(4), sphere4.floor,
+                      sphere4.ceiling, math.pi / 4, [0.0], 16),
         "wall_witness": (witness, circle.high_wall, circle.low_wall,
                          0.25 / 1.01 - 0.01, [0.0], 21),
         "constant": (constant_hamiltonian(PLANE), sphere.floor,
@@ -915,35 +919,45 @@ class TestEnsembleSweep:
             assert np.nanargmin(batch.hit) == np.nanargmin(hits)
 
     @pytest.mark.parametrize("case, n", [("perturbed", 16), ("unstable", 16)])
-    def test_roots_after_the_best_hit_are_not_queried(self, monkeypatch,
-                                                      case, n):
-        """Roots are certified in order of arrival, so a root that arrives
-        after the best hit in its step costs no membership query.  (With
-        the perturbed fixture's 6 seeds every root has a step of its own;
-        16 seeds put several in one.)  The earliest hit is unchanged."""
+    def test_certifies_a_step_by_one_distance_call(self, monkeypatch, case,
+                                                   n):
+        """Each step with crossings certifies its roots by one
+        ``Region.distance`` call on their stack, right after solving
+        them, and the sweep asks no ``membership``.  (With the perturbed
+        fixture's 6 seeds every root has a step of its own; 16 seeds put
+        several in one.)  Each hit is the member's own alone, and the
+        earliest hit is unchanged."""
         H, X0, X1, budget, phases, _ = SWEEP_CASES[case]
         starts = np.tile(np.array(X0.sample_points(n)), (len(phases), 1))
         ph = np.repeat(phases, n)
-        roots, queries = [], []
-        real_root, real_member = dynamics._event_root, Region.membership
+        calls = []  # ("root", roots) and ("distance", rows), in order
+        real_root, real_distance = dynamics._event_root, Region.distance
 
         def count_roots(*args):
             out = real_root(*args)
-            roots.extend(out)
+            calls.append(("root", len(out)))
             return out
 
-        def count_queries(self, coords):
-            queries.append(coords)
-            return real_member(self, coords)
+        def count_rows(self, coords):
+            calls.append(("distance", len(np.atleast_2d(coords))))
+            return real_distance(self, coords)
+
+        def no_membership(self, coords):
+            raise AssertionError("the sweep asked membership")
 
         monkeypatch.setattr(dynamics, "_event_root", count_roots)
-        monkeypatch.setattr(Region, "membership", count_queries)
+        monkeypatch.setattr(Region, "distance", count_rows)
+        monkeypatch.setattr(Region, "membership", no_membership)
         batch = ensemble_sweep(H, X1, starts, ph, budget)
         monkeypatch.undo()
-        assert 0 < len(queries) < len(roots)
+        steps = [i for i, (what, _) in enumerate(calls) if what == "root"]
+        assert max(calls[i][1] for i in steps) > 1
+        for i in steps:
+            assert calls[i + 1] == ("distance", calls[i][1])
         alone = np.array([ensemble_sweep(H, X1, x0[None], [p], budget).hit[0]
                           for x0, p in zip(starts, ph)])
         kept = ~np.isnan(batch.hit)
+        assert kept.any()
         assert np.array_equal(batch.hit[kept], alone[kept])
         assert np.nanargmin(batch.hit) == np.nanargmin(alone)
 

@@ -5,8 +5,10 @@ reads no environment variable but ``TETRALAB_OUT``, scipy is loaded
 and ``solve_ivp`` named only where ``SCIPY_ALLOWED`` and
 ``SOLVE_IVP_ALLOWED`` say, every ``HamiltonianSpec`` the package
 builds passes ``point_gradient``, the integrator sums nothing by
-BLAS, every CSV goes through ``cli.write_csv`` (no ``savetxt``), and
-the package squares by product, never by ``** 2``.
+BLAS, every CSV goes through ``cli.write_csv`` (no ``savetxt``), the
+package squares by product, never by ``** 2``, and it sums floats with
+``phase_core.row_sum``, not the builtin ``sum``, but where
+``SUM_ALLOWED`` says.
 
 Stdlib ``ast`` checks, so they need no linter.  An import statement with
 ``# noqa: F401`` on one of its lines is exempt (re-exports, and names
@@ -302,8 +304,8 @@ def test_blas_checker_flags_dot_matmul_and_norm_without_axis():
 
 def test_integrator_sums_in_index_order():
     """The one-point stepper rounds as the sweep's rows do only while
-    both add in index order (``_stage_sum``, ``_point_sum``,
-    ``_point_norm``)."""
+    both add stages in stage order (``_stage_sum``, ``_point_sum``) and
+    a row's norm in numpy's order (``_point_norm`` by ``row_sum``)."""
     source = (PACKAGE / "dynamics.py").read_text(encoding="utf-8")
     assert blas_sums(source) == []
 
@@ -368,3 +370,54 @@ def test_package_squares_by_product(path):
     """A value the batch contract ties to its rows is squared as ``x *
     x`` on floats and on arrays alike (the rule of ``profiles.py``)."""
     assert squares_by_pow(path.read_text(encoding="utf-8")) == []
+
+
+# (module, function) that may call the builtin sum, and why
+SUM_ALLOWED = {
+    # the loop's arclength total, which mirrors no numpy row
+    ("contact.py", "RoundedRectangleLoop.point_and_velocity"),
+}
+
+
+def builtin_sums(source):
+    """``(line, function)`` of each read of the builtin name ``sum``, the
+    function as the dotted path of the defs and classes around it ("" at
+    module level).  The builtin adds in index order (and on Python 3.12+
+    compensates), while numpy adds a row of 8 or more pairwise: a float
+    twin that sums with it parts from its row's last bit."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Name) and child.id == "sum":
+                found.append((child.lineno, ".".join(scope)))
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return sorted(found)
+
+
+def test_sum_checker_flags_builtin_sum():
+    src = ("a = sum(x)\n"
+           "class Loop:\n"
+           "    def total(self):\n"
+           "        return sum(v * v for v in self.x)\n"
+           "def f(rows):\n"
+           "    return list(map(sum, rows)), np.sum(rows), rows.sum()\n"
+           "b = math.fsum(x) + row_sum(x)\n")
+    assert builtin_sums(src) == [(1, ""), (4, "Loop.total"), (6, "f")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_sums_by_row_sum(path):
+    """A float twin that sums adds as its numpy row does only through
+    ``phase_core.row_sum``, so the package calls the builtin ``sum``
+    only where ``SUM_ALLOWED`` names a reason."""
+    sums = builtin_sums(path.read_text(encoding="utf-8"))
+    assert [(line, fn) for line, fn in sums
+            if (path.name, fn) not in SUM_ALLOWED] == []

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from tetralab.contact import (CircleModel, RoundedRectangleLoop, SphereModel,
                               TorusModel, _interval_excess, _wrap_half,
                               build_tetragon)
-from tetralab import dynamics
+from tetralab import dynamics, phase_core
 from tetralab.dynamics import pattern_search
 from tetralab.pb4 import prototype_hamiltonian_pair, wall_witness
 from tetralab.profiles import Plateau, PlateauStack
@@ -209,27 +209,43 @@ def _stack(data, dim):
                             elements=st.one_of(coord, seam)))
 
 
-# stacks of up to six 4-vectors and six times, cut to a spec's dimension
+# stacks of up to six 16-vectors and six times, cut to a spec's dimension
 stacks = st.integers(min_value=1, max_value=6).flatmap(
-    lambda m: arrays(float, (m, 4), elements=st.one_of(coord, seam)))
+    lambda m: arrays(float, (m, 16), elements=st.one_of(coord, seam)))
+# dimension 8 and up, where numpy adds a row pairwise (``row_sum``)
+WIDE = {"mechanical_k8": mechanical_hamiltonian(8),
+        "unstable_k4": unstable_hamiltonian(4)}
+
+
+def _shell_rows():
+    """Six rows whose last 8 coordinates have |q|^2 on the mechanical
+    shell's rolls (0.8 or 2.2), where its gradient reads the sum of the
+    8 squares."""
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-1.0, 1.0, (6, 16))
+    q = X[:, 8:]
+    q *= np.sqrt(rng.choice([0.8, 2.2], 6) / (q * q).sum(axis=-1))[:, None]
+    return X
 times = arrays(float, (6,), elements=st.floats(min_value=0.0, max_value=1.0))
 
 
-@pytest.mark.parametrize("name", sorted(LIBRARY))
+@pytest.mark.parametrize("name", sorted(LIBRARY) + ["mechanical_k8"])
 @SETTINGS
 @given(X=stacks, ts=times)
-@example(X=np.array([[0.0, -1e-17, -1e-17, -1e-17]]), ts=np.full(6, 0.3))
-@example(X=np.array([[1.2, Q_BELOW, 1.2, Q_BELOW],
-                     [1.2, Q_ONE, 1.2, Q_ONE],
-                     [P_BELOW, Q_BAND, P_BELOW, Q_BAND],
-                     [P_ABOVE, Q_BAND, P_ABOVE, Q_BAND]]),
+@example(X=np.tile([[0.0, -1e-17, -1e-17, -1e-17]], 4), ts=np.full(6, 0.3))
+@example(X=np.tile([[1.2, Q_BELOW, 1.2, Q_BELOW],
+                    [1.2, Q_ONE, 1.2, Q_ONE],
+                    [P_BELOW, Q_BAND, P_BELOW, Q_BAND],
+                    [P_ABOVE, Q_BAND, P_ABOVE, Q_BAND]], 4),
          ts=np.full(6, 0.3))
+@example(X=_shell_rows(), ts=np.full(6, 0.3))
 def test_batched_hamiltonian_matches_rows(name, X, ts):
     """A stack gives the rows' results.  The one-point ``sgrad`` takes
     the float path of a spec with ``point_gradient`` (``constant`` has
     none), so the batch checks that path row by row; the examples are
-    the wrap seam and the perturbation's tube and band seams."""
-    H = LIBRARY[name]
+    the wrap seam, the perturbation's tube and band seams, and the
+    mechanical k=8 shell's rolls, where a row adds 8 squares pairwise."""
+    H = {**LIBRARY, **WIDE}[name]
     X, ts = X[:, :H.chart.dim], ts[:len(X)]
     assert_rows_equal(H(X, ts), [H(x, t) for x, t in zip(X, ts)])
     assert_rows_equal(H.grad(X, ts), [H.grad(x, t) for x, t in zip(X, ts)])
@@ -243,7 +259,7 @@ def assert_bits(a, b):
     assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-@pytest.mark.parametrize("name", sorted(LIBRARY))
+@pytest.mark.parametrize("name", sorted(LIBRARY) + ["unstable_k4"])
 @SETTINGS
 @given(data=st.data())
 def test_point_stepper_rounds_as_a_row(name, data):
@@ -251,8 +267,9 @@ def test_point_stepper_rounds_as_a_row(name, data):
     the results of a one-row ensemble bit for bit: the norm, the initial
     step, a trial's state, slope and error norm, the step factor and the
     dense coefficients.  So a sweep member and its ``integrate`` run take
-    the same steps."""
-    H = LIBRARY[name]
+    the same steps, on the dimension-8 chart of ``unstable_k4`` too,
+    whose norms numpy adds pairwise."""
+    H = {**LIBRARY, **WIDE}[name]
     y = data.draw(arrays(float, (H.chart.dim,), elements=coord))
     t, fresh = data.draw(st.floats(0.0, 1.0)), data.draw(st.booleans())
     h = data.draw(st.floats(1e-6, 0.5))
@@ -280,6 +297,28 @@ def test_point_stepper_rounds_as_a_row(name, data):
                                              K),
                 dynamics._dense_coeffs(rhs, ts, hs, row, rows[0],
                                        K_row)[:, 0])
+
+
+@SETTINGS
+@given(n=st.integers(1, 300), m=st.integers(1, 64),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=8, m=1, seed=0)
+@example(n=129, m=3, seed=1)
+@example(n=300, m=64, seed=2)
+def test_row_sum_adds_a_row_as_numpy_does(n, m, seed):
+    """``phase_core.row_sum`` of each row is ``np.sum(rows, axis=-1)``
+    bit for bit, across numpy's pairwise blocks (8 and 128 terms), on
+    mixed magnitudes, signed zeros (whole rows of -0.0 too) and
+    subnormals, whatever the number of rows."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-8, 9, (m, n))
+    rows[rng.random((m, n)) < 0.1] = -0.0
+    rows[rng.random((m, n)) < 0.05] = 0.0
+    rows[rng.random(m) < 0.3] *= 1e-310  # subnormal and tiny terms
+    rows[rng.random(m) < 0.1] = -0.0
+    sums = [phase_core.row_sum(row) for row in rows.tolist()]
+    assert all(type(v) is float for v in sums)
+    assert_bits(sums, np.sum(rows, axis=-1))
 
 
 @SETTINGS
@@ -388,14 +427,24 @@ def test_point_dense_is_dense_on_floats(data, x):
     assert_bits(point, dynamics._dense(F, y_old, x))
 
 
-@pytest.mark.parametrize("model,name", REGIONS)
+# charts of dimension 8 and 16, whose twins sum pairwise (``row_sum``)
+WIDE_TETRAGONS = {"sphere4": build_tetragon(SphereModel(4), 1.0, 2.0,
+                                            math.pi / 4),
+                  "torus8": build_tetragon(TorusModel(8), 1.0, 2.0, 0.25)}
+WIDE_REGIONS = [("sphere4", "floor"), ("sphere4", "ceiling"),
+                ("torus8", "ceiling"), ("torus8", "low_wall"),
+                ("torus8", "high_wall")]
+
+
+@pytest.mark.parametrize("model,name", REGIONS + WIDE_REGIONS)
 @SETTINGS
 @given(X=stacks)
 def test_event_twin_is_event_value_on_floats(model, name, X):
     """Each region's float event twin gives ``event_value`` bit for bit
-    on a wrapped point; the regions without one are listed, with their
-    reason, in ``NO_EVENT_TWIN``."""
-    region = TETRAGONS[model].regions()[name]
+    on a wrapped point, on the sphere k=4 and torus k=8 charts too; the
+    regions without one are listed, with their reason, in
+    ``NO_EVENT_TWIN``."""
+    region = {**TETRAGONS, **WIDE_TETRAGONS}[model].regions()[name]
     twin = getattr(region.event_fn, "point", None)
     assert (twin is None) == ((model, name) in NO_EVENT_TWIN)
     if twin is None:
