@@ -92,7 +92,8 @@ class Trajectory:
 # DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.5-II.6), scipy's step
 # control.  ``ensemble_sweep`` steps rows of points, ``(m, dim)`` arrays;
 # ``integrate`` steps one point on lists of floats with the ``_point_*``
-# helpers, which round as a row does; dense output is ``_dense`` for rows
+# helpers, which round as a row does; dense output is ``_dense`` for rows,
+# in column layout (coefficients ``(7, dim, m)``, states ``(dim, m)``),
 # and ``_point_dense`` for one point.
 # ---------------------------------------------------------------------------
 
@@ -121,8 +122,8 @@ def _point_sum(c, K):
     """``_stage_sum`` of the first ``len(c)`` stages K of one point."""
     out = []
     for i in range(len(K[0])):
-        acc = c[0] * K[0][i]
-        for j in range(1, len(c)):
+        acc = 0.0  # as numpy's sum, so -0.0 terms sum to 0.0
+        for j in range(len(c)):
             acc += c[j] * K[j][i]
         out.append(acc)
     return out
@@ -241,16 +242,17 @@ def _point_step_factor(err, fresh):
 
 
 def _dense_coeffs(rhs, t, h, y, y_new, K):
-    """Coefficients, ``(7, m, dim)``, of the continuous extension of each
-    row's step of size h from (t, y) to y_new.  K, ``(16, m, dim)``, holds
-    the steps' 13 stages and receives the 3 extra ones."""
+    """Coefficients of the continuous extension of each row's step of size
+    h from (t, y) to y_new, in column layout: ``(7, dim, m)``, a row's
+    coefficients down the last axis.  K, ``(16, m, dim)``, holds the
+    steps' 13 stages and receives the 3 extra ones."""
     hc = h[:, None]
     for s, (a, _, c) in enumerate(_EXTRA, start=_N_STAGES):
         K[s] = rhs(t + c * h, y + _stage_sum(a, K[:s]) * hc)
     dy = y_new - y
-    return np.stack([dy, hc * K[0] - dy,
-                     2 * dy - hc * (K[N_STAGES] + K[0]),
-                     *(hc * _stage_sum(d, K) for d in D)])
+    return np.stack([v.T for v in (
+        dy, hc * K[0] - dy, 2 * dy - hc * (K[N_STAGES] + K[0]),
+        *(hc * _stage_sum(d, K) for d in D))])
 
 
 def _point_dense_coeffs(rhs, t, h, y, y_new, K):
@@ -265,15 +267,15 @@ def _point_dense_coeffs(rhs, t, h, y, y_new, K):
 
 
 def _dense(F, y_old, x):
-    """The continuous extension of each row's step at its unit-step
-    fraction: coefficients F, ``(7, m, dim)``, at fractions x, ``(m,)``,
-    as the sweep reads its rows.  One point reads ``_point_dense``, its
-    float twin."""
-    x = np.asarray(x)[..., None]
-    y = np.zeros(x.shape[:-1] + F.shape[-1:])
+    """The continuous extension of steps at unit-step fractions, in column
+    layout: coefficients F, ``(7, dim, N)``, and start states y_old,
+    ``(dim, N)``, at fractions x, ``(N,)``, give the states ``(dim, N)``.
+    The sweep's event roots and miss samples read it; one point reads
+    ``_point_dense``, its float twin."""
+    y, u = np.zeros(F.shape[1:]), 1 - x
     for i, f in enumerate(F[::-1]):
         y += f
-        y *= x if i % 2 == 0 else 1 - x
+        y *= x if i % 2 == 0 else u
     return y + y_old
 
 
@@ -519,6 +521,10 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
     MISS_SAMPLES)``, in passes of whole members of at most ``n_all +
     MISS_SAMPLES - 1`` rows for ``n_all`` starts; after, members that can
     no longer arrive before the best hit are dropped (``hit`` stays nan).
+    A step's dense output is in column layout (``_dense_coeffs``); a
+    pass repeats each member's coefficients and start state along the
+    last axis, one column per sample, evaluates them by ``_dense`` and
+    hands ``Region.distance`` the C-ordered rows, as the roots do.
     A member's outcome is that of its ``integrate`` run bit for bit, and
     does not depend on the rest of the batch, except for being dropped,
     as long as G's callbacks round a point as a row and rows alike in any
@@ -541,6 +547,11 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
 
     def event(y):
         return X1.event_value(chart.wrap(y))
+
+    def dense_rows(F, y_old, x):
+        # ``_dense`` as C-ordered rows ``(N, dim)``: numpy sums the last
+        # axis of an F-ordered stack in another order from 8 terms on
+        return _dense(F, y_old, x).T.copy()
 
     # per-member state, compacted to the active members after each trial
     y = chart.wrap(np.asarray(starts, dtype=float))
@@ -587,11 +598,13 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
             due = n_due > next_sample[acc]
             need = np.flatnonzero(cross | due)
             if need.size:
-                # dense output of the step for the members that need it
+                # dense output of the step for the members that need it, in
+                # column layout: member need[i] reads F[..., i] and Y[:, i]
                 Kx = np.empty((N_STAGES_EXTENDED, need.size, y.shape[1]))
                 Kx[:_N_STAGES] = K[:, acc[need]]
                 hn = h_a[need]
                 F = _dense_coeffs(rhs, ta[need], hn, ya[need], yn[need], Kx)
+                Y = ya[need].T
                 pos = np.full(acc.size, -1)
                 pos[need] = np.arange(need.size)
 
@@ -599,11 +612,12 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
                 if rc.size:
                     j = pos[rc]
                     root = _event_root(
-                        lambda tc, i: event(_dense(
-                            F[:, j[i]], ya[rc[i]],
+                        lambda tc, i: event(dense_rows(
+                            F[:, :, j[i]], Y[:, j[i]],
                             (tc - ta[rc[i]]) / hn[j[i]])),
                         ta[rc], t_new[acc[rc]], ga[rc], g_new[rc])
-                    y_root = _dense(F[:, j], ya[rc], (root - ta[rc]) / hn[j])
+                    y_root = dense_rows(F[:, :, j], Y[:, j],
+                                        (root - ta[rc]) / hn[j])
                     local = root - t0[acc[rc]]
                     ok = ((local > 1e-12)
                           & (np.linalg.norm(y_root, axis=-1) < escape_norm))
@@ -627,21 +641,26 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
                     n = stop - first
                     end = np.cumsum(n)
                     start = end - n  # first row of each member
+                    j, row = pos[rs], ph_row[idx[acc[rs]]]
                     # one row per due sample, member by member, in passes
                     # of whole members: a pass closes once it holds n_all
                     # rows, so it stays below n_all + MISS_SAMPLES rows
-                    # however long the step
+                    # however long the step.  A member's coefficients, start
+                    # state and step repeat along the last axis, one column
+                    # per sample.
                     lo = 0
                     while lo < rs.size:
                         hi = min(rs.size, 1 + int(
                             np.searchsorted(end, start[lo] + n_all)))
                         part = slice(lo, hi)
-                        mem = np.repeat(rs[part], n[part])
+                        jp, cnt = j[part], n[part]
                         k = (np.arange(start[lo], end[hi - 1])
-                             - np.repeat(start[part] - first[part], n[part]))
-                        j = pos[mem]
-                        ts = sample_t[ph_row[idx[acc[mem]]], k]
-                        ys = _dense(F[:, j], ya[mem], (ts - ta[mem]) / hn[j])
+                             - np.repeat(start[part] - first[part], cnt))
+                        x = ((sample_t[np.repeat(row[part], cnt), k]
+                              - np.repeat(ta[rs[part]], cnt))
+                             / np.repeat(hn[jp], cnt))
+                        ys = dense_rows(np.repeat(F[:, :, jp], cnt, axis=-1),
+                                        np.repeat(Y[:, jp], cnt, axis=-1), x)
                         d = np.minimum.reduceat(X1.distance(chart.wrap(ys)),
                                                 start[part] - start[lo])
                         who = idx[acc[rs[part]]]

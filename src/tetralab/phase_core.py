@@ -74,12 +74,11 @@ class PhaseChart:
     def wrap(self, coords):
         """Reduce periodic q-coordinates to [0, 1); accepts (..., 2n)."""
         out = np.array(coords, dtype=float)
-        cols = self._periodic_cols
-        if cols:
-            w = out[..., cols] % 1.0
+        for c in self._periodic_cols:  # in place, by basic indexing
+            w = out[..., c]
+            np.remainder(w, 1.0, out=w)
             # x % 1.0 can round to exactly 1.0 for tiny negative x
             w[w == 1.0] = 0.0
-            out[..., cols] = w
         return out
 
     def wrap_point(self, xs):

@@ -980,6 +980,44 @@ class TestEnsembleSweep:
         assert max(rows) <= len(starts) + dynamics.MISS_SAMPLES - 1
         assert sum(rows) == len(starts) * dynamics.MISS_SAMPLES
 
+    def test_ragged_miss_samples_match_per_seed_integrate(self, monkeypatch):
+        """With no hit, members of two phases on the torus k=8 chart, whose
+        ceiling distance adds 8 terms pairwise, take several steps each, so
+        a step holds a different number of samples per member.  Every
+        member is sampled at its MISS_SAMPLES times exactly once, at its
+        ``integrate`` run's states, each with that state's distance, and
+        its miss distance is that run's, all bit for bit."""
+        tet = build_tetragon(TorusModel(8), 1.0, 2.0, 0.25)
+        H, X1, budget = channel_potential(8), tet.ceiling, 0.2
+        rng = np.random.default_rng(0)
+        p = rng.standard_normal((12, 8))
+        seeds = np.hstack([p / np.linalg.norm(p, axis=1)[:, None],
+                           rng.random((12, 8))])
+        starts, ph = np.tile(seeds, (2, 1)), np.repeat([0.0, 0.37], 12)
+        seen, real = [], Region.distance
+
+        def spy(self, coords):
+            out = real(self, coords)
+            seen.extend(zip(map(bytes, np.atleast_2d(coords)),
+                            map(bytes, np.atleast_1d(out))))
+            return out
+
+        monkeypatch.setattr(Region, "distance", spy)
+        batch = ensemble_sweep(H, X1, starts, ph, budget)
+        monkeypatch.undo()
+        assert np.isnan(batch.hit).all()
+        expected = []
+        for x0, phase, dist in zip(starts, ph, batch.distance):
+            traj = integrate(H, x0, phase, phase + budget, tol=1e-10,
+                             events=[X1.event_fn])
+            assert len(traj.times) > 2 and not traj.event_times
+            assert dist == _per_seed(H, X1, x0, phase, budget)[1]
+            for t in np.linspace(traj.t0, traj.t1, dynamics.MISS_SAMPLES):
+                x = traj(t)
+                expected.append((bytes(x), bytes(np.atleast_1d(
+                    X1.distance(x)))))
+        assert sorted(seen) == sorted(expected)
+
 
 class TestRhsLookup:
     def test_every_gradient_goes_through_the_module_sgrad(self,

@@ -296,7 +296,26 @@ def test_point_stepper_rounds_as_a_row(name, data):
     assert_bits(dynamics._point_dense_coeffs(rhs, t, h, y.tolist(), point[0],
                                              K),
                 dynamics._dense_coeffs(rhs, ts, hs, row, rows[0],
-                                       K_row)[:, 0])
+                                       K_row)[:, :, 0])
+
+
+signed = st.one_of(st.sampled_from([0.0, -0.0]), coord)
+# weights and stages of 1 to 13 stages, one point of dimension 2 to 6
+stage_terms = st.integers(1, 13).flatmap(lambda s: st.tuples(
+    arrays(float, (s,), elements=signed),
+    st.integers(2, 6).flatmap(
+        lambda dim: arrays(float, (s, dim), elements=signed))))
+
+
+@SETTINGS
+@given(terms=stage_terms)
+@example(terms=(np.array([0.5, 0.25]), np.array([[-0.0, 1.0], [-0.0, 2.0]])))
+def test_point_sum_is_stage_sum_with_signed_zeros(terms):
+    """One point's stage sum is its row's bit for bit, the sign of zero
+    included: both add onto 0.0, so -0.0 terms sum to 0.0."""
+    c, K = terms
+    assert_bits(dynamics._point_sum(c.tolist(), K.tolist()),
+                dynamics._stage_sum(c, K[:, None])[0])
 
 
 @SETTINGS
@@ -347,6 +366,34 @@ def test_wrap_seam_rounds_to_zero():
     assert chart.wrap([0.0, -1e-17])[1] == 0.0
     assert np.array_equal(chart.wrap([[0.0, -1e-17], [0.0, 1.0]])[:, 1],
                           [0.0, 0.0])
+
+
+def _gather_wrap(chart, coords):
+    """``PhaseChart.wrap`` as a gather and scatter of the periodic
+    columns, the formula the in-place reduction replaced."""
+    out = np.array(coords, dtype=float)
+    cols = chart._periodic_cols
+    if cols:
+        w = out[..., cols] % 1.0
+        w[w == 1.0] = 0.0
+        out[..., cols] = w
+    return out
+
+
+@SETTINGS
+@given(X=arrays(float, (5, 6), elements=st.one_of(finite, seam)),
+       periodic=st.tuples(st.booleans(), st.booleans(), st.booleans()))
+@example(X=np.tile([-0.0, 1.0, -1e-17, -0.0, 1.0, -1e-17], (5, 1)),
+         periodic=(True, True, True))
+def test_wrap_in_place_is_the_gather(X, periodic):
+    """Reducing each periodic column in place gives the gather's bits on
+    C- and F-ordered stacks and on one point, at the 1.0 seam and at
+    -0.0, and leaves the input untouched."""
+    chart = PhaseChart(dim_pairs=3, periodic=periodic)
+    for coords in (X, np.asfortranarray(X), X[1], X[2].tolist()):
+        before = np.array(coords, dtype=float)
+        assert_bits(chart.wrap(coords), _gather_wrap(chart, coords))
+        assert_bits(coords, before)
 
 
 @pytest.mark.parametrize("model,name", REGIONS)
@@ -418,13 +465,15 @@ fractions = st.one_of(st.sampled_from([0.0, 1.0, -0.0, 0.5]),
 @given(data=st.data(), x=fractions)
 def test_point_dense_is_dense_on_floats(data, x):
     """``integrate``'s one-point dense output on floats gives ``_dense``'s
-    value bit for bit, at the step ends and at -0.0 too."""
+    value, a one-column stack, bit for bit, at the step ends and at -0.0
+    too."""
     dim = data.draw(st.sampled_from([2, 4, 6]))
     F = data.draw(arrays(float, (7, dim), elements=coord))
     y_old = data.draw(arrays(float, (dim,), elements=st.one_of(coord, seam)))
     point = dynamics._point_dense(F.tolist(), y_old.tolist(), x)
     assert all(type(v) is float for v in point)
-    assert_bits(point, dynamics._dense(F, y_old, x))
+    assert_bits(point, dynamics._dense(F[:, :, None], y_old[:, None],
+                                       np.array([x]))[:, 0])
 
 
 # charts of dimension 8 and 16, whose twins sum pairwise (``row_sum``)
