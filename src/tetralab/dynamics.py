@@ -15,14 +15,17 @@ grids.  The earliest hit (ties broken by seed order, else the closest
 miss) seeds one derivative-free pattern search (``find_chord``); its first
 evaluation repeats the sweep's, and it stops once its polls only chase
 rounding noise (``pattern_search``), as the separation estimates do.
-The winning evaluation's run is the chord; one more run at a hundredth
-of the ODE tolerance gives its error bar.
+Every run of the search, like a sweep member, stops at its first
+certified arrival (a terminal rule on the target event, see
+``integrate``), so each candidate is integrated once and the winning
+evaluation's run, ending at its arrival, is the chord; one more run at
+a hundredth of the ODE tolerance gives its error bar.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,6 +49,15 @@ class StiffnessError(RuntimeError):
     """The adaptive integrator failed to advance (step underflow)."""
 
 
+def _check_run_settings(tol, escape_norm, tol_name="tol"):
+    """``ValueError``, naming the argument, unless the ODE tolerance is
+    positive and finite and ``escape_norm`` positive (inf: no ball)."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"{tol_name} must be positive and finite, got {tol}")
+    if not escape_norm > 0.0:
+        raise ValueError(f"escape_norm must be positive, got {escape_norm}")
+
+
 def deterministic_map(fn, items):
     """``[fn(it) for it in items]``, serially and in input order.
 
@@ -61,16 +73,20 @@ class Trajectory:
     """A sampled integral curve with dense output.
 
     ``times``/``states`` are the accepted solver steps (states wrapped to
-    the chart); ``dense`` evaluates the unwrapped dense-output
-    interpolant, at one time as a list of floats and at times ``(m,)`` as
-    a ``(dim, m)`` array of the same floats.  ``event_times`` lists
-    the detected roots of the caller supplied event functional.
+    the chart), except that a run ended by a terminal event ends at that
+    root: ``stop`` is its time (None for a run that reached its end
+    time), and the last entry of ``times``.  ``dense`` evaluates the
+    unwrapped dense-output interpolant, at one time as a list of floats
+    and at times ``(m,)`` as a ``(dim, m)`` array of the same floats.
+    ``event_times`` lists the detected roots of the caller's events, up
+    to ``stop``.
     """
 
     chart: object
     times: np.ndarray
     states: np.ndarray
     event_times: tuple = ()
+    stop: Optional[float] = None
     dense: Callable = field(default=None, compare=False, repr=False)
 
     def __call__(self, t):
@@ -359,20 +375,26 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
     """Adaptive dense-output integration of the Hamiltonian flow of H.
 
     DOP853 at rtol ``tol`` and atol ``tol / 100``, stepping the point on
-    floats as ``ensemble_sweep`` steps a row.  ``event_times`` lists the
-    roots of the caller's events; one with ``terminal = True`` ends the
-    trajectory at its first root, and one with a float twin ``point``
-    (see ``contact.Region``) is evaluated by the twin.  Leaving (or
-    starting outside) the ``escape_norm`` ball raises ``EscapeError``, a
-    step underflow ``StiffnessError``.  A step's dense coefficients are
-    built when first read, as float lists; the dense output at an array
-    of times reads them time by time (``_point_dense``).  Periodic
+    floats as ``ensemble_sweep`` steps a row (``tol`` positive and
+    finite, ``escape_norm`` positive or inf, else ``ValueError``).
+    ``event_times`` lists the roots of the caller's events, and one with
+    a float twin ``point`` (see ``contact.Region``) is evaluated by the
+    twin.  An event's ``terminal`` attribute, ``True`` or a rule
+    ``terminal(t, state)`` on a root's time and wrapped point (an array,
+    as ``Region.membership`` takes), ends the run at the first root, in
+    time order, that is terminal or whose rule holds; the trajectory then
+    ends at that root, its ``stop``.  Leaving (or starting outside) the
+    ``escape_norm`` ball raises ``EscapeError``, a step underflow
+    ``StiffnessError``.  A step's dense coefficients are built when
+    first read, as float lists; the dense output at an array of times
+    reads them time by time (``_point_dense``).  Periodic
     coordinates are integrated unwrapped and reduced on output; the
     right-hand side wraps before evaluating the gradient so the dynamics
     itself never sees drifted angles.
     """
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
+    _check_run_settings(tol, escape_norm)
     chart, rtol, atol = H.chart, tol, tol * 1e-2
 
     def rhs(t, y):
@@ -407,8 +429,8 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
         t, h, y0 = steps[k][:3]
         return _point_dense(coeffs(k), y0, (tq - t) / h)
 
-    stop = bool(roots[0])
-    while not stop:
+    done, stop = bool(roots[0]), None
+    while not done:
         K, err, fresh = [None] * N_STAGES_EXTENDED, 1.0, True
         # move at most the feature width
         h_abs = min(h_abs, H.feature_width / max(_point_norm(f), _EPS))
@@ -427,20 +449,19 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
         steps.append([t, h, y, y_new, K, None])
         g_old, g = g, [fn(y_new) for fn in funcs]
         t, y, f = t_new, y_new, f_new
-        stop = t >= t1
+        done = t >= t1
         act = [e for e, (a, b) in enumerate(zip(g_old, g))
                if a <= 0 <= b or b <= 0 <= a]
-        if act:
-            r = [_point_root(lambda tc, e=e: funcs[e](at(k, tc)),
-                             steps[k][0], t, g_old[e], g[e]) for e in act]
-            if any(terminal[e] for e in act):  # keep roots to the first stop
-                order = sorted(range(len(act)), key=r.__getitem__)
-                n = next(i for i, j in enumerate(order) if terminal[act[j]])
-                act = [act[j] for j in order[:n + 1]]
-                r = [r[j] for j in order[:n + 1]]
-                t, y, stop = r[-1], at(k, r[-1]), True
-            for e, root in zip(act, r):
-                roots[e].append(root)
+        # the step's roots in time order, up to the first that stops
+        for root, e in sorted(
+                (_point_root(lambda tc, e=e: funcs[e](at(k, tc)),
+                             steps[k][0], t, g_old[e], g[e]), e)
+                for e in act):
+            roots[e].append(root)
+            rule = terminal[e]
+            if rule(root, chart.wrap(at(k, root))) if callable(rule) else rule:
+                t, y, done, stop = root, at(k, root), True, root
+                break
         times.append(t)
         states.append(y)
     if roots[0]:
@@ -463,7 +484,7 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
     return Trajectory(
         chart=chart, times=ts, states=chart.wrap(np.array(states)),
         event_times=tuple(sorted(t for rs in roots[1:] for t in rs)),
-        dense=dense,
+        stop=stop, dense=dense,
     )
 
 
@@ -507,7 +528,8 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
     """Integrate every start point from its phase over the budget at once.
 
     Each member takes the DOP853 steps of ``integrate`` (step underflow
-    counts as stiff), all advancing together as ``(N, 2n)`` arrays.  After
+    counts as stiff; ``tol`` and ``escape_norm`` are checked as there),
+    all advancing together as ``(N, 2n)`` arrays.  After
     every accepted step, sign changes of the target event are solved on
     the dense interpolant by ``_event_root``; the first root with ``t -
     phase > 1e-12`` whose point lies in X1 ends the member as a hit.  A
@@ -530,6 +552,7 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
     as long as G's callbacks round a point as a row and rows alike in any
     batch (``_stage_sum`` adds in stage order, unlike BLAS).
     """
+    _check_run_settings(tol, escape_norm)
     chart = G.chart
     rtol, atol = tol, tol * 1e-2
     phases = np.asarray(phases, dtype=float)
@@ -851,8 +874,8 @@ def chord_budget(kappa, delta_sep, delta_pert=0.0):
 class Chord:
     """A certified trajectory segment from X0 to X1.
 
-    ``trajectory`` is the winning refinement run, ending at ``min(t0 +
-    budget, t1 + margin)`` for the margin of ``find_chord``.
+    ``trajectory`` is the winning refinement run, which ends at its first
+    certified arrival: its ``t1`` and ``stop`` are the chord's ``t1``.
     ``time_error`` is ``|t1 - t1'| + 4 eps (1 + |t1|)``, with ``t1'`` the
     arrival time certified by a run at a hundredth of the ODE tolerance
     (inf if none) and the event root's bracket: an estimate of the error
@@ -890,10 +913,11 @@ class ChordSearchResult:
     autonomous Hamiltonian); ``n_escaped``/``n_stiff`` count the sweep
     members lost to the escape ball or to step underflow;
     ``n_refine_evals`` counts the pattern-search evaluations and
-    ``n_refine_failed`` those whose integration raised ``EscapeError`` or
-    ``StiffnessError``.  Both count evaluations, not integrations: a start
-    polled again is answered from its one integration, and counts as
-    failed again if that integration failed.
+    ``n_refine_failed`` those whose integration raised ``EscapeError`` (a
+    run that left the escape ball before arriving) or ``StiffnessError``.
+    Both count evaluations, not integrations: a start polled again is
+    answered from its one integration, and counts as failed again if that
+    integration failed.
     """
 
     found: bool
@@ -929,41 +953,18 @@ class ChordSearchConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got "
                                  f"{getattr(self, name)}")
-        if not 0.0 < self.ode_tol < math.inf:
-            raise ValueError(f"ode_tol must be positive and finite, got "
-                             f"{self.ode_tol}")
-        if not self.escape_norm > 0.0:
-            raise ValueError(f"escape_norm must be positive, got "
-                             f"{self.escape_norm}")
+        _check_run_settings(self.ode_tol, self.escape_norm, "ode_tol")
 
 
-def _chord_trajectory(G, x0, phase, span, X1, ode_tol, escape_norm):
-    """``integrate`` over ``[phase, phase + span]``, and whether it
-    escaped.
+def _arrival(X1: Region, phase):
+    """X1's event with the sweep's arrival as its terminal rule: a root
+    more than 1e-12 after the start phase whose point is in X1."""
+    def event(c):
+        return X1.event_fn(c)
 
-    A trajectory that leaves the escape ball is cut just before it does,
-    so that a hit reached before the escape still counts, as in the
-    ensemble sweep.
-    """
-    def run(t1):
-        return integrate(G, x0, phase, t1, tol=ode_tol,
-                         escape_norm=escape_norm, events=[X1.event_fn])
-
-    try:
-        return run(phase + span), False
-    except EscapeError as exc:
-        t_cut = exc.t - 1e-6 * (exc.t - phase)
-        if not t_cut > phase:
-            raise
-        return run(t_cut), True
-
-
-def _first_hit(traj, X1, phase):
-    """First event root after the start that X1's membership certifies."""
-    for tr in traj.event_times:
-        if tr - phase > 1e-12 and X1.membership(traj(tr)):
-            return tr
-    return None
+    event.point = getattr(X1.event_fn, "point", None)
+    event.terminal = lambda t, y: t - phase > 1e-12 and X1.membership(y)
+    return event
 
 
 def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
@@ -974,14 +975,17 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
     Refinement starts at the sweep's earliest hit (else closest miss),
     whose run it repeats bit for bit, and keeps an incumbent t*, the best
     arrival time its ``integrate`` runs have certified (inf at first).
-    Each evaluation integrates to ``phase + min(budget, t* + margin)``,
-    with ``margin = INCUMBENT_MARGIN * budget``; once t* is finite, a
-    candidate with no hit in that window ranks ``(1, inf)``, as it cannot
-    beat a hit.  Each start is integrated at most once in a call: a stored
-    miss is returned as it is while t* is inf (the window is then the
-    same) and as ``(1, inf)`` after; a stored hit at time t is returned as
-    ``(0, t)`` while ``t <= t* + margin`` and as ``(1, inf)`` after.  The
-    run that set the final t* is the chord, whose time is t* exactly.
+    Each evaluation integrates once, to ``phase + min(budget, t* +
+    margin)`` with ``margin = INCUMBENT_MARGIN * budget``, and stops at
+    its first certified arrival, as a sweep member does (``_arrival``); a
+    run that leaves the escape ball before arriving raises, and counts as
+    failed.  Once t* is finite, a candidate with no hit in that window
+    ranks ``(1, inf)``, as it cannot beat a hit.  Each start is integrated
+    at most once in a call: a stored miss is returned as it is while t* is
+    inf (the window is then the same) and as ``(1, inf)`` after; a stored
+    hit at time t is returned as ``(0, t)`` while ``t <= t* + margin`` and
+    as ``(1, inf)`` after.  The run that set the final t* is the chord: it
+    ends at its arrival, whose time is t* exactly.
     """
     if not 0.0 < time_budget < math.inf:
         raise ValueError(
@@ -1013,7 +1017,7 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
     phase, pr, comp = jobs[best_idx]
     margin = INCUMBENT_MARGIN * time_budget
     incumbent, n_failed = math.inf, 0
-    winner = None  # (trajectory, hit, window) of the run that set t*
+    winner = None  # the run that set t*
     seen = {}  # start parameters -> their rank, None for a failed run
 
     def rank(params):
@@ -1042,18 +1046,17 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
         nonlocal incumbent, winner
         span = min(time_budget, incumbent + margin)
         try:
-            traj, escaped = _chord_trajectory(
-                G, X0.param_point(params, comp), phase, span, X1,
-                config.ode_tol, config.escape_norm)
+            traj = integrate(G, X0.param_point(params, comp), phase,
+                             phase + span, tol=config.ode_tol,
+                             escape_norm=config.escape_norm,
+                             events=[_arrival(X1, phase)])
         except (EscapeError, StiffnessError):
             return None
-        hit = _first_hit(traj, X1, phase)
-        if hit is not None:
-            if hit - phase < incumbent:
-                incumbent = hit - phase
-                winner = traj, hit, min(span, incumbent + margin)
-            return 0, hit - phase
-        if escaped or incumbent < math.inf:
+        if traj.stop is not None:
+            if traj.stop - phase < incumbent:
+                incumbent, winner = traj.stop - phase, traj
+            return 0, traj.stop - phase
+        if incumbent < math.inf:
             return 1, math.inf
         ts = np.linspace(traj.t0, traj.t1, MISS_SAMPLES)
         return 1, float(np.min(X1.distance(traj.sample(ts))))
@@ -1072,37 +1075,28 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
                 f"{n_evals} refinement evaluations, {n_failed} failed"),
             **counts,
         )
-    return _certify(G, X0, X1, phase, *winner, config, counts)
+    return _certify(G, X0, X1, winner, min(time_budget, incumbent + margin),
+                    config, counts)
 
 
-def _cut(traj, t_end):
-    """``traj`` cut to end at ``t_end`` if it runs past it."""
-    if traj.t1 <= t_end:
-        return traj
-    keep = traj.times < t_end
-    return replace(traj, times=np.append(traj.times[keep], t_end),
-                   states=np.vstack([traj.states[keep], traj(t_end)]),
-                   event_times=tuple(t for t in traj.event_times
-                                     if t <= t_end))
-
-
-def _certify(G, X0, X1, phase, traj, hit, window, config,
-             counts) -> ChordSearchResult:
-    """Package the refinement's winning run ``traj``, with first certified
-    hit ``hit``, cut at ``phase + window``, as the chord; a run from its
-    start over the same window at ``ode_tol / 100`` gives ``time_error``.
+def _certify(G, X0, X1, traj, window, config, counts) -> ChordSearchResult:
+    """Package the refinement's winning run ``traj``, which stopped at its
+    first certified arrival, as the chord; a run from its start over
+    ``window`` (the search's last window) at ``ode_tol / 100``, stopping
+    the same way, gives ``time_error``.
     """
+    phase, hit = traj.t0, traj.stop
     try:
-        fine, _ = _chord_trajectory(G, traj.states[0], phase, window, X1,
-                                    config.ode_tol / 100, config.escape_norm)
+        fine_hit = integrate(G, traj.states[0], phase, phase + window,
+                             tol=config.ode_tol / 100,
+                             escape_norm=config.escape_norm,
+                             events=[_arrival(X1, phase)]).stop
     except (EscapeError, StiffnessError):
         fine_hit = None
-    else:
-        fine_hit = _first_hit(fine, X1, phase)
     start, end = traj(phase), traj(hit)
     chord = Chord(
-        trajectory=_cut(traj, phase + window), start=start, end=end,
-        t0=float(phase), t1=float(hit), start_distance=X0.distance(start),
+        trajectory=traj, start=start, end=end,
+        t0=phase, t1=hit, start_distance=X0.distance(start),
         end_distance=X1.distance(end),
         time_error=math.inf if fine_hit is None
         else abs(hit - fine_hit) + 4 * _EPS * (1 + abs(hit)))

@@ -145,8 +145,9 @@ class HamiltonianSpec:
     coordinates reduced as ``PhaseChart.wrap`` reduces them, and the
     result is 2n floats equal bit for bit to the row ``gradient`` gives
     (a sum over coordinates is ``row_sum``, numpy's order).  Only
-    ``sgrad`` reads it, for one point, where it spares numpy's per-call
-    cost on a 2n-vector.
+    ``sgrad`` reads it, for a point given as a list of floats (as
+    ``integrate`` steps one), where it spares numpy's per-call cost on
+    a 2n-vector.
 
     ``feature_width`` (inf, the default: none) bounds the phase-space
     width of H's narrowest localized feature from below: no integrator
@@ -197,21 +198,20 @@ def sgrad(H: HamiltonianSpec, x, t=0.0):
     """Hamiltonian vector field of H at (x, t): (-dH/dq, +dH/dp).
 
     Accepts a point or a ``(..., 2n)`` stack (see ``HamiltonianSpec``).
-    One point of a spec with ``point_gradient`` is evaluated on Python
-    floats; a non-finite component sends it through ``H.grad``, which
-    raises the ``EvaluationError``.  Stacks go through ``H.grad``.  A
-    list of Python floats, as ``integrate`` steps a point, gets a list
-    back; any other ``x``, a nested list too, gets an array.
+    A list of Python floats, as ``integrate`` steps a point, is evaluated
+    on floats by a spec's ``point_gradient`` and gets a list back; a
+    non-finite component sends it through ``H.grad``, which raises the
+    ``EvaluationError``.  Any other ``x`` (an array point, a stack, a
+    nested list) goes through ``H.grad`` and gets an array.
     """
     n = H.chart.dim_pairs
     floats = isinstance(x, list) and isinstance(x[0], float)
-    if H.point_gradient is not None and (floats or np.ndim(x) == 1):
-        g = H.point_gradient(H.chart.wrap_point(
-            x if floats else np.asarray(x, dtype=float).tolist()), t)
+    if floats and H.point_gradient is not None:
+        g = H.point_gradient(H.chart.wrap_point(x), t)
         if all(map(math.isfinite, g)):
             out = [-v for v in g[n:]]
             out += g[:n]
-            return out if floats else np.array(out)
+            return out
     g = H.grad(x, t)
     out = np.empty_like(g)
     np.negative(g[..., n:], out=out[..., :n])

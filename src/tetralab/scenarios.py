@@ -558,7 +558,8 @@ def run_reeb_chord(cfg: ScenarioConfig) -> ScenarioReport:
         # grows with T, so no escape ball applies
         traj = integrate(H, [1.0, th0], 0.0, 10.0 * T / fmin + 1.0,
                          tol=1e-12, escape_norm=math.inf, events=[arrive])
-        times.extend(traj.event_times[:1])
+        if traj.stop is not None:
+            times.append(traj.stop)
     found = len(times) == len(starts)
     time_len = min(times) if times else None
     return ScenarioReport(

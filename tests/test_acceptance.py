@@ -386,10 +386,13 @@ _FRESH_RUN = (
 def test_criterion_9_determinism(report_line):
     # A fresh interpreter with a fixed, non-default hash seed catches
     # dependence on string-hash order or on process-global state, which no
-    # in-process repeat can.  It starts first so that it runs alongside
-    # the in-process runs.
+    # in-process repeat can.  It also runs numpy at its baseline SIMD
+    # dispatch (no AVX2 or AVX-512 kernels; numpy ignores a feature the
+    # CPU lacks), so the reports are pinned across dispatch paths too.  It
+    # starts first so that it runs alongside the in-process runs.
     here = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONHASHSEED="2718",
+               NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
                PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
                                            str(here)]))
     fresh = subprocess.Popen([sys.executable, "-c", _FRESH_RUN], env=env,
@@ -409,6 +412,7 @@ def test_criterion_9_determinism(report_line):
     checks = []
     for name, _ in DETERMINISM_RUNNERS:
         checks.append((f"{name}: repeat run identical", repeats[name]))
-        checks.append((f"{name}: fresh interpreter identical",
+        checks.append((f"{name}: fresh interpreter at baseline dispatch "
+                       "identical",
                        fresh_digests.get(name) == digests[name]))
     report_line(9, "byte-identical reproducibility", checks)

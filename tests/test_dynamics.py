@@ -173,6 +173,28 @@ class TestIntegrate:
                            atol=1e-12)
         assert np.array_equal(traj.states[-1], traj(traj.t1))
 
+    def test_terminal_rule_skips_roots_it_rejects(self):
+        """q = sin t from t = 0.5: the event q with the rule t > 4 lets
+        the root at pi pass, ends the run at 2 pi and reports it as the
+        stop; both roots are event times."""
+        def crossing(c):
+            return c[1]
+
+        crossing.terminal = lambda t, state: t > 4
+        traj = integrate(harmonic(), [math.cos(0.5), math.sin(0.5)], 0.5,
+                         9.0, tol=1e-12, events=[crossing])
+        assert traj.stop == traj.t1 == traj.times[-1]
+        assert traj.stop == pytest.approx(2 * math.pi, abs=1e-10)
+        assert np.allclose(traj.event_times, [math.pi, 2 * math.pi],
+                           atol=1e-10)
+        assert traj.event_times[-1] == traj.stop
+
+    def test_a_run_to_its_end_has_no_stop(self):
+        traj = integrate(harmonic(), [1.0, 0.0], 0.0, 1.0,
+                         events=[lambda c: c[1] - 0.5])
+        assert traj.stop is None and traj.t1 == 1.0
+        assert len(traj.event_times) == 1
+
     def test_one_point_runs_without_array_dense_output(self, monkeypatch):
         """One point's dense output is evaluated on floats: with the array
         ``_dense`` raising, ``integrate`` finds the ceiling's event root
@@ -523,6 +545,31 @@ class TestChordSearchConfig:
         assert ChordSearchConfig(escape_norm=math.inf).escape_norm == math.inf
 
 
+_BAD_SETTINGS = [("tol", 0.0), ("tol", -1e-9), ("tol", math.nan),
+                 ("tol", math.inf), ("escape_norm", math.nan),
+                 ("escape_norm", 0.0), ("escape_norm", -1.0)]
+
+
+class TestRunSettings:
+    """``integrate`` and ``ensemble_sweep`` check their settings by the
+    rules of ``ChordSearchConfig``: a zero tolerance divided by zero, a
+    negative one stepped without error control, a nan one blamed the
+    gradient, and a nan escape ball never escaped."""
+
+    @pytest.mark.parametrize("name, value", _BAD_SETTINGS)
+    def test_integrate_names_a_bad_setting(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            integrate(unstable_hamiltonian(1), [0.5, 0.1], 0.0, 5.0,
+                      **{name: value})
+
+    @pytest.mark.parametrize("name, value", _BAD_SETTINGS)
+    def test_ensemble_sweep_names_a_bad_setting(self, name, value):
+        H, X0, X1, budget, _, _ = SWEEP_CASES["unstable"]
+        with pytest.raises(ValueError, match=name):
+            ensemble_sweep(H, X1, X0.sample_points(4), [0.0] * 4, budget,
+                           **{name: value})
+
+
 class TestFindChord:
     def test_channel_chord_has_analytic_time(self):
         tet = build_tetragon(CircleModel(), 1.0, 2.0, 0.25)
@@ -632,6 +679,54 @@ class TestFindChord:
         assert res.chord.time_length == pytest.approx(0.5 * math.log(2),
                                                       abs=1e-4)
         assert res.chord.validate(tet.floor, tet.ceiling, math.pi / 4)
+
+    def test_an_escape_just_past_the_arrival_keeps_the_chord(self):
+        """A ball of radius sqrt 2 (1 + 1e-7), just outside the ceiling:
+        every run stops at its arrival, before it could escape, so the
+        search is the default ball's, bit for bit."""
+        tet = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
+        H, budget = unstable_hamiltonian(1), math.pi / 4
+        ref = find_chord(H, tet.floor, tet.ceiling, budget)
+        res = find_chord(H, tet.floor, tet.ceiling, budget, ChordSearchConfig(
+            escape_norm=math.sqrt(2) * (1 + 1e-7)))
+        assert ref.found and res.found
+        assert (res.chord.t1, res.chord.time_error, res.n_refine_evals) == (
+            ref.chord.t1, ref.chord.time_error, ref.n_refine_evals)
+        assert res.n_refine_failed == 0
+
+    def test_escaped_refinement_runs_are_failures(self, monkeypatch):
+        """On ``test_escapes_are_counted``'s fixture no run arrives, so an
+        evaluation ranks (1, inf) exactly when its run failed: each such
+        run left the ball, and each such evaluation is counted as failed
+        and named in the message."""
+        tet = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
+        values, failures = [], []
+        real_search, real_integrate = pattern_search, dynamics.integrate
+
+        def search(f, *args, **kwargs):
+            def recorded(z):
+                values.append(f(z))
+                return values[-1]
+            return real_search(recorded, *args, **kwargs)
+
+        def spy(*args, **kwargs):
+            try:
+                return real_integrate(*args, **kwargs)
+            except (EscapeError, StiffnessError) as exc:
+                failures.append(exc)
+                raise
+
+        monkeypatch.setattr(dynamics, "pattern_search", search)
+        monkeypatch.setattr(dynamics, "integrate", spy)
+        res = find_chord(unstable_hamiltonian(1), tet.floor, tet.ceiling,
+                         0.3, ChordSearchConfig(n_seeds=32, escape_norm=1.2))
+        assert not res.found
+        assert failures and all(isinstance(e, EscapeError) for e in failures)
+        n_failed = sum(v == (1, math.inf) for v in values)
+        assert res.n_refine_failed == n_failed > 0
+        assert res.n_refine_evals == len(values)
+        assert (f"{len(values)} refinement evaluations, {n_failed} failed"
+                in res.message)
 
     def test_refinement_finds_chord_the_sweep_missed(self):
         """Two seeds are the floor arc's endpoints, which reach the
@@ -747,7 +842,8 @@ class TestIncumbentWindow:
         assert len(starts) < res.n_refine_evals
         winner = starts.index(calls[-1][0])
         assert _certified_hit(calls[winner][3], X1, 0.0) == res.chord.t1
-        assert calls[-1][2] == res.chord.trajectory.t1
+        assert res.chord.trajectory.stop == res.chord.t1
+        assert calls[-1][2] >= res.chord.t1
 
     def test_no_hit_refines_over_the_full_budget(self, monkeypatch):
         """With no hit anywhere there is no incumbent: every refinement
@@ -783,13 +879,14 @@ class TestIncumbentWindow:
                                                   abs=1e-6)
 
     @pytest.mark.parametrize("case", ["unstable", "perturbed", "channel_k2",
-                                      "mechanical", "wall_witness",
-                                      "constant"])
+                                      "mechanical", "sphere_k4",
+                                      "wall_witness", "constant"])
     def test_winner_passes_certification(self, case, monkeypatch):
         """Refinement's first evaluation, at the sweep's best start, ranks
         it as the sweep did, bit for bit; a found chord's time is the
         incumbent the search returns, exactly, and carries a small error
-        estimate."""
+        estimate.  The chord's trajectory is the winning run, which ends
+        at its arrival."""
         H, X0, X1, budget, phases, n = SWEEP_CASES[case]
         sweeps, searches = [], []
         real_sweep, real_search = dynamics.ensemble_sweep, pattern_search
@@ -822,6 +919,8 @@ class TestIncumbentWindow:
         assert res.found == (not missed)
         if res.found:
             assert res.chord.time_length == value
+            traj = res.chord.trajectory
+            assert traj.t1 == res.chord.t1 == traj.stop
             assert res.chord.validate(X0, X1, budget)
             assert 0.0 <= res.chord.time_error < 1e-8
         else:
