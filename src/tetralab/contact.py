@@ -156,7 +156,7 @@ class ContactModel:
         """Raise ``ParameterError`` unless T satisfies (C2)."""
         tmax = self.max_reeb_time
         strict = not self.max_reeb_time_inclusive
-        if T <= 0.0 or (T >= tmax if strict else T > tmax):
+        if not (T > 0.0 and (T < tmax if strict else T <= tmax)):
             cmp = "<" if strict else "<="
             raise ParameterError(
                 f"Reeb time T={T} violates 0 < T {cmp} {tmax} "

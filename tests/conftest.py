@@ -206,6 +206,29 @@ def shrink_prototype_masks(problem: Pb4Problem, cells=2) -> Pb4Problem:
     return replace(problem, masks=out)
 
 
+def whole_grid_bracket(problem: Pb4Problem, F, G):
+    """Reference for ``discrete_bracket``: the same per-triangle formula
+    evaluated on whole-grid corner arrays in one pass."""
+    w = problem.window
+
+    def corners(A):
+        A = np.asarray(A, dtype=float)
+        if w.periodic_u:
+            left, right = A, np.roll(A, -1, axis=1)
+        else:
+            left, right = A[:, :-1], A[:, 1:]
+        return left[:-1], left[1:], right[:-1], right[1:]
+
+    def tri(fs, fu, gs, gu):
+        return (fu / w.h_u) * (gs / w.h_s) - (fs / w.h_s) * (gu / w.h_u)
+
+    f00, f10, f01, f11 = corners(F)
+    g00, g10, g01, g11 = corners(G)
+    lower = tri(f10 - f00, f01 - f00, g10 - g00, g01 - g00)
+    upper = tri(f11 - f01, f11 - f10, g11 - g01, g11 - g10)
+    return np.stack([lower, upper])
+
+
 # ---------------------------------------------------------------------------
 # Session-scoped heavy runs
 # ---------------------------------------------------------------------------

@@ -172,6 +172,19 @@ class TestPb4Command:
                      str(tmp_path / "o")]) == 1
         assert "n_s, n_u >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("geometry, message", [
+        ({"R0": 2.0, "R1": 1.0}, "need 0 < R0 < R1"),
+        ({"T": math.nan}, "Reeb time T=nan"),
+        ({"T": -0.1}, "Reeb time T=-0.1"),
+    ])
+    def test_bad_geometry_rejected(self, tmp_path, capsys, geometry,
+                                   message):
+        cfg = write_config(tmp_path, {"n": 32, **geometry})
+        out = tmp_path / "o"
+        assert main(["pb4", "estimate", cfg, "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
 
 class TestChordCommand:
     def test_channel_chord_with_artifacts(self, tmp_path):

@@ -210,6 +210,11 @@ class TestMakeModel:
         for model in ALL_MODELS:
             model.check_reeb_time(model.default_reeb_time)
 
+    def test_nan_reeb_time_rejected(self):
+        for model in ALL_MODELS:
+            with pytest.raises(ParameterError, match="Reeb time T=nan"):
+                model.check_reeb_time(math.nan)
+
     def test_torus_needs_k2(self):
         with pytest.raises(ParameterError):
             TorusModel(1)

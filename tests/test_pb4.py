@@ -1,21 +1,23 @@
 """Grid bracket estimator, feasibility machinery and wall witness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tetralab.dynamics import find_chord, integrate, separation
-from tetralab.contact import CircleModel, build_tetragon
-from tetralab.pb4 import (GridWindow, InfeasibleError, Pb4Problem,
-                          discrete_bracket, estimate_pb4_plus,
+from tetralab.contact import CircleModel, ParameterError, build_tetragon
+from tetralab.pb4 import (BLOCK_CELLS, GridWindow, InfeasibleError,
+                          Pb4Problem, discrete_bracket, estimate_pb4_plus,
                           feasible_pair_value, interpolant_pair,
                           project_fields, prototype_hamiltonian_pair,
                           prototype_problem, wall_witness)
 from tetralab.phase_core import poisson_bracket
 
-from conftest import check_gradient, relabeled, shrink_prototype_masks
+from conftest import (check_gradient, relabeled, shrink_prototype_masks,
+                      whole_grid_bracket)
 
 
 def plane_problem(n=32):
@@ -51,6 +53,19 @@ class TestGridWindow:
     def test_needs_two_nodes_per_axis(self, n_s, n_u):
         with pytest.raises(ValueError, match="n_s, n_u >= 2"):
             GridWindow(0.0, 1.0, 0.0, 1.0, n_s, n_u)
+
+    @pytest.mark.parametrize("bounds", [
+        (1.0, 1.0, 0.0, 1.0),  # h_s = 0
+        (1.0, 0.0, 0.0, 1.0),  # h_s < 0 would flip every bracket
+        (0.0, 1.0, 0.5, 0.5),
+        (0.0, 1.0, 1.0, 0.0),
+        (0.0, math.nan, 0.0, 1.0),
+        (-math.inf, 1.0, 0.0, 1.0),
+        (0.0, 1.0, 0.0, math.inf),
+    ])
+    def test_needs_finite_increasing_bounds(self, bounds):
+        with pytest.raises(ValueError, match="finite s_lo < s_hi"):
+            GridWindow(*bounds, 8, 8)
 
 
 def null_mode_pair(n):
@@ -95,6 +110,32 @@ class TestOperators:
         rolled = discrete_bracket(problem, np.roll(F, 5, axis=1),
                                   np.roll(G, 5, axis=1))
         assert np.array_equal(rolled, np.roll(b, 5, axis=2))
+
+    @pytest.mark.parametrize("periodic_u, n_u", [
+        (True, 512), (False, 257), (False, 3), (True, BLOCK_CELLS + 3),
+    ])
+    def test_blocks_match_whole_grid_reference(self, periodic_u, n_u):
+        """Every block height and block edge gives the whole-grid
+        formula's value to the bit, signed zeros included."""
+        rows = max(1, BLOCK_CELLS // (n_u if periodic_u else n_u - 1))
+        rng = np.random.default_rng(n_u)
+        for n_s in sorted({2, 3, rows - 1, rows, rows + 1, rows + 2,
+                           2 * rows + 1} - {0, 1}):
+            problem = Pb4Problem(
+                window=GridWindow(0.5, 2.5, -0.3, 0.7, n_s, n_u,
+                                  periodic_u=periodic_u),
+                masks={name: np.zeros((n_s, n_u), dtype=bool)
+                       for name in ("X0", "X1", "Y0", "Y1")})
+            F, G = (rng.choice([-1.0, 1.0], size=(2, n_s, n_u))
+                    * 10.0 ** rng.uniform(-100.0, 100.0, (2, n_s, n_u)))
+            F[rng.random(F.shape) < 0.2] = 0.0
+            G[rng.random(G.shape) < 0.2] = -0.0
+            F[:, ::7] = -0.0  # whole zero columns: exact zero differences
+            got = discrete_bracket(problem, F, G)
+            want = whole_grid_bracket(problem, F, G)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64),
+                                  want.view(np.uint64)), n_s
 
     def test_matches_analytic_bracket_on_cylinder_chart(self):
         """Discrete bracket of sampled smooth fields converges to the
@@ -162,6 +203,42 @@ class TestFeasibility:
                                           *interpolant_pair(problem))
         if n == 128:
             assert val == 254.0
+
+    @pytest.mark.parametrize("field, where, value", [
+        ("F", "X1", math.nan),
+        ("G", "off", math.nan),
+        ("F", "off", math.inf),
+        ("G", "Y0", -math.inf),
+    ])
+    def test_non_finite_field_is_named(self, field, where, value):
+        """NaN passes every mask comparison, so a NaN or inf node must be
+        refused before the masks are read."""
+        problem = prototype_problem(32)
+        F, G = interpolant_pair(problem)
+        if where == "off":
+            target = ~np.logical_or.reduce(
+                [problem.frame_mask()] + list(problem.masks.values()))
+        else:
+            target = problem.masks[where]
+        (F if field == "F" else G)[tuple(np.argwhere(target)[0])] = value
+        with pytest.raises(InfeasibleError, match=f"{field} has a non-finite"):
+            feasible_pair_value(problem, F, G)
+        with pytest.raises(InfeasibleError, match=f"{field} has a non-finite"):
+            estimate_pb4_plus(problem, warm_start=(F, G))
+
+    def test_bracket_memory_is_its_output_plus_blocks(self):
+        """The bracket's output is its only full-grid array: validating
+        at n = 512 allocates under the output's bytes plus 2 MiB (a
+        whole-grid evaluation peaks near 20 MiB)."""
+        problem = prototype_problem(512)
+        F, G = interpolant_pair(problem)
+        tracemalloc.start()
+        try:
+            feasible_pair_value(problem, F, G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 511 * 512 * 8 + 2 * 2**20
 
     def test_projection_is_idempotent(self):
         problem = plane_problem()
@@ -268,6 +345,18 @@ class TestPrototype:
         assert r128.trace == (
             (("start", 0), ("value", r128.estimate), ("iterations", 0)),
         )
+
+    @pytest.mark.parametrize("geometry, message", [
+        ({"R0": 2.0, "R1": 1.0}, "need 0 < R0 < R1"),
+        ({"R0": 0.0}, "need 0 < R0 < R1"),
+        ({"R1": math.nan}, "need 0 < R0 < R1"),
+        ({"T": 1.0}, "Reeb time T=1.0"),
+        ({"T": -0.1}, "Reeb time T=-0.1"),
+        ({"T": math.nan}, "Reeb time T=nan"),
+    ])
+    def test_geometry_checked_as_the_tetragon(self, geometry, message):
+        with pytest.raises(ParameterError, match=message):
+            prototype_problem(32, **geometry)
 
     def test_shrink_refuses_to_empty_masks(self):
         problem = prototype_problem(16)
