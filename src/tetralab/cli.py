@@ -77,9 +77,8 @@ _TETRAGON_SCHEMA = {
 
 
 def _check_keys(cfg, schema, path=""):
-    if not isinstance(cfg, dict):
-        raise UsageError(f"config section {path or '<root>'} must be "
-                         "an object")
+    if not isinstance(cfg, dict):  # load_config checks the root
+        raise UsageError(f"config section {path} must be an object")
     for key, val in cfg.items():
         here = f"{path}.{key}" if path else key
         if key not in schema:
@@ -129,6 +128,8 @@ def load_config(path, overrides, schema):
         raise UsageError(
             f"config {path}: parse error at line {exc.lineno}: {exc.msg}"
         )
+    if not isinstance(cfg, dict):  # before an override indexes into it
+        raise UsageError("config section <root> must be an object")
     cfg = _apply_overrides(cfg, overrides)
     _check_keys(cfg, schema)
     # beyond the schema, only what the scenario kind or Hamiltonian reads
@@ -320,7 +321,7 @@ def _cmd_chord(cfg):
     csvs = {}
     if result.found:
         traj = result.chord.trajectory
-        ts = np.linspace(result.chord.t0, result.chord.t1, 200)
+        ts = np.linspace(traj.t0, traj.t1, 200)
         states = traj.sample(ts)
         k = H.chart.dim_pairs
         csvs["trajectory.csv"] = (

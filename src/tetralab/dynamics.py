@@ -4,10 +4,12 @@ Every flow runs through one DOP853 stepper, whose tableau the package
 carries (``dop853``; importing the package loads no scipy):
 ``ensemble_sweep`` steps rows of points as arrays, and ``integrate`` steps
 one point on Python floats, rounding as a row does, so a sweep member and
-its ``integrate`` run agree bit for bit.  One point's dense output, its
-event roots and, for an event with a float twin (``point``, as the
-regions of ``contact.build_tetragon`` carry), its event values are on
-floats too.  The chord search sweeps a seed grid on the start region
+its ``integrate`` run agree bit for bit, and end alike: at an arrival (a
+target root inside the escape ball, ``_arrival``), or escaped at a start
+or step end outside the ball.  One point's dense output, its stop roots
+and, for an event with a float twin (``point``, as the regions of
+``contact.build_tetragon`` carry), its event values are on floats too.
+The chord search sweeps a seed grid on the start region
 (and start phases for time-periodic Hamiltonians) in one ensemble,
 certifying each step's target roots by one distance call on their stack;
 its seed points and its disjointness check take one call each on their
@@ -16,10 +18,10 @@ miss) seeds one derivative-free pattern search (``find_chord``); its first
 evaluation repeats the sweep's, and it stops once its polls only chase
 rounding noise (``pattern_search``), as the separation estimates do.
 Every run of the search, like a sweep member, stops at its first
-certified arrival (a terminal rule on the target event, see
-``integrate``), so each candidate is integrated once and the winning
-evaluation's run, ending at its arrival, is the chord; one more run at
-a hundredth of the ODE tolerance gives its error bar.
+certified arrival (``integrate``'s ``stop``), so each candidate is
+integrated once and the winning evaluation's run, ending at its arrival,
+is the chord; one more run at a hundredth of the ODE tolerance gives its
+error bar.
 """
 
 from __future__ import annotations
@@ -73,19 +75,16 @@ class Trajectory:
     """A sampled integral curve with dense output.
 
     ``times``/``states`` are the accepted solver steps (states wrapped to
-    the chart), except that a run ended by a terminal event ends at that
+    the chart), except that a run ended by its stop event ends at that
     root: ``stop`` is its time (None for a run that reached its end
     time), and the last entry of ``times``.  ``dense`` evaluates the
     unwrapped dense-output interpolant, at one time as a list of floats
     and at times ``(m,)`` as a ``(dim, m)`` array of the same floats.
-    ``event_times`` lists the detected roots of the caller's events, up
-    to ``stop``.
     """
 
     chart: object
     times: np.ndarray
     states: np.ndarray
-    event_times: tuple = ()
     stop: Optional[float] = None
     dense: Callable = field(default=None, compare=False, repr=False)
 
@@ -371,20 +370,22 @@ def _point_root(value, lo, hi, fa, fb):
 
 
 def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
-              escape_norm=100.0, events=None) -> Trajectory:
+              escape_norm=100.0, stop=None) -> Trajectory:
     """Adaptive dense-output integration of the Hamiltonian flow of H.
 
     DOP853 at rtol ``tol`` and atol ``tol / 100``, stepping the point on
     floats as ``ensemble_sweep`` steps a row (``tol`` positive and
-    finite, ``escape_norm`` positive or inf, else ``ValueError``).
-    ``event_times`` lists the roots of the caller's events, and one with
-    a float twin ``point`` (see ``contact.Region``) is evaluated by the
-    twin.  An event's ``terminal`` attribute, ``True`` or a rule
-    ``terminal(t, state)`` on a root's time and wrapped point (an array,
-    as ``Region.membership`` takes), ends the run at the first root, in
-    time order, that is terminal or whose rule holds; the trajectory then
-    ends at that root, its ``stop``.  Leaving (or starting outside) the
-    ``escape_norm`` ball raises ``EscapeError``, a step underflow
+    finite, ``escape_norm`` positive or inf, else ``ValueError``), and
+    ending where a sweep member ends.  ``stop`` is one event on the
+    wrapped state, evaluated by its float twin ``point`` where it has one
+    (see ``contact.Region``).  A step whose ends it brackets gets one
+    root, found on the dense output; that root ends the run, as the
+    trajectory's ``stop`` and last time, when its point lies inside the
+    ``escape_norm`` ball and the event's optional rule ``arrived(t,
+    state)``, on the root's time and wrapped point (an array, as
+    ``Region.membership`` takes), holds.  A start on or outside the ball
+    raises ``EscapeError`` at t0, and so does a step that ends outside it
+    without stopping, at that step end; a step underflow raises
     ``StiffnessError``.  A step's dense coefficients are built when
     first read, as float lists; the dense output at an array of times
     reads them time by time (``_point_dense``).  Periodic
@@ -400,23 +401,17 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
     def rhs(t, y):
         return sgrad(H, y, t)  # H.grad reduces periodic coordinates
 
-    # event 0 is the escape ball; the caller's events see wrapped states,
-    # as lists of floats where an event has a float twin (``point``)
-    events = list(events or ())
-    funcs = [lambda y: float(escape_norm - _point_norm(y))]
-    funcs += [(lambda y, p=g.point: p(chart.wrap_point(y)))
-              if getattr(g, "point", None) else
-              (lambda y, g=g: float(g(chart.wrap(y)))) for g in events]
-    terminal = [True] + [getattr(g, "terminal", False) for g in events]
-
     t, t1 = float(t0), float(t1)
     y = chart.wrap(x0).tolist()
+    if stop is not None:
+        point = getattr(stop, "point", None)
+        arrived = getattr(stop, "arrived", None)
+        event = ((lambda y: point(chart.wrap_point(y))) if point
+                 else lambda y: float(stop(chart.wrap(y))))
+        g = event(y)
     f = rhs(t, y)
     h_abs = _point_initial_step(rhs, t, y, f, t1, rtol, atol)
-    g = [fn(y) for fn in funcs]
     times, states = [t], [y]
-    # a start on or outside the ball escapes at t0
-    roots = [[t] if g[0] <= 0 else []] + [[] for _ in events]
     steps = []  # [t, h, y, y_new, K, dense coefficients or None]
 
     def coeffs(k):
@@ -429,8 +424,15 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
         t, h, y0 = steps[k][:3]
         return _point_dense(coeffs(k), y0, (tq - t) / h)
 
-    done, stop = bool(roots[0]), None
-    while not done:
+    end = None  # the stop root
+    while True:
+        # a start or step end on or outside the ball escapes, as a sweep
+        # row does (a stop root lies inside it)
+        if _point_norm(y) >= escape_norm:
+            raise EscapeError(f"trajectory norm exceeded {escape_norm}", t,
+                              chart.wrap(y))
+        if end is not None or t >= t1:
+            break
         K, err, fresh = [None] * N_STAGES_EXTENDED, 1.0, True
         # move at most the feature width
         h_abs = min(h_abs, H.feature_width / max(_point_norm(f), _EPS))
@@ -447,26 +449,19 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
             h_abs, fresh = abs(h) * _point_step_factor(err, fresh), False
         k = len(steps)
         steps.append([t, h, y, y_new, K, None])
-        g_old, g = g, [fn(y_new) for fn in funcs]
         t, y, f = t_new, y_new, f_new
-        done = t >= t1
-        act = [e for e, (a, b) in enumerate(zip(g_old, g))
-               if a <= 0 <= b or b <= 0 <= a]
-        # the step's roots in time order, up to the first that stops
-        for root, e in sorted(
-                (_point_root(lambda tc, e=e: funcs[e](at(k, tc)),
-                             steps[k][0], t, g_old[e], g[e]), e)
-                for e in act):
-            roots[e].append(root)
-            rule = terminal[e]
-            if rule(root, chart.wrap(at(k, root))) if callable(rule) else rule:
-                t, y, done, stop = root, at(k, root), True, root
-                break
+        if stop is not None:
+            g_old, g = g, event(y)
+            if g_old <= 0 <= g or g <= 0 <= g_old:
+                root = _point_root(lambda tc: event(at(k, tc)), steps[k][0],
+                                   t, g_old, g)
+                y_root = at(k, root)
+                if _point_norm(y_root) < escape_norm and (
+                        arrived is None
+                        or arrived(root, chart.wrap(y_root))):
+                    t, y, end = root, y_root, root
         times.append(t)
         states.append(y)
-    if roots[0]:
-        raise EscapeError(f"trajectory norm exceeded {escape_norm}",
-                          roots[0][0], chart.wrap(y))
     ts = np.array(times)
 
     def dense(tq):
@@ -481,11 +476,9 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
         k = int(ts.searchsorted(tq)) - 1
         return at(min(max(k, 0), len(steps) - 1), float(tq))
 
-    return Trajectory(
-        chart=chart, times=ts, states=chart.wrap(np.array(states)),
-        event_times=tuple(sorted(t for rs in roots[1:] for t in rs)),
-        stop=stop, dense=dense,
-    )
+    return Trajectory(chart=chart, times=ts,
+                      states=chart.wrap(np.array(states)), stop=end,
+                      dense=dense)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +488,9 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
 # target-distance samples per chord window, shared by the sweep and the
 # refinement so that both measure a miss at the same times
 MISS_SAMPLES = 64
+# a target root is an arrival only more than this long after the start
+# phase, so that a start on the target does not arrive at once
+ARRIVAL_OFFSET = 1e-12
 # once a hit at t* is certified, refinement and certification integrate
 # only to t* + INCUMBENT_MARGIN * budget; the margin covers the hit-time
 # shift a shorter span causes (at most 5.4e-10 on the scenario fixtures at
@@ -532,25 +528,27 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
     all advancing together as ``(N, 2n)`` arrays.  After
     every accepted step, sign changes of the target event are solved on
     the dense interpolant by ``_event_root``; the first root with ``t -
-    phase > 1e-12`` whose point lies in X1 ends the member as a hit.  A
-    step certifies all its roots by one ``Region.distance`` call on their
-    stack (within ``MEMBER_TOL``, as ``membership`` tests one point); the
-    best hit is the earliest certified root so far, and a member whose
-    root comes more than 1e-12 after it is dropped uncertified.
-    A member whose state norm reaches ``escape_norm`` before a hit (or at
-    its start) is lost as escaped.  Until some hit exists, target
-    distances are sampled at ``linspace(phase, phase + time_budget,
-    MISS_SAMPLES)``, in passes of whole members of at most ``n_all +
+    phase > ARRIVAL_OFFSET`` whose point lies inside the escape ball and
+    in X1 ends the member as a hit.  A step certifies all its roots by one
+    ``Region.distance`` call on their stack (within ``MEMBER_TOL``, as
+    ``membership`` tests one point); the best hit is the earliest
+    certified root so far, and a member whose root comes more than 1e-12
+    after it is dropped uncertified.  A member whose state norm reaches
+    ``escape_norm`` at a step end before a hit (or at its start) is lost
+    as escaped.  Until some hit exists, target distances are sampled at
+    ``linspace(phase, phase + time_budget, MISS_SAMPLES)``, in passes of whole members of at most ``n_all +
     MISS_SAMPLES - 1`` rows for ``n_all`` starts; after, members that can
     no longer arrive before the best hit are dropped (``hit`` stays nan).
     A step's dense output is in column layout (``_dense_coeffs``); a
     pass repeats each member's coefficients and start state along the
     last axis, one column per sample, evaluates them by ``_dense`` and
     hands ``Region.distance`` the C-ordered rows, as the roots do.
-    A member's outcome is that of its ``integrate`` run bit for bit, and
-    does not depend on the rest of the batch, except for being dropped,
-    as long as G's callbacks round a point as a row and rows alike in any
-    batch (``_stage_sum`` adds in stage order, unlike BLAS).
+    A member's outcome is that of its ``integrate`` run with ``stop=
+    _arrival(X1, phase)`` bit for bit (escaped exactly when that run
+    raises ``EscapeError``), and does not depend on the rest of the batch,
+    except for being dropped, as long as G's callbacks round a point as a
+    row and rows alike in any batch (``_stage_sum`` adds in stage order,
+    unlike BLAS).
     """
     _check_run_settings(tol, escape_norm)
     chart = G.chart
@@ -642,7 +640,7 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
                     y_root = dense_rows(F[:, :, j], Y[:, j],
                                         (root - ta[rc]) / hn[j])
                     local = root - t0[acc[rc]]
-                    ok = ((local > 1e-12)
+                    ok = ((local > ARRIVAL_OFFSET)
                           & (np.linalg.norm(y_root, axis=-1) < escape_norm))
                     # certify the step's roots by one distance call; a root
                     # later than the best hit cannot win, and its member is
@@ -691,7 +689,8 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
                         lo = hi
                     next_sample[acc[rs]] = stop
 
-            # a member inside the ball at the step's start leaves it
+            # a member that did not arrive escapes at a step end outside
+            # the ball
             esc = (np.linalg.norm(yn, axis=-1) >= escape_norm) & ~done[acc]
             escaped[idx[acc[esc]]] = True
             done[acc[esc]] = True
@@ -875,34 +874,21 @@ class Chord:
     """A certified trajectory segment from X0 to X1.
 
     ``trajectory`` is the winning refinement run, which ends at its first
-    certified arrival: its ``t1`` and ``stop`` are the chord's ``t1``.
-    ``time_error`` is ``|t1 - t1'| + 4 eps (1 + |t1|)``, with ``t1'`` the
-    arrival time certified by a run at a hundredth of the ODE tolerance
-    (inf if none) and the event root's bracket: an estimate of the error
-    of ``t1`` by tolerance proportionality (Hairer-Norsett-Wanner,
-    Solving ODEs I, II.4), not a rigorous bound.
+    certified arrival: the chord runs from its first state, at ``t0``, to
+    its last, at t1 = ``stop``.  ``time_error`` is
+    ``|t1 - t1'| + 4 eps (1 + |t1|)``, with ``t1'`` the arrival time
+    certified by a run at a hundredth of the ODE tolerance (inf if none)
+    and the event root's bracket: an estimate of the error of ``t1`` by
+    tolerance proportionality (Hairer-Norsett-Wanner, Solving ODEs I,
+    II.4), not a rigorous bound.
     """
 
     trajectory: Trajectory
-    start: np.ndarray
-    end: np.ndarray
-    t0: float
-    t1: float
-    start_distance: float
-    end_distance: float
     time_error: float
 
     @property
     def time_length(self):
-        return self.t1 - self.t0
-
-    def validate(self, X0: Region, X1: Region, time_budget):
-        ok = (
-            X0.membership(self.start)
-            and X1.membership(self.end)
-            and 0.0 < self.time_length <= time_budget + 1e-12
-        )
-        return bool(ok)
+        return self.trajectory.stop - self.trajectory.t0
 
 
 @dataclass(frozen=True)
@@ -957,13 +943,15 @@ class ChordSearchConfig:
 
 
 def _arrival(X1: Region, phase):
-    """X1's event with the sweep's arrival as its terminal rule: a root
-    more than 1e-12 after the start phase whose point is in X1."""
+    """X1's event as the stop event of a run from ``phase``, with the
+    sweep's arrival rule: a root more than ``ARRIVAL_OFFSET`` after the
+    start phase whose point is in X1."""
     def event(c):
         return X1.event_fn(c)
 
     event.point = getattr(X1.event_fn, "point", None)
-    event.terminal = lambda t, y: t - phase > 1e-12 and X1.membership(y)
+    event.arrived = (lambda t, y: t - phase > ARRIVAL_OFFSET
+                     and X1.membership(y))
     return event
 
 
@@ -1049,7 +1037,7 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
             traj = integrate(G, X0.param_point(params, comp), phase,
                              phase + span, tol=config.ode_tol,
                              escape_norm=config.escape_norm,
-                             events=[_arrival(X1, phase)])
+                             stop=_arrival(X1, phase))
         except (EscapeError, StiffnessError):
             return None
         if traj.stop is not None:
@@ -1075,11 +1063,11 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
                 f"{n_evals} refinement evaluations, {n_failed} failed"),
             **counts,
         )
-    return _certify(G, X0, X1, winner, min(time_budget, incumbent + margin),
+    return _certify(G, X1, winner, min(time_budget, incumbent + margin),
                     config, counts)
 
 
-def _certify(G, X0, X1, traj, window, config, counts) -> ChordSearchResult:
+def _certify(G, X1, traj, window, config, counts) -> ChordSearchResult:
     """Package the refinement's winning run ``traj``, which stopped at its
     first certified arrival, as the chord; a run from its start over
     ``window`` (the search's last window) at ``ode_tol / 100``, stopping
@@ -1090,15 +1078,10 @@ def _certify(G, X0, X1, traj, window, config, counts) -> ChordSearchResult:
         fine_hit = integrate(G, traj.states[0], phase, phase + window,
                              tol=config.ode_tol / 100,
                              escape_norm=config.escape_norm,
-                             events=[_arrival(X1, phase)]).stop
+                             stop=_arrival(X1, phase)).stop
     except (EscapeError, StiffnessError):
         fine_hit = None
-    start, end = traj(phase), traj(hit)
-    chord = Chord(
-        trajectory=traj, start=start, end=end,
-        t0=phase, t1=hit, start_distance=X0.distance(start),
-        end_distance=X1.distance(end),
-        time_error=math.inf if fine_hit is None
-        else abs(hit - fine_hit) + 4 * _EPS * (1 + abs(hit)))
+    chord = Chord(trajectory=traj, time_error=math.inf if fine_hit is None
+                  else abs(hit - fine_hit) + 4 * _EPS * (1 + abs(hit)))
     return ChordSearchResult(found=True, chord=chord, best_distance=0.0,
                              **counts)

@@ -196,16 +196,27 @@ def discrete_bracket(problem: Pb4Problem, F, G):
     return out
 
 
-def feasible_pair_value(problem: Pb4Problem, F, G):
-    """Max of the discrete bracket over all triangles, after checking
-    that both fields are finite and meet every constraint to within
-    ``FEASIBILITY_TOL``; any feasible pair upper-estimates the invariant
-    of the triangulated problem."""
-    F = np.asarray(F, dtype=float)
-    G = np.asarray(G, dtype=float)
+def _check_fields(problem: Pb4Problem, F, G):
+    """``InfeasibleError`` naming the field unless the arrays F and G both
+    have the grid's shape ``(n_s, n_u)`` and finite values."""
+    grid = (problem.window.n_s, problem.window.n_u)
     for nm, A in (("F", F), ("G", G)):
+        if A.shape != grid:
+            raise InfeasibleError(
+                f"{nm} has shape {A.shape}, not the grid's (n_s, n_u) = "
+                f"{grid}")
         if not np.isfinite(A).all():
             raise InfeasibleError(f"{nm} has a non-finite value")
+
+
+def feasible_pair_value(problem: Pb4Problem, F, G):
+    """Max of the discrete bracket over all triangles, after checking
+    that both fields have the grid's shape, are finite and meet every
+    constraint to within ``FEASIBILITY_TOL``; any feasible pair
+    upper-estimates the invariant of the triangulated problem."""
+    F = np.asarray(F, dtype=float)
+    G = np.asarray(G, dtype=float)
+    _check_fields(problem, F, G)
     frame = problem.frame_mask()
     checks = [
         ("X0", F[problem.thickened("X0")], "max", 0.0),
@@ -231,9 +242,11 @@ def feasible_pair_value(problem: Pb4Problem, F, G):
 
 
 def project_fields(problem: Pb4Problem, F, G):
-    """Nearest feasible fields: clip on masks, zero the frame."""
+    """Nearest feasible fields: clip on masks, zero the frame.  Fields of
+    another shape than the grid's, or not finite: ``InfeasibleError``."""
     F = np.array(F, dtype=float)
     G = np.array(G, dtype=float)
+    _check_fields(problem, F, G)
     frame = problem.frame_mask()
     tX0, tX1 = problem.thickened("X0"), problem.thickened("X1")
     tY0, tY1 = problem.thickened("Y0"), problem.thickened("Y1")

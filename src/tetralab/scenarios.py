@@ -428,8 +428,7 @@ def _chord_report(scenario, cfg: ScenarioConfig, tet, G: HamiltonianSpec,
     time_len = inc = time_err = None
     if result.found:
         n = cfg.k if p_only else None
-        a, b = (np.asarray(x, dtype=float)[:n]
-                for x in (result.chord.start, result.chord.end))
+        a, b = result.chord.trajectory.states[[0, -1], :n]
         inc = float(np.linalg.norm(b) - np.linalg.norm(a))
         time_len = result.chord.time_length
         time_err = result.chord.time_error
@@ -553,11 +552,10 @@ def run_reeb_chord(cfg: ScenarioConfig) -> ScenarioReport:
         def arrive(x):
             return x[1] - (th0 + span)
 
-        arrive.terminal = True
         # s * f(theta) is conserved, so s stays within max f / min f; theta
         # grows with T, so no escape ball applies
         traj = integrate(H, [1.0, th0], 0.0, 10.0 * T / fmin + 1.0,
-                         tol=1e-12, escape_norm=math.inf, events=[arrive])
+                         tol=1e-12, escape_norm=math.inf, stop=arrive)
         if traj.stop is not None:
             times.append(traj.stop)
     found = len(times) == len(starts)

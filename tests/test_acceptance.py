@@ -261,9 +261,9 @@ def _check_mean_value():
     if not res.found:
         return False
     tau = res.chord.time_length
-    ts = np.linspace(res.chord.t0, res.chord.t1, 101)
-    best = max(poisson_bracket(F, G, res.chord.trajectory(t))
-               for t in ts)
+    traj = res.chord.trajectory
+    ts = np.linspace(traj.t0, traj.t1, 101)
+    best = max(poisson_bracket(F, G, traj(t)) for t in ts)
     return best >= 1.0 / tau - 1e-6
 
 

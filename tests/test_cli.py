@@ -95,6 +95,21 @@ class TestScenarioCommand:
         path.write_text("{not json")
         assert main(["scenario", "run", str(path)]) == 1
 
+    @pytest.mark.parametrize("root", [[1, 2], "k", 3, None])
+    @pytest.mark.parametrize("command", [["scenario", "run"],
+                                         ["validate", "config"]])
+    def test_config_root_must_be_an_object(self, tmp_path, capsys, root,
+                                           command):
+        """A root that is no JSON object is refused before ``--set``
+        indexes into it: exit 1 with the section named, nothing
+        written."""
+        cfg = write_config(tmp_path, root, name="list.json")
+        out = tmp_path / "o"
+        assert main(command + [cfg, "--set", "k=2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: config section <root> must be an object")
+        assert not out.exists()
+
     def test_config_error_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "nonsense"})
         assert main(["scenario", "run", cfg]) == 1

@@ -36,6 +36,14 @@ def assert_bits(a, b):
     assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def assert_chord(chord, X0, X1, budget):
+    """The chord's run goes from a member of X0 to a member of X1 in a
+    positive time within the budget."""
+    states = chord.trajectory.states
+    assert X0.membership(states[0]) and X1.membership(states[-1])
+    assert 0.0 < chord.time_length <= budget + 1e-12
+
+
 class TestIntegrate:
     def test_exponential_growth_on_diagonal(self):
         H = unstable_hamiltonian(1)
@@ -81,12 +89,17 @@ class TestIntegrate:
             integrate(harmonic(), [1.0, 0.0], 1.0, 0.5)
 
     def test_escape_raises_with_state(self):
+        """The escape is the first step end outside the ball, with its
+        state: the run without a ball takes the same steps."""
         H = unstable_hamiltonian(1)
         with pytest.raises(EscapeError) as exc:
             integrate(H, [2.0, 2.0], 0.0, 10.0, escape_norm=10.0)
+        free = integrate(H, [2.0, 2.0], 0.0, 10.0, escape_norm=math.inf)
+        k = free.times.tolist().index(exc.value.t)
+        norms = np.linalg.norm(free.states, axis=-1)
         assert exc.value.t < 10.0
-        assert np.linalg.norm(exc.value.state) == pytest.approx(10.0,
-                                                                rel=1e-6)
+        assert norms[k] >= 10.0 and (norms[:k] < 10.0).all()
+        assert np.array_equal(exc.value.state, free.states[k])
 
     @pytest.mark.parametrize("x0, radius", [([2.0, 2.0], 1.0),
                                             ([1.0, 0.0], 1.0)])
@@ -110,11 +123,15 @@ class TestIntegrate:
         assert str(caught[1]) == str(caught[0])
 
     def test_event_roots_of_circular_orbit(self):
-        # q(t) = sin t crosses zero at multiples of pi
+        """q(t) = sin t crosses zero at multiples of pi: the stop event q,
+        whose rule passes the root at the start, stops the run at pi."""
+        def crossing(c):
+            return c[1]
+
+        crossing.arrived = lambda t, state: t > 1e-6
         traj = integrate(harmonic(), [1.0, 0.0], 0.0, 7.0, tol=1e-12,
-                         events=[lambda c: c[1]])
-        roots = np.array([t for t in traj.event_times if t > 1e-6])
-        assert np.allclose(roots, [math.pi, 2 * math.pi], atol=1e-9)
+                         stop=crossing)
+        assert traj.stop == pytest.approx(math.pi, abs=1e-9)
 
     def test_energy_conservation_bounded_orbit(self):
         H = harmonic()
@@ -158,55 +175,56 @@ class TestIntegrate:
         assert np.linalg.det(jac) == pytest.approx(1.0, abs=1e-5)
 
 
-    def test_terminal_event_ends_at_its_root(self):
-        """q = sin t: the terminal event q = 0.5 ends the curve at pi/6,
-        after the root of q = 0.3 and before that of q = 0.6."""
-        def stop(c):
-            return c[1] - 0.5
-
-        stop.terminal = True
+    def test_stop_event_ends_at_its_root(self):
+        """q = sin t: the stop event q = 0.5 with no rule ends the curve
+        at its root pi/6, the run's last time and state."""
         traj = integrate(harmonic(), [1.0, 0.0], 0.0, 7.0, tol=1e-12,
-                         events=[lambda c: c[1] - 0.3, stop,
-                                 lambda c: c[1] - 0.6])
-        assert traj.event_times[-1] == traj.t1
-        assert np.allclose(traj.event_times, [math.asin(0.3), math.pi / 6],
-                           atol=1e-12)
+                         stop=lambda c: c[1] - 0.5)
+        assert traj.stop == traj.t1 == traj.times[-1]
+        assert traj.stop == pytest.approx(math.pi / 6, abs=1e-12)
         assert np.array_equal(traj.states[-1], traj(traj.t1))
 
-    def test_terminal_rule_skips_roots_it_rejects(self):
-        """q = sin t from t = 0.5: the event q with the rule t > 4 lets
-        the root at pi pass, ends the run at 2 pi and reports it as the
-        stop; both roots are event times."""
+    def test_arrival_rule_skips_roots_it_rejects(self):
+        """q = sin t from t = 0.5: the stop event q with the rule t > 4 is
+        asked at the root at pi, lets it pass, and ends the run at 2 pi,
+        its stop."""
+        asked = []
+
         def crossing(c):
             return c[1]
 
-        crossing.terminal = lambda t, state: t > 4
+        def arrived(t, state):
+            asked.append(t)
+            return t > 4
+
+        crossing.arrived = arrived
         traj = integrate(harmonic(), [math.cos(0.5), math.sin(0.5)], 0.5,
-                         9.0, tol=1e-12, events=[crossing])
+                         9.0, tol=1e-12, stop=crossing)
         assert traj.stop == traj.t1 == traj.times[-1]
         assert traj.stop == pytest.approx(2 * math.pi, abs=1e-10)
-        assert np.allclose(traj.event_times, [math.pi, 2 * math.pi],
-                           atol=1e-10)
-        assert traj.event_times[-1] == traj.stop
+        assert np.allclose(asked, [math.pi, 2 * math.pi], atol=1e-10)
+        assert asked[-1] == traj.stop
 
     def test_a_run_to_its_end_has_no_stop(self):
-        traj = integrate(harmonic(), [1.0, 0.0], 0.0, 1.0,
-                         events=[lambda c: c[1] - 0.5])
+        """A stop event whose every root the rule rejects leaves the run
+        as it is without one."""
+        def level(c):
+            return c[1] - 0.5
+
+        level.arrived = lambda t, state: False
+        traj = integrate(harmonic(), [1.0, 0.0], 0.0, 1.0, stop=level)
+        free = integrate(harmonic(), [1.0, 0.0], 0.0, 1.0)
         assert traj.stop is None and traj.t1 == 1.0
-        assert len(traj.event_times) == 1
+        assert np.array_equal(traj.times, free.times)
+        assert np.array_equal(traj.states, free.states)
 
     def test_one_point_runs_without_array_dense_output(self, monkeypatch):
         """One point's dense output is evaluated on floats: with the array
-        ``_dense`` raising, ``integrate`` finds the ceiling's event root
-        (by the region's float twin) and a terminal stop, and the
-        trajectory answers at one time."""
+        ``_dense`` raising, ``integrate`` stops at the ceiling's event root
+        (by the region's float twin), and the trajectory answers at one
+        time."""
         tet = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
         x0 = tet.floor.param_point([math.pi / 8])
-
-        def stop(c):
-            return c[0] - 1.5
-
-        stop.terminal = True
         assert tet.ceiling.event_fn.point is not None
 
         def array_dense(*args):
@@ -214,16 +232,18 @@ class TestIntegrate:
 
         monkeypatch.setattr(dynamics, "_dense", array_dense)
         traj = integrate(unstable_hamiltonian(1), x0, 0.0, 2.0,
-                         events=[tet.ceiling.event_fn, stop])
-        hit, end = traj.event_times
-        assert hit < end == traj.t1
-        assert tet.ceiling.membership(traj(hit))
-        assert traj(end)[0] == pytest.approx(1.5, abs=1e-12)
+                         stop=tet.ceiling.event_fn)
+        assert 0.0 < traj.stop == traj.t1 < 2.0
+        assert tet.ceiling.membership(traj(traj.stop))
+        assert np.array_equal(traj(traj.stop), traj.states[-1])
 
     def test_event_zero_at_start_reports_start(self):
+        """A stop event with no rule that vanishes at the start stops the
+        run there."""
         traj = integrate(harmonic(), [1.0, 0.0], 0.25, 1.0,
-                         events=[lambda c: c[1]])
-        assert traj.event_times[0] == 0.25
+                         stop=lambda c: c[1])
+        assert traj.stop == traj.t1 == 0.25
+        assert np.array_equal(traj.states[-1], traj.states[0])
 
     def test_no_step_jumps_the_mechanical_shell(self):
         """Where the flow is locally a translation the error estimate is
@@ -337,16 +357,15 @@ class TestMatchesScipy:
     @pytest.mark.parametrize("case", sorted(SCIPY_CASES))
     def test_steps_states_dense_output_and_event(self, case):
         from scipy.integrate import solve_ivp
+        from scipy.optimize import brentq
 
         H, x0, t0, t1, level = SCIPY_CASES[case]
         tol = 1e-10
-        traj = integrate(H, x0, t0, t1, tol=tol,
-                         events=[lambda c: c[0] - level])
+        traj = integrate(H, x0, t0, t1, tol=tol)
         ref = solve_ivp(lambda t, y: sgrad(H, y[None], t)[0], (t0, t1),
                         H.chart.wrap(np.asarray(x0, dtype=float)),
                         method="DOP853", rtol=tol, atol=tol / 100,
-                        dense_output=True,
-                        events=[lambda t, y: y[0] - level])
+                        dense_output=True)
         assert len(ref.t) > 3
         bound = SCIPY_TOL * tol
         assert (traj.times[0], traj.times[-1]) == (ref.t[0], ref.t[-1])
@@ -357,7 +376,11 @@ class TestMatchesScipy:
                            atol=bound)
         assert np.allclose(traj.dense(ts[5]), ref.sol(ts[5]), rtol=bound,
                            atol=bound)
-        (root,), (ref_root,) = traj.event_times, ref.t_events[0]
+        # the one root in the window, on scipy's dense output
+        ref_root = brentq(lambda t: ref.sol(t)[0] - level, t0, t1,
+                          xtol=1e-15)
+        root = integrate(H, x0, t0, t1, tol=tol,
+                         stop=lambda c: c[0] - level).stop
         assert abs(root - ref_root) <= bound
 
 
@@ -578,14 +601,15 @@ class TestFindChord:
         assert res.found
         assert res.chord.time_length == pytest.approx(1.0 / (2 * math.pi),
                                                       abs=1e-6)
-        assert res.chord.validate(tet.floor, tet.ceiling, 0.25)
+        assert_chord(res.chord, tet.floor, tet.ceiling, 0.25)
 
     def test_chord_endpoints_on_regions(self):
         tet = build_tetragon(CircleModel(), 1.0, 2.0, 0.25)
         res = find_chord(channel_potential(1), tet.floor, tet.ceiling,
                          0.25)
-        assert res.chord.start_distance <= 1e-6
-        assert res.chord.end_distance <= 1e-6
+        states = res.chord.trajectory.states
+        assert tet.floor.distance(states[0]) <= 1e-6
+        assert tet.ceiling.distance(states[-1]) <= 1e-6
 
     def test_not_found_reports_gap_distance(self):
         tet = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
@@ -621,12 +645,6 @@ class TestFindChord:
         b = find_chord(H, tet.floor, tet.ceiling, 0.5)
         assert a.found and b.found
         assert b.chord.time_length <= a.chord.time_length + 1e-9
-
-    def test_validate_rejects_budget_violation(self):
-        tet = build_tetragon(CircleModel(), 1.0, 2.0, 0.25)
-        res = find_chord(channel_potential(1), tet.floor, tet.ceiling,
-                         0.25)
-        assert not res.chord.validate(tet.floor, tet.ceiling, 0.1)
 
     def test_found_chord_reports_swept_counts(self):
         tet = build_tetragon(CircleModel(), 1.0, 2.0, 0.25)
@@ -678,7 +696,7 @@ class TestFindChord:
         assert res.found
         assert res.chord.time_length == pytest.approx(0.5 * math.log(2),
                                                       abs=1e-4)
-        assert res.chord.validate(tet.floor, tet.ceiling, math.pi / 4)
+        assert_chord(res.chord, tet.floor, tet.ceiling, math.pi / 4)
 
     def test_an_escape_just_past_the_arrival_keeps_the_chord(self):
         """A ball of radius sqrt 2 (1 + 1e-7), just outside the ceiling:
@@ -690,8 +708,10 @@ class TestFindChord:
         res = find_chord(H, tet.floor, tet.ceiling, budget, ChordSearchConfig(
             escape_norm=math.sqrt(2) * (1 + 1e-7)))
         assert ref.found and res.found
-        assert (res.chord.t1, res.chord.time_error, res.n_refine_evals) == (
-            ref.chord.t1, ref.chord.time_error, ref.n_refine_evals)
+        assert (res.chord.trajectory.stop, res.chord.time_error,
+                res.n_refine_evals) == (ref.chord.trajectory.stop,
+                                        ref.chord.time_error,
+                                        ref.n_refine_evals)
         assert res.n_refine_failed == 0
 
     def test_escaped_refinement_runs_are_failures(self, monkeypatch):
@@ -743,7 +763,7 @@ class TestFindChord:
         assert res.found
         assert res.chord.time_length == pytest.approx(0.5 * math.log(2),
                                                       abs=1e-6)
-        assert res.chord.validate(tet.floor, tet.ceiling, budget)
+        assert_chord(res.chord, tet.floor, tet.ceiling, budget)
 
 
 class TestSharpFixture:
@@ -793,11 +813,6 @@ def _record_integrate(monkeypatch):
     return calls
 
 
-def _certified_hit(traj, X1, phase):
-    return next((tr for tr in traj.event_times
-                 if tr - phase > 1e-12 and X1.membership(traj(tr))), None)
-
-
 class TestIncumbentWindow:
     def test_integrations_stop_at_the_incumbent(self, monkeypatch):
         """After refinement certifies a hit at t*, every integration
@@ -821,11 +836,10 @@ class TestIncumbentWindow:
             if best < math.inf:
                 assert t1 <= t0 + (best + margin)
                 windowed += 1
-            hit = _certified_hit(traj, tet.ceiling, t0)
-            if hit is not None:
-                best = min(best, hit - t0)
+            if traj.stop is not None:
+                best = min(best, traj.stop - t0)
         assert windowed >= len(calls) - 1
-        assert res.chord.trajectory.t1 <= res.chord.t1 + margin
+        assert res.chord.trajectory.t1 == res.chord.trajectory.stop
 
     def test_no_start_is_integrated_twice(self, monkeypatch):
         """Pattern search polls the start it just left; refinement answers
@@ -841,9 +855,8 @@ class TestIncumbentWindow:
         assert len(set(starts)) == len(starts)
         assert len(starts) < res.n_refine_evals
         winner = starts.index(calls[-1][0])
-        assert _certified_hit(calls[winner][3], X1, 0.0) == res.chord.t1
-        assert res.chord.trajectory.stop == res.chord.t1
-        assert calls[-1][2] >= res.chord.t1
+        assert calls[winner][3] is res.chord.trajectory
+        assert calls[-1][2] >= res.chord.trajectory.stop
 
     def test_no_hit_refines_over_the_full_budget(self, monkeypatch):
         """With no hit anywhere there is no incumbent: every refinement
@@ -920,8 +933,9 @@ class TestIncumbentWindow:
         if res.found:
             assert res.chord.time_length == value
             traj = res.chord.trajectory
-            assert traj.t1 == res.chord.t1 == traj.stop
-            assert res.chord.validate(X0, X1, budget)
+            assert traj.t1 == traj.stop
+            assert np.array_equal(traj.states[-1], traj(traj.stop))
+            assert_chord(res.chord, X0, X1, budget)
             assert 0.0 <= res.chord.time_error < 1e-8
         else:
             assert res.best_distance == value
@@ -976,13 +990,14 @@ SWEEP_CASES = _sweep_cases()
 
 
 def _per_seed(H, X1, x0, phase, budget):
-    """One member the way a per-seed ``integrate`` sees it."""
+    """One member the way a per-seed ``integrate`` sees it: its hit time
+    after the phase, else its closest sampled target distance."""
     traj = integrate(H, x0, phase, phase + budget, tol=1e-10,
-                     events=[X1.event_fn])
-    hit = next((tr - phase for tr in traj.event_times
-                if tr - phase > 1e-12 and X1.membership(traj(tr))), None)
+                     stop=dynamics._arrival(X1, phase))
+    if traj.stop is not None:
+        return traj.stop - phase, None
     ts = np.linspace(traj.t0, traj.t1, 64)
-    return hit, min(X1.distance(traj(t)) for t in ts)
+    return None, min(X1.distance(traj(t)) for t in ts)
 
 
 class TestEnsembleSweep:
@@ -1016,6 +1031,49 @@ class TestEnsembleSweep:
             assert np.array_equal(batch.distance, dists)
         else:
             assert np.nanargmin(batch.hit) == np.nanargmin(hits)
+
+    def test_escapes_and_hits_match_integrate(self):
+        """Starts of the unstable flow at norms 0.8 to 1.5 and a ball of
+        radius 1.6: within the budget some reach the ceiling, some leave
+        the ball and some do neither.  Each member swept alone is escaped
+        exactly when its ``integrate`` run, stopped at its arrival, raises
+        ``EscapeError``; the error's time is the first of that run's step
+        ends outside the ball, with that end's state, and hits match bit
+        for bit."""
+        tet = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
+        H, X1, budget, radius = (unstable_hamiltonian(1), tet.ceiling,
+                                 math.pi / 4, 1.6)
+        rng = np.random.default_rng(0)
+        angle = rng.uniform(0.0, 2 * math.pi, 32)
+        starts = rng.uniform(0.8, 1.5, 32)[:, None] * np.stack(
+            [np.cos(angle), np.sin(angle)], axis=-1)
+        arrive = dynamics._arrival(X1, 0.0)
+        outcomes = []
+        for x0 in starts:
+            one = ensemble_sweep(H, X1, x0[None], [0.0], budget,
+                                 escape_norm=radius)
+            try:
+                traj = integrate(H, x0, 0.0, budget, tol=1e-10,
+                                 escape_norm=radius, stop=arrive)
+            except EscapeError as exc:
+                assert one.escaped[0] and np.isnan(one.hit[0])
+                # the same steps, with no ball
+                free = integrate(H, x0, 0.0, budget, tol=1e-10,
+                                 escape_norm=math.inf, stop=arrive)
+                k = free.times.tolist().index(exc.t)
+                norms = np.linalg.norm(free.states, axis=-1)
+                assert norms[k] >= radius and (norms[:k] < radius).all()
+                assert np.array_equal(exc.state, free.states[k])
+                outcomes.append("escaped")
+                continue
+            assert not one.escaped[0]
+            if traj.stop is None:
+                assert np.isnan(one.hit[0])
+                outcomes.append("missed")
+            else:
+                assert one.hit[0] == traj.stop
+                outcomes.append("hit")
+        assert set(outcomes) == {"escaped", "missed", "hit"}
 
     @pytest.mark.parametrize("case, n", [("perturbed", 16), ("unstable", 16)])
     def test_certifies_a_step_by_one_distance_call(self, monkeypatch, case,
@@ -1108,8 +1166,8 @@ class TestEnsembleSweep:
         expected = []
         for x0, phase, dist in zip(starts, ph, batch.distance):
             traj = integrate(H, x0, phase, phase + budget, tol=1e-10,
-                             events=[X1.event_fn])
-            assert len(traj.times) > 2 and not traj.event_times
+                             stop=dynamics._arrival(X1, phase))
+            assert len(traj.times) > 2 and traj.stop is None
             assert dist == _per_seed(H, X1, x0, phase, budget)[1]
             for t in np.linspace(traj.t0, traj.t1, dynamics.MISS_SAMPLES):
                 x = traj(t)

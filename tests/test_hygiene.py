@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in the package is used,
 every top-level ``def`` and ``class`` and every method but a dunder is
-read somewhere, the package
+read somewhere, and by program code (``src/``, ``bench/``) but where
+``TEST_ONLY_ALLOWED`` says, the package
 reads no environment variable but ``TETRALAB_OUT``, scipy is loaded
 and ``solve_ivp`` named only where ``SCIPY_ALLOWED`` and
 ``SOLVE_IVP_ALLOWED`` say, every ``HamiltonianSpec`` the package
@@ -32,6 +33,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tetralab"
+TESTS = ROOT / "tests"
 SOURCES = sorted(p for d in ("src", "tests", "bench")
                  for p in (ROOT / d).rglob("*.py"))
 ENV_ALLOWED = {"TETRALAB_OUT"}
@@ -140,6 +142,62 @@ def test_module_defs_are_referenced(path):
     elsewhere = set().union(*(_names_in(p) for p in SOURCES if p != path))
     assert unreferenced_defs(path.read_text(encoding="utf-8"),
                              elsewhere) == []
+
+
+# (module, name) of each def or method that only tests read, and why a
+# program without a reader keeps it
+TEST_ONLY_ALLOWED = {
+    ("contact.py", "embed"):
+        "the symplectization embedding, which the tetragon maps must equal",
+    ("contact.py", "regions"):
+        "the four regions by name, for tests parametrized over them",
+    ("pb4.py", "prototype_hamiltonian_pair"):
+        "smooth prototype fields for criterion 8's mean-value check",
+    ("pb4.py", "max_slope"):
+        "the wall witness's analytic slope, checked by criterion 6",
+    ("phase_core.py", "volume_factor"):
+        "the deformed-volume identity, checked by criterion 8",
+}
+
+
+def defs_read_only_by_tests(source, program, tests):
+    """``(line, name)`` of each def ``unreferenced_defs`` finds in
+    ``source`` when only the names ``program`` reads count, that the
+    names ``tests`` reads include: surface only tests keep alive."""
+    return [(line, name) for line, name in unreferenced_defs(source, program)
+            if name in tests]
+
+
+def test_test_only_checker_flags_defs_only_tests_read():
+    src = ("def api():\n    return helper()\n"
+           "def helper():\n    pass\n"
+           "def probe():\n    pass\n"
+           "def dead():\n    pass\n"
+           "class Model:\n"
+           "    def used(self):\n        pass\n"
+           "    def peek(self):\n        pass\n")
+    program = read_names(ast.parse("import mod\nmod.api(mod.Model().used)\n"))
+    tests = read_names(ast.parse("from mod import probe, api\n"
+                                 "probe(api(), mod.Model().peek())\n"))
+    assert defs_read_only_by_tests(src, program, tests) == [
+        (5, "probe"), (12, "peek")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_test_only_defs_are_allowed(path):
+    """A def only tests read is program surface no program uses: it
+    joins ``TEST_ONLY_ALLOWED`` with a reason, or goes.  The table names
+    exactly the module's test-only defs, so an entry whose def got a
+    program reader, or went, goes too."""
+    program = set().union(*(_names_in(p) for p in SOURCES
+                            if p != path and not p.is_relative_to(TESTS)))
+    tests = set().union(*(_names_in(p) for p in SOURCES
+                          if p.is_relative_to(TESTS)))
+    found = defs_read_only_by_tests(path.read_text(encoding="utf-8"),
+                                    program, tests)
+    assert {name for _, name in found} == {
+        name for module, name in TEST_ONLY_ALLOWED if module == path.name}
 
 
 def env_reads(source):

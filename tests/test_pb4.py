@@ -1,6 +1,7 @@
 """Grid bracket estimator, feasibility machinery and wall witness."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -226,6 +227,24 @@ class TestFeasibility:
         with pytest.raises(InfeasibleError, match=f"{field} has a non-finite"):
             estimate_pb4_plus(problem, warm_start=(F, G))
 
+    @pytest.mark.parametrize("field, shape", [
+        ("F", (16, 17)), ("G", (16, 8)), ("F", (16,))])
+    def test_field_of_another_shape_is_named(self, field, shape):
+        """A field whose shape is not the grid's ``(n_s, n_u)`` is refused
+        by validation, projection and a warm start, naming the field and
+        both shapes, before numpy fails to index it by a mask."""
+        problem = prototype_problem(16)
+        F, G = interpolant_pair(problem)
+        bad = np.zeros(shape)
+        pair = (bad, G) if field == "F" else (F, bad)
+        message = re.escape(f"{field} has shape {shape}, not the grid's "
+                            "(n_s, n_u) = (16, 16)")
+        for call in (feasible_pair_value, project_fields):
+            with pytest.raises(InfeasibleError, match=message):
+                call(problem, *pair)
+        with pytest.raises(InfeasibleError, match=message):
+            estimate_pb4_plus(problem, warm_start=pair)
+
     def test_bracket_memory_is_its_output_plus_blocks(self):
         """The bracket's output is its only full-grid array: validating
         at n = 512 allocates under the output's bytes plus 2 MiB (a
@@ -394,9 +413,9 @@ class TestPrototypeHamiltonians:
         res = find_chord(G, tet.floor, tet.ceiling, 0.5)
         assert res.found
         tau = res.chord.time_length
-        ts = np.linspace(res.chord.t0, res.chord.t1, 101)
-        best = max(poisson_bracket(F, G, res.chord.trajectory(t))
-                   for t in ts)
+        traj = res.chord.trajectory
+        ts = np.linspace(traj.t0, traj.t1, 101)
+        best = max(poisson_bracket(F, G, traj(t)) for t in ts)
         assert best >= 1.0 / tau - 1e-6
 
 
