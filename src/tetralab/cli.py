@@ -26,8 +26,8 @@ from .contact import (_DEFAULT_R0, _DEFAULT_R1, MEMBER_TOL, build_tetragon,
                       make_model, smooth_tetragon)
 from .dynamics import ChordSearchConfig, chord_budget, find_chord, separation
 # feasible_pair_value is unused here but patched by bench/tracing.py
-from .pb4 import (FEASIBILITY_TOL, estimate_pb4_plus,  # noqa: F401
-                  feasible_pair_value, prototype_problem)
+from .pb4 import (BLOCK_CELLS, FEASIBILITY_TOL,  # noqa: F401
+                  estimate_pb4_plus, feasible_pair_value, prototype_problem)
 from .scenarios import (_DEFAULT_BETA, INCREMENT_TOL, SEARCH_KEYS, TIME_TOL,
                         ConfigError, PerturbationSpec, ScenarioConfig,
                         channel_potential, check_scenario_keys,
@@ -153,16 +153,21 @@ def _json_default(obj):
 def write_csv(fh, header, rows):
     """Write ``rows`` (a 1-D array is one row) under ``header``: the
     bytes of NumPy's text writer with ``fmt="%.17g"``, ``delimiter=","``
-    and ``comments=""``, but each distinct float64 bit pattern formatted
-    once.  Keying on the bits, not the value, keeps ``-0`` apart from
-    ``0`` and gives every NaN a key of its own."""
+    and ``comments=""``, written a block of about ``pb4.BLOCK_CELLS``
+    values (whole rows, at least one) at a time, and each distinct
+    float64 bit pattern of a block formatted once.  Keying on the bits,
+    not the value, keeps ``-0`` apart from ``0`` and gives every NaN a
+    key of its own."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    bits, inverse = np.unique(rows.view(np.int64), return_inverse=True)
-    text = ("%.17g," * bits.size) % tuple(bits.view(np.float64).tolist())
-    cells = np.array(text.split(",")[:-1], dtype=object)
-    lines = [header] if header else []
-    lines += map(",".join, cells[inverse.reshape(rows.shape)].tolist())
-    fh.write("".join(line + "\n" for line in lines))
+    if header:
+        fh.write(header + "\n")
+    step = max(1, BLOCK_CELLS // max(1, rows.shape[1]))
+    for block in (rows[i:i + step] for i in range(0, len(rows), step)):
+        bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+        text = ("%.17g," * bits.size) % tuple(bits.view(np.float64).tolist())
+        cells = np.array(text.split(",")[:-1], dtype=object)
+        lines = map(",".join, cells[inverse.reshape(block.shape)].tolist())
+        fh.write("".join(line + "\n" for line in lines))
 
 
 def emit_report(report_payload, out_dir, timing=None, csv_files=None):
@@ -170,7 +175,8 @@ def emit_report(report_payload, out_dir, timing=None, csv_files=None):
 
     Each CSV is ``header`` and then one line per row of ``%.17g`` values
     (an exact round trip, with ``-0``, ``nan`` and ``inf`` spelled as
-    written), each distinct value formatted once (``write_csv``).
+    written), written in row blocks, each distinct value of a block
+    formatted once (``write_csv``).
     ``timing.json`` gets ``csv_seconds``, the time spent writing them.
     """
     out = Path(out_dir)
@@ -220,6 +226,9 @@ def _cmd_pb4(cfg):
                 if key in cfg}
     n = cfg.get("n", 128)
     coarse = prototype_problem(n, **geometry)
+    # the fine grid first, keeping its value only, frees its fields
+    fine = (estimate_pb4_plus(prototype_problem(2 * n, **geometry)).estimate
+            if cfg.get("two_grid") else None)
     report = estimate_pb4_plus(coarse)
     payload = {
         "command": "pb4",
@@ -228,12 +237,9 @@ def _cmd_pb4(cfg):
         "report": report.describe(),
         "tolerances": {"feasibility": FEASIBILITY_TOL},
     }
-    if cfg.get("two_grid"):
-        report2 = estimate_pb4_plus(prototype_problem(2 * n, **geometry))
-        payload["report"]["two_grid_estimate"] = report2.estimate
-        payload["report"]["two_grid_difference"] = abs(
-            report2.estimate - report.estimate
-        )
+    if fine is not None:
+        payload["report"]["two_grid_estimate"] = fine
+        payload["report"]["two_grid_difference"] = abs(fine - report.estimate)
     s_nodes = coarse.window.s_nodes()
     csvs = {
         "F.csv": ("s\\u grid", report.F),

@@ -509,7 +509,8 @@ class SweepResult:
     ``hit`` is the first certified arrival time after the start phase
     (nan without one); ``distance`` the closest sampled target distance
     (inf for escaped or stiff members); ``escaped``/``stiff`` flag the
-    members the integrator lost.
+    members the integrator lost before the sweep dropped them (exact
+    when no member hits).
     """
 
     hit: np.ndarray
@@ -538,7 +539,8 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
     as escaped.  Until some hit exists, target distances are sampled at
     ``linspace(phase, phase + time_budget, MISS_SAMPLES)``, in passes of whole members of at most ``n_all +
     MISS_SAMPLES - 1`` rows for ``n_all`` starts; after, members that can
-    no longer arrive before the best hit are dropped (``hit`` stays nan).
+    no longer arrive before the best hit are dropped (``hit`` stays nan,
+    and a member dropped before it escapes is not flagged escaped).
     A step's dense output is in column layout (``_dense_coeffs``); a
     pass repeats each member's coefficients and start state along the
     last axis, one column per sample, evaluates them by ``_dense`` and
@@ -897,7 +899,8 @@ class ChordSearchResult:
 
     ``n_seeds``/``n_phases`` are the swept counts (one phase for an
     autonomous Hamiltonian); ``n_escaped``/``n_stiff`` count the sweep
-    members lost to the escape ball or to step underflow;
+    members lost to the escape ball or to step underflow before the sweep
+    dropped them (exact for a result with no chord, see ``ensemble_sweep``);
     ``n_refine_evals`` counts the pattern-search evaluations and
     ``n_refine_failed`` those whose integration raised ``EscapeError`` (a
     run that left the escape ball before arriving) or ``StiffnessError``.

@@ -140,27 +140,12 @@ class Pb4Problem:
 # Discrete bracket (P1 triangles)
 # ---------------------------------------------------------------------------
 
-def discrete_bracket(problem: Pb4Problem, F, G):
-    """Exact {F, G} = F_u G_s - F_s G_u of the piecewise-linear pair, one
-    value per triangle, shape (2, n_s - 1, cells_u).
-
-    Each cell [i, i+1] x [j, j+1] splits into the triangles
-    (i,j),(i+1,j),(i,j+1) (index 0) and (i+1,j+1),(i,j+1),(i+1,j)
-    (index 1).  On cylinder windows u wraps and a row has n_u cells;
-    otherwise it has n_u - 1.
-
-    The output is filled a block of ``BLOCK_CELLS // cells_u`` cell rows
-    at a time (at least one), from that block's node rows plus one, so
-    every temporary stays block-sized and the output is the only
-    full-grid array; each triangle's value is the same to the bit for
-    any block height.  At n = 1024, ``feasible_pair_value`` allocates
-    at most 18 MiB, 2 MiB over this 16 MiB output, and takes 27 ms on
-    a 2-vCPU x86-64 machine; one whole-grid pass took 81 MiB and 69 ms.
-    """
+def _bracket_blocks(problem: Pb4Problem, F, G):
+    """Yield the discrete bracket a block of cell rows at a time, as
+    ``(i, block)``: ``block[:, k]`` holds cell row ``i + k``.  One
+    block buffer is reused, so a block is valid until the next one."""
     w = problem.window
     h_s, h_u = w.h_s, w.h_u
-    F = np.asarray(F, dtype=float)
-    G = np.asarray(G, dtype=float)
 
     def corners(A):
         if w.periodic_u:
@@ -185,21 +170,50 @@ def discrete_bracket(problem: Pb4Problem, F, G):
         rest *= quotient(gu, h_u)
         out -= rest
 
-    out = np.empty((2, w.n_s - 1, w.n_u if w.periodic_u else w.n_u - 1))
-    rows = max(1, BLOCK_CELLS // out.shape[2])
+    cells = w.n_u if w.periodic_u else w.n_u - 1
+    rows = max(1, BLOCK_CELLS // cells)
+    buffer = np.empty((2, rows, cells))
     for i in range(0, w.n_s - 1, rows):
-        block = slice(i, i + rows)
+        out = buffer[:, :w.n_s - 1 - i]
         f00, f10, f01, f11 = corners(F[i:i + rows + 1])
         g00, g10, g01, g11 = corners(G[i:i + rows + 1])
-        tri((f10, f00), (f01, f00), (g10, g00), (g01, g00), out[0, block])
-        tri((f11, f01), (f11, f10), (g11, g01), (g11, g10), out[1, block])
+        tri((f10, f00), (f01, f00), (g10, g00), (g01, g00), out[0])
+        tri((f11, f01), (f11, f10), (g11, g01), (g11, g10), out[1])
+        yield i, out
+
+
+def discrete_bracket(problem: Pb4Problem, F, G):
+    """Exact {F, G} = F_u G_s - F_s G_u of the piecewise-linear pair, one
+    value per triangle, shape (2, n_s - 1, cells_u).  Fields of another
+    shape than the grid's, or not finite: ``InfeasibleError``.
+
+    Each cell [i, i+1] x [j, j+1] splits into the triangles
+    (i,j),(i+1,j),(i,j+1) (index 0) and (i+1,j+1),(i,j+1),(i+1,j)
+    (index 1).  On cylinder windows u wraps and a row has n_u cells;
+    otherwise it has n_u - 1.
+
+    The values are computed a block of ``BLOCK_CELLS // cells_u`` cell
+    rows at a time (at least one), from that block's node rows plus
+    one, so every temporary stays block-sized; each triangle's value is
+    the same to the bit for any block height.  ``feasible_pair_value``
+    reads the same blocks and keeps only their max, so it holds no
+    whole-grid bracket: at n = 1024 it allocates at most 1.8 MiB and
+    takes 19-22 ms on a 2-vCPU x86-64 machine, where filling this output
+    took 17.5 MiB and 22-33 ms, and one whole-grid pass 81 MiB and 69 ms.
+    """
+    F, G = _check_fields(problem, F, G)
+    w = problem.window
+    out = np.empty((2, w.n_s - 1, w.n_u if w.periodic_u else w.n_u - 1))
+    for i, block in _bracket_blocks(problem, F, G):
+        out[:, i:i + block.shape[1]] = block
     return out
 
 
 def _check_fields(problem: Pb4Problem, F, G):
-    """``InfeasibleError`` naming the field unless the arrays F and G both
-    have the grid's shape ``(n_s, n_u)`` and finite values."""
+    """F and G as float arrays; ``InfeasibleError`` naming the field
+    unless both have the grid's shape ``(n_s, n_u)`` and finite values."""
     grid = (problem.window.n_s, problem.window.n_u)
+    F, G = np.asarray(F, dtype=float), np.asarray(G, dtype=float)
     for nm, A in (("F", F), ("G", G)):
         if A.shape != grid:
             raise InfeasibleError(
@@ -207,6 +221,7 @@ def _check_fields(problem: Pb4Problem, F, G):
                 f"{grid}")
         if not np.isfinite(A).all():
             raise InfeasibleError(f"{nm} has a non-finite value")
+    return F, G
 
 
 def feasible_pair_value(problem: Pb4Problem, F, G):
@@ -214,9 +229,7 @@ def feasible_pair_value(problem: Pb4Problem, F, G):
     that both fields have the grid's shape, are finite and meet every
     constraint to within ``FEASIBILITY_TOL``; any feasible pair
     upper-estimates the invariant of the triangulated problem."""
-    F = np.asarray(F, dtype=float)
-    G = np.asarray(G, dtype=float)
-    _check_fields(problem, F, G)
+    F, G = _check_fields(problem, F, G)
     frame = problem.frame_mask()
     checks = [
         ("X0", F[problem.thickened("X0")], "max", 0.0),
@@ -238,15 +251,20 @@ def feasible_pair_value(problem: Pb4Problem, F, G):
     for nm, A in (("F", F), ("G", G)):
         if np.abs(A[frame]).max() > FEASIBILITY_TOL:
             raise InfeasibleError(f"{nm} does not vanish on the frame")
-    return float(discrete_bracket(problem, F, G).max())
+    return float(np.max([block.max()
+                         for _, block in _bracket_blocks(problem, F, G)]))
 
 
 def project_fields(problem: Pb4Problem, F, G):
-    """Nearest feasible fields: clip on masks, zero the frame.  Fields of
-    another shape than the grid's, or not finite: ``InfeasibleError``."""
-    F = np.array(F, dtype=float)
-    G = np.array(G, dtype=float)
-    _check_fields(problem, F, G)
+    """Nearest feasible fields: clip on masks, zero the frame, on copies
+    of F and G.  Fields of another shape than the grid's, or not finite:
+    ``InfeasibleError``."""
+    F, G = _check_fields(problem, F, G)
+    return _project(problem, F.copy(), G.copy())
+
+
+def _project(problem: Pb4Problem, F, G):
+    """``project_fields``' clipping and zeroing, in place on F and G."""
     frame = problem.frame_mask()
     tX0, tX1 = problem.thickened("X0"), problem.thickened("X1")
     tY0, tY1 = problem.thickened("Y0"), problem.thickened("Y1")
@@ -254,8 +272,7 @@ def project_fields(problem: Pb4Problem, F, G):
     F[tX1] = np.maximum(F[tX1], 1.0)
     G[tY0] = np.minimum(G[tY0], 0.0)
     G[tY1] = np.maximum(G[tY1], 1.0)
-    F[frame] = 0.0
-    G[frame] = 0.0
+    F[frame] = G[frame] = 0.0
     return F, G
 
 
@@ -356,7 +373,7 @@ def interpolant_pair(problem: Pb4Problem):
     """Deterministic feasible start: ramp interpolants of the masks."""
     F = _build_field(problem, "X0", "X1")
     G = _build_field(problem, "Y0", "Y1")
-    return project_fields(problem, F, G)
+    return _project(problem, F, G)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import os
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from tetralab import cli
 from tetralab.cli import emit_report, main
 from tetralab.dynamics import ChordSearchConfig, find_chord
+from tetralab.pb4 import BLOCK_CELLS
 from tetralab.scenarios import PerturbationSpec, ScenarioConfig
 
 
@@ -314,6 +317,37 @@ class TestEmitReport:
         fh = io.StringIO()
         cli.write_csv(fh, header, rows)
         assert fh.getvalue() == savetxt_text(header, rows)
+
+    @pytest.mark.parametrize("width", [1000, 7])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "2 blocks + 1"])
+    def test_csv_blocks_match_savetxt(self, width, extra):
+        """Row blocks of about ``BLOCK_CELLS`` values leave the text
+        ``np.savetxt``'s at block - 1, block, block + 1 and 2 block + 1
+        rows, with signed zeros, nan, inf and one value in every block."""
+        block = BLOCK_CELLS // width
+        n = 2 * block + 1 if extra == "2 blocks + 1" else block + extra
+        rng = np.random.default_rng(width)
+        rows = np.where(rng.random((n, width)) < 0.5,
+                        rng.choice(CSV_POOL, (n, width)),
+                        rng.standard_normal((n, width)))
+        rows[:, 1] = 0.1  # formatted once per block
+        fh = io.StringIO()
+        cli.write_csv(fh, "s\\u grid", rows)
+        assert fh.getvalue() == savetxt_text("s\\u grid", rows)
+
+    def test_csv_memory_is_the_field_plus_blocks(self):
+        """A 512 x 512 field of distinct values is written a block at a
+        time: under the field's bytes plus 2 MiB (the whole text at once
+        took 43 MiB)."""
+        field = np.random.default_rng(1).standard_normal((512, 512))
+        with open(os.devnull, "w", encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                cli.write_csv(fh, "s\\u grid", field)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < field.nbytes + 2 * 2**20
 
     def test_one_dimensional_rows_are_one_line(self):
         fh = io.StringIO()

@@ -1075,6 +1075,36 @@ class TestEnsembleSweep:
                 outcomes.append("hit")
         assert set(outcomes) == {"escaped", "missed", "hit"}
 
+    def test_escapes_count_only_members_not_yet_dropped(self):
+        """Starts of the unstable flow at norms 0.8 to 1.8 and a ball of
+        radius 1.6: once a member hits, the members that can no longer
+        beat it are dropped, some before they would escape.  Swept
+        together 6 members are escaped, one by one 8, and each escaped
+        together also escapes alone.  Swept together, the members that
+        never hit alone give no chord, and then the count is exact."""
+        tet = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
+        H, X1, budget, radius = (unstable_hamiltonian(1), tet.ceiling,
+                                 math.pi / 4, 1.6)
+        rng = np.random.default_rng(0)
+        angle = rng.uniform(0.0, 2 * math.pi, 32)
+        starts = rng.uniform(0.8, 1.8, 32)[:, None] * np.stack(
+            [np.cos(angle), np.sin(angle)], axis=-1)
+
+        def sweep(points):
+            return ensemble_sweep(H, X1, points, np.zeros(len(points)),
+                                  budget, escape_norm=radius)
+
+        together = sweep(starts)
+        alone = [sweep(x0[None]) for x0 in starts]
+        escaped = np.array([one.escaped[0] for one in alone])
+        assert np.isfinite(together.hit).any()
+        assert together.escaped.sum() == 6 and escaped.sum() == 8
+        assert not (together.escaped & ~escaped).any()
+        never = np.array([np.isnan(one.hit[0]) for one in alone])
+        no_chord = sweep(starts[never])
+        assert np.isnan(no_chord.hit).all()
+        assert np.array_equal(no_chord.escaped, escaped[never])
+
     @pytest.mark.parametrize("case, n", [("perturbed", 16), ("unstable", 16)])
     def test_certifies_a_step_by_one_distance_call(self, monkeypatch, case,
                                                    n):

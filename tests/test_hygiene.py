@@ -151,6 +151,9 @@ TEST_ONLY_ALLOWED = {
         "the symplectization embedding, which the tetragon maps must equal",
     ("contact.py", "regions"):
         "the four regions by name, for tests parametrized over them",
+    ("pb4.py", "discrete_bracket"):
+        "the per-triangle bracket array, which ROADMAP item 10's LP rows "
+        "will read",
     ("pb4.py", "prototype_hamiltonian_pair"):
         "smooth prototype fields for criterion 8's mean-value check",
     ("pb4.py", "max_slope"):

@@ -11,10 +11,11 @@ from hypothesis import example, given, settings, strategies as st
 from tetralab.dynamics import find_chord, integrate, separation
 from tetralab.contact import CircleModel, ParameterError, build_tetragon
 from tetralab.pb4 import (BLOCK_CELLS, GridWindow, InfeasibleError,
-                          Pb4Problem, discrete_bracket, estimate_pb4_plus,
-                          feasible_pair_value, interpolant_pair,
-                          project_fields, prototype_hamiltonian_pair,
-                          prototype_problem, wall_witness)
+                          Pb4Problem, _build_field, discrete_bracket,
+                          estimate_pb4_plus, feasible_pair_value,
+                          interpolant_pair, project_fields,
+                          prototype_hamiltonian_pair, prototype_problem,
+                          wall_witness)
 from tetralab.phase_core import poisson_bracket
 
 from conftest import (check_gradient, relabeled, shrink_prototype_masks,
@@ -34,6 +35,19 @@ def plane_problem(n=32):
     masks["X1"][n - 5:n - 2, inner] = True  # high-s band
     masks["Y0"][inner, 2:5] = True
     masks["Y1"][inner, n - 5:n - 2] = True
+    return Pb4Problem(window=w, masks=masks)
+
+
+def banded_problem(n_s, n_u, periodic_u):
+    """X0/X1 on the second and second-to-last rows, Y0/Y1 on two
+    columns, all clear of the frame."""
+    w = GridWindow(0.0, 1.0, 0.0, 1.0, n_s, n_u, periodic_u=periodic_u)
+    masks = {name: np.zeros((n_s, n_u), dtype=bool)
+             for name in ("X0", "X1", "Y0", "Y1")}
+    masks["X0"][1, 2:n_u // 4] = True
+    masks["X1"][n_s - 2, 2:n_u // 4] = True
+    masks["Y0"][2:n_s - 2, n_u // 2] = True
+    masks["Y1"][2:n_s - 2, 3 * n_u // 4] = True
     return Pb4Problem(window=w, masks=masks)
 
 
@@ -138,6 +152,29 @@ class TestOperators:
             assert np.array_equal(got.view(np.uint64),
                                   want.view(np.uint64)), n_s
 
+    @pytest.mark.parametrize("periodic_u, n_u", [(True, 512), (False, 257)])
+    def test_validation_matches_whole_grid_max(self, periodic_u, n_u):
+        """Validation keeps only each block's max: the value is the
+        whole-grid bracket's max to the bit, with the peak next to a
+        block edge, at block - 1, block, block + 1 and 2 block + 1 cell
+        rows."""
+        rows = BLOCK_CELLS // (n_u if periodic_u else n_u - 1)
+        rng = np.random.default_rng(n_u)
+        for cell_rows in (rows - 1, rows, rows + 1, 2 * rows + 1):
+            n_s = cell_rows + 1
+            problem = banded_problem(n_s, n_u, periodic_u)
+            F, G = project_fields(problem,
+                                  *rng.uniform(-2.0, 2.0, (2, n_s, n_u)))
+            # node row k * rows borders blocks k - 1 and k; the last
+            # spike, the largest, is next to the last block edge or row
+            edges = [*range(rows, n_s - 2, rows), n_s - 2]
+            for k, edge in enumerate(edges):
+                F[edge, n_u // 3] += 50.0 * (k + 1)  # off masks and frame
+            got = feasible_pair_value(problem, F, G)
+            want = whole_grid_bracket(problem, F, G).max()
+            assert np.float64(got).view(np.uint64) == \
+                want.view(np.uint64), cell_rows
+
     def test_matches_analytic_bracket_on_cylinder_chart(self):
         """Discrete bracket of sampled smooth fields converges to the
         continuum {F, G} on the (s, u) chart."""
@@ -186,6 +223,18 @@ class TestFeasibility:
         val = feasible_pair_value(problem, F, G)
         assert np.isfinite(val) and val > 0.0
 
+    @pytest.mark.parametrize("problem", [
+        prototype_problem(64), prototype_problem(64, thicken_radius=2),
+        plane_problem()], ids=["cylinder", "thickened", "plane"])
+    def test_interpolant_is_its_fields_projected(self, problem):
+        """The interpolant projects its fields in place: the same bits
+        as ``project_fields`` of the freshly built fields."""
+        built = (_build_field(problem, "X0", "X1"),
+                 _build_field(problem, "Y0", "Y1"))
+        for got, want in zip(interpolant_pair(problem),
+                             project_fields(problem, *built)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_projection_restores_feasibility(self):
         problem = plane_problem()
         rng = np.random.default_rng(5)
@@ -228,27 +277,30 @@ class TestFeasibility:
             estimate_pb4_plus(problem, warm_start=(F, G))
 
     @pytest.mark.parametrize("field, shape", [
-        ("F", (16, 17)), ("G", (16, 8)), ("F", (16,))])
+        ("F", (16, 17)), ("G", (16, 8)), ("F", (16,)), ("F", (16, 1)),
+        ("F", (8, 16))])
     def test_field_of_another_shape_is_named(self, field, shape):
         """A field whose shape is not the grid's ``(n_s, n_u)`` is refused
-        by validation, projection and a warm start, naming the field and
-        both shapes, before numpy fails to index it by a mask."""
+        by the bracket, validation, projection and a warm start, naming
+        the field and both shapes, before numpy fails to index it by a
+        mask or to broadcast it (shapes (16, 1) and (8, 16))."""
         problem = prototype_problem(16)
         F, G = interpolant_pair(problem)
         bad = np.zeros(shape)
         pair = (bad, G) if field == "F" else (F, bad)
         message = re.escape(f"{field} has shape {shape}, not the grid's "
                             "(n_s, n_u) = (16, 16)")
-        for call in (feasible_pair_value, project_fields):
+        for call in (discrete_bracket, feasible_pair_value, project_fields):
             with pytest.raises(InfeasibleError, match=message):
                 call(problem, *pair)
         with pytest.raises(InfeasibleError, match=message):
             estimate_pb4_plus(problem, warm_start=pair)
 
-    def test_bracket_memory_is_its_output_plus_blocks(self):
-        """The bracket's output is its only full-grid array: validating
-        at n = 512 allocates under the output's bytes plus 2 MiB (a
-        whole-grid evaluation peaks near 20 MiB)."""
+    def test_validation_memory_is_blocks_only(self):
+        """Validation holds no full-grid bracket, only its blocks:
+        validating at n = 512 allocates under 2 MiB (a whole-grid
+        evaluation peaks near 20 MiB, and one filling the 4 MiB output
+        array near 4.8 MiB)."""
         problem = prototype_problem(512)
         F, G = interpolant_pair(problem)
         tracemalloc.start()
@@ -257,7 +309,7 @@ class TestFeasibility:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 511 * 512 * 8 + 2 * 2**20
+        assert peak < 2 * 2**20
 
     def test_projection_is_idempotent(self):
         problem = plane_problem()
