@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -137,6 +138,8 @@ def load_config(path, overrides, schema):
         check_scenario_keys(cfg.get("scenario"), cfg)
     elif schema is _CHORD_SCHEMA:
         _check_chord_hamiltonian(cfg)
+    elif schema is _PB4_SCHEMA:
+        _check_pb4_band(cfg)
     return cfg
 
 
@@ -154,20 +157,27 @@ def write_csv(fh, header, rows):
     """Write ``rows`` (a 1-D array is one row) under ``header``: the
     bytes of NumPy's text writer with ``fmt="%.17g"``, ``delimiter=","``
     and ``comments=""``, written a block of about ``pb4.BLOCK_CELLS``
-    values (whole rows, at least one) at a time, and each distinct
-    float64 bit pattern of a block formatted once.  Keying on the bits,
-    not the value, keeps ``-0`` apart from ``0`` and gives every NaN a
-    key of its own."""
+    values (whole rows, at least one) at a time.  A row whose float64
+    bits equal the row above it in its block is written as that row's
+    line; the new rows' distinct bit patterns are formatted once each.
+    Keying on the bits, not the value, keeps ``-0`` apart from ``0``
+    and gives every NaN a key of its own."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if header:
         fh.write(header + "\n")
     step = max(1, BLOCK_CELLS // max(1, rows.shape[1]))
     for block in (rows[i:i + step] for i in range(0, len(rows), step)):
-        bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-        text = ("%.17g," * bits.size) % tuple(bits.view(np.float64).tolist())
+        bits = block.view(np.int64)
+        new = np.ones(len(bits), dtype=bool)
+        new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+        fresh = bits[new]
+        keys, inverse = np.unique(fresh, return_inverse=True)
+        text = ("%.17g," * keys.size) % tuple(keys.view(np.float64).tolist())
         cells = np.array(text.split(",")[:-1], dtype=object)
-        lines = map(",".join, cells[inverse.reshape(block.shape)].tolist())
-        fh.write("".join(line + "\n" for line in lines))
+        lines = [",".join(row) + "\n"
+                 for row in cells[inverse.reshape(fresh.shape)].tolist()]
+        fh.write("".join(map(lines.__getitem__,
+                             (np.cumsum(new) - 1).tolist())))
 
 
 def emit_report(report_payload, out_dir, timing=None, csv_files=None):
@@ -175,8 +185,9 @@ def emit_report(report_payload, out_dir, timing=None, csv_files=None):
 
     Each CSV is ``header`` and then one line per row of ``%.17g`` values
     (an exact round trip, with ``-0``, ``nan`` and ``inf`` spelled as
-    written), written in row blocks, each distinct value of a block
-    formatted once (``write_csv``).
+    written), written in row blocks, each distinct value of a block's
+    new rows formatted once and a row repeating the one above written
+    as its line (``write_csv``).
     ``timing.json`` gets ``csv_seconds``, the time spent writing them.
     """
     out = Path(out_dir)
@@ -276,6 +287,19 @@ def _check_chord_hamiltonian(cfg):
     if "beta" in cfg and name != "mechanical":
         raise UsageError(f"hamiltonian {name!r} does not read beta; "
                          "only 'mechanical' does")
+
+
+def _check_pb4_band(cfg):
+    """An expected band whose bounds are numbers (``±Infinity`` means no
+    bound) with ``expected_low <= expected_high``: a NaN bound would
+    pass every estimate, and an inverted band none."""
+    lo = cfg.get("expected_low", -math.inf)
+    hi = cfg.get("expected_high", math.inf)
+    for key, bound in (("expected_low", lo), ("expected_high", hi)):
+        if math.isnan(bound):
+            raise UsageError(f"config key {key} must not be NaN")
+    if lo > hi:
+        raise UsageError(f"expected_low {lo} exceeds expected_high {hi}")
 
 
 def _hamiltonian_for(cfg, tet):

@@ -104,17 +104,20 @@ class Pb4Problem:
         if not 0 <= self.thicken_radius < r_max:
             raise ValueError(f"thicken_radius must lie in [0, {r_max}), "
                              f"got {self.thicken_radius}")
+        grown = {name: self._grow(self.masks[name]) for name in MASK_NAMES}
+        object.__setattr__(self, "_thickened", grown)
         for a, b in (("X0", "X1"), ("Y0", "Y1")):
-            if np.any(self.thickened(a) & self.thickened(b)):
+            if np.any(grown[a] & grown[b]):
                 raise ValueError(
                     f"thickened masks {a} and {b} are not disjoint"
                 )
 
-    def thickened(self, name):
-        """The mask grown by ``thicken_radius`` 4-neighbour steps (the
+    def _grow(self, mask):
+        """``mask`` grown by ``thicken_radius`` 4-neighbour steps (the
         Manhattan ball of that radius), wrapping in u on cylinder
-        windows."""
-        m = np.asarray(self.masks[name], dtype=bool)
+        windows, and made read-only.  At radius 0 it is a view, so the
+        caller's array stays writable and no grid is copied."""
+        m = np.asarray(mask, dtype=bool).view()
         for _ in range(self.thicken_radius):
             g = m.copy()
             g[1:] |= m[:-1]
@@ -125,7 +128,13 @@ class Pb4Problem:
                 g[:, 1:] |= m[:, :-1]
                 g[:, :-1] |= m[:, 1:]
             m = g
+        m.setflags(write=False)
         return m
+
+    def thickened(self, name):
+        """The mask ``name`` grown by ``thicken_radius``, grown once when
+        the problem is built and returned read-only."""
+        return self._thickened[name]
 
     def frame_mask(self):
         w = self.window

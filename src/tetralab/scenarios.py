@@ -50,10 +50,16 @@ class PerturbationSpec:
     amplitude.  The far bump is ``AWAY_FACTOR`` times the wall bump; it
     sits away from both walls and from the chord corridor, so it may be
     large without destroying chords.  Only the unstable-equilibrium
-    scenario takes a perturbation.
+    scenario takes a perturbation.  The target is a |Delta|: finite and
+    at least 0 (``ConfigError`` otherwise).
     """
 
     delta_target: float = 0.25
+
+    def __post_init__(self):
+        if not (math.isfinite(self.delta_target) and self.delta_target >= 0):
+            raise ConfigError(f"delta_target must be finite and >= 0, "
+                              f"got {self.delta_target}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command line interface: configs, overrides, reports, exit codes."""
 
+import hashlib
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from tetralab import cli
 from tetralab.cli import emit_report, main
 from tetralab.dynamics import ChordSearchConfig, find_chord
-from tetralab.pb4 import BLOCK_CELLS
+from tetralab.pb4 import BLOCK_CELLS, estimate_pb4_plus, prototype_problem
 from tetralab.scenarios import PerturbationSpec, ScenarioConfig
 
 
@@ -128,6 +129,17 @@ class TestScenarioCommand:
                      str(tmp_path / "o")]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", [-0.1, math.nan])
+    def test_bad_perturbation_target_rejected(self, tmp_path, capsys,
+                                              target):
+        cfg = write_config(tmp_path, {"scenario": "unstable_equilibrium",
+                                      "perturbation": {"delta_target":
+                                                       target}})
+        out = tmp_path / "o"
+        assert main(["scenario", "run", cfg, "--out", str(out)]) == 1
+        assert "error: delta_target" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_report_bytes_reproducible(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "reeb_chord"})
         outs = []
@@ -202,6 +214,72 @@ class TestPb4Command:
         assert main(["pb4", "estimate", cfg, "--out", str(out)]) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("band, message", [
+        ({"expected_low": math.nan},
+         "config key expected_low must not be NaN"),
+        ({"expected_high": math.nan},
+         "config key expected_high must not be NaN"),
+        ({"expected_low": 4.4, "expected_high": 3.9},
+         "expected_low 4.4 exceeds expected_high 3.9")],
+        ids=["nan_low", "nan_high", "inverted"])
+    def test_nan_or_inverted_band_rejected(self, tmp_path, capsys, band,
+                                           message):
+        """A NaN bound would pass every estimate and an inverted band
+        none: both exit 1 and write nothing."""
+        cfg = write_config(tmp_path, {"n": 16, **band})
+        out = tmp_path / "o"
+        assert main(["pb4", "estimate", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_infinite_bounds_are_no_bound(self, tmp_path):
+        cfg = write_config(tmp_path, {"n": 16, "expected_low": -math.inf,
+                                      "expected_high": math.inf})
+        assert main(["pb4", "estimate", cfg, "--out",
+                     str(tmp_path / "o")]) == 0
+
+    def test_csvs_are_savetxt_of_the_fields(self, tmp_path):
+        """At n = 300 (several row blocks, most rows of G repeating the
+        row above) F.csv, G.csv and plot.csv are ``np.savetxt``'s text of
+        the estimate's fields."""
+        cfg = write_config(tmp_path, {"n": 300, "two_grid": True})
+        out = tmp_path / "out"
+        assert main(["pb4", "estimate", cfg, "--out", str(out)]) == 0
+        problem = prototype_problem(300)
+        report = estimate_pb4_plus(problem)
+        assert (report.G[1:] == report.G[:-1]).all(axis=1).sum() > 200
+        plot = np.column_stack([problem.window.s_nodes(),
+                                report.F.max(axis=1)])
+        for name, header, rows in (("F.csv", "s\\u grid", report.F),
+                                   ("G.csv", "s\\u grid", report.G),
+                                   ("plot.csv", "s,F_max_over_u", plot)):
+            assert (out / name).read_bytes() == \
+                savetxt_text(header, rows).encode(), name
+
+    def test_thickened_estimate_bytes_are_pinned(self, tmp_path):
+        """A thickened two-grid estimate, its masks grown once per
+        problem, writes these bytes (sha256 of each file)."""
+        cfg = write_config(tmp_path, {"n": 100, "R0": 0.7, "R1": 1.9,
+                                      "T": 0.6, "thicken_radius": 2,
+                                      "two_grid": True})
+        out = tmp_path / "out"
+        assert main(["pb4", "estimate", cfg, "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes())
+                   .hexdigest() for name in PINNED_THICKENED}
+        assert digests == PINNED_THICKENED
+
+
+PINNED_THICKENED = {
+    "report.json": "a186cffd16a1edf8d10fb1354f04164e"
+                   "2e9fe59d6b9816aab172b55e15a4c50b",
+    "F.csv": "71ccb475a13fee7db29e488046d0a14a"
+             "c7197d1c378ee2c7919c568d5d855bbc",
+    "G.csv": "6f19896db07ddf9265f4d04e54ccc95a"
+             "05c25046e50828a39e2c26d518b6b32c",
+    "plot.csv": "6d45359dd025e5824b3b59c199966112"
+                "c6bdcd3a9e097b7142ca0e835772b0fd",
+}
 
 
 class TestChordCommand:
@@ -318,22 +396,40 @@ class TestEmitReport:
         cli.write_csv(fh, header, rows)
         assert fh.getvalue() == savetxt_text(header, rows)
 
-    @pytest.mark.parametrize("width", [1000, 7])
-    @pytest.mark.parametrize("extra", [-1, 0, 1, "2 blocks + 1"])
+    @pytest.mark.parametrize("width", [1000, 7, 1])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "2 blocks + 1", "no rows"])
     def test_csv_blocks_match_savetxt(self, width, extra):
         """Row blocks of about ``BLOCK_CELLS`` values leave the text
-        ``np.savetxt``'s at block - 1, block, block + 1 and 2 block + 1
-        rows, with signed zeros, nan, inf and one value in every block."""
+        ``np.savetxt``'s at no rows and at block - 1, block, block + 1
+        and 2 block + 1 rows, with signed zeros, nan, inf and one value
+        in every block; and so do runs of repeated rows (inside a block,
+        and from a block's first row on), rows equal in value but not in
+        bits, and one row repeated."""
         block = BLOCK_CELLS // width
-        n = 2 * block + 1 if extra == "2 blocks + 1" else block + extra
+        n = ({"2 blocks + 1": 2 * block + 1, "no rows": 0}[extra]
+             if isinstance(extra, str) else block + extra)
         rng = np.random.default_rng(width)
         rows = np.where(rng.random((n, width)) < 0.5,
                         rng.choice(CSV_POOL, (n, width)),
                         rng.standard_normal((n, width)))
-        rows[:, 1] = 0.1  # formatted once per block
-        fh = io.StringIO()
-        cli.write_csv(fh, "s\\u grid", rows)
-        assert fh.getvalue() == savetxt_text("s\\u grid", rows)
+        rows[:, 1:2] = 0.1  # formatted once per block
+        runs = rows.copy()
+        for r in (2, 3, 4, 7, block, block + 1, block + 2):
+            if r < n:
+                runs[r] = runs[r - 1]
+        signed = np.zeros((n, width))
+        signed[1::2, 0] = -0.0
+        payloads = np.full((n, width), math.nan)
+        payloads[1::2, 0] = np.int64(0x7FF8000000000001).view(np.float64)
+        tables = {"rows": rows, "runs": runs, "signed zeros": signed,
+                  "nan payloads": payloads,
+                  "one row": np.repeat(rows[:1], n, axis=0)}
+        for name, table in tables.items():
+            fh = io.StringIO()
+            cli.write_csv(fh, "s\\u grid", table)
+            # a bool, so that a failure names the table without a diff
+            same = fh.getvalue() == savetxt_text("s\\u grid", table)
+            assert same, name
 
     def test_csv_memory_is_the_field_plus_blocks(self):
         """A 512 x 512 field of distinct values is written a block at a

@@ -365,6 +365,19 @@ class TestThickening:
         assert np.array_equal(problem.thickened("X0"),
                               manhattan_ball(mask, r, periodic_u))
 
+    @pytest.mark.parametrize("r", [0, 2])
+    def test_grown_once_and_read_only(self, r):
+        """``thickened`` returns one read-only mask per name, grown when
+        the problem is built; the caller's mask stays writable."""
+        mask = np.zeros((8, 10), dtype=bool)
+        mask[3, 4] = True
+        problem = single_mask_problem(mask, r, True)
+        grown = problem.thickened("X0")
+        assert problem.thickened("X0") is grown
+        with pytest.raises(ValueError, match="read-only"):
+            grown[0, 0] = True
+        assert mask.flags.writeable
+
     @pytest.mark.parametrize("r", [-1, 8, 20])
     def test_radius_out_of_range_rejected(self, r):
         mask = np.zeros((8, 10), dtype=bool)

@@ -91,6 +91,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_scenario(cfg)
 
+    @pytest.mark.parametrize("target", [-0.1, math.nan, math.inf])
+    def test_perturbation_target_is_a_finite_size(self, target):
+        """The target is a |Delta|: a negative, NaN or infinite one is
+        refused by name before any calibration."""
+        with pytest.raises(ConfigError, match="delta_target"):
+            PerturbationSpec(delta_target=target)
+
+    def test_zero_perturbation_target_accepted(self):
+        assert PerturbationSpec(delta_target=0.0).delta_target == 0.0
+
     @pytest.mark.parametrize("scenario", ["superconductivity",
                                           "mechanical", "reeb_chord"])
     def test_perturbation_only_on_unstable_equilibrium(self, scenario):
