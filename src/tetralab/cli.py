@@ -1,8 +1,11 @@
 """Configuration-driven command line runner with reproducible reports.
 
-One JSON config file describes one command.  Unknown keys are rejected,
-and so is a scenario key its kind does not read (``SCENARIO_KEYS``);
-CLI ``--set`` flags override leaf keys via dotted paths.  Reports are
+Commands: ``scenario run`` (the chord search; a found chord also writes
+``trajectory.csv`` and ``plot.csv``), ``pb4 estimate``, ``tetragon build``
+and ``validate config``.  One JSON config file describes one command.
+Unknown keys are rejected, and so is a scenario key its kind does not
+read (``SCENARIO_KEYS``); CLI ``--set`` flags override leaf keys via
+dotted paths.  Reports are
 written as JSON with stable key order; wall-clock statistics go to a
 separate timing file so the scientific report is byte-reproducible.
 
@@ -23,17 +26,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .contact import (_DEFAULT_R0, _DEFAULT_R1, MEMBER_TOL, build_tetragon,
-                      make_model, smooth_tetragon)
-from .dynamics import ChordSearchConfig, chord_budget, find_chord, separation
+from .contact import (_DEFAULT_R0, _DEFAULT_R1, build_tetragon, make_model,
+                      smooth_tetragon)
+# separation is unused here but patched by bench/tracing.py
+from .dynamics import separation  # noqa: F401
 # feasible_pair_value is unused here but patched by bench/tracing.py
 from .pb4 import (BLOCK_CELLS, FEASIBILITY_TOL,  # noqa: F401
                   estimate_pb4_plus, feasible_pair_value, prototype_problem)
-from .scenarios import (_DEFAULT_BETA, INCREMENT_TOL, SEARCH_KEYS, TIME_TOL,
-                        ConfigError, PerturbationSpec, ScenarioConfig,
-                        channel_potential, check_scenario_keys,
-                        mechanical_hamiltonian, run_scenario,
-                        unstable_hamiltonian)
+from .scenarios import (INCREMENT_TOL, TIME_TOL, ConfigError, PerturbationSpec,
+                        ScenarioConfig, check_scenario_keys, run_scenario)
 
 
 class UsageError(ValueError):
@@ -63,12 +64,6 @@ _PB4_SCHEMA = {
     "thicken_radius": int, "two_grid": bool,
     "expected_low": float, "expected_high": float,
     "optimizer": _OPTIMIZER_SCHEMA,
-}
-
-_CHORD_SCHEMA = {
-    "model": str, "k": int, "R0": float, "R1": float, "T": float,
-    "hamiltonian": str, "beta": float, "time_budget": float,
-    "n_seeds": int, "n_phases": int, "ode_tol": float,
 }
 
 _TETRAGON_SCHEMA = {
@@ -133,11 +128,9 @@ def load_config(path, overrides, schema):
         raise UsageError("config section <root> must be an object")
     cfg = _apply_overrides(cfg, overrides)
     _check_keys(cfg, schema)
-    # beyond the schema, only what the scenario kind or Hamiltonian reads
+    # beyond the schema, only what the scenario kind reads
     if schema is _SCENARIO_SCHEMA:
         check_scenario_keys(cfg.get("scenario"), cfg)
-    elif schema is _CHORD_SCHEMA:
-        _check_chord_hamiltonian(cfg)
     elif schema is _PB4_SCHEMA:
         _check_pb4_band(cfg)
     return cfg
@@ -221,14 +214,32 @@ def _cmd_scenario(cfg):
         **kwargs,
     )
     report = run_scenario(sc)
+    result = report.search  # None for Reeb chords, which run no search
     payload = {
         "command": "scenario",
         "artifact_version": __version__,
         "config": cfg,
         "report": report.describe(),
+        "search": None if result is None else {
+            key: getattr(result, key) for key in
+            ("best_distance", "n_seeds", "n_phases", "n_escaped", "n_stiff")},
         "tolerances": {"time": TIME_TOL, "increment": INCREMENT_TOL},
     }
-    return payload, {}, 0 if report.passed else 2
+    csvs = {}
+    if result is not None and result.found:
+        traj = result.chord.trajectory
+        ts = np.linspace(traj.t0, traj.t1, 200)
+        states = traj.sample(ts)
+        k = traj.chart.dim_pairs
+        csvs["trajectory.csv"] = (
+            "t," + ",".join(traj.chart.labels),
+            np.column_stack([ts, states]),
+        )
+        csvs["plot.csv"] = (
+            "t,p_norm",
+            np.column_stack([ts, np.linalg.norm(states[:, :k], axis=1)]),
+        )
+    return payload, csvs, 0 if report.passed else 2
 
 
 def _cmd_pb4(cfg):
@@ -268,27 +279,6 @@ def _cmd_pb4(cfg):
     return payload, csvs, status
 
 
-# chord find's Hamiltonians on the tetragon's k, R0 and R1; only the
-# mechanical one reads beta
-_CHORD_HAMILTONIANS = {
-    "unstable": lambda tet, cfg: unstable_hamiltonian(tet.model.k),
-    "channel": lambda tet, cfg: channel_potential(tet.model.k),
-    "mechanical": lambda tet, cfg: mechanical_hamiltonian(
-        tet.model.k, cfg.get("beta", _DEFAULT_BETA), tet.R0, tet.R1),
-}
-
-
-def _check_chord_hamiltonian(cfg):
-    """A known ``hamiltonian``, and ``beta`` only with the mechanical one."""
-    name = cfg.get("hamiltonian", "unstable")
-    if name not in _CHORD_HAMILTONIANS:
-        raise UsageError(f"unknown hamiltonian {name!r}; "
-                         f"choose from {sorted(_CHORD_HAMILTONIANS)}")
-    if "beta" in cfg and name != "mechanical":
-        raise UsageError(f"hamiltonian {name!r} does not read beta; "
-                         "only 'mechanical' does")
-
-
 def _check_pb4_band(cfg):
     """An expected band whose bounds are numbers (``±Infinity`` means no
     bound) with ``expected_low <= expected_high``: a NaN bound would
@@ -302,11 +292,6 @@ def _check_pb4_band(cfg):
         raise UsageError(f"expected_low {lo} exceeds expected_high {hi}")
 
 
-def _hamiltonian_for(cfg, tet):
-    """The config's Hamiltonian (checked by ``load_config``)."""
-    return _CHORD_HAMILTONIANS[cfg.get("hamiltonian", "unstable")](tet, cfg)
-
-
 def _tetragon_for(cfg):
     """The config's tetragon; T defaults to the model's
     ``default_reeb_time``, as in the scenarios."""
@@ -314,55 +299,6 @@ def _tetragon_for(cfg):
     T = cfg.get("T", model.default_reeb_time)
     return build_tetragon(model, cfg.get("R0", _DEFAULT_R0),
                           cfg.get("R1", _DEFAULT_R1), T)
-
-
-def _cmd_chord(cfg):
-    tet = _tetragon_for(cfg)
-    H = _hamiltonian_for(cfg, tet)
-    budget = cfg.get("time_budget")
-    sep = separation(H, tet.low_wall, tet.high_wall)
-    if budget is None:
-        budget = chord_budget(tet.kappa, sep.delta)
-    search = ChordSearchConfig(
-        **{key: cfg[key] for key in SEARCH_KEYS if key in cfg})
-    result = find_chord(H, tet.floor, tet.ceiling, budget, search)
-    payload = {
-        "command": "chord",
-        "artifact_version": __version__,
-        "config": cfg,
-        "report": {
-            "found": result.found,
-            "budget": budget,
-            "delta": sep.delta,
-            "time_length": result.chord.time_length
-            if result.found else None,
-            "time_error": result.chord.time_error if result.found else None,
-            "best_distance": result.best_distance,
-            "n_seeds": result.n_seeds,
-            "n_phases": result.n_phases,
-            "n_escaped": result.n_escaped,
-            "n_stiff": result.n_stiff,
-            "n_refine_evals": result.n_refine_evals,
-            "n_refine_failed": result.n_refine_failed,
-            "n_separation_evals": sep.n_evals,
-        },
-        "tolerances": {"membership": MEMBER_TOL, "ode": search.ode_tol},
-    }
-    csvs = {}
-    if result.found:
-        traj = result.chord.trajectory
-        ts = np.linspace(traj.t0, traj.t1, 200)
-        states = traj.sample(ts)
-        k = H.chart.dim_pairs
-        csvs["trajectory.csv"] = (
-            "t," + ",".join(H.chart.labels),
-            np.column_stack([ts, states]),
-        )
-        csvs["plot.csv"] = (
-            "t,p_norm",
-            np.column_stack([ts, np.linalg.norm(states[:, :k], axis=1)]),
-        )
-    return payload, csvs, 0 if result.found else 2
 
 
 def _cmd_tetragon(cfg):
@@ -388,7 +324,6 @@ def _cmd_tetragon(cfg):
 _COMMANDS = {
     ("scenario", "run"): (_SCENARIO_SCHEMA, _cmd_scenario),
     ("pb4", "estimate"): (_PB4_SCHEMA, _cmd_pb4),
-    ("chord", "find"): (_CHORD_SCHEMA, _cmd_chord),
     ("tetragon", "build"): (_TETRAGON_SCHEMA, _cmd_tetragon),
 }
 

@@ -58,6 +58,13 @@ class ParameterError(ValueError):
     """A model or tetragon parameter is out of its admissible range."""
 
 
+def check_radii(R0, R1):
+    """Raise ``ParameterError``, naming both values, unless the radial
+    levels are finite with 0 < R0 < R1 (a NaN fails every comparison)."""
+    if not (0.0 < R0 < R1 < math.inf):
+        raise ParameterError(f"need 0 < R0 < R1 < inf, got R0={R0}, R1={R1}")
+
+
 def _wrap_half(x):
     """Wrap to [-0.5, 0.5): nearest representative on the unit torus."""
     w = (np.asarray(x, dtype=float) + 0.5) % 1.0 - 0.5
@@ -637,8 +644,7 @@ def build_tetragon(model: ContactModel, R0, R1, T) -> Tetragon:
     the floor and ceiling fix s = R0, R1 and sweep (t, angles); the low
     and high walls fix t = T, 0 and sweep (s, angles).
     """
-    if not (0.0 < R0 < R1):
-        raise ParameterError(f"need 0 < R0 < R1, got R0={R0}, R1={R1}")
+    check_radii(R0, R1)
     model.check_reeb_time(T)
 
     def event(fn, twin, level):

@@ -929,8 +929,9 @@ class ChordSearchConfig:
     least 1, ``ode_tol`` positive and finite, and ``escape_norm`` positive,
     inf turning the escape ball off (``ValueError``).
 
-    These defaults are the only ones the chord search has: scenarios and
-    ``tetralab chord find`` pass on only the search keys a config sets."""
+    These defaults are the only ones the chord search has: a scenario,
+    and so ``tetralab scenario run``, passes on only the search keys its
+    config sets."""
 
     n_seeds: int = 64
     n_phases: int = 16

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import _DEFAULT_R0, _DEFAULT_R1, CircleModel, ParameterError
+from .contact import _DEFAULT_R0, _DEFAULT_R1, CircleModel, check_radii
 from .phase_core import HamiltonianSpec, PhaseChart
 from .profiles import quintic, quintic_d, smoothstep, smoothstep_int
 
@@ -442,8 +442,7 @@ def prototype_problem(n=128, R0=_DEFAULT_R0, R1=_DEFAULT_R1,
     (Y0, u=T) and high wall (Y1, u=0).  The geometry is checked as
     ``build_tetragon`` checks it (``ParameterError``).
     """
-    if not (0.0 < R0 < R1):
-        raise ParameterError(f"need 0 < R0 < R1, got R0={R0}, R1={R1}")
+    check_radii(R0, R1)
     CircleModel().check_reeb_time(T)
     w = GridWindow(
         s_lo=R0 - 0.5, s_hi=R1 + 0.5,
@@ -623,8 +622,7 @@ class WallWitness:
 
 
 def wall_witness(R0, R1, delta1=0.005, delta2=0.01) -> WallWitness:
-    if not (0.0 < R0 < R1):
-        raise ValueError("need 0 < R0 < R1")
+    check_radii(R0, R1)
     if delta1 <= 0.0 or delta2 <= 0.0:
         raise ValueError("delta1 and delta2 must be positive")
     width = R1 - R0

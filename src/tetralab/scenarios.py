@@ -17,10 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from .contact import (_DEFAULT_R0, _DEFAULT_R1, CircleModel, SphereModel,
-                      TorusModel, build_tetragon)
-from .dynamics import (ChordSearchConfig, chord_budget, deterministic_map,
-                       find_chord, integrate, separation)
+from .contact import (_DEFAULT_R0, _DEFAULT_R1, CircleModel, ParameterError,
+                      SphereModel, TorusModel, build_tetragon, check_radii)
+from .dynamics import (ChordSearchConfig, ChordSearchResult, chord_budget,
+                       deterministic_map, find_chord, integrate, separation)
 from .phase_core import HamiltonianSpec, PhaseChart, row_sum
 from .profiles import Plateau, PlateauStack
 
@@ -69,7 +69,10 @@ class ScenarioConfig:
     (``ConfigError`` names every one that does not).  ``T`` defaults to
     the contact model's ``default_reeb_time``.  The search fields
     ``n_seeds``, ``n_phases`` and ``ode_tol`` default to None, "not
-    set": the chord search then uses ``ChordSearchConfig``'s value."""
+    set": the chord search then uses ``ChordSearchConfig``'s value.
+    ``R0`` and ``R1`` must pass ``contact.check_radii``, and ``beta``,
+    ``reeb_factor_base`` and ``reeb_factor_amp`` be finite
+    (``ConfigError``, naming the value or the key)."""
 
     scenario: str
     k: int = 1
@@ -96,8 +99,14 @@ class ScenarioConfig:
                 "k > 2 is not supported: the target sets have codimension "
                 "too high for reliable desk-scale search"
             )
-        if not (0.0 < self.R0 < self.R1):
-            raise ConfigError("need 0 < R0 < R1")
+        try:
+            check_radii(self.R0, self.R1)
+        except ParameterError as exc:
+            raise ConfigError(exc) from None
+        for name in ("beta", "reeb_factor_base", "reeb_factor_amp"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(
+                    f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +119,10 @@ class ScenarioReport:
     ``ChordSearchResult``), and ``n_separation_evals`` the wall
     separation's ``SeparationReport.n_evals``; all three are None for
     Reeb chords, which run neither.  Perturbed runs carry the
-    calibration's ``separation`` count as ``details["calibration_steps"]``."""
+    calibration's ``separation`` count as ``details["calibration_steps"]``.
+    ``search`` is the chord search's whole result (None for Reeb chords),
+    for a caller that writes the chord or the sweep's counts;
+    ``describe`` does not read it."""
 
     scenario: str
     delta_separation: float
@@ -126,6 +138,8 @@ class ScenarioReport:
     n_refine_evals: Optional[int] = None
     n_refine_failed: Optional[int] = None
     n_separation_evals: Optional[int] = None
+    search: Optional[ChordSearchResult] = field(default=None, compare=False,
+                                                repr=False)
 
     @property
     def passed(self):
@@ -446,7 +460,7 @@ def _chord_report(scenario, cfg: ScenarioConfig, tet, G: HamiltonianSpec,
         details=details, time_error=time_err,
         n_refine_evals=result.n_refine_evals,
         n_refine_failed=result.n_refine_failed,
-        n_separation_evals=sep.n_evals,
+        n_separation_evals=sep.n_evals, search=result,
     )
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tetralab import cli
+from tetralab import cli, scenarios
 from tetralab.cli import emit_report, main
 from tetralab.dynamics import ChordSearchConfig, find_chord
 from tetralab.pb4 import BLOCK_CELLS, estimate_pb4_plus, prototype_problem
@@ -47,6 +47,89 @@ class TestScenarioCommand:
         assert 0 < rep["report"]["n_separation_evals"] <= 240
         assert (out / "timing.json").exists()
 
+    def test_channel_chord_with_artifacts(self, tmp_path):
+        """A found chord writes its search counts and 200 samples of it
+        from floor (s = 1) to ceiling (s = 2): (t, s, u) and (t, |p|)."""
+        cfg = write_config(tmp_path, {"scenario": "superconductivity"})
+        out = tmp_path / "out"
+        assert main(["scenario", "run", cfg, "--out", str(out)]) == 0
+        rep = read_report(out)
+        assert rep["report"]["time_length"] == pytest.approx(
+            1.0 / (2 * math.pi), abs=1e-6)
+        assert 0.0 <= rep["report"]["time_error"] < 1e-9
+        assert rep["report"]["n_refine_evals"] > 0
+        assert rep["report"]["n_refine_failed"] == 0
+        assert 0 < rep["report"]["n_separation_evals"] <= 240
+        assert rep["search"] == {"best_distance": 0.0, "n_seeds": 64,
+                                 "n_phases": 1, "n_escaped": 0,
+                                 "n_stiff": 0}
+        assert (out / "trajectory.csv").read_text().startswith("t,s,u\n")
+        traj = np.loadtxt(out / "trajectory.csv", delimiter=",",
+                          skiprows=1)
+        assert traj.shape == (200, 3)
+        plot = np.loadtxt(out / "plot.csv", delimiter=",", skiprows=1)
+        assert plot.shape == (200, 2)
+        assert plot[[0, -1], 1] == pytest.approx([1.0, 2.0], abs=1e-6)
+
+    def test_no_chord_exits_2_with_search_counts(self, tmp_path,
+                                                 monkeypatch):
+        """A budget too small for any chord: exit 2, and the search
+        block says what the sweep lost; no CSV is written."""
+        monkeypatch.setattr(scenarios, "chord_budget", lambda *args: 0.01)
+        cfg = write_config(tmp_path, {"scenario": "superconductivity",
+                                      "n_seeds": 8})
+        out = tmp_path / "out"
+        assert main(["scenario", "run", cfg, "--out", str(out)]) == 2
+        rep = read_report(out)
+        assert rep["report"]["found"] is False
+        assert rep["report"]["budget"] == 0.01
+        assert rep["report"]["time_error"] is None
+        assert rep["report"]["n_refine_evals"] > 0
+        assert rep["report"]["n_refine_failed"] == 0
+        assert rep["search"].pop("best_distance") > 0.0
+        assert rep["search"] == {"n_seeds": 8, "n_phases": 1,
+                                 "n_escaped": 0, "n_stiff": 0}
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["report.json", "timing.json"]
+
+    def test_search_defaults_come_from_chord_search_config(
+            self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(*args):
+            seen.append(args[-1])
+            return find_chord(*args)
+
+        monkeypatch.setattr(scenarios, "find_chord", record)
+        cfg = write_config(tmp_path, {"scenario": "superconductivity"})
+        assert main(["scenario", "run", cfg, "--out",
+                     str(tmp_path / "out")]) == 0
+        default = ChordSearchConfig()
+        assert [(c.n_seeds, c.n_phases, c.ode_tol) for c in seen] == \
+            [(default.n_seeds, default.n_phases, default.ode_tol)]
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"scenario": "reeb_chord", "reeb_factor_base": math.nan},
+         "reeb_factor_base must be finite, got nan"),
+        ({"scenario": "reeb_chord", "reeb_factor_amp": math.inf},
+         "reeb_factor_amp must be finite, got inf"),
+        ({"scenario": "mechanical", "beta": math.nan},
+         "beta must be finite, got nan"),
+        ({"scenario": "superconductivity", "R1": math.inf},
+         "need 0 < R0 < R1 < inf, got R0=1.0, R1=inf"),
+        ({"scenario": "unstable_equilibrium", "k": 4, "n_seeds": 256},
+         "k > 2 is not supported: the target sets have codimension too "
+         "high for reliable desk-scale search"),
+    ], ids=["reeb_factor_base", "reeb_factor_amp", "beta", "R1", "k4"])
+    def test_refused_value_named(self, tmp_path, capsys, payload, message):
+        """A non-finite number, or k above 2 (the k rule has this one
+        door), exits 1 with the key named and writes nothing."""
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["scenario", "run", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_override_changes_config(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "reeb_chord"})
         out = tmp_path / "out"
@@ -57,6 +140,7 @@ class TestScenarioCommand:
         assert rep["config"]["reeb_factor_amp"] == 0.0
         assert rep["report"]["n_refine_evals"] is None
         assert rep["report"]["n_separation_evals"] is None
+        assert rep["search"] is None
         assert rep["report"]["time_length"] == pytest.approx(
             (math.pi / 4) / 1.5, abs=1e-8
         )
@@ -282,81 +366,6 @@ PINNED_THICKENED = {
 }
 
 
-class TestChordCommand:
-    def test_channel_chord_with_artifacts(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "model": "circle", "k": 1, "hamiltonian": "channel",
-            "T": 0.25,
-        })
-        out = tmp_path / "out"
-        assert main(["chord", "find", cfg, "--out", str(out)]) == 0
-        rep = read_report(out)
-        assert rep["report"]["found"] is True
-        assert rep["report"]["time_length"] == pytest.approx(
-            1.0 / (2 * math.pi), abs=1e-6
-        )
-        assert 0.0 <= rep["report"]["time_error"] < 1e-9
-        assert rep["report"]["n_refine_evals"] > 0
-        assert rep["report"]["n_refine_failed"] == 0
-        assert 0 < rep["report"]["n_separation_evals"] <= 240
-        traj = np.loadtxt(out / "trajectory.csv", delimiter=",",
-                          skiprows=1)
-        assert traj.shape[1] == 3  # t, s, u
-        plot = np.loadtxt(out / "plot.csv", delimiter=",", skiprows=1)
-        assert plot.shape[1] == 2
-
-    def test_tiny_budget_exits_2(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "model": "circle", "k": 1, "hamiltonian": "channel",
-            "T": 0.25, "time_budget": 0.01, "n_seeds": 8,
-        })
-        out = tmp_path / "out"
-        assert main(["chord", "find", cfg, "--out", str(out)]) == 2
-        rep = read_report(out)
-        assert rep["report"]["found"] is False
-        assert rep["report"]["best_distance"] > 0.0
-        assert rep["report"]["time_error"] is None
-        assert rep["report"]["n_refine_evals"] > 0
-        assert rep["report"]["n_refine_failed"] == 0
-
-    def test_unknown_hamiltonian_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, {"hamiltonian": "magic"})
-        assert main(["chord", "find", cfg, "--out",
-                     str(tmp_path / "o")]) == 1
-
-    def test_beta_only_with_mechanical(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"hamiltonian": "unstable",
-                                      "beta": 7})
-        assert main(["chord", "find", cfg, "--out",
-                     str(tmp_path / "o")]) == 1
-        assert "beta" in capsys.readouterr().err
-
-    def test_circle_with_k_above_one_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"model": "circle", "k": 2,
-                                      "hamiltonian": "channel"})
-        assert main(["chord", "find", cfg, "--out",
-                     str(tmp_path / "o")]) == 1
-        assert "k = 1" in capsys.readouterr().err
-
-    def test_search_defaults_come_from_chord_search_config(
-            self, tmp_path, monkeypatch):
-        seen = []
-
-        def record(*args):
-            seen.append(args[-1])
-            return find_chord(*args)
-
-        monkeypatch.setattr(cli, "find_chord", record)
-        cfg = write_config(tmp_path, {"model": "circle",
-                                      "hamiltonian": "channel"})
-        out = tmp_path / "out"
-        assert main(["chord", "find", cfg, "--out", str(out)]) == 0
-        default = ChordSearchConfig()
-        assert [(c.n_seeds, c.n_phases, c.ode_tol) for c in seen] == \
-            [(default.n_seeds, default.n_phases, default.ode_tol)]
-        assert read_report(out)["tolerances"]["ode"] == default.ode_tol
-
-
 # values a CSV writer could merge or misspell: both zeros, NaN, both
 # infinities, the smallest subnormal, a huge value, and plain repeats
 CSV_POOL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 0.1,
@@ -475,17 +484,16 @@ class TestTetragonCommand:
         assert sm["lagrangian_residual"] <= 1e-8
 
     def test_torus_default_reeb_time(self, tmp_path):
-        """Without T, both tetragon commands build a valid torus
-        tetragon (T = 0.25 < 1/2)."""
+        """Without T, ``tetragon build`` and ``scenario run`` build a
+        valid torus tetragon (T = 0.25 < 1/2)."""
         cfg = write_config(tmp_path, {"model": "torus", "k": 2})
         out = tmp_path / "tet"
         assert main(["tetragon", "build", cfg, "--out", str(out)]) == 0
         assert read_report(out)["report"]["kappa"] == pytest.approx(0.25)
-        cfg = write_config(tmp_path, {"model": "torus", "k": 2,
-                                      "hamiltonian": "channel"},
-                           name="chord.json")
+        cfg = write_config(tmp_path, {"scenario": "superconductivity",
+                                      "k": 2}, name="chord.json")
         out = tmp_path / "chord"
-        assert main(["chord", "find", cfg, "--out", str(out)]) == 0
+        assert main(["scenario", "run", cfg, "--out", str(out)]) == 0
         assert read_report(out)["report"]["time_length"] == pytest.approx(
             1.0 / (2 * math.pi), abs=1e-6)
 
@@ -510,15 +518,6 @@ class TestSchemas:
         assert set(cli._PERTURBATION_SCHEMA) == \
             {f.name for f in fields(PerturbationSpec)}
 
-    def test_chord_search_keys_are_config_fields(self):
-        """The chord keys that set neither the tetragon nor the
-        Hamiltonian nor the budget go to ``ChordSearchConfig``; a field
-        deleted there cannot stay an accepted key."""
-        search_keys = set(cli._CHORD_SCHEMA) - set(cli._TETRAGON_SCHEMA) \
-            - {"hamiltonian", "beta", "time_budget"}
-        assert search_keys == {"n_seeds", "n_phases", "ode_tol"}
-        assert search_keys <= {f.name for f in fields(ChordSearchConfig)}
-
 
 class TestValidateCommand:
     def test_valid_config(self, tmp_path, capsys):
@@ -539,22 +538,22 @@ class TestValidateCommand:
         assert code == 0
 
     @pytest.mark.parametrize("payload, message", [
-        ({"hamiltonian": "unstable", "beta": 7},
-         "error: hamiltonian 'unstable' does not read beta; "
-         "only 'mechanical' does"),
-        ({"hamiltonian": "nope"},
-         "error: unknown hamiltonian 'nope'; "
-         "choose from ['channel', 'mechanical', 'unstable']"),
-    ], ids=["beta_without_mechanical", "unknown_hamiltonian"])
-    def test_chord_config_that_find_rejects_is_invalid(
+        ({"scenario": "reeb_chord", "beta": 7},
+         "error: scenario 'reeb_chord' takes no beta; "
+         "it reads T, reeb_model, reeb_factor_base, reeb_factor_amp"),
+        ({"scenario": "nope"},
+         "error: unknown scenario 'nope'; choose from ['mechanical', "
+         "'reeb_chord', 'superconductivity', 'unstable_equilibrium']"),
+    ], ids=["unread_beta", "unknown_scenario"])
+    def test_scenario_config_that_run_rejects_is_invalid(
             self, tmp_path, capsys, payload, message):
-        """``validate config --command chord`` and ``chord find`` run
-        the same check: both exit 1 with the same message, and ``chord
-        find`` writes no report."""
+        """``validate config`` and ``scenario run`` run the same check:
+        both exit 1 with the same message, and ``scenario run`` writes no
+        report."""
         cfg = write_config(tmp_path, payload)
-        assert main(["validate", "config", cfg, "--command", "chord"]) == 1
+        assert main(["validate", "config", cfg]) == 1
         assert capsys.readouterr().err.strip() == message
         out = tmp_path / "o"
-        assert main(["chord", "find", cfg, "--out", str(out)]) == 1
+        assert main(["scenario", "run", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err.strip() == message
         assert not (out / "report.json").exists()

@@ -1,6 +1,7 @@
 """Contact models, Reeb flows, tetragon regions and smoothing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from tetralab.contact import (CircleModel, ParameterError,
                               RoundedRectangleLoop, SphereModel, TorusModel,
                               build_tetragon, make_model, smooth_tetragon,
                               unit_sphere_point, unit_sphere_tangent)
+from tetralab.pb4 import prototype_problem, wall_witness
 from tetralab.phase_core import omega_matrix
+from tetralab.scenarios import ConfigError, ScenarioConfig
 
 from conftest import surface_point
 
@@ -232,6 +235,24 @@ class TestTetragonConstruction:
             build_tetragon(CircleModel(), 2.0, 1.0, 0.25)
         with pytest.raises(ParameterError):
             build_tetragon(CircleModel(), 0.0, 1.0, 0.25)
+
+    @pytest.mark.parametrize("R0, R1", [(1.0, math.inf), (math.inf, math.inf),
+                                        (math.nan, 2.0), (1.0, math.nan)])
+    @pytest.mark.parametrize("site, error", [
+        (lambda R0, R1: build_tetragon(CircleModel(), R0, R1, 0.25),
+         ParameterError),
+        (lambda R0, R1: prototype_problem(8, R0=R0, R1=R1), ParameterError),
+        (wall_witness, ParameterError),
+        (lambda R0, R1: ScenarioConfig("mechanical", R0=R0, R1=R1),
+         ConfigError),
+    ], ids=["build_tetragon", "prototype_problem", "wall_witness",
+            "ScenarioConfig"])
+    def test_radii_must_be_finite(self, site, error, R0, R1):
+        """Every site that takes radial levels refuses an infinite or
+        NaN one through ``check_radii``, naming both values."""
+        message = f"need 0 < R0 < R1 < inf, got R0={R0}, R1={R1}"
+        with pytest.raises(error, match=re.escape(message)):
+            site(R0, R1)
 
     def test_reeb_time_bounds(self):
         with pytest.raises(ParameterError):

@@ -7,9 +7,10 @@ and ``solve_ivp`` named only where ``SCIPY_ALLOWED`` and
 ``SOLVE_IVP_ALLOWED`` say, every ``HamiltonianSpec`` the package
 builds passes ``point_gradient``, the integrator sums nothing by
 BLAS, every CSV goes through ``cli.write_csv`` (no ``savetxt``), the
-package squares by product, never by ``** 2``, and it sums floats with
+package squares by product, never by ``** 2``, it sums floats with
 ``phase_core.row_sum``, not the builtin ``sum``, but where
-``SUM_ALLOWED`` says.
+``SUM_ALLOWED`` says, and every ``tetralab`` command the README shows
+is one the CLI's parser accepts.
 
 Stdlib ``ast`` checks, so they need no linter.  An import statement with
 ``# noqa: F401`` on one of its lines is exempt (re-exports, and names
@@ -23,13 +24,19 @@ module at all.
 """
 
 import ast
+import contextlib
 import functools
+import io
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from tetralab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tetralab"
@@ -482,3 +489,42 @@ def test_package_sums_by_row_sum(path):
     sums = builtin_sums(path.read_text(encoding="utf-8"))
     assert [(line, fn) for line, fn in sums
             if (path.name, fn) not in SUM_ALLOWED] == []
+
+
+def readme_commands(text):
+    """The arguments after ``tetralab`` of each line of ``text``'s fenced
+    ``sh`` blocks that runs it, comments dropped."""
+    return [shlex.split(line, comments=True)[1:]
+            for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+            for line in block.splitlines() if line.startswith("tetralab ")]
+
+
+def refused_commands(commands):
+    """The commands ``cli.build_parser()`` refuses: an unknown group or
+    action, or a ``validate config --command`` outside its choices."""
+    refused = []
+    for argv in commands:
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                cli.build_parser().parse_args(argv)
+        except SystemExit:
+            refused.append(" ".join(argv))
+    return refused
+
+
+def test_readme_checker_flags_a_stale_command():
+    text = ("```sh\ntetralab scenario run s.json --out o  # a run\n"
+            "tetralab chord find c.json\n"
+            "tetralab validate config c.json --command chord\n```\n"
+            "```\ntetralab unknown outside an sh block\n```\n")
+    assert refused_commands(readme_commands(text)) == [
+        "chord find c.json", "validate config c.json --command chord"]
+
+
+def test_readme_commands_parse():
+    """The README shows only commands the CLI has, so a command that
+    goes takes its example with it."""
+    commands = readme_commands((ROOT / "README.md").read_text(
+        encoding="utf-8"))
+    assert len(commands) >= 4
+    assert refused_commands(commands) == []
