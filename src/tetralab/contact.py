@@ -84,8 +84,10 @@ def _interval_excess(x, lo, hi):
 
 
 def _norm(x):
-    """Euclidean norm over the last axis."""
-    return np.sqrt(np.sum(x * x, axis=-1))
+    """Euclidean norm over the last axis, the floats of
+    ``np.linalg.norm(x, axis=-1)`` by C-level calls only (the sweep takes
+    it on every step)."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def _col(v):
@@ -339,10 +341,10 @@ class TorusModel(ContactModel):
 
     def horizontal_distance(self, c, R, T):
         s, q, phat = self._split(c, 1e-9)
-        a = np.sum(q * phat, axis=-1)
+        a = np.add.reduce(q * phat, axis=-1)
         perp = q - a[..., None] * phat
         ds, da = s - R, _interval_excess(a, 0.0, T)
-        d = np.sqrt(ds * ds + np.sum(perp * perp, axis=-1) + da * da)
+        d = np.sqrt(ds * ds + np.add.reduce(perp * perp, axis=-1) + da * da)
         return np.where(s < 1e-9, np.hypot(R, _norm(q)), d)
 
     def horizontal_event(self, c, R):
@@ -359,7 +361,7 @@ class TorusModel(ContactModel):
 
     def wall_event(self, c, t):
         s, q, phat = self._split(c, 1e-12)
-        return np.where(s < 1e-12, -t, np.sum(q * phat, axis=-1) - t)
+        return np.where(s < 1e-12, -t, np.add.reduce(q * phat, axis=-1) - t)
 
     def point_wall_event(self, c, t):
         p = c[: self.k]
@@ -409,8 +411,9 @@ class SphereModel(ContactModel):
         """2*phi for z ~ |z| e^{i phi} x with x real; range (-pi, pi]."""
         z = np.asarray(coords, dtype=float)
         u, v = z[..., : self.k], z[..., self.k:]
-        return np.arctan2(2.0 * np.sum(u * v, axis=-1),
-                          np.sum(u * u, axis=-1) - np.sum(v * v, axis=-1))
+        return np.arctan2(2.0 * np.add.reduce(u * v, axis=-1),
+                          np.add.reduce(u * u, axis=-1)
+                          - np.add.reduce(v * v, axis=-1))
 
     def phi(self, s, t, angles=(), component=0):
         x = self.legendrian_point(angles, component)
@@ -434,12 +437,13 @@ class SphereModel(ContactModel):
         """Distance to {sqrt(R) e^{i phi} x : phi in [0, 2T], x in L}."""
         k = self.k
         u, v = c[..., :k], c[..., k:]
-        uu, vv = np.sum(u * u, axis=-1), np.sum(v * v, axis=-1)
+        uu = np.add.reduce(u * u, axis=-1)
+        vv = np.add.reduce(v * v, axis=-1)
         zz = uu + vv
         nz = np.sqrt(zz)
         A = zz / 2.0
         bx = (uu - vv) / 2.0
-        by = np.sum(u * v, axis=-1)
+        by = np.add.reduce(u * v, axis=-1)
         B = np.hypot(bx, by)
         psi = np.arctan2(by, bx)
         # A - B = (A^2 - B^2)/(A + B), and A^2 - B^2 = uu vv - (u.v)^2 is
@@ -470,7 +474,7 @@ class SphereModel(ContactModel):
         return np.sqrt(best)
 
     def horizontal_event(self, c, R):
-        return np.sum(c * c, axis=-1) - R
+        return np.add.reduce(c * c, axis=-1) - R
 
     def point_horizontal_event(self, c, R):
         return row_sum([v * v for v in c]) - R

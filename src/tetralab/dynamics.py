@@ -9,6 +9,15 @@ target root inside the escape ball, ``_arrival``), or escaped at a start
 or step end outside the ball.  One point's dense output, its stop roots
 and, for an event with a float twin (``point``, as the regions of
 ``contact.build_tetragon`` carry), its event values are on floats too.
+Stage sums skip the tableau's zero weights (one point's all of them, the
+rows' only the error estimates' weight on the end slope, where a skip
+costs no copy): each starts at +0.0, a running sum of finite terms from
++0.0 is never -0.0, and a stage is finite (a non-finite slope raises
+``EvaluationError``), so a zero weight's term, +-0.0, changes nothing.
+A sweep trial, its stage sums and step control make only C-level numpy
+calls (ufunc ``reduce``, ``nonzero``, ``out=``), as do ``sgrad`` and the
+package's batched gradients: a Python-level wrapper (``np.shape``,
+``np.where``, ``ndarray.sum``) would cost a frame on every stage.
 The chord search sweeps a seed grid on the start region
 (and start phases for time-periodic Hamiltonians) in one ensemble,
 certifying each step's target roots by one distance call on their stack;
@@ -16,7 +25,9 @@ its seed points and its disjointness check take one call each on their
 grids.  The earliest hit (ties broken by seed order, else the closest
 miss) seeds one derivative-free pattern search (``find_chord``); its first
 evaluation repeats the sweep's, and it stops once its polls only chase
-rounding noise (``pattern_search``), as the separation estimates do.
+rounding noise (``pattern_search``), as the separation estimates do, or
+at a cap of ``max(200, 100 d)`` evaluations for d start parameters,
+which the result reports (``refine_converged``).
 Every run of the search, like a sweep member, stops at its first
 certified arrival (``integrate``'s ``stop``), so each candidate is
 integrated once and the winning evaluation's run, ending at its arrival,
@@ -32,7 +43,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .contact import MEMBER_TOL, Region
+from .contact import MEMBER_TOL, Region, _norm
 from .dop853 import (A, B, C, D, E3, E5, MAX_FACTOR, MIN_FACTOR, N_STAGES,
                      N_STAGES_EXTENDED, SAFETY)
 from .phase_core import HamiltonianSpec, row_sum, sgrad
@@ -114,32 +125,54 @@ class Trajectory:
 
 _EPS = float(np.finfo(float).eps)
 _N_STAGES = N_STAGES + 1  # stages of a step, its end slope included
-# (a, a as floats, c) of each stage after the first: the rest of a step,
-# then the extra stages of its continuous extension
-_STAGES = [(A[s, :s], A[s, :s].tolist(), float(C[s]))
+
+
+def _nonzero(c):
+    """The ``(stage, weight)`` pairs of the weights c that are not zero,
+    in stage order: the terms a stage sum cannot skip."""
+    return tuple((j, float(w)) for j, w in enumerate(c) if w)
+
+
+# (a, its nonzero pairs, c) of each stage after the first: the rest of a
+# step, then the extra stages of its continuous extension; and the c of
+# each as a column, for a step's stage times taken at once
+_STAGES = [(A[s, :s], _nonzero(A[s, :s]), float(C[s]))
            for s in range(1, N_STAGES)]
-_EXTRA = [(A[s, :s], A[s, :s].tolist(), float(C[s]))
+_EXTRA = [(A[s, :s], _nonzero(A[s, :s]), float(C[s]))
           for s in range(_N_STAGES, N_STAGES_EXTENDED)]
-# one point's weights, as lists of floats
-_B, _E3, _E5, _D = B.tolist(), E3.tolist(), E5.tolist(), D.tolist()
+_STAGE_C, _EXTRA_C = C[1:N_STAGES, None], C[_N_STAGES:, None]
+# the error weights E5, E3 without the step's end slope, whose weight is
+# zero in both; one point's weights B, E5, E3 and D as nonzero pairs
+_E5_ROWS, _E3_ROWS = E5[:N_STAGES], E3[:N_STAGES]
+_B, _E5, _E3 = _nonzero(B), _nonzero(E5), _nonzero(E3)
+_D = [_nonzero(row) for row in D]
 
 
 def _stage_sum(c, K):
     """sum_j c[j] * K[j] over the stages K of rows, ``(s, m, dim)``, for
-    the weights c, ``(s,)``.  Terms add in stage order (numpy keeps it
+    the weights c, ``(s,)``.  The sum starts at +0.0 (numpy's
+    ``add.reduce``) and adds its terms in stage order (numpy keeps it
     given two numbers per stage), so that, unlike with BLAS, a row does
-    not depend on which rows share a batch."""
+    not depend on which rows share a batch.
+
+    A zero weight's term is exactly +-0.0, since K is finite (a
+    non-finite slope raises ``EvaluationError``), and a running sum from
+    +0.0 is never -0.0 (in round-to-nearest x + y is -0.0 only for two
+    -0.0), so adding such a term changes nothing: a caller may pass only
+    the stages where c is nonzero."""
     flat = K.reshape(len(c), -1)
-    return (c[:, None] * flat).sum(axis=0).reshape(K.shape[1:])
+    return np.add.reduce(c[:, None] * flat, axis=0).reshape(K.shape[1:])
 
 
-def _point_sum(c, K):
-    """``_stage_sum`` of the first ``len(c)`` stages K of one point."""
+def _point_sum(w, K):
+    """``_stage_sum`` of one point's stages K (lists of floats) for the
+    nonzero pairs w (``_nonzero``), from 0.0 as numpy's sum (so -0.0
+    terms sum to 0.0), skipping the zero weights."""
     out = []
     for i in range(len(K[0])):
-        acc = 0.0  # as numpy's sum, so -0.0 terms sum to 0.0
-        for j in range(len(c)):
-            acc += c[j] * K[j][i]
+        acc = 0.0
+        for j, c in w:
+            acc += c * K[j][i]
         out.append(acc)
     return out
 
@@ -191,7 +224,8 @@ def _next_step(t, h_abs, fresh, t_end):
     t_end.  A step's first trial (``fresh``) is raised to 10 ulps of t; a
     retrial below that is a step underflow (``failed``)."""
     min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-    h_abs = np.where(fresh & (h_abs < min_step), min_step, h_abs)
+    # h_abs >= 0, so a retrial's max with 0.0 keeps it
+    h_abs = np.maximum(h_abs, min_step * fresh)
     t_new = np.minimum(t + h_abs, t_end)
     return t_new, t_new - t, h_abs < min_step
 
@@ -200,22 +234,26 @@ def _trial(rhs, t, y, f, h, K, rtol, atol):
     """One DOP853 trial step of size h from (t, y), f = rhs(t, y), for
     every row: the new states, their slopes and error norms (HNW II.5;
     scipy's ``rk_step`` and ``_estimate_error_norm``).  Fills the stages
-    K, ``(13, m, dim)``."""
+    K, ``(13, m, dim)``.  The error estimates skip the end slope, whose
+    weight is zero in both.  Gathering the stages where a sum's weights
+    are nonzero would cost a copy of them, and for B, E5 and E3 at once
+    2.5 times a sum's temporary memory on the sweep's thousand-row
+    trials, for under 1 % of a trial."""
     hc = h[:, None]
+    ts = t + _STAGE_C * h  # row s - 1: stage s's times
     K[0] = f
-    for s, (a, _, c) in enumerate(_STAGES, start=1):
-        K[s] = rhs(t + c * h, y + _stage_sum(a, K[:s]) * hc)
+    for s, (a, _, _) in enumerate(_STAGES, start=1):
+        K[s] = rhs(ts[s - 1], y + _stage_sum(a, K[:s]) * hc)
     y_new = y + hc * _stage_sum(B, K[:-1])
     f_new = rhs(t + h, y_new)
     K[-1] = f_new
     scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-    r5, r3 = (np.linalg.norm(_stage_sum(e, K) / scale, axis=-1)
-              for e in (E5, E3))
+    r5 = _norm(_stage_sum(_E5_ROWS, K[:-1]) / scale)
+    r3 = _norm(_stage_sum(_E3_ROWS, K[:-1]) / scale)
     e5, e3 = r5 * r5, r3 * r3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        err = np.where((e5 == 0) & (e3 == 0), 0.0,
-                       np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3)
-                                                * y.shape[-1]))
+    # 0.0 where both estimates vanish
+    err = np.divide(np.abs(h) * e5, np.sqrt((e5 + 0.01 * e3) * y.shape[-1]),
+                    out=np.zeros(len(h)), where=(e5 != 0) | (e3 != 0))
     return y_new, f_new, err
 
 
@@ -241,11 +279,13 @@ def _step_factor(err, fresh):
     accepted trial (err < 1) grows by at most MAX_FACTOR, and not after a
     rejection in the same step (``fresh`` false); a rejected one
     shrinks."""
-    with np.errstate(divide="ignore"):
-        p = SAFETY / _root8(err)  # inf for err = 0
-    grow = np.minimum(MAX_FACTOR, p)
-    return np.where(err < 1, np.where(fresh, grow, np.minimum(1, grow)),
-                    np.fmax(MIN_FACTOR, p))
+    # err = 0 divides by 1e-300, not 0, and so gets MAX_FACTOR as inf
+    # would; any other err has err ** (1/8) > 1e-41
+    p = SAFETY / np.maximum(_root8(err), 1e-300)
+    factor = np.minimum(MAX_FACTOR, p)
+    np.minimum(factor, 1, out=factor, where=~fresh)
+    np.fmax(MIN_FACTOR, p, out=factor, where=~(err < 1))
+    return factor
 
 
 def _point_step_factor(err, fresh):
@@ -262,12 +302,16 @@ def _dense_coeffs(rhs, t, h, y, y_new, K):
     coefficients down the last axis.  K, ``(16, m, dim)``, holds the
     steps' 13 stages and receives the 3 extra ones."""
     hc = h[:, None]
-    for s, (a, _, c) in enumerate(_EXTRA, start=_N_STAGES):
-        K[s] = rhs(t + c * h, y + _stage_sum(a, K[:s]) * hc)
+    ts = t + _EXTRA_C * h
+    for s, (a, _, _) in enumerate(_EXTRA, start=_N_STAGES):
+        K[s] = rhs(ts[s - _N_STAGES], y + _stage_sum(a, K[:s]) * hc)
     dy = y_new - y
-    return np.stack([v.T for v in (
-        dy, hc * K[0] - dy, 2 * dy - hc * (K[N_STAGES] + K[0]),
-        *(hc * _stage_sum(d, K) for d in D))])
+    F = np.empty((7,) + dy.shape[::-1])
+    F[0], F[1] = dy.T, (hc * K[0] - dy).T
+    F[2] = (2 * dy - hc * (K[N_STAGES] + K[0])).T
+    for i, d in enumerate(D):
+        F[3 + i] = (hc * _stage_sum(d, K)).T
+    return F
 
 
 def _point_dense_coeffs(rhs, t, h, y, y_new, K):
@@ -434,8 +478,8 @@ def integrate(H: HamiltonianSpec, x0, t0, t1, tol=1e-10,
         if end is not None or t >= t1:
             break
         K, err, fresh = [None] * N_STAGES_EXTENDED, 1.0, True
-        # move at most the feature width
-        h_abs = min(h_abs, H.feature_width / max(_point_norm(f), _EPS))
+        if H.feature_width < math.inf:  # move at most the feature width
+            h_abs = min(h_abs, H.feature_width / max(_point_norm(f), _EPS))
         while not err < 1:
             min_step = 10 * abs(math.nextafter(t, math.inf) - t)
             if fresh:
@@ -578,8 +622,8 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
 
     # per-member state, compacted to the active members after each trial
     y = chart.wrap(np.asarray(starts, dtype=float))
-    escaped = np.linalg.norm(y, axis=-1) >= escape_norm  # at the start
-    idx = np.flatnonzero(~escaped)
+    escaped = _norm(y) >= escape_norm  # at the start
+    idx = (~escaped).nonzero()[0]
     if not idx.size:
         return SweepResult(hit, dist, escaped, stiff)
     y, t0 = y[idx], phases[idx]
@@ -593,8 +637,9 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
     best = np.inf
 
     while idx.size:
-        h_abs = np.minimum(h_abs, G.feature_width / np.maximum(
-            np.linalg.norm(f, axis=-1), _EPS))  # as in integrate
+        if G.feature_width < math.inf:  # as in integrate
+            h_abs = np.minimum(h_abs, G.feature_width / np.maximum(
+                _norm(f), _EPS))
         t_new, h, failed = _next_step(t, h_abs, fresh, t_end)
         K = np.empty((_N_STAGES,) + y.shape)
         y_new, f_new, err = _trial(rhs, t, y, f, h, K, rtol, atol)
@@ -603,7 +648,7 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
         done = failed.copy()
         stiff[idx[failed]] = True
 
-        acc = np.flatnonzero(accept)
+        acc = accept.nonzero()[0]
         if acc.size:
             ta, ya, h_a = t[acc], y[acc], h[acc]
             yn = y_new[acc]
@@ -616,10 +661,10 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
                 rows = ph_row[idx[acc]]
                 for r in np.unique(rows):
                     on = rows == r
-                    n_due[on] = np.searchsorted(sample_t[r], t_new[acc[on]],
-                                                side="right")
+                    n_due[on] = sample_t[r].searchsorted(t_new[acc[on]],
+                                                         side="right")
             due = n_due > next_sample[acc]
-            need = np.flatnonzero(cross | due)
+            need = (cross | due).nonzero()[0]
             if need.size:
                 # dense output of the step for the members that need it, in
                 # column layout: member need[i] reads F[..., i] and Y[:, i]
@@ -631,7 +676,7 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
                 pos = np.full(acc.size, -1)
                 pos[need] = np.arange(need.size)
 
-                rc = np.flatnonzero(cross)
+                rc = cross.nonzero()[0]
                 if rc.size:
                     j = pos[rc]
                     root = _event_root(
@@ -643,14 +688,15 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
                                         (root - ta[rc]) / hn[j])
                     local = root - t0[acc[rc]]
                     ok = ((local > ARRIVAL_OFFSET)
-                          & (np.linalg.norm(y_root, axis=-1) < escape_norm))
+                          & (_norm(y_root) < escape_norm))
                     # certify the step's roots by one distance call; a root
                     # later than the best hit cannot win, and its member is
                     # dropped uncertified
                     member = ok & (X1.distance(chart.wrap(y_root))
                                    <= MEMBER_TOL)
-                    if member.any():
-                        best = min(best, float(local[member].min()))
+                    if np.logical_or.reduce(member):
+                        best = min(best,
+                                   float(np.minimum.reduce(local[member])))
                     late = ok & (local > best + 1e-12)
                     ok = member & ~late
                     members = acc[rc[ok]]
@@ -658,11 +704,11 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
                     done[members] = True
                     done[acc[rc[late]]] = True
 
-                rs = np.flatnonzero(due & ~done[acc])
+                rs = (due & ~done[acc]).nonzero()[0]
                 if rs.size:
                     first, stop = next_sample[acc[rs]], n_due[rs]
                     n = stop - first
-                    end = np.cumsum(n)
+                    end = n.cumsum()
                     start = end - n  # first row of each member
                     j, row = pos[rs], ph_row[idx[acc[rs]]]
                     # one row per due sample, member by member, in passes
@@ -674,16 +720,16 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
                     lo = 0
                     while lo < rs.size:
                         hi = min(rs.size, 1 + int(
-                            np.searchsorted(end, start[lo] + n_all)))
+                            end.searchsorted(start[lo] + n_all)))
                         part = slice(lo, hi)
                         jp, cnt = j[part], n[part]
                         k = (np.arange(start[lo], end[hi - 1])
-                             - np.repeat(start[part] - first[part], cnt))
-                        x = ((sample_t[np.repeat(row[part], cnt), k]
-                              - np.repeat(ta[rs[part]], cnt))
-                             / np.repeat(hn[jp], cnt))
-                        ys = dense_rows(np.repeat(F[:, :, jp], cnt, axis=-1),
-                                        np.repeat(Y[:, jp], cnt, axis=-1), x)
+                             - (start[part] - first[part]).repeat(cnt))
+                        x = ((sample_t[row[part].repeat(cnt), k]
+                              - ta[rs[part]].repeat(cnt))
+                             / hn[jp].repeat(cnt))
+                        ys = dense_rows(F[:, :, jp].repeat(cnt, axis=-1),
+                                        Y[:, jp].repeat(cnt, axis=-1), x)
                         d = np.minimum.reduceat(X1.distance(chart.wrap(ys)),
                                                 start[part] - start[lo])
                         who = idx[acc[rs[part]]]
@@ -693,18 +739,18 @@ def ensemble_sweep(G: HamiltonianSpec, X1: Region, starts, phases,
 
             # a member that did not arrive escapes at a step end outside
             # the ball
-            esc = (np.linalg.norm(yn, axis=-1) >= escape_norm) & ~done[acc]
+            esc = (_norm(yn) >= escape_norm) & ~done[acc]
             escaped[idx[acc[esc]]] = True
             done[acc[esc]] = True
             done[acc[t_new[acc] >= t_end[acc]]] = True
         if best < np.inf:
             done |= t - t0 > best + 1e-12
-        if done.any():
+        if np.logical_or.reduce(done):
             keep = ~done
-            idx, t0, t_end, t, y, f = (a[keep] for a in
-                                       (idx, t0, t_end, t, y, f))
-            h_abs, g, fresh, next_sample = (
-                a[keep] for a in (h_abs, g, fresh, next_sample))
+            idx, t0, t_end, t, y, f = (idx[keep], t0[keep], t_end[keep],
+                                       t[keep], y[keep], f[keep])
+            h_abs, g, fresh, next_sample = (h_abs[keep], g[keep], fresh[keep],
+                                            next_sample[keep])
     dist[escaped | stiff] = np.inf
     return SweepResult(hit=hit, distance=dist, escaped=escaped, stiff=stiff)
 
@@ -740,6 +786,10 @@ def pattern_search(f, x0, bounds, max_evals=200):
     improvement.  The search also ends once the steps fall below 1e-12 or
     after ``max_evals`` evaluations.  ``f`` may return a float or a
     ``(rank, float)`` tuple: values are compared by ``<`` and ``_flat``.
+    Returns ``(x, f(x), evaluations, converged)``, ``converged`` false
+    when the evaluation cap ended the search, true when it settled or its
+    steps reached the floor (Kolda-Lewis-Torczon, SIAM Review 45, 2003,
+    on stopping a pattern search).
     """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     x = np.array([min(max(v, lo), hi)
@@ -749,7 +799,9 @@ def pattern_search(f, x0, bounds, max_evals=200):
     evals = 1
     kept = set()  # the flat probes (i, sign) of the last poll, if it kept x
     last = np.zeros(len(x))  # each coordinate's move in the last poll
-    while evals < max_evals and steps.max() > 1e-12:
+    while steps.max() > 1e-12:
+        if evals >= max_evals:
+            return x, fx, evals, False
         improved, flat, odd = False, set(), set()
         moved = np.zeros(len(x))
         for i in range(len(x)):
@@ -784,7 +836,7 @@ def pattern_search(f, x0, bounds, max_evals=200):
                 break
             steps *= 0.5
         kept = set() if improved else flat
-    return x, fx, evals
+    return x, fx, evals, True
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +886,8 @@ def _extremize_on_region(G, region: Region, n_samples, sign):
         t = z[-1] if time_axis else t0
         return sign * G(region.param_point(params, comp), t)
 
-    z, fv, evals = pattern_search(obj, np.array(x0), bounds, max_evals=120)
+    z, fv, evals, _ = pattern_search(obj, np.array(x0), bounds,
+                                     max_evals=120)
     params = z[:-1] if time_axis else z
     return sign * fv, region.param_point(params, comp), evals
 
@@ -906,7 +959,11 @@ class ChordSearchResult:
     run that left the escape ball before arriving) or ``StiffnessError``.
     Both count evaluations, not integrations: a start polled again is
     answered from its one integration, and counts as failed again if that
-    integration failed.
+    integration failed.  ``refine_converged`` is false when the search
+    stopped at its evaluation cap, ``max(200, 100 d)`` for d refined
+    start parameters, before it settled (``pattern_search``); a chord
+    found so says it in ``message``, as its time may then lie further
+    from the minimum than its ``time_error``.
     """
 
     found: bool
@@ -919,6 +976,7 @@ class ChordSearchResult:
     n_stiff: int = 0
     n_refine_evals: int = 0
     n_refine_failed: int = 0
+    refine_converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -1053,9 +1111,12 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
         ts = np.linspace(traj.t0, traj.t1, MISS_SAMPLES)
         return 1, float(np.min(X1.distance(traj.sample(ts))))
 
-    _, (missed, value), n_evals = pattern_search(rank, np.array(pr),
-                                                 X0.param_bounds)
-    counts.update(n_refine_evals=n_evals, n_refine_failed=n_failed)
+    # a poll costs up to 2 d evaluations for d start parameters
+    _, (missed, value), n_evals, converged = pattern_search(
+        rank, np.array(pr), X0.param_bounds,
+        max_evals=max(200, 100 * len(X0.param_bounds)))
+    counts.update(n_refine_evals=n_evals, n_refine_failed=n_failed,
+                  refine_converged=converged)
     if missed:
         return ChordSearchResult(
             found=False, chord=None,
@@ -1087,5 +1148,9 @@ def _certify(G, X1, traj, window, config, counts) -> ChordSearchResult:
         fine_hit = None
     chord = Chord(trajectory=traj, time_error=math.inf if fine_hit is None
                   else abs(hit - fine_hit) + 4 * _EPS * (1 + abs(hit)))
+    message = "" if counts["refine_converged"] else (
+        f"refinement stopped at its cap of {counts['n_refine_evals']} "
+        "evaluations before it settled: the chord time may lie further "
+        "from the minimum than its time_error")
     return ChordSearchResult(found=True, chord=chord, best_distance=0.0,
-                             **counts)
+                             message=message, **counts)

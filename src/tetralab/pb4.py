@@ -600,7 +600,7 @@ class WallWitness:
         return 1.0 / ((self.R1 - a) - self.ease_width)
 
     def _gradient(self, x, t):
-        g = np.zeros(np.shape(x))
+        g = np.zeros(x.shape)
         g[..., 0] = self.slope(x[..., 0][()])
         return g
 

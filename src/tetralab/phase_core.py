@@ -180,9 +180,11 @@ class HamiltonianSpec:
         out = np.asarray(fn(x, t), dtype=float)
         # one elementwise test: no reduction that could overflow, and so
         # no warning, on finite values
-        if not np.isfinite(out).all():
+        if not np.logical_and.reduce(np.isfinite(out), axis=None):
             self._check(what, out, x)
-        if np.may_share_memory(out, x):
+        # only x itself or a view (an array with a base) can share x's
+        # memory
+        if out is x or out.base is not None and np.may_share_memory(out, x):
             out = out.copy()
         return out
 
@@ -202,7 +204,9 @@ def sgrad(H: HamiltonianSpec, x, t=0.0):
     on floats by a spec's ``point_gradient`` and gets a list back; a
     non-finite component sends it through ``H.grad``, which raises the
     ``EvaluationError``.  Any other ``x`` (an array point, a stack, a
-    nested list) goes through ``H.grad`` and gets an array.
+    nested list) is evaluated as ``H.grad`` evaluates it and gets an
+    array, by C-level numpy calls only (the sweep calls this on every
+    stage).
     """
     n = H.chart.dim_pairs
     floats = isinstance(x, list) and isinstance(x[0], float)
@@ -212,8 +216,8 @@ def sgrad(H: HamiltonianSpec, x, t=0.0):
             out = [-v for v in g[n:]]
             out += g[:n]
             return out
-    g = H.grad(x, t)
-    out = np.empty_like(g)
+    g = H._evaluate("gradient", H.gradient, x, t)  # H.grad, a frame less
+    out = np.empty(g.shape)
     np.negative(g[..., n:], out=out[..., :n])
     out[..., n:] = g[..., :n]
     return out.tolist() if floats else out

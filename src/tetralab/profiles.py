@@ -42,12 +42,25 @@ def smoothstep_int(x):
 
 
 def _quintic_on_unit(x):
-    return x * x * x * (x * (6 * x - 15) + 10)
+    """x * x * x * (x * (6 * x - 15) + 10), an array's temporaries
+    updated in place."""
+    q = x * x
+    q *= x
+    b = 6.0 * x
+    b -= 15.0
+    b *= x
+    b += 10.0
+    q *= b
+    return q
 
 
 def _quintic_d_on_unit(x):
-    u = x * (1 - x)
-    return 30 * u * u
+    """30 * u * u for u = x * (1 - x), in place as above."""
+    u = 1.0 - x
+    u *= x
+    d = 30.0 * u
+    d *= u
+    return d
 
 
 def quintic(x):
@@ -102,10 +115,12 @@ class PlateauStack:
         self._roll = np.array([[pl.roll] for pl in plateaus])
 
     def values_and_slopes(self, y):
-        x = np.reshape(y, (self.m, -1)) - self._start
+        x = y.reshape(self.m, -1) - self._start
         x /= self._roll
         np.minimum(np.maximum(x, 0.0, out=x), 1.0, out=x)
         q, d = _quintic_on_unit(x), _quintic_d_on_unit(x)
-        value = q[0] * (1.0 - q[1])
-        slope = (d[0] - d[1]) / self._roll
-        return value.reshape(np.shape(y)), slope.reshape(np.shape(y))
+        value = 1.0 - q[1]
+        value *= q[0]
+        slope = d[0] - d[1]
+        slope /= self._roll
+        return value.reshape(y.shape), slope.reshape(y.shape)

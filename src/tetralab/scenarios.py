@@ -114,11 +114,12 @@ class ScenarioReport:
     """Self-certifying outcome: ``passed`` is computed from the fields.
 
     ``time_error`` is the found chord's ``Chord.time_error`` (None for
-    Reeb chords and when no chord is found).  ``n_refine_evals`` and
-    ``n_refine_failed`` are the chord search's refinement counts (see
-    ``ChordSearchResult``), and ``n_separation_evals`` the wall
-    separation's ``SeparationReport.n_evals``; all three are None for
-    Reeb chords, which run neither.  Perturbed runs carry the
+    Reeb chords and when no chord is found).  ``n_refine_evals``,
+    ``n_refine_failed`` and ``refine_converged`` are the chord search's
+    refinement counts and stop (see ``ChordSearchResult``), and
+    ``n_separation_evals`` the wall separation's
+    ``SeparationReport.n_evals``; all four are None for Reeb chords, which
+    run neither.  Perturbed runs carry the
     calibration's ``separation`` count as ``details["calibration_steps"]``.
     ``search`` is the chord search's whole result (None for Reeb chords),
     for a caller that writes the chord or the sweep's counts;
@@ -138,6 +139,7 @@ class ScenarioReport:
     n_refine_evals: Optional[int] = None
     n_refine_failed: Optional[int] = None
     n_separation_evals: Optional[int] = None
+    refine_converged: Optional[bool] = None
     search: Optional[ChordSearchResult] = field(default=None, compare=False,
                                                 repr=False)
 
@@ -165,6 +167,7 @@ class ScenarioReport:
             "time_error": self.time_error,
             "n_refine_evals": self.n_refine_evals,
             "n_refine_failed": self.n_refine_failed,
+            "refine_converged": self.refine_converged,
             "n_separation_evals": self.n_separation_evals,
             "increment": self.increment,
             "expected_increment": self.expected_increment,
@@ -182,7 +185,7 @@ class ScenarioReport:
 
 def _sq(x):
     """Squared norm over the last axis."""
-    return (x * x).sum(axis=-1)
+    return np.add.reduce(x * x, axis=-1)
 
 
 def unstable_hamiltonian(k=1) -> HamiltonianSpec:
@@ -193,7 +196,10 @@ def unstable_hamiltonian(k=1) -> HamiltonianSpec:
         return 0.5 * (_sq(x[..., :k]) - _sq(x[..., k:]))
 
     def gradient(x, t):
-        return np.concatenate([x[..., :k], -x[..., k:]], axis=-1)
+        g = np.empty(x.shape)
+        g[..., :k] = x[..., :k]
+        np.negative(x[..., k:], out=g[..., k:])
+        return g
 
     def point_gradient(x, t):
         return x[:k] + [-v for v in x[k:]]
@@ -218,7 +224,7 @@ def channel_potential(k=1) -> HamiltonianSpec:
     def gradient(x, t):
         angle = 2 * math.pi * x[..., k:]
         cos, sin = np.cos(angle), np.sin(angle)
-        g = np.zeros(np.shape(x))
+        g = np.zeros(x.shape)
         for i in range(k):
             # the other cosines multiplied in index order, as np.prod does
             others = math.prod(cos[..., j] for j in range(k) if j != i)
@@ -263,8 +269,10 @@ def mechanical_hamiltonian(k=1, beta=_DEFAULT_BETA, R0=_DEFAULT_R0,
     def gradient(x, t):
         y = _sq(x[..., k:])
         dq = -beta * shell.deriv(y) * tfac(np.asarray(t)) * 2.0
-        return np.concatenate([x[..., :k], np.asarray(dq)[..., None]
-                               * x[..., k:]], axis=-1)
+        g = np.empty(x.shape)
+        g[..., :k] = x[..., :k]
+        np.multiply(np.asarray(dq)[..., None], x[..., k:], out=g[..., k:])
+        return g
 
     def point_gradient(x, t):
         q = x[k:]
@@ -355,7 +363,9 @@ def wall_perturbation(amplitude, R0=_DEFAULT_R0, R1=_DEFAULT_R1,
     def reaches(bump, y):
         """Some element of y has ``bump``'s falling argument below 1 (or
         is NaN), the only place the bump or its slope can be nonzero."""
-        low = y.min() if getattr(y, "ndim", 0) else y  # one point: a scalar
+        # the first smallest element (or NaN), as a float, by argmin,
+        # which spares a ufunc reduction's overhead; one point is a scalar
+        low = y.item(y.argmin()) if getattr(y, "ndim", 0) else y
         return not (low - bump.hi) / bump.roll >= 1.0
 
     def stack_bumps(i, ys):
@@ -390,7 +400,7 @@ def wall_perturbation(amplitude, R0=_DEFAULT_R0, R1=_DEFAULT_R1,
         return g0, g1
 
     def gradient(x, t):
-        g = np.zeros(np.shape(x))
+        g = np.zeros(x.shape)
         pq = terms(x[..., 0], x[..., 1], np.asarray(t), np.sin, stack_bumps)
         if pq is not None:
             g[..., 0], g[..., 1] = pq
@@ -460,7 +470,8 @@ def _chord_report(scenario, cfg: ScenarioConfig, tet, G: HamiltonianSpec,
         details=details, time_error=time_err,
         n_refine_evals=result.n_refine_evals,
         n_refine_failed=result.n_refine_failed,
-        n_separation_evals=sep.n_evals, search=result,
+        n_separation_evals=sep.n_evals,
+        refine_converged=result.refine_converged, search=result,
     )
 
 

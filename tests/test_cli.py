@@ -44,6 +44,7 @@ class TestScenarioCommand:
         )
         assert 0 < rep["report"]["n_refine_evals"] <= 72
         assert rep["report"]["n_refine_failed"] == 0
+        assert rep["report"]["refine_converged"] is True
         assert 0 < rep["report"]["n_separation_evals"] <= 240
         assert (out / "timing.json").exists()
 
@@ -139,6 +140,7 @@ class TestScenarioCommand:
         rep = read_report(out)
         assert rep["config"]["reeb_factor_amp"] == 0.0
         assert rep["report"]["n_refine_evals"] is None
+        assert rep["report"]["refine_converged"] is None
         assert rep["report"]["n_separation_evals"] is None
         assert rep["search"] is None
         assert rep["report"]["time_length"] == pytest.approx(

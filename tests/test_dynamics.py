@@ -393,15 +393,15 @@ class TestDeterministicMap:
 
 class TestPatternSearch:
     def test_quadratic_minimum(self):
-        x, fx, _ = pattern_search(
+        x, fx, _, _ = pattern_search(
             lambda z: (z[0] - 0.3) ** 2 + (z[1] + 0.2) ** 2,
             [0.0, 0.0], [(-1.0, 1.0), (-1.0, 1.0)], max_evals=400,
         )
         assert np.allclose(x, [0.3, -0.2], atol=1e-5)
 
     def test_respects_bounds(self):
-        x, _, _ = pattern_search(lambda z: -z[0], [0.5], [(0.0, 1.0)],
-                                 max_evals=200)
+        x, _, _, _ = pattern_search(lambda z: -z[0], [0.5], [(0.0, 1.0)],
+                                    max_evals=200)
         assert 0.0 <= x[0] <= 1.0
         assert x[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -413,16 +413,16 @@ class TestPatternSearch:
             k = int(1e3 * np.dot(np.abs(z), np.arange(1, dim + 1)))
             return 1.0 + EPS * (13 * k % 33)
 
-        x, fx, evals = pattern_search(noisy, np.zeros(dim),
-                                      [(-1.0, 1.0)] * dim)
-        assert evals <= 1 + 2 * dim
+        x, fx, evals, converged = pattern_search(noisy, np.zeros(dim),
+                                                 [(-1.0, 1.0)] * dim)
+        assert evals <= 1 + 2 * dim and converged
         assert fx == 1.0 and not x.any()
 
     def test_a_fixed_axis_does_not_block_the_stop(self):
         """An axis whose bounds coincide is never polled, and a flat poll
         of the other one still ends the search."""
-        x, fx, evals = pattern_search(lambda z: 1.0, [0.5, 0.3],
-                                      [(0.0, 1.0), (0.3, 0.3)])
+        x, fx, evals, _ = pattern_search(lambda z: 1.0, [0.5, 0.3],
+                                         [(0.0, 1.0), (0.3, 0.3)])
         assert (x.tolist(), fx, evals) == ([0.5, 0.3], 1.0, 3)
 
     def test_one_sided_plateau_settles(self):
@@ -430,8 +430,8 @@ class TestPatternSearch:
         rise: on f = 1 + max(0, 0.5 - z) from 0.5 the second poll ends
         the search, where halving until the rise goes flat would take
         the steps down to the 1e-12 floor."""
-        x, fx, evals = pattern_search(lambda z: 1.0 + max(0.0, 0.5 - z[0]),
-                                      [0.5], [(0.0, 1.0)])
+        x, fx, evals, _ = pattern_search(
+            lambda z: 1.0 + max(0.0, 0.5 - z[0]), [0.5], [(0.0, 1.0)])
         assert (x[0], fx, evals) == (0.5, 1.0, 5)
 
     @pytest.mark.parametrize("left", [(1, math.inf), (0, 0.5)])
@@ -443,12 +443,12 @@ class TestPatternSearch:
                 return 0, 0.5
             return left if z[0] < 0.5 else (1, math.inf)
 
-        x, fx, evals = pattern_search(rank, [0.5], [(0.0, 1.0)])
+        x, fx, evals, converged = pattern_search(rank, [0.5], [(0.0, 1.0)])
         polls, step = 0, 0.01
         while step > 1e-12:
             polls, step = polls + 1, step * 0.5
         assert (x[0], fx) == (0.5, (0, 0.5))
-        assert evals == 1 + 2 * polls
+        assert evals == 1 + 2 * polls and converged  # by the step floor
 
     @pytest.mark.parametrize("right, expected", [
         ((1, math.inf), None), ((1, 0.5), 5)])
@@ -463,7 +463,7 @@ class TestPatternSearch:
                 return 1, 0.5
             return (1, math.inf) if z[0] < 0.5 else right
 
-        x, fx, evals = pattern_search(rank, [0.5], [(0.0, 1.0)])
+        x, fx, evals, _ = pattern_search(rank, [0.5], [(0.0, 1.0)])
         polls, step = 0, 0.01
         while step > 1e-12:
             polls, step = polls + 1, step * 0.5
@@ -476,8 +476,8 @@ class TestPatternSearch:
     @example(a=0.0625, c=0.8, x0=0.8997)  # a start across the box
     def test_flat_stop_costs_at_most_ulps(self, a, c, x0):
         """On a convex objective the flat stop gives up only ulps."""
-        _, fx, _ = pattern_search(lambda z: c + (z[0] - a) ** 2, [x0],
-                                  [(0.0, 1.0)])
+        _, fx, _, _ = pattern_search(lambda z: c + (z[0] - a) ** 2, [x0],
+                                     [(0.0, 1.0)])
         assert c <= fx <= c + 256 * EPS * c
 
     def test_repeated_moves_stride_out(self):
@@ -490,9 +490,22 @@ class TestPatternSearch:
             probes.append(z[0])
             return -z[0]
 
-        x, _, _ = pattern_search(rise, [0.0], [(0.0, 1.0)])
+        x, _, _, _ = pattern_search(rise, [0.0], [(0.0, 1.0)])
         assert x[0] == 1.0
         assert probes.index(1.0) == 8
+
+    def test_the_cap_is_reported(self):
+        """A search the evaluation cap ends says so; the same search
+        given room settles."""
+        def bowl(z):
+            return (z[0] - 0.3) ** 2 + (z[1] + 0.2) ** 2
+
+        *_, evals, converged = pattern_search(
+            bowl, [0.0, 0.0], [(-1.0, 1.0)] * 2, max_evals=20)
+        assert (evals, converged) == (20, False)
+        *_, evals, converged = pattern_search(
+            bowl, [0.0, 0.0], [(-1.0, 1.0)] * 2, max_evals=10_000)
+        assert evals < 10_000 and converged
 
 
 class TestSeparation:
@@ -954,8 +967,47 @@ class TestRefinementStop:
         rep = unstable_run.value
         assert rep.n_refine_evals <= 72
         assert rep.n_refine_failed == 0
+        assert rep.refine_converged is True
         assert rep.time_length == pytest.approx(0.5 * math.log(2),
                                                 abs=1e-9)
+
+
+class TestRefinementCap:
+    """The refinement's evaluation cap grows with the number of refined
+    start parameters, and a search it ends says so."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_unstable_chord_settles_in_each_dimension(self, k):
+        """On the k-dimensional unstable fixture (256 seeds, R0 = 1, R1 =
+        2, the scenarios' escape ball) the search settles, and its chord
+        lies within 2 time_error of ln(R1/R0) / 2.  With a cap of 200 the
+        k = 4 search stopped at it 1.58e-10 above, 188 time_error."""
+        tet = build_tetragon(SphereModel(k), 1.0, 2.0, math.pi / 4)
+        res = find_chord(unstable_hamiltonian(k), tet.floor, tet.ceiling,
+                         math.pi / 4, ChordSearchConfig(
+                             n_seeds=256,
+                             escape_norm=10.0 * (math.sqrt(2.0) + 1.0)))
+        assert res.found and res.refine_converged and res.message == ""
+        chord = res.chord
+        assert abs(chord.time_length - 0.5 * math.log(2.0)) \
+            <= 2 * chord.time_error
+
+    def test_a_capped_chord_says_so(self, monkeypatch):
+        """A search stopped at its cap still gives the winning run as the
+        chord, flagged in ``refine_converged`` and in its message."""
+        real_search = pattern_search
+
+        def capped(f, x0, bounds, max_evals):
+            assert max_evals == 200  # max(200, 100 d) at d = 1
+            return real_search(f, x0, bounds, max_evals=3)
+
+        monkeypatch.setattr(dynamics, "pattern_search", capped)
+        tet = build_tetragon(SphereModel(1), 1.0, 2.0, math.pi / 4)
+        res = find_chord(unstable_hamiltonian(1), tet.floor, tet.ceiling,
+                         math.pi / 4)
+        assert res.found and not res.refine_converged
+        assert res.n_refine_evals == 3
+        assert "stopped at its cap of 3 evaluations" in res.message
 
 
 def _sweep_cases():
@@ -967,11 +1019,17 @@ def _sweep_cases():
                                  wall_perturbation(0.25))
     witness = wall_witness(1.0, 2.0, delta2=0.01).hamiltonian()
     return {
-        # (H, start, target, budget, phases, seeds)
+        # (H, start, target, budget, phases, seeds: a count for
+        # sample_points, or indices into sample_params(64))
         "unstable": (unstable_hamiltonian(1), sphere.floor, sphere.ceiling,
                      math.pi / 4, [0.0], 16),
         "perturbed": (perturbed, sphere.floor, sphere.ceiling, 0.5,
                       [0.0, 0.5], 6),
+        # seeds 1, 2, 33 and 34 of sample_params(64) start in the wall
+        # tube's roll (q ~ +-0.05, +-0.10), where the wall term is nonzero,
+        # and step on after seed 8, on the diagonal, hits
+        "perturbed_tube": (perturbed, sphere.floor, sphere.ceiling, 0.5,
+                           [0.0, 0.5], [1, 2, 8, 33, 34]),
         "channel_k2": (channel_potential(2), torus.floor, torus.ceiling,
                        0.3, [0.0], 16),
         "mechanical": (mechanical_hamiltonian(1), sphere.floor,
@@ -987,6 +1045,14 @@ def _sweep_cases():
 
 
 SWEEP_CASES = _sweep_cases()
+
+
+def _seed_points(X0, seeds):
+    """A case's seed points, ``(n, dim)``."""
+    if isinstance(seeds, int):
+        return np.array(X0.sample_points(seeds))
+    params = X0.sample_params(64)
+    return X0.param_points([params[i] for i in seeds])
 
 
 def _per_seed(H, X1, x0, phase, budget):
@@ -1008,7 +1074,7 @@ class TestEnsembleSweep:
         members keep exactly their own outcome unless dropped for arriving
         after the best hit, and the best hit is the same."""
         H, X0, X1, budget, phases, n = SWEEP_CASES[case]
-        seeds = np.array(X0.sample_points(n))
+        seeds = _seed_points(X0, n)
         starts = np.tile(seeds, (len(phases), 1))
         ph = np.repeat(phases, len(seeds))
         batch = ensemble_sweep(H, X1, starts, ph, budget)

@@ -9,8 +9,9 @@ builds passes ``point_gradient``, the integrator sums nothing by
 BLAS, every CSV goes through ``cli.write_csv`` (no ``savetxt``), the
 package squares by product, never by ``** 2``, it sums floats with
 ``phase_core.row_sum``, not the builtin ``sum``, but where
-``SUM_ALLOWED`` says, and every ``tetralab`` command the README shows
-is one the CLI's parser accepts.
+``SUM_ALLOWED`` says, the sweep's per-stage path (``PER_STAGE``)
+calls no Python-level numpy wrapper, and every ``tetralab`` command the
+README shows is one the CLI's parser accepts.
 
 Stdlib ``ast`` checks, so they need no linter.  An import statement with
 ``# noqa: F401`` on one of its lines is exempt (re-exports, and names
@@ -447,26 +448,34 @@ SUM_ALLOWED = {
 }
 
 
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def scoped_nodes(source):
+    """``(node, scope)`` of every node of ``source``'s syntax tree, the
+    scope the names of the defs and classes around it, outermost first
+    (a def's own name included for its arguments and body)."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            out.append((child, scope))
+            visit(child, scope + (child.name,) if isinstance(child, SCOPES)
+                  else scope)
+
+    visit(ast.parse(source), ())
+    return out
+
+
 def builtin_sums(source):
     """``(line, function)`` of each read of the builtin name ``sum``, the
     function as the dotted path of the defs and classes around it ("" at
     module level).  The builtin adds in index order (and on Python 3.12+
     compensates), while numpy adds a row of 8 or more pairwise: a float
     twin that sums with it parts from its row's last bit."""
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                inner = scope + (child.name,)
-            elif isinstance(child, ast.Name) and child.id == "sum":
-                found.append((child.lineno, ".".join(scope)))
-            visit(child, inner)
-
-    visit(ast.parse(source), ())
-    return sorted(found)
+    return sorted((node.lineno, ".".join(scope))
+                  for node, scope in scoped_nodes(source)
+                  if isinstance(node, ast.Name) and node.id == "sum")
 
 
 def test_sum_checker_flags_builtin_sum():
@@ -489,6 +498,88 @@ def test_package_sums_by_row_sum(path):
     sums = builtin_sums(path.read_text(encoding="utf-8"))
     assert [(line, fn) for line, fn in sums
             if (path.name, fn) not in SUM_ALLOWED] == []
+
+
+# (module, function) of each def on the sweep's per-stage path: one
+# lockstep trial calls each of them, or a Hamiltonian's batched gradient
+# or its helpers, once or more per stage
+PER_STAGE = {
+    ("dynamics.py", "_trial"), ("dynamics.py", "_stage_sum"),
+    ("dynamics.py", "_next_step"), ("dynamics.py", "_step_factor"),
+    ("dynamics.py", "ensemble_sweep"),
+    ("phase_core.py", "sgrad"), ("phase_core.py", "HamiltonianSpec._evaluate"),
+    ("scenarios.py", "_sq"), ("scenarios.py", "add_hamiltonians"),
+    ("scenarios.py", "unstable_hamiltonian.gradient"),
+    ("scenarios.py", "channel_potential.gradient"),
+    ("scenarios.py", "mechanical_hamiltonian.gradient"),
+    ("scenarios.py", "wall_perturbation.gradient"),
+    ("scenarios.py", "wall_perturbation.terms"),
+    ("scenarios.py", "wall_perturbation.reaches"),
+    ("scenarios.py", "wall_perturbation.stack_bumps"),
+    ("pb4.py", "WallWitness._gradient"), ("pb4.py", "WallWitness.slope"),
+    ("profiles.py", "PlateauStack.values_and_slopes"),
+}
+# numpy functions that run Python code of their own on every call (a
+# wrapper or an array-function dispatcher), and the ndarray methods that
+# do: each has a C-level form (``x.shape``, ``x.reshape``, a ufunc's
+# ``reduce``, ``m.nonzero()[0]``, ``np.empty`` with ``out=``)
+WRAPPERS = {f"{mod}.{name}" for mod in ("np", "numpy") for name in (
+    "shape", "reshape", "concatenate", "empty_like", "linalg.norm",
+    "flatnonzero", "where")}
+WRAPPER_METHODS = {"min", "max", "sum", "all", "any"}
+
+
+def wrapper_calls(source, functions):
+    """``(line, function, call)`` of each call of a ``WRAPPERS`` function
+    or of any attribute named as a ``WRAPPER_METHODS`` method (``np.sum``
+    too) inside a def whose dotted path (the defs and classes around it)
+    is in ``functions``, nested defs and lambdas included; and ``(0,
+    name, "missing")`` for each name of ``functions`` that the source
+    does not define."""
+    found, defined = [], set()
+    for node, scope in scoped_nodes(source):
+        if isinstance(node, SCOPES):
+            defined.add(".".join(scope + (node.name,)))
+        owner = next((".".join(scope[:i]) for i in range(1, len(scope) + 1)
+                      if ".".join(scope[:i]) in functions), None)
+        if owner and isinstance(node, ast.Call):
+            call = ast.unparse(node.func)
+            if call in WRAPPERS or (isinstance(node.func, ast.Attribute)
+                                    and node.func.attr in WRAPPER_METHODS):
+                found.append((node.lineno, owner, call))
+    return sorted(found) + [(0, name, "missing")
+                            for name in sorted(set(functions) - defined)]
+
+
+def test_wrapper_checker_flags_python_level_numpy_calls():
+    src = ("import numpy as np\n"
+           "def hot(x, m):\n"
+           "    a = np.shape(x), x.shape, np.minimum.reduce(x), min(1, 2)\n"
+           "    b = np.linalg.norm(x, axis=-1) + x.min() + np.sum(x)\n"
+           "    def inner(y):\n"
+           "        return np.where(y, 1, 0), m.nonzero()[0]\n"
+           "    return lambda: x.any()\n"
+           "def cold(x):\n"
+           "    return np.shape(x), x.sum()\n"
+           "class Spec:\n"
+           "    def hot(self, x):\n"
+           "        return x.reshape(-1), np.reshape(x, -1)\n")
+    assert wrapper_calls(src, {"hot", "Spec.hot", "gone"}) == [
+        (3, "hot", "np.shape"), (4, "hot", "np.linalg.norm"),
+        (4, "hot", "np.sum"), (4, "hot", "x.min"),
+        (6, "hot", "np.where"), (7, "hot", "x.any"),
+        (12, "Spec.hot", "np.reshape"), (0, "gone", "missing")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_per_stage_path_makes_no_python_level_numpy_call(path):
+    """A lockstep trial of the sweep makes only C-level numpy calls: a
+    Python-level wrapper costs its frame on every stage of every trial
+    (about half of a trial's Python frames before they went)."""
+    functions = {fn for module, fn in PER_STAGE if module == path.name}
+    assert wrapper_calls(path.read_text(encoding="utf-8"),
+                         functions) == []
 
 
 def readme_commands(text):

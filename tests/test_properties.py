@@ -13,6 +13,7 @@ from tetralab.contact import (CircleModel, RoundedRectangleLoop, SphereModel,
                               TorusModel, _interval_excess, _wrap_half,
                               build_tetragon)
 from tetralab import dynamics, phase_core
+from tetralab.dop853 import B, D, E3, E5
 from tetralab.dynamics import pattern_search
 from tetralab.pb4 import prototype_hamiltonian_pair, wall_witness
 from tetralab.profiles import Plateau, PlateauStack
@@ -112,7 +113,7 @@ def test_loop_point_stays_in_rectangle(eps, sigma):
 @given(st.floats(min_value=-0.9, max_value=0.9),
        st.floats(min_value=-0.9, max_value=0.9))
 def test_pattern_search_never_leaves_box(a, b):
-    x, fx, _ = pattern_search(
+    x, fx, _, _ = pattern_search(
         lambda z: (z[0] - a) ** 2 + (z[1] - b) ** 2,
         [0.0, 0.0], [(-1.0, 1.0), (-1.0, 1.0)], max_evals=300,
     )
@@ -312,10 +313,62 @@ stage_terms = st.integers(1, 13).flatmap(lambda s: st.tuples(
 @example(terms=(np.array([0.5, 0.25]), np.array([[-0.0, 1.0], [-0.0, 2.0]])))
 def test_point_sum_is_stage_sum_with_signed_zeros(terms):
     """One point's stage sum is its row's bit for bit, the sign of zero
-    included: both add onto 0.0, so -0.0 terms sum to 0.0."""
+    included: both add onto 0.0, so -0.0 terms sum to 0.0, and the point
+    skips the zero weights the row adds."""
     c, K = terms
-    assert_bits(dynamics._point_sum(c.tolist(), K.tolist()),
+    assert_bits(dynamics._point_sum(dynamics._nonzero(c), K.tolist()),
                 dynamics._stage_sum(c, K[:, None])[0])
+
+
+# finite stage values: signed zeros, subnormals, and magnitudes up to
+# 1e300, which no tableau weight (at most 527) takes past the float range
+stage_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]),
+    st.floats(-1e300, 1e300))
+
+
+def _full_sum(c, K):
+    """sum_j c[j] * K[j] over every weight, zeros included, from +0.0 in
+    stage order: the sum the zero-weight skip must reproduce."""
+    acc = np.zeros(K.shape[1:])
+    for cj, kj in zip(c, K):
+        acc = acc + cj * kj
+    return acc
+
+
+def _tableau_sums():
+    """(full weights, the nonzero pairs one point sums) of every stage
+    sum of a DOP853 step and its dense output: the stages after the
+    first, the extra stages, then B, E5, E3 and the rows of D."""
+    rows = ([a for a, _, _ in dynamics._STAGES + dynamics._EXTRA]
+            + [B, E5, E3, *D])
+    points = ([w for _, w, _ in dynamics._STAGES + dynamics._EXTRA]
+              + [dynamics._B, dynamics._E5, dynamics._E3, *dynamics._D])
+    return list(zip(rows, points))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_stage_sums_skip_zero_weights_exactly(data):
+    """Every stage sum that skips the tableau's zero weights (one point's,
+    and the rows' error estimates, without the end slope) equals the sum
+    over all weights from +0.0 bit for bit, on finite stages with signed
+    zeros and subnormals; so does the rows' sum over all weights.  Each
+    stack is also checked with a first column whose every term is -0.0,
+    where a sum that started at its first term would keep -0.0."""
+    m, dim = data.draw(st.integers(1, 3)), data.draw(st.sampled_from([2, 4]))
+    K = data.draw(arrays(float, (16, m, dim), elements=stage_value))
+    for i, (c, w) in enumerate(_tableau_sums()):
+        zeros = K.copy()  # c[j] * -copysign(0, c[j]) is -0.0
+        zeros[:len(c), 0, 0] = -np.copysign(0.0, c)
+        for stack in (K, zeros):
+            ref = _full_sum(c, stack[:len(c)])
+            assert_bits([dynamics._point_sum(w, stack[:, r].tolist())
+                         for r in range(m)], ref)
+            assert_bits(dynamics._stage_sum(c, stack[:len(c)]), ref)
+            if i in (15, 16):  # E5, E3
+                rows = (dynamics._E5_ROWS, dynamics._E3_ROWS)[i - 15]
+                assert_bits(dynamics._stage_sum(rows, stack[:12]), ref)
 
 
 @SETTINGS
