@@ -768,6 +768,24 @@ def _flat(fy, fx):
     return abs(fy - fx) <= FLAT_ULPS * _EPS * max(abs(fx), abs(fy)) < math.inf
 
 
+def _vertex(f0, fm, fp, s):
+    """Offset of the vertex of the parabola through ``(-s, fm)``, ``(0,
+    f0)`` and ``(s, fp)``, or None where ``pattern_search``'s search step
+    skips the coordinate: a probe None (not taken, or clipped) or flat, a
+    rank other than 0, or a curvature that is not positive and finite.
+    At most ``s / 2`` in size when both probes lie at or above ``f0``."""
+    if fm is None or fp is None or _flat(fm, f0) or _flat(fp, f0):
+        return None
+    if isinstance(f0, tuple):
+        if f0[0] != 0 or fm[0] != 0 or fp[0] != 0:
+            return None
+        f0, fm, fp = f0[1], fm[1], fp[1]
+    c = fm - 2.0 * f0 + fp
+    if not 0.0 < c < math.inf:
+        return None
+    return s * (fm - fp) / (2.0 * c)
+
+
 def pattern_search(f, x0, bounds, max_evals=200):
     """Coordinate pattern search on a box; deterministic poll order.
 
@@ -790,6 +808,22 @@ def pattern_search(f, x0, bounds, max_evals=200):
     when the evaluation cap ended the search, true when it settled or its
     steps reached the floor (Kolda-Lewis-Torczon, SIAM Review 45, 2003,
     on stopping a pattern search).
+
+    A poll that neither improves nor settles is followed by a search
+    step, which may try any finite set of points before the steps halve
+    without weakening the poll's guarantees (Kolda-Lewis-Torczon; on
+    models of the poll's values, Custodio-Vicente, SIAM J. Optim. 18,
+    2007).  It reuses the poll's values: in index order, each
+    coordinate i whose probes at ``x +- s_i`` were both taken, neither
+    clipped by the box nor flat, and both of the incumbent's rank (for
+    tuples, rank 0: a miss's distance is a minimum over samples, so it is
+    kinked, and misses never take the step) has its probe at the vertex
+    ``x + delta e_i`` of the parabola through the three values (see
+    ``_vertex``), if its curvature is positive and finite.  The first
+    vertex that improves ends the step: the search moves there, sets
+    ``s_i = min(s_i / 2, max(|delta|, 1e-13))`` and counts the poll as
+    improving, so the steps do not halve.  A vertex probe counts against
+    ``max_evals``.
     """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     x = np.array([min(max(v, lo), hi)
@@ -803,6 +837,7 @@ def pattern_search(f, x0, bounds, max_evals=200):
         if evals >= max_evals:
             return x, fx, evals, False
         improved, flat, odd = False, set(), set()
+        probes = {}  # (i, sign) -> the value of a probe the box did not clip
         moved = np.zeros(len(x))
         for i in range(len(x)):
             for sign in (1.0, -1.0):
@@ -820,6 +855,8 @@ def pattern_search(f, x0, bounds, max_evals=200):
                     if last[i] == sign:
                         steps[i] = min(2 * steps[i], hi - lo)
                     break
+                if y[i] == probe:
+                    probes[i, sign] = fy
                 if y[i] == probe and _flat(fy, fx):
                     flat.add((i, sign))
                 elif isinstance(fx, tuple) and fy[0] != fx[0]:
@@ -834,7 +871,23 @@ def pattern_search(f, x0, bounds, max_evals=200):
                                            and (i, -s) not in odd)
                        for s in (1.0, -1.0)) for i in np.flatnonzero(steps)):
                 break
-            steps *= 0.5
+            for i in range(len(x)):
+                delta = _vertex(fx, probes.get((i, -1.0)),
+                                probes.get((i, 1.0)), steps[i])
+                if delta is None or evals >= max_evals:
+                    continue
+                y = x.copy()
+                y[i] += delta
+                if y[i] == x[i]:
+                    continue
+                fy = f(y)
+                evals += 1
+                if fy < fx:
+                    x, fx, improved = y, fy, True
+                    steps[i] = min(0.5 * steps[i], max(abs(delta), 1e-13))
+                    break
+            if not improved:
+                steps *= 0.5
         kept = set() if improved else flat
     return x, fx, evals, True
 

@@ -360,12 +360,15 @@ def wall_perturbation(amplitude, R0=_DEFAULT_R0, R1=_DEFAULT_R1,
     pairs = ((ring, nearq), (near_anti, far_ring))
     stacks = tuple(PlateauStack(pair) for pair in pairs)
 
-    def reaches(bump, y):
-        """Some element of y has ``bump``'s falling argument below 1 (or
-        is NaN), the only place the bump or its slope can be nonzero."""
-        # the first smallest element (or NaN), as a float, by argmin,
-        # which spares a ufunc reduction's overhead; one point is a scalar
-        low = y.item(y.argmin()) if getattr(y, "ndim", 0) else y
+    def least(y):
+        """The first smallest element of y (or NaN), as a float, by argmin,
+        which spares a ufunc reduction's overhead; one point is a scalar."""
+        return y.item(y.argmin()) if getattr(y, "ndim", 0) else y
+
+    def reaches(bump, low):
+        """Whether ``bump``'s falling argument is below 1 (or NaN) at
+        ``low``, a batch's ``least`` element: only then can the bump or
+        its slope be nonzero on some row."""
         return not (low - bump.hi) / bump.roll >= 1.0
 
     def stack_bumps(i, ys):
@@ -382,8 +385,10 @@ def wall_perturbation(amplitude, R0=_DEFAULT_R0, R1=_DEFAULT_R1,
         vanish; ``bumps(i, ys)`` gives the values and the slopes of term
         i's plateaus at ys."""
         qq, s = q * q, p + q
-        w2 = 0.5 * (s * s)
-        wall, far = reaches(nearq, qq), reaches(near_anti, w2)
+        ss = s * s
+        # halving keeps order: 0.5 * least(ss) is least(0.5 * ss) exactly
+        wall = reaches(nearq, least(qq))
+        far = reaches(near_anti, 0.5 * least(ss))
         if not (wall or far):
             return None
         rho = p * p + qq
@@ -392,7 +397,7 @@ def wall_perturbation(amplitude, R0=_DEFAULT_R0, R1=_DEFAULT_R1,
             g0 = -amplitude * rd * 2 * p * nv
             g1 = -amplitude * (rd * 2 * q * nv + rv * nd * 2 * q)
         if far:
-            (na, fr), (nad, frd) = bumps(1, (w2, rho))
+            (na, fr), (nad, frd) = bumps(1, (0.5 * ss, rho))
             tf = AWAY_FACTOR * amplitude * tfac(t, sin)
             ns, nf = nad * s * fr, na * frd * 2
             f0, f1 = tf * (ns + nf * p), tf * (ns + nf * q)

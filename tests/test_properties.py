@@ -121,6 +121,50 @@ def test_pattern_search_never_leaves_box(a, b):
     assert fx <= (a ** 2 + b ** 2) + 1e-12
 
 
+@SETTINGS
+@given(st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2 ** 31))
+def test_pattern_search_settles_on_convex_quadratics(dim, seed):
+    """On c + (z - a)^T H (z - a) with its minimum a inside a box, H
+    rotated with eigenvalues in [0.5, 2], the search settles within 4
+    FLAT_ULPS ulps of c from any start in the box, and probes only
+    inside the box (the search step's parabola vertices too)."""
+    rng = np.random.default_rng(seed)
+    rot, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    H = rot @ np.diag(rng.uniform(0.5, 2.0, dim)) @ rot.T
+    lo = rng.uniform(-2.0, 0.0, dim)
+    hi = lo + rng.uniform(0.5, 2.0, dim)
+    a = lo + rng.uniform(0.05, 0.95, dim) * (hi - lo)
+    c = rng.uniform(0.1, 1.0)
+    probes = []
+
+    def f(z):
+        probes.append(z.copy())
+        r = z - a
+        return c + float(r @ H @ r)
+
+    _, fx, _, converged = pattern_search(
+        f, lo + rng.uniform(0.0, 1.0, dim) * (hi - lo), list(zip(lo, hi)),
+        max_evals=10_000)
+    assert converged
+    assert c <= fx <= c + 4 * dynamics.FLAT_ULPS * np.finfo(float).eps * c
+    probes = np.array(probes)
+    assert ((lo <= probes) & (probes <= hi)).all()
+
+
+@pytest.mark.parametrize("rank, evals", [(1, 127), (0, 119)])
+def test_misses_take_no_search_step(rank, evals):
+    """A miss's distance is kinked, so ``(1, value)`` ranks never take the
+    parabola-vertex search step: on a smooth bowl ranked as misses the
+    search makes the 127 evaluations it made before the step existed,
+    where the same bowl ranked as hits takes the step and 119."""
+    def bowl(z):
+        return rank, 0.5 + (z[0] - 0.3) ** 2 + 2.0 * (z[1] + 0.2) ** 2
+
+    _, fx, n, converged = pattern_search(bowl, [0.9, 0.4], [(-1.0, 1.0)] * 2)
+    assert (fx, n, converged) == ((rank, 0.5), evals, True)
+
+
 # ---------------------------------------------------------------------------
 # Batch contract: a stack of points gives the row-by-row results
 # ---------------------------------------------------------------------------
