@@ -5,9 +5,10 @@ Commands: ``scenario run`` (the chord search; a found chord also writes
 and ``validate config``.  One JSON config file describes one command.
 Unknown keys are rejected, and so is a scenario key its kind does not
 read (``SCENARIO_KEYS``); CLI ``--set`` flags override leaf keys via
-dotted paths.  Reports are
-written as JSON with stable key order; wall-clock statistics go to a
-separate timing file so the scientific report is byte-reproducible.
+dotted paths.  ``validate config`` builds what the command builds first
+(``_COMMANDS``) and stops there.  Reports are written as JSON with
+stable key order; wall-clock statistics go to a separate timing file so
+the scientific report is byte-reproducible.
 
 Exit codes: 0 = pass, 2 = scientific failure (bound violated or target
 not found), 1 = usage or runtime error.
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -206,13 +206,14 @@ def emit_report(report_payload, out_dir, timing=None, csv_files=None):
 # Command implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_scenario(cfg):
+def _scenario_config(cfg):
+    """The config's ``ScenarioConfig``, checked as a run checks it."""
     pert = cfg.get("perturbation")
-    kwargs = {k: v for k, v in cfg.items() if k != "perturbation"}
-    sc = ScenarioConfig(
-        perturbation=PerturbationSpec(**pert) if pert else None,
-        **kwargs,
-    )
+    return ScenarioConfig(**{
+        **cfg, "perturbation": PerturbationSpec(**pert) if pert else None})
+
+
+def _cmd_scenario(cfg, sc):
     report = run_scenario(sc)
     result = report.search  # None for Reeb chords, which run no search
     payload = {
@@ -242,14 +243,17 @@ def _cmd_scenario(cfg):
     return payload, csvs, 0 if report.passed else 2
 
 
-def _cmd_pb4(cfg):
-    # the keys the config leaves out keep prototype_problem's defaults
+def _pb4_problem(cfg, scale=1):
+    """The config's prototype problem on a grid ``scale`` times its ``n``;
+    a key the config leaves out keeps ``prototype_problem``'s default."""
     geometry = {key: cfg[key] for key in ("R0", "R1", "T", "thicken_radius")
                 if key in cfg}
-    n = cfg.get("n", 128)
-    coarse = prototype_problem(n, **geometry)
+    return prototype_problem(scale * cfg.get("n", 128), **geometry)
+
+
+def _cmd_pb4(cfg, coarse):
     # the fine grid first, keeping its value only, frees its fields
-    fine = (estimate_pb4_plus(prototype_problem(2 * n, **geometry)).estimate
+    fine = (estimate_pb4_plus(_pb4_problem(cfg, 2)).estimate
             if cfg.get("two_grid") else None)
     report = estimate_pb4_plus(coarse)
     payload = {
@@ -293,19 +297,19 @@ def _check_pb4_band(cfg):
 
 
 def _tetragon_for(cfg):
-    """The config's tetragon; T defaults to the model's
-    ``default_reeb_time``, as in the scenarios."""
+    """The config's tetragon, T defaulting to the model's
+    ``default_reeb_time``, and its smoothing when ``eps`` is set."""
     model = make_model(cfg.get("model", "sphere"), cfg.get("k", 1))
     T = cfg.get("T", model.default_reeb_time)
-    return build_tetragon(model, cfg.get("R0", _DEFAULT_R0),
-                          cfg.get("R1", _DEFAULT_R1), T)
+    tet = build_tetragon(model, cfg.get("R0", _DEFAULT_R0),
+                         cfg.get("R1", _DEFAULT_R1), T)
+    return tet, (smooth_tetragon(tet, cfg["eps"]) if "eps" in cfg else None)
 
 
-def _cmd_tetragon(cfg):
-    tet = _tetragon_for(cfg)
+def _cmd_tetragon(cfg, built):
+    tet, sm = built
     report = tet.describe()
-    if "eps" in cfg:
-        sm = smooth_tetragon(tet, cfg["eps"])
+    if sm is not None:
         report["smoothed"] = {
             "eps": sm.eps,
             "area": sm.area,
@@ -321,10 +325,11 @@ def _cmd_tetragon(cfg):
     return payload, {}, 0
 
 
+# (schema, build, runner): a command runs ``runner(cfg, build(cfg))``
 _COMMANDS = {
-    ("scenario", "run"): (_SCENARIO_SCHEMA, _cmd_scenario),
-    ("pb4", "estimate"): (_PB4_SCHEMA, _cmd_pb4),
-    ("tetragon", "build"): (_TETRAGON_SCHEMA, _cmd_tetragon),
+    ("scenario", "run"): (_SCENARIO_SCHEMA, _scenario_config, _cmd_scenario),
+    ("pb4", "estimate"): (_PB4_SCHEMA, _pb4_problem, _cmd_pb4),
+    ("tetragon", "build"): (_TETRAGON_SCHEMA, _tetragon_for, _cmd_tetragon),
 }
 
 
@@ -345,7 +350,7 @@ def build_parser():
         ap.add_argument("--set", action="append", dest="overrides",
                         metavar="KEY=VALUE",
                         help="override a config key via dotted path")
-        ap.add_argument("--out", default=None, help="output directory")
+        ap.add_argument("--out", default=".", help="output directory")
         if group == "validate":
             ap.add_argument("--command", default="scenario",
                             choices=[g for g, _ in _COMMANDS],
@@ -356,21 +361,20 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    out_dir = args.out or os.environ.get("TETRALAB_OUT", ".")
+    group = args.command if args.group == "validate" else args.group
+    schema, build, runner = next(
+        entry for (g, _), entry in _COMMANDS.items() if g == group)
     try:
-        if args.group == "validate":
-            schema = {g: sch for (g, _), (sch, _)
-                      in _COMMANDS.items()}[args.command]
-            load_config(args.config, args.overrides, schema)
-            print(f"config valid for command {args.command!r}")
-            return 0
-        schema, runner = _COMMANDS[(args.group, args.action)]
         cfg = load_config(args.config, args.overrides, schema)
         start = time.monotonic()
-        payload, csvs, status = runner(cfg)
+        built = build(cfg)
+        if args.group == "validate":
+            print(f"config valid for command {args.command!r}")
+            return 0
+        payload, csvs, status = runner(cfg, built)
         elapsed = time.monotonic() - start
         path = emit_report(
-            payload, out_dir,
+            payload, args.out,
             timing={"wall_clock_seconds": elapsed},
             csv_files=csvs,
         )

@@ -901,7 +901,8 @@ class SeparationReport:
     """Delta(G; Y0, Y1) = min over Y1 x period of G minus max over Y0.
 
     ``n_evals`` counts the pattern-search evaluations of both
-    extremizations (the dense sampling is not counted)."""
+    extremizations (the dense sampling is not counted), and ``converged``
+    is true when both settled before their cap (``pattern_search``)."""
 
     delta: float
     min_value: float
@@ -910,12 +911,13 @@ class SeparationReport:
     argmax: np.ndarray
     separating: bool
     n_evals: int
+    converged: bool
 
 
 def _extremize_on_region(G, region: Region, n_samples, sign):
     """sign=+1 minimizes G over the region x time, sign=-1 maximizes.
-    Returns the extremum, its point and the pattern-search evaluation
-    count."""
+    Returns the extremum, its point, the pattern-search evaluation count
+    and whether the search settled."""
     times = np.array([0.0])
     if not G.autonomous:
         times = np.linspace(0.0, 1.0, 17)[:-1]
@@ -939,17 +941,17 @@ def _extremize_on_region(G, region: Region, n_samples, sign):
         t = z[-1] if time_axis else t0
         return sign * G(region.param_point(params, comp), t)
 
-    z, fv, evals, _ = pattern_search(obj, np.array(x0), bounds,
-                                     max_evals=120)
+    z, fv, evals, converged = pattern_search(obj, np.array(x0), bounds,
+                                             max_evals=120)
     params = z[:-1] if time_axis else z
-    return sign * fv, region.param_point(params, comp), evals
+    return sign * fv, region.param_point(params, comp), evals, converged
 
 
 def separation(G: HamiltonianSpec, Y0: Region, Y1: Region,
                n_samples=256) -> SeparationReport:
     """Estimate Delta(G; Y0, Y1) by dense sampling plus local refinement."""
-    vmin, xmin, n_min = _extremize_on_region(G, Y1, n_samples, +1.0)
-    vmax, xmax, n_max = _extremize_on_region(G, Y0, n_samples, -1.0)
+    vmin, xmin, n_min, min_ok = _extremize_on_region(G, Y1, n_samples, +1.0)
+    vmax, xmax, n_max, max_ok = _extremize_on_region(G, Y0, n_samples, -1.0)
     delta = vmin - vmax
     return SeparationReport(
         delta=float(delta),
@@ -959,6 +961,7 @@ def separation(G: HamiltonianSpec, Y0: Region, Y1: Region,
         argmax=xmax,
         separating=bool(delta > 0.0),
         n_evals=n_min + n_max,
+        converged=min_ok and max_ok,
     )
 
 

@@ -17,10 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from .contact import (_DEFAULT_R0, _DEFAULT_R1, CircleModel, ParameterError,
-                      SphereModel, TorusModel, build_tetragon, check_radii)
-from .dynamics import (ChordSearchConfig, ChordSearchResult, chord_budget,
-                       deterministic_map, find_chord, integrate, separation)
+from .contact import (_DEFAULT_R0, _DEFAULT_R1, ParameterError,
+                      build_tetragon, check_radii, make_model)
+from .dynamics import (ChordSearchConfig, ChordSearchResult, SeparationReport,
+                       chord_budget, deterministic_map, find_chord,
+                       integrate, separation)
 from .phase_core import HamiltonianSpec, PhaseChart, row_sum
 from .profiles import Plateau, PlateauStack
 
@@ -64,15 +65,25 @@ class PerturbationSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One scenario run.  ``SCENARIO_KEYS`` names the fields each kind
-    reads; a field outside its kind's entry must keep its default
-    (``ConfigError`` names every one that does not).  ``T`` defaults to
-    the contact model's ``default_reeb_time``.  The search fields
-    ``n_seeds``, ``n_phases`` and ``ode_tol`` default to None, "not
-    set": the chord search then uses ``ChordSearchConfig``'s value.
-    ``R0`` and ``R1`` must pass ``contact.check_radii``, and ``beta``,
-    ``reeb_factor_base`` and ``reeb_factor_amp`` be finite
-    (``ConfigError``, naming the value or the key)."""
+    """One scenario run, resolved and checked once, on construction.
+
+    ``SCENARIO_KEYS`` names the fields each kind reads; any other field
+    keeps its default.  Runners read three resolved attributes:
+    ``model``, the contact model (the sphere; the channel's circle at
+    k = 1, else torus; Reeb chords' ``reeb_model``), ``reeb_time``, ``T``
+    or the model's ``default_reeb_time``, and ``search``, a chord kind's
+    ``ChordSearchConfig`` (None for Reeb chords): the search fields the
+    config sets (None is "not set") and an escape radius 10 (sqrt(R1) + 1).
+    Construction raises, with its owner's type and message, every error
+    the fields alone decide: an unread key, k outside 1..2, the radii
+    (``check_radii``), a non-finite number, an unknown Reeb model, a
+    channel r >= 1/2, T outside (C2) (``check_reeb_time``), a
+    perturbation at k = 2 or not below ``R0``, a mechanical shell at
+    q = 0 (``mechanical_hamiltonian``), a search number
+    (``ChordSearchConfig``).  Only a run finds three errors, which need
+    computed numbers: walls the channel potential does not separate, a
+    perturbation that leaves the separation unchanged, and a Reeb factor
+    whose sampled minimum is not positive."""
 
     scenario: str
     k: int = 1
@@ -97,8 +108,7 @@ class ScenarioConfig:
         if self.k > 2:
             raise ConfigError(
                 "k > 2 is not supported: the target sets have codimension "
-                "too high for reliable desk-scale search"
-            )
+                "too high for reliable desk-scale search")
         try:
             check_radii(self.R0, self.R1)
         except ParameterError as exc:
@@ -107,23 +117,43 @@ class ScenarioConfig:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(
                     f"{name} must be finite, got {getattr(self, name)}")
+        kind = {"superconductivity": "circle" if self.k == 1 else "torus",
+                "reeb_chord": self.reeb_model}.get(self.scenario, "sphere")
+        if self.scenario == "reeb_chord" and kind not in _REEB_FLOWS:
+            raise ConfigError(f"unknown reeb model {self.reeb_model!r}")
+        model = make_model(kind, self.k)
+        T = model.default_reeb_time if self.T is None else self.T
+        if self.scenario == "superconductivity" and not T < 0.5:
+            raise ConfigError(f"channel scenario requires r < 1/2, got {T}")
+        model.check_reeb_time(T)
+        if self.perturbation is not None:
+            if self.k != 1:
+                raise ConfigError("wall perturbations are implemented for k=1")
+            if self.perturbation.delta_target >= self.R0:
+                raise ConfigError(
+                    f"perturbation target {self.perturbation.delta_target} "
+                    f"must stay below the separation R0 = {self.R0}")
+        if self.scenario == "mechanical":
+            mechanical_hamiltonian(self.k, self.beta, self.R0, self.R1)
+        search = None if self.scenario == "reeb_chord" else ChordSearchConfig(
+            escape_norm=10.0 * (math.sqrt(self.R1) + 1.0),
+            **{key: getattr(self, key) for key in SEARCH_KEYS
+               if getattr(self, key) is not None})
+        # attributes, not fields, so that ``dataclasses.replace`` resolves anew
+        self.__dict__.update(model=model, reeb_time=T, search=search)
 
 
 @dataclass(frozen=True)
 class ScenarioReport:
     """Self-certifying outcome: ``passed`` is computed from the fields.
 
-    ``time_error`` is the found chord's ``Chord.time_error`` (None for
-    Reeb chords and when no chord is found).  ``n_refine_evals``,
-    ``n_refine_failed`` and ``refine_converged`` are the chord search's
-    refinement counts and stop (see ``ChordSearchResult``), and
-    ``n_separation_evals`` the wall separation's
-    ``SeparationReport.n_evals``; all four are None for Reeb chords, which
-    run neither.  Perturbed runs carry the
-    calibration's ``separation`` count as ``details["calibration_steps"]``.
-    ``search`` is the chord search's whole result (None for Reeb chords),
-    for a caller that writes the chord or the sweep's counts;
-    ``describe`` does not read it."""
+    ``search`` is the chord search's ``ChordSearchResult`` and
+    ``separation`` the walls' ``SeparationReport``, both None for Reeb
+    chords, which run neither; ``describe`` reads from them the found
+    chord's ``time_error``, the refinement's counts and stop, and the
+    separation's as ``n_separation_evals`` and ``separation_converged``.
+    ``details`` holds JSON values only, in perturbed runs the
+    calibration's ``separation`` count as ``calibration_steps``."""
 
     scenario: str
     delta_separation: float
@@ -135,13 +165,10 @@ class ScenarioReport:
     increment: Optional[float]
     expected_increment: Optional[float]
     details: dict = field(default_factory=dict)
-    time_error: Optional[float] = None
-    n_refine_evals: Optional[int] = None
-    n_refine_failed: Optional[int] = None
-    n_separation_evals: Optional[int] = None
-    refine_converged: Optional[bool] = None
     search: Optional[ChordSearchResult] = field(default=None, compare=False,
                                                 repr=False)
+    separation: Optional[SeparationReport] = field(default=None,
+                                                   compare=False, repr=False)
 
     @property
     def passed(self):
@@ -156,7 +183,10 @@ class ScenarioReport:
         return bool(ok)
 
     def describe(self):
-        d = {
+        # getattr(None, name, None) is None: Reeb chords run neither record
+        search, sep = self.search, self.separation
+        chord = getattr(search, "chord", None)
+        return {
             "scenario": self.scenario,
             "delta_separation": self.delta_separation,
             "delta_perturbation": self.delta_perturbation,
@@ -164,19 +194,18 @@ class ScenarioReport:
             "budget": self.budget,
             "found": self.found,
             "time_length": self.time_length,
-            "time_error": self.time_error,
-            "n_refine_evals": self.n_refine_evals,
-            "n_refine_failed": self.n_refine_failed,
-            "refine_converged": self.refine_converged,
-            "n_separation_evals": self.n_separation_evals,
+            "time_error": getattr(chord, "time_error", None),
+            "n_refine_evals": getattr(search, "n_refine_evals", None),
+            "n_refine_failed": getattr(search, "n_refine_failed", None),
+            "refine_converged": getattr(search, "refine_converged", None),
+            "n_separation_evals": getattr(sep, "n_evals", None),
+            "separation_converged": getattr(sep, "converged", None),
             "increment": self.increment,
             "expected_increment": self.expected_increment,
             "increment_tol": INCREMENT_TOL,
             "passed": self.passed,
+            **self.details,
         }
-        d.update({k: v for k, v in self.details.items()
-                  if isinstance(v, (int, float, str, bool, list))})
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +355,8 @@ def wall_perturbation(amplitude, R0=_DEFAULT_R0, R1=_DEFAULT_R1,
     argument grows with y, so a term whose argument is at least 1 at
     the batch minimum of y is exactly zero on every row and is not
     evaluated.  Each term that runs evaluates its two plateaus in one
-    ``PlateauStack`` pass, or at one point plateau by plateau on floats
-    (``point_gradient``); the far term is added after the wall term.
+    ``PlateauStack`` pass, also at one point (``point_gradient``, which
+    returns floats); the far term is added after the wall term.
     The values are those of the whole gradient up to the sign of an
     exact zero.  The chord search's single-point calls lie off both
     bumps and get an exact zero; its sweep batches mostly have rows in
@@ -372,18 +401,12 @@ def wall_perturbation(amplitude, R0=_DEFAULT_R0, R1=_DEFAULT_R1,
         return not (low - bump.hi) / bump.roll >= 1.0
 
     def stack_bumps(i, ys):
+        """The values and the slopes of term i's plateaus at ys."""
         return stacks[i].values_and_slopes(np.array(ys))
 
-    def plateau_bumps(i, ys):
-        """``stack_bumps`` on floats, plateau by plateau: the stacks
-        match ``Plateau.value`` and ``Plateau.deriv`` bit for bit."""
-        return ([pl.value(y) for pl, y in zip(pairs[i], ys)],
-                [pl.deriv(y) for pl, y in zip(pairs[i], ys)])
-
-    def terms(p, q, t, sin, bumps):
+    def terms(p, q, t, sin):
         """(dF/dp, dF/dq) at points (p, q), or None where both terms
-        vanish; ``bumps(i, ys)`` gives the values and the slopes of term
-        i's plateaus at ys."""
+        vanish."""
         qq, s = q * q, p + q
         ss = s * s
         # halving keeps order: 0.5 * least(ss) is least(0.5 * ss) exactly
@@ -393,11 +416,11 @@ def wall_perturbation(amplitude, R0=_DEFAULT_R0, R1=_DEFAULT_R1,
             return None
         rho = p * p + qq
         if wall:
-            (rv, nv), (rd, nd) = bumps(0, (rho, qq))
+            (rv, nv), (rd, nd) = stack_bumps(0, (rho, qq))
             g0 = -amplitude * rd * 2 * p * nv
             g1 = -amplitude * (rd * 2 * q * nv + rv * nd * 2 * q)
         if far:
-            (na, fr), (nad, frd) = bumps(1, (0.5 * ss, rho))
+            (na, fr), (nad, frd) = stack_bumps(1, (0.5 * ss, rho))
             tf = AWAY_FACTOR * amplitude * tfac(t, sin)
             ns, nf = nad * s * fr, na * frd * 2
             f0, f1 = tf * (ns + nf * p), tf * (ns + nf * q)
@@ -406,14 +429,14 @@ def wall_perturbation(amplitude, R0=_DEFAULT_R0, R1=_DEFAULT_R1,
 
     def gradient(x, t):
         g = np.zeros(x.shape)
-        pq = terms(x[..., 0], x[..., 1], np.asarray(t), np.sin, stack_bumps)
+        pq = terms(x[..., 0], x[..., 1], np.asarray(t), np.sin)
         if pq is not None:
             g[..., 0], g[..., 1] = pq
         return g
 
     def point_gradient(x, t):
-        pq = terms(*x, t, math.sin, plateau_bumps)
-        return [0.0, 0.0] if pq is None else list(pq)
+        pq = terms(*x, t, math.sin)
+        return [0.0, 0.0] if pq is None else [float(g) for g in pq]
 
     return HamiltonianSpec(
         chart=chart, value=value, gradient=gradient,
@@ -455,51 +478,29 @@ def _chord_report(scenario, cfg: ScenarioConfig, tet, G: HamiltonianSpec,
     and the report.  The increment is |end| - |start| over all
     coordinates, or over the p-block with ``p_only``."""
     budget = chord_budget(tet.kappa, sep.delta, delta_pert)
-    search = ChordSearchConfig(
-        escape_norm=10.0 * (math.sqrt(cfg.R1) + 1.0),
-        **{key: getattr(cfg, key) for key in SEARCH_KEYS
-           if getattr(cfg, key) is not None})
-    result = find_chord(G, tet.floor, tet.ceiling, budget, search)
-    time_len = inc = time_err = None
+    result = find_chord(G, tet.floor, tet.ceiling, budget, cfg.search)
+    time_len = inc = None
     if result.found:
         n = cfg.k if p_only else None
         a, b = result.chord.trajectory.states[[0, -1], :n]
         inc = float(np.linalg.norm(b) - np.linalg.norm(a))
         time_len = result.chord.time_length
-        time_err = result.chord.time_error
     return ScenarioReport(
         scenario=scenario,
         delta_separation=sep.delta, delta_perturbation=delta_pert,
         kappa=tet.kappa, budget=budget, found=result.found,
         time_length=time_len, increment=inc, expected_increment=expected,
-        details=details, time_error=time_err,
-        n_refine_evals=result.n_refine_evals,
-        n_refine_failed=result.n_refine_failed,
-        n_separation_evals=sep.n_evals,
-        refine_converged=result.refine_converged, search=result,
+        details=details, search=result, separation=sep,
     )
 
 
-def _reeb_time(cfg, model):
-    """The config's T, or the model's default."""
-    return model.default_reeb_time if cfg.T is None else cfg.T
-
-
 def run_unstable_equilibrium(cfg: ScenarioConfig) -> ScenarioReport:
-    model = SphereModel(cfg.k)
-    tet = build_tetragon(model, cfg.R0, cfg.R1, _reeb_time(cfg, model))
+    tet = build_tetragon(cfg.model, cfg.R0, cfg.R1, cfg.reeb_time)
     G0 = unstable_hamiltonian(cfg.k)
     sep = separation(G0, tet.low_wall, tet.high_wall)
     delta_pert, G = 0.0, G0
-    details = {"model": "sphere", "k": cfg.k}
+    details = {"model": cfg.model.kind, "k": cfg.k}
     if cfg.perturbation is not None:
-        if cfg.k != 1:
-            raise ConfigError("wall perturbations are implemented for k=1")
-        if cfg.perturbation.delta_target >= cfg.R0:
-            raise ConfigError(
-                f"perturbation target {cfg.perturbation.delta_target} "
-                f"must stay below the separation R0 = {cfg.R0}"
-            )
         F, delta_pert, amp, steps = calibrate_perturbation(
             tet, cfg.perturbation)
         G = add_hamiltonians(G0, F)
@@ -513,29 +514,29 @@ def run_unstable_equilibrium(cfg: ScenarioConfig) -> ScenarioReport:
 
 
 def run_superconductivity(cfg: ScenarioConfig) -> ScenarioReport:
-    model = CircleModel() if cfg.k == 1 else TorusModel(cfg.k)
-    r = _reeb_time(cfg, model)
-    if not r < 0.5:
-        raise ConfigError(f"channel scenario requires r < 1/2, got {r}")
-    tet = build_tetragon(model, cfg.R0, cfg.R1, r)
+    tet = build_tetragon(cfg.model, cfg.R0, cfg.R1, cfg.reeb_time)
     H = channel_potential(cfg.k)
     sep = separation(H, tet.low_wall, tet.high_wall)
     if not sep.separating:
         raise ConfigError("potential does not separate the walls")
     return _chord_report(
         "superconductivity", cfg, tet, H, sep,
-        {"model": model.kind, "k": cfg.k, "r": r},
+        {"model": cfg.model.kind, "k": cfg.k, "r": cfg.reeb_time},
         expected=cfg.R1 - cfg.R0, p_only=True)
 
 
 def run_mechanical(cfg: ScenarioConfig) -> ScenarioReport:
-    model = SphereModel(cfg.k)
-    tet = build_tetragon(model, cfg.R0, cfg.R1, _reeb_time(cfg, model))
+    tet = build_tetragon(cfg.model, cfg.R0, cfg.R1, cfg.reeb_time)
     G = mechanical_hamiltonian(cfg.k, cfg.beta, cfg.R0, cfg.R1)
     sep = separation(G, tet.low_wall, tet.high_wall)
     return _chord_report(
         "mechanical", cfg, tet, G, sep,
-        {"model": "sphere", "k": cfg.k, "beta": cfg.beta})
+        {"model": cfg.model.kind, "k": cfg.k, "beta": cfg.beta})
+
+
+# each Reeb model's chord starts, Reeb speed and conformal factor frequency
+_REEB_FLOWS = {"sphere": ((0.0, math.pi), 2.0, 1.0),
+              "circle": ((0.0,), 1.0, 2 * math.pi)}
 
 
 def run_reeb_chord(cfg: ScenarioConfig) -> ScenarioReport:
@@ -549,16 +550,8 @@ def run_reeb_chord(cfg: ScenarioConfig) -> ScenarioReport:
     from (1, theta0), stopped where theta reaches the end of its arc.
     """
     base, amp = cfg.reeb_factor_base, cfg.reeb_factor_amp
-    if cfg.reeb_model == "sphere":
-        model, starts = SphereModel(1), [0.0, math.pi]
-        speed, omega = 2.0, 1.0
-    elif cfg.reeb_model == "circle":
-        model, starts = CircleModel(), [0.0]
-        speed, omega = 1.0, 2 * math.pi
-    else:
-        raise ConfigError(f"unknown reeb model {cfg.reeb_model!r}")
-    T = _reeb_time(cfg, model)
-    model.check_reeb_time(T)
+    starts, speed, omega = _REEB_FLOWS[cfg.reeb_model]
+    T = cfg.reeb_time
     # theta' = speed at f = 1: theta sweeps 2T on the sphere, T on the circle
     span = speed * T
 

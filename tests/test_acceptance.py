@@ -110,7 +110,8 @@ def test_time_error_covers_analytic_times(unstable_run, channel_run_k1):
     for run, exact in ((unstable_run, 0.5 * math.log(2)),
                        (channel_run_k1, 1.0 / (2 * math.pi))):
         rep = run.value
-        slack = max(2 * rep.time_error, 8 * np.finfo(float).eps * exact)
+        slack = max(2 * rep.search.chord.time_error,
+                    8 * np.finfo(float).eps * exact)
         assert abs(rep.time_length - exact) <= slack
 
 

@@ -20,6 +20,10 @@ from tetralab.pb4 import BLOCK_CELLS, estimate_pb4_plus, prototype_problem
 from tetralab.scenarios import PerturbationSpec, ScenarioConfig
 
 
+SCENARIO, PB4, TETRAGON = (["scenario", "run"], ["pb4", "estimate"],
+                           ["tetragon", "build"])
+
+
 def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -539,23 +543,92 @@ class TestValidateCommand:
                      "perturbation.delta_target=0.2"])
         assert code == 0
 
-    @pytest.mark.parametrize("payload, message", [
-        ({"scenario": "reeb_chord", "beta": 7},
-         "error: scenario 'reeb_chord' takes no beta; "
+    @pytest.mark.parametrize("command, payload, message", [
+        (SCENARIO, {"scenario": "reeb_chord", "beta": 7},
+         "scenario 'reeb_chord' takes no beta; "
          "it reads T, reeb_model, reeb_factor_base, reeb_factor_amp"),
-        ({"scenario": "nope"},
-         "error: unknown scenario 'nope'; choose from ['mechanical', "
+        (SCENARIO, {"scenario": "nope"},
+         "unknown scenario 'nope'; choose from ['mechanical', "
          "'reeb_chord', 'superconductivity', 'unstable_equilibrium']"),
-    ], ids=["unread_beta", "unknown_scenario"])
+        (SCENARIO, {"scenario": "unstable_equilibrium", "k": 3},
+         "k > 2 is not supported: the target sets have codimension too "
+         "high for reliable desk-scale search"),
+        (SCENARIO, {"scenario": "mechanical", "R0": 2, "R1": 1},
+         "need 0 < R0 < R1 < inf, got R0=2, R1=1"),
+        (SCENARIO, {"scenario": "superconductivity", "n_seeds": 0},
+         "n_seeds must be >= 1, got 0"),
+        (SCENARIO, {"scenario": "unstable_equilibrium", "ode_tol": 0},
+         "ode_tol must be positive and finite, got 0"),
+        (SCENARIO, {"scenario": "unstable_equilibrium", "T": 1},
+         "Reeb time T=1 violates 0 < T <= 0.7853981633974483 for the "
+         "sphere model"),
+        (SCENARIO, {"scenario": "superconductivity", "T": 0.6},
+         "channel scenario requires r < 1/2, got 0.6"),
+        (SCENARIO, {"scenario": "reeb_chord", "reeb_model": "torus"},
+         "unknown reeb model 'torus'"),
+        (SCENARIO, {"scenario": "unstable_equilibrium", "k": 2,
+                    "perturbation": {"delta_target": 0.25}},
+         "wall perturbations are implemented for k=1"),
+        (SCENARIO, {"scenario": "unstable_equilibrium",
+                    "perturbation": {"delta_target": 1.5}},
+         "perturbation target 1.5 must stay below the separation R0 = 1.0"),
+        (SCENARIO, {"scenario": "mechanical", "R0": 0.3},
+         "potential shell reaches q = 0"),
+        (PB4, {"n": 1}, "a grid window needs n_s, n_u >= 2, got n_s=1, n_u=1"),
+        (PB4, {"R0": 2, "R1": 1}, "need 0 < R0 < R1 < inf, got R0=2, R1=1"),
+        (PB4, {"T": 1}, "Reeb time T=1 violates 0 < T < 1.0 for the "
+         "circle model"),
+        (PB4, {"n": 16, "thicken_radius": 16},
+         "thicken_radius must lie in [0, 16), got 16"),
+        (TETRAGON, {"model": "circle", "T": 5},
+         "Reeb time T=5 violates 0 < T < 1.0 for the circle model"),
+        (TETRAGON, {"model": "circle", "eps": 0.2},
+         "corner radius eps=0.2 must lie in (0, 0.125)"),
+    ], ids=["unread_beta", "unknown_scenario", "k3", "radii", "n_seeds",
+            "ode_tol", "sphere_T", "channel_T", "reeb_model",
+            "perturbation_k2", "perturbation_target", "mechanical_shell",
+            "pb4_n", "pb4_radii", "pb4_T", "pb4_thicken", "tetragon_T",
+            "tetragon_eps"])
     def test_scenario_config_that_run_rejects_is_invalid(
-            self, tmp_path, capsys, payload, message):
-        """``validate config`` and ``scenario run`` run the same check:
-        both exit 1 with the same message, and ``scenario run`` writes no
-        report."""
+            self, tmp_path, capsys, command, payload, message):
+        """``validate config`` builds what the command builds first: both
+        exit 1 with the same message, and the command writes no report."""
         cfg = write_config(tmp_path, payload)
-        assert main(["validate", "config", cfg]) == 1
-        assert capsys.readouterr().err.strip() == message
+        assert main(["validate", "config", cfg,
+                     "--command", command[0]]) == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
         out = tmp_path / "o"
-        assert main(["scenario", "run", cfg, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.strip() == message
+        assert main(command + [cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
         assert not (out / "report.json").exists()
+
+    def test_bad_search_number_rejected_before_any_separation(
+            self, tmp_path, capsys, monkeypatch):
+        """A perturbed run with ``n_seeds`` 0 is refused before the wall
+        separation or the amplitude calibration runs one separation."""
+        calls = []
+        monkeypatch.setattr(scenarios, "separation",
+                            lambda *args, **kw: calls.append(args))
+        cfg = write_config(tmp_path, {
+            "scenario": "unstable_equilibrium", "n_seeds": 0,
+            "perturbation": {"delta_target": 0.25}})
+        for command in (["validate", "config"], SCENARIO):
+            assert main(command + [cfg, "--out", str(tmp_path / "o")]) == 1
+            assert capsys.readouterr().err.strip() == \
+                "error: n_seeds must be >= 1, got 0"
+        assert calls == []
+
+    @pytest.mark.parametrize("command, payload", [
+        (SCENARIO, {"scenario": "unstable_equilibrium",
+                    "perturbation": {"delta_target": 0.25}}),
+        (PB4, {"n": 128, "two_grid": True,
+               "expected_low": 3.92, "expected_high": 4.40}),
+        (TETRAGON, {"model": "sphere", "k": 1, "T": 0.25, "eps": 0.05}),
+    ], ids=["scenario", "pb4", "tetragon"])
+    def test_readme_configs_are_valid(self, tmp_path, capsys, command,
+                                      payload):
+        cfg = write_config(tmp_path, payload)
+        assert main(["validate", "config", cfg,
+                     "--command", command[0]]) == 0
+        assert capsys.readouterr().out.strip() == \
+            f"config valid for command {command[0]!r}"

@@ -965,9 +965,9 @@ class TestRefinementStop:
 
     def test_unstable_chord(self, unstable_run):
         rep = unstable_run.value
-        assert rep.n_refine_evals <= 32
-        assert rep.n_refine_failed == 0
-        assert rep.refine_converged is True
+        assert rep.search.n_refine_evals <= 32
+        assert rep.search.n_refine_failed == 0
+        assert rep.search.refine_converged is True
         assert rep.time_length == pytest.approx(0.5 * math.log(2),
                                                 abs=1e-9)
 
@@ -978,35 +978,34 @@ class TestRefinementStop:
         """The parabola-vertex search step settles the default scenarios'
         refinements in 24, 32 and 22 evaluations (55, 61 and 22 without
         it)."""
-        rep = request.getfixturevalue(run).value
-        assert rep.refine_converged and rep.n_refine_evals <= most
+        search = request.getfixturevalue(run).value.search
+        assert search.refine_converged and search.n_refine_evals <= most
 
-    def test_channel_k2_separations_settle(self, monkeypatch):
+    def test_channel_k2_separations_settle(self, channel_run_k2):
         """Both separation searches of the channel k = 2 scenario settle,
         in at most 60 evaluations together: without the search step the
         low-wall maximum crawled along a flat ridge to its cap of 120."""
-        real_extremize = dynamics._extremize_on_region
-        searches, inside = [], []
+        rep = channel_run_k2.value
+        assert rep.separation.converged
+        assert rep.separation.n_evals <= 60
+        assert rep.describe()["separation_converged"] is True
 
-        def extremize(*args):
-            inside.append(True)
-            try:
-                return real_extremize(*args)
-            finally:
-                inside.pop()
-
-        def search(*args, **kwargs):
-            out = pattern_search(*args, **kwargs)
-            if inside:
-                searches.append(out[2:])
-            return out
-
-        monkeypatch.setattr(dynamics, "_extremize_on_region", extremize)
-        monkeypatch.setattr(dynamics, "pattern_search", search)
-        run_scenario(ScenarioConfig(scenario="superconductivity", k=2))
-        assert len(searches) == 2
-        assert all(converged for _, converged in searches)
-        assert sum(evals for evals, _ in searches) <= 60
+    def test_separation_at_its_cap_is_not_converged(self):
+        """A minimum at a kink in both the wall coordinate s and time,
+        where the dense sampling starts the search: no poll improves, so
+        the steps halve from a hundredth of each side towards 1e-12 at 4
+        evaluations a poll, and the cap of 120 stops the search first.
+        The maximum, on the box's corner, settles."""
+        tet = build_tetragon(CircleModel(), 1.0, 2.0, 0.25)
+        G = HamiltonianSpec(
+            chart=tet.model.chart, autonomous=False,
+            value=lambda x, t: np.abs(x[..., 0] - 1.5) + np.abs(t - 0.5),
+            gradient=lambda x, t: np.zeros(np.shape(x)))
+        # 5 samples on [1, 2] put one at s = 1.5
+        sep = separation(G, tet.low_wall, tet.high_wall, n_samples=5)
+        assert (sep.min_value, sep.max_value) == (0.0, 1.0)
+        assert not sep.converged
+        assert sep.n_evals >= 120
 
 
 class TestRefinementCap:

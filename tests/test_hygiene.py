@@ -2,7 +2,7 @@
 every top-level ``def`` and ``class`` and every method but a dunder is
 read somewhere, and by program code (``src/``, ``bench/``) but where
 ``TEST_ONLY_ALLOWED`` says, the package
-reads no environment variable but ``TETRALAB_OUT``, scipy is loaded
+reads no environment variable, scipy is loaded
 and ``solve_ivp`` named only where ``SCIPY_ALLOWED`` and
 ``SOLVE_IVP_ALLOWED`` say, every ``HamiltonianSpec`` the package
 builds passes ``point_gradient``, the integrator sums nothing by
@@ -44,7 +44,7 @@ PACKAGE = ROOT / "src" / "tetralab"
 TESTS = ROOT / "tests"
 SOURCES = sorted(p for d in ("src", "tests", "bench")
                  for p in (ROOT / d).rglob("*.py"))
-ENV_ALLOWED = {"TETRALAB_OUT"}
+ENV_ALLOWED = set()
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 SCIPY_ALLOWED = set()
 SOLVE_IVP_ALLOWED = set()

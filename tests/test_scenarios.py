@@ -70,26 +70,23 @@ class TestConfigValidation:
 
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError):
-            run_scenario(ScenarioConfig(scenario="nonsense"))
+            ScenarioConfig(scenario="nonsense")
 
     def test_channel_needs_small_reeb_time(self):
-        with pytest.raises(ConfigError):
-            run_scenario(ScenarioConfig(scenario="superconductivity",
-                                        T=0.5))
+        with pytest.raises(ConfigError, match="requires r < 1/2"):
+            ScenarioConfig(scenario="superconductivity", T=0.5)
 
     def test_perturbation_only_planar(self):
-        cfg = ScenarioConfig(scenario="unstable_equilibrium", k=2,
-                             perturbation=PerturbationSpec())
-        with pytest.raises(ConfigError):
-            run_scenario(cfg)
+        with pytest.raises(ConfigError, match="implemented for k=1"):
+            ScenarioConfig(scenario="unstable_equilibrium", k=2,
+                           perturbation=PerturbationSpec())
 
     def test_perturbation_target_below_separation(self):
-        cfg = ScenarioConfig(
-            scenario="unstable_equilibrium",
-            perturbation=PerturbationSpec(delta_target=1.5),
-        )
-        with pytest.raises(ConfigError):
-            run_scenario(cfg)
+        with pytest.raises(ConfigError, match="must stay below"):
+            ScenarioConfig(
+                scenario="unstable_equilibrium",
+                perturbation=PerturbationSpec(delta_target=1.5),
+            )
 
     @pytest.mark.parametrize("target", [-0.1, math.nan, math.inf])
     def test_perturbation_target_is_a_finite_size(self, target):
@@ -111,15 +108,37 @@ class TestConfigValidation:
                            perturbation=PerturbationSpec(0.2))
 
     def test_reeb_factor_must_stay_positive(self):
-        cfg = ScenarioConfig(scenario="reeb_chord",
-                             reeb_factor_base=0.3, reeb_factor_amp=0.5)
-        with pytest.raises(ConfigError):
-            run_scenario(cfg)
+        """The sampled minimum of the factor is one of the three errors
+        only a run finds."""
+        with pytest.raises(ConfigError, match="must be positive"):
+            run_scenario(ScenarioConfig(scenario="reeb_chord",
+                                        reeb_factor_base=0.3,
+                                        reeb_factor_amp=0.5))
 
     def test_reeb_unknown_model(self):
-        cfg = ScenarioConfig(scenario="reeb_chord", reeb_model="plane")
-        with pytest.raises(ConfigError):
-            run_scenario(cfg)
+        with pytest.raises(ConfigError, match="unknown reeb model 'plane'"):
+            ScenarioConfig(scenario="reeb_chord", reeb_model="plane")
+
+    def test_mechanical_shell_must_clear_the_origin(self):
+        with pytest.raises(ConfigError, match="shell reaches q = 0"):
+            ScenarioConfig(scenario="mechanical", R0=0.3)
+
+    @pytest.mark.parametrize("kind, k, model, T", [
+        ("unstable_equilibrium", 2, "sphere", math.pi / 4),
+        ("superconductivity", 1, "circle", 0.25),
+        ("superconductivity", 2, "torus", 0.25),
+        ("mechanical", 1, "sphere", math.pi / 4),
+        ("reeb_chord", 1, "sphere", math.pi / 4)])
+    def test_resolved_model_time_and_search(self, kind, k, model, T):
+        """The config resolves its kind's model, the default Reeb time and
+        the chord search once; Reeb chords run no search."""
+        cfg = ScenarioConfig(scenario=kind, k=k)
+        assert (cfg.model.kind, cfg.model.k, cfg.reeb_time) == (model, k, T)
+        if kind == "reeb_chord":
+            assert cfg.search is None
+        else:
+            assert cfg.search == ChordSearchConfig(
+                escape_norm=10.0 * (math.sqrt(2.0) + 1.0))
 
 
 # the unread keys of a reeb_chord config that once ran and exited 0
@@ -137,14 +156,23 @@ class RecordingConfig:
         return getattr(self.cfg, name)
 
 
+# the config keys each resolved attribute of a ScenarioConfig comes from
+RESOLVED_FROM = {"model": ("k",), "reeb_time": ("T",),
+                 "search": scenarios.SEARCH_KEYS}
+
+
 class TestScenarioKeys:
     @pytest.mark.parametrize("kind", sorted(scenarios.SCENARIO_KEYS))
     def test_runner_reads_exactly_its_keys(self, kind):
+        """The runner reads its kind's keys, directly or through the
+        attributes the config resolves from them, and no others."""
         keys = scenarios.SCENARIO_KEYS[kind]
         sizes = {"n_seeds": 4, "n_phases": 2} if "n_seeds" in keys else {}
         proxy = RecordingConfig(ScenarioConfig(scenario=kind, **sizes))
         scenarios._RUNNERS[kind](proxy)
-        assert proxy.read == set(keys)
+        read = {key for name in proxy.read
+                for key in RESOLVED_FROM.get(name, (name,))}
+        assert read == set(keys)
 
     def test_unread_keys_named_together(self):
         with pytest.raises(ConfigError) as err:
@@ -198,6 +226,7 @@ class TestPerturbedUnstable:
         # one separation sizes the amplitude, one measures the result
         assert 1 <= rep.describe()["calibration_steps"] <= 52
         assert rep.describe()["n_separation_evals"] > 0
+        assert rep.describe()["separation_converged"] is True
 
     def test_budget_shrinks_but_chord_survives(self, perturbed_run,
                                                unstable_run):
