@@ -24,7 +24,6 @@ from .contact import (  # noqa: F401
     smooth_tetragon,
 )
 from .dynamics import (  # noqa: F401
-    Chord,
     ChordSearchConfig,
     EscapeError,
     SeparationReport,

@@ -6,9 +6,13 @@ and ``validate config``.  One JSON config file describes one command.
 Unknown keys are rejected, and so is a scenario key its kind does not
 read (``SCENARIO_KEYS``); CLI ``--set`` flags override leaf keys via
 dotted paths.  ``validate config`` builds what the command builds first
-(``_COMMANDS``) and stops there.  Reports are written as JSON with
-stable key order; wall-clock statistics go to a separate timing file so
-the scientific report is byte-reproducible.
+(``_COMMANDS``) and stops there.  Every command writes one report.json
+envelope, built in ``main``: ``command``, ``artifact_version``, the
+``config``, the command's ``tolerances`` and its ``report``, which is
+its record's ``describe()`` as the record gives it (the pb4 estimate
+adds the two-grid check).  Reports are written as JSON with stable key
+order; wall-clock statistics go to a separate timing file so the
+scientific report is byte-reproducible.
 
 Exit codes: 0 = pass, 2 = scientific failure (bound violated or target
 not found), 1 = usage or runtime error.
@@ -207,28 +211,20 @@ def emit_report(report_payload, out_dir, timing=None, csv_files=None):
 # ---------------------------------------------------------------------------
 
 def _scenario_config(cfg):
-    """The config's ``ScenarioConfig``, checked as a run checks it."""
+    """The config's ``ScenarioConfig``, checked as a run checks it; an
+    empty ``perturbation`` is ``PerturbationSpec``'s default target."""
     pert = cfg.get("perturbation")
     return ScenarioConfig(**{
-        **cfg, "perturbation": PerturbationSpec(**pert) if pert else None})
+        **cfg, "perturbation": None if pert is None
+        else PerturbationSpec(**pert)})
 
 
 def _cmd_scenario(cfg, sc):
     report = run_scenario(sc)
     result = report.search  # None for Reeb chords, which run no search
-    payload = {
-        "command": "scenario",
-        "artifact_version": __version__,
-        "config": cfg,
-        "report": report.describe(),
-        "search": None if result is None else {
-            key: getattr(result, key) for key in
-            ("best_distance", "n_seeds", "n_phases", "n_escaped", "n_stiff")},
-        "tolerances": {"time": TIME_TOL, "increment": INCREMENT_TOL},
-    }
     csvs = {}
     if result is not None and result.found:
-        traj = result.chord.trajectory
+        traj = result.trajectory
         ts = np.linspace(traj.t0, traj.t1, 200)
         states = traj.sample(ts)
         k = traj.chart.dim_pairs
@@ -240,7 +236,7 @@ def _cmd_scenario(cfg, sc):
             "t,p_norm",
             np.column_stack([ts, np.linalg.norm(states[:, :k], axis=1)]),
         )
-    return payload, csvs, 0 if report.passed else 2
+    return report.describe(), csvs, 0 if report.passed else 2
 
 
 def _pb4_problem(cfg, scale=1):
@@ -256,16 +252,10 @@ def _cmd_pb4(cfg, coarse):
     fine = (estimate_pb4_plus(_pb4_problem(cfg, 2)).estimate
             if cfg.get("two_grid") else None)
     report = estimate_pb4_plus(coarse)
-    payload = {
-        "command": "pb4",
-        "artifact_version": __version__,
-        "config": cfg,
-        "report": report.describe(),
-        "tolerances": {"feasibility": FEASIBILITY_TOL},
-    }
+    described = report.describe()
     if fine is not None:
-        payload["report"]["two_grid_estimate"] = fine
-        payload["report"]["two_grid_difference"] = abs(fine - report.estimate)
+        described["two_grid_estimate"] = fine
+        described["two_grid_difference"] = abs(fine - report.estimate)
     s_nodes = coarse.window.s_nodes()
     csvs = {
         "F.csv": ("s\\u grid", report.F),
@@ -280,7 +270,7 @@ def _cmd_pb4(cfg, coarse):
         status = 2
     if hi is not None and report.estimate > hi:
         status = 2
-    return payload, csvs, status
+    return described, csvs, status
 
 
 def _check_pb4_band(cfg):
@@ -315,21 +305,19 @@ def _cmd_tetragon(cfg, built):
             "area": sm.area,
             "lagrangian_residual": sm.lagrangian_residual(200),
         }
-    payload = {
-        "command": "tetragon",
-        "artifact_version": __version__,
-        "config": cfg,
-        "report": report,
-        "tolerances": {},
-    }
-    return payload, {}, 0
+    return report, {}, 0
 
 
-# (schema, build, runner): a command runs ``runner(cfg, build(cfg))``
+# (schema, build, runner, tolerances): a command runs ``runner(cfg,
+# build(cfg))``, which returns its report, its CSVs and its exit status,
+# and its report.json carries ``tolerances``
 _COMMANDS = {
-    ("scenario", "run"): (_SCENARIO_SCHEMA, _scenario_config, _cmd_scenario),
-    ("pb4", "estimate"): (_PB4_SCHEMA, _pb4_problem, _cmd_pb4),
-    ("tetragon", "build"): (_TETRAGON_SCHEMA, _tetragon_for, _cmd_tetragon),
+    ("scenario", "run"): (_SCENARIO_SCHEMA, _scenario_config, _cmd_scenario,
+                          {"time": TIME_TOL, "increment": INCREMENT_TOL}),
+    ("pb4", "estimate"): (_PB4_SCHEMA, _pb4_problem, _cmd_pb4,
+                          {"feasibility": FEASIBILITY_TOL}),
+    ("tetragon", "build"): (_TETRAGON_SCHEMA, _tetragon_for, _cmd_tetragon,
+                            {}),
 }
 
 
@@ -362,7 +350,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     group = args.command if args.group == "validate" else args.group
-    schema, build, runner = next(
+    schema, build, runner, tolerances = next(
         entry for (g, _), entry in _COMMANDS.items() if g == group)
     try:
         cfg = load_config(args.config, args.overrides, schema)
@@ -371,8 +359,10 @@ def main(argv=None):
         if args.group == "validate":
             print(f"config valid for command {args.command!r}")
             return 0
-        payload, csvs, status = runner(cfg, built)
+        report, csvs, status = runner(cfg, built)
         elapsed = time.monotonic() - start
+        payload = {"command": group, "artifact_version": __version__,
+                   "config": cfg, "report": report, "tolerances": tolerances}
         path = emit_report(
             payload, args.out,
             timing={"wall_clock_seconds": elapsed},

@@ -38,7 +38,7 @@ error bar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -913,6 +913,11 @@ class SeparationReport:
     n_evals: int
     converged: bool
 
+    def describe(self):
+        """The scalar fields (all but the two points), as JSON values."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("argmin", "argmax")}
+
 
 def _extremize_on_region(G, region: Region, n_samples, sign):
     """sign=+1 minimizes G over the region x time, sign=-1 maximizes.
@@ -981,30 +986,19 @@ def chord_budget(kappa, delta_sep, delta_pert=0.0):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Chord:
-    """A certified trajectory segment from X0 to X1.
-
-    ``trajectory`` is the winning refinement run, which ends at its first
-    certified arrival: the chord runs from its first state, at ``t0``, to
-    its last, at t1 = ``stop``.  ``time_error`` is
-    ``|t1 - t1'| + 4 eps (1 + |t1|)``, with ``t1'`` the arrival time
-    certified by a run at a hundredth of the ODE tolerance (inf if none)
-    and the event root's bracket: an estimate of the error of ``t1`` by
-    tolerance proportionality (Hairer-Norsett-Wanner, Solving ODEs I,
-    II.4), not a rigorous bound.
-    """
-
-    trajectory: Trajectory
-    time_error: float
-
-    @property
-    def time_length(self):
-        return self.trajectory.stop - self.trajectory.t0
-
-
-@dataclass(frozen=True)
 class ChordSearchResult:
-    """Outcome of ``find_chord``.
+    """Outcome of ``find_chord``, and what a report says of it.
+
+    ``trajectory`` is the chord, the winning refinement run, which ends
+    at its first certified arrival: the chord runs from its first state,
+    at ``t0``, to its last, at t1 = ``stop`` (None when no chord was
+    found, ``found`` false).  ``time_error`` is ``|t1 - t1'| + 4 eps (1 +
+    |t1|)``, with ``t1'`` the arrival time certified by a run at a
+    hundredth of the ODE tolerance (inf if none) and the event root's
+    bracket: an estimate of the error of ``t1`` by tolerance
+    proportionality (Hairer-Norsett-Wanner, Solving ODEs I, II.4), not a
+    rigorous bound; None without a chord.  ``best_distance`` is the
+    closest sampled miss, 0 for a chord.
 
     ``n_seeds``/``n_phases`` are the swept counts (one phase for an
     autonomous Hamiltonian); ``n_escaped``/``n_stiff`` count the sweep
@@ -1019,11 +1013,12 @@ class ChordSearchResult:
     stopped at its evaluation cap, ``max(200, 100 d)`` for d refined
     start parameters, before it settled (``pattern_search``); a chord
     found so says it in ``message``, as its time may then lie further
-    from the minimum than its ``time_error``.
+    from the minimum than its ``time_error``.  A search with no chord
+    says in ``message`` what it swept and what failed.
     """
 
-    found: bool
-    chord: Optional[Chord]
+    trajectory: Optional[Trajectory]
+    time_error: Optional[float]
     best_distance: float
     n_seeds: int
     n_phases: int
@@ -1033,6 +1028,21 @@ class ChordSearchResult:
     n_refine_evals: int = 0
     n_refine_failed: int = 0
     refine_converged: bool = True
+
+    @property
+    def found(self):
+        return self.trajectory is not None
+
+    @property
+    def time_length(self):
+        """The chord's duration ``stop - t0``, None without a chord."""
+        traj = self.trajectory
+        return None if traj is None else traj.stop - traj.t0
+
+    def describe(self):
+        """Every field but ``trajectory``, as JSON values."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "trajectory"}
 
 
 @dataclass(frozen=True)
@@ -1175,7 +1185,7 @@ def find_chord(G: HamiltonianSpec, X0: Region, X1: Region, time_budget,
                   refine_converged=converged)
     if missed:
         return ChordSearchResult(
-            found=False, chord=None,
+            trajectory=None, time_error=None,
             best_distance=min(float(sweep.distance.min()), value),
             message=(
                 "no certified chord at the swept resolution: "
@@ -1202,11 +1212,11 @@ def _certify(G, X1, traj, window, config, counts) -> ChordSearchResult:
                              stop=_arrival(X1, phase)).stop
     except (EscapeError, StiffnessError):
         fine_hit = None
-    chord = Chord(trajectory=traj, time_error=math.inf if fine_hit is None
-                  else abs(hit - fine_hit) + 4 * _EPS * (1 + abs(hit)))
+    time_error = math.inf if fine_hit is None \
+        else abs(hit - fine_hit) + 4 * _EPS * (1 + abs(hit))
     message = "" if counts["refine_converged"] else (
         f"refinement stopped at its cap of {counts['n_refine_evals']} "
         "evaluations before it settled: the chord time may lie further "
         "from the minimum than its time_error")
-    return ChordSearchResult(found=True, chord=chord, best_distance=0.0,
-                             message=message, **counts)
+    return ChordSearchResult(trajectory=traj, time_error=time_error,
+                             best_distance=0.0, message=message, **counts)

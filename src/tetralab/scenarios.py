@@ -149,11 +149,9 @@ class ScenarioReport:
 
     ``search`` is the chord search's ``ChordSearchResult`` and
     ``separation`` the walls' ``SeparationReport``, both None for Reeb
-    chords, which run neither; ``describe`` reads from them the found
-    chord's ``time_error``, the refinement's counts and stop, and the
-    separation's as ``n_separation_evals`` and ``separation_converged``.
-    ``details`` holds JSON values only, in perturbed runs the
-    calibration's ``separation`` count as ``calibration_steps``."""
+    chords, which run neither; ``describe`` nests what each record
+    reports of itself under ``"search"`` and ``"separation"``.
+    ``details`` holds JSON values only."""
 
     scenario: str
     delta_separation: float
@@ -183,9 +181,7 @@ class ScenarioReport:
         return bool(ok)
 
     def describe(self):
-        # getattr(None, name, None) is None: Reeb chords run neither record
-        search, sep = self.search, self.separation
-        chord = getattr(search, "chord", None)
+        """Every value a report carries, all JSON values."""
         return {
             "scenario": self.scenario,
             "delta_separation": self.delta_separation,
@@ -194,16 +190,12 @@ class ScenarioReport:
             "budget": self.budget,
             "found": self.found,
             "time_length": self.time_length,
-            "time_error": getattr(chord, "time_error", None),
-            "n_refine_evals": getattr(search, "n_refine_evals", None),
-            "n_refine_failed": getattr(search, "n_refine_failed", None),
-            "refine_converged": getattr(search, "refine_converged", None),
-            "n_separation_evals": getattr(sep, "n_evals", None),
-            "separation_converged": getattr(sep, "converged", None),
             "increment": self.increment,
             "expected_increment": self.expected_increment,
-            "increment_tol": INCREMENT_TOL,
             "passed": self.passed,
+            "search": None if self.search is None else self.search.describe(),
+            "separation": None if self.separation is None
+            else self.separation.describe(),
             **self.details,
         }
 
@@ -276,28 +268,21 @@ def channel_potential(k=1) -> HamiltonianSpec:
 
 
 def mechanical_hamiltonian(k=1, beta=_DEFAULT_BETA, R0=_DEFAULT_R0,
-                           R1=_DEFAULT_R1, time_amp=0.0) -> HamiltonianSpec:
-    """G = |p|^2/2 + U(q[, t]) with U = -beta on the q-shell
+                           R1=_DEFAULT_R1) -> HamiltonianSpec:
+    """G = |p|^2/2 + U(q) with U = -beta on the q-shell
     sqrt(R0) <= |q| <= sqrt(R1) and U = 0 near q = 0."""
     chart = PhaseChart(dim_pairs=k)
     shell = Plateau(lo=R0 - 0.1, hi=R1 + 0.1, roll=0.25)
     if shell.lo - shell.roll <= 0.0:
         raise ConfigError("potential shell reaches q = 0")
 
-    def tfac(t, sin=np.sin):
-        """The time factor; ``sin=math.sin`` takes a float t."""
-        if not time_amp:
-            return 1.0
-        return 1.0 + time_amp * sin(2 * math.pi * t)
-
     def value(x, t):
         y = _sq(x[..., k:])
-        return 0.5 * _sq(x[..., :k]) \
-            - beta * shell.value(y) * tfac(np.asarray(t))
+        return 0.5 * _sq(x[..., :k]) - beta * shell.value(y)
 
     def gradient(x, t):
         y = _sq(x[..., k:])
-        dq = -beta * shell.deriv(y) * tfac(np.asarray(t)) * 2.0
+        dq = -beta * shell.deriv(y) * 2.0
         g = np.empty(x.shape)
         g[..., :k] = x[..., :k]
         np.multiply(np.asarray(dq)[..., None], x[..., k:], out=g[..., k:])
@@ -305,22 +290,20 @@ def mechanical_hamiltonian(k=1, beta=_DEFAULT_BETA, R0=_DEFAULT_R0,
 
     def point_gradient(x, t):
         q = x[k:]
-        dq = -beta * shell.deriv(row_sum([v * v for v in q])) \
-            * tfac(t, math.sin) * 2.0
+        dq = -beta * shell.deriv(row_sum([v * v for v in q])) * 2.0
         return x[:k] + [dq * v for v in q]
 
     return HamiltonianSpec(
         chart=chart, value=value, gradient=gradient,
         point_gradient=point_gradient,
-        autonomous=time_amp == 0.0,
         name="mechanical",
         # below the narrowest roll's width in |q|, sqrt(hi + roll) - sqrt(hi)
         feature_width=shell.roll / (2.0 * math.sqrt(shell.hi + shell.roll)),
     )
 
 
-def add_hamiltonians(G: HamiltonianSpec, F: HamiltonianSpec,
-                     name="") -> HamiltonianSpec:
+def add_hamiltonians(G: HamiltonianSpec, F: HamiltonianSpec
+                     ) -> HamiltonianSpec:
     if G.chart.dim != F.chart.dim:
         raise ValueError("chart dimensions differ")
     point_gradient = None
@@ -336,12 +319,12 @@ def add_hamiltonians(G: HamiltonianSpec, F: HamiltonianSpec,
         point_gradient=point_gradient,
         feature_width=min(G.feature_width, F.feature_width),
         autonomous=G.autonomous and F.autonomous,
-        name=name or f"{G.name}+{F.name}",
+        name=f"{G.name}+{F.name}",
     )
 
 
-def wall_perturbation(amplitude, R0=_DEFAULT_R0, R1=_DEFAULT_R1,
-                      time_periodic=True) -> HamiltonianSpec:
+def wall_perturbation(amplitude, R0=_DEFAULT_R0, R1=_DEFAULT_R1
+                      ) -> HamiltonianSpec:
     """Planar (k=1) perturbation F = -A on the high wall, vanishing on
     the low wall, plus an ``AWAY_FACTOR``*A bump supported near the
     anti-diagonal ring — far from both walls and from the floor-to-
@@ -372,8 +355,6 @@ def wall_perturbation(amplitude, R0=_DEFAULT_R0, R1=_DEFAULT_R1,
 
     def tfac(t, sin=np.sin):
         """The time factor; ``sin=math.sin`` takes a float t."""
-        if not time_periodic:
-            return 1.0
         return 0.5 * (1.0 + sin(2 * math.pi * t))
 
     def value(x, t):
@@ -441,7 +422,7 @@ def wall_perturbation(amplitude, R0=_DEFAULT_R0, R1=_DEFAULT_R1,
     return HamiltonianSpec(
         chart=chart, value=value, gradient=gradient,
         point_gradient=point_gradient,
-        autonomous=not time_periodic,
+        autonomous=False,
         name="wall-perturbation",
     )
 
@@ -451,8 +432,7 @@ def calibrate_perturbation(tet, spec: PerturbationSpec):
     target.  Every term of F is proportional to its amplitude, so
     Delta(F_A) = A Delta(F_1): one separation at A = 1 fixes A, and a
     second measures the |Delta| of F_A that the budget uses.  Returns F,
-    its measured |Delta|, the amplitude and the number of separations
-    measured (2)."""
+    its measured |Delta| and the amplitude."""
     def measured(a):
         F = wall_perturbation(a, R0=tet.R0, R1=tet.R1)
         return abs(separation(F, tet.low_wall, tet.high_wall,
@@ -464,7 +444,7 @@ def calibrate_perturbation(tet, spec: PerturbationSpec):
                           "unchanged; no amplitude reaches the target")
     amp = spec.delta_target / unit
     delta, F = measured(amp)
-    return F, delta, amp, 2
+    return F, delta, amp
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +459,17 @@ def _chord_report(scenario, cfg: ScenarioConfig, tet, G: HamiltonianSpec,
     coordinates, or over the p-block with ``p_only``."""
     budget = chord_budget(tet.kappa, sep.delta, delta_pert)
     result = find_chord(G, tet.floor, tet.ceiling, budget, cfg.search)
-    time_len = inc = None
+    inc = None
     if result.found:
         n = cfg.k if p_only else None
-        a, b = result.chord.trajectory.states[[0, -1], :n]
+        a, b = result.trajectory.states[[0, -1], :n]
         inc = float(np.linalg.norm(b) - np.linalg.norm(a))
-        time_len = result.chord.time_length
     return ScenarioReport(
         scenario=scenario,
         delta_separation=sep.delta, delta_perturbation=delta_pert,
         kappa=tet.kappa, budget=budget, found=result.found,
-        time_length=time_len, increment=inc, expected_increment=expected,
+        time_length=result.time_length, increment=inc,
+        expected_increment=expected,
         details=details, search=result, separation=sep,
     )
 
@@ -501,11 +481,9 @@ def run_unstable_equilibrium(cfg: ScenarioConfig) -> ScenarioReport:
     delta_pert, G = 0.0, G0
     details = {"model": cfg.model.kind, "k": cfg.k}
     if cfg.perturbation is not None:
-        F, delta_pert, amp, steps = calibrate_perturbation(
-            tet, cfg.perturbation)
+        F, delta_pert, amp = calibrate_perturbation(tet, cfg.perturbation)
         G = add_hamiltonians(G0, F)
         details["perturbation_amplitude"] = amp
-        details["calibration_steps"] = steps
         details["away_factor"] = AWAY_FACTOR
     return _chord_report(
         "unstable_equilibrium", cfg, tet, G, sep, details,

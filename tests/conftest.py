@@ -128,7 +128,7 @@ def gaussian_hamiltonian(chart, centers, widths, amps, name="bumps"):
                            name=name)
 
 
-def four_plateau_gradient(amplitude, R0=1.0, R1=2.0, time_periodic=True):
+def four_plateau_gradient(amplitude, R0=1.0, R1=2.0):
     """Reference for ``wall_perturbation``'s gradient callback: the whole
     gradient from its four plateaus in one ``PlateauStack`` pass, with an
     exact zero only where no row lies in the near-wall tube or the
@@ -142,8 +142,6 @@ def four_plateau_gradient(amplitude, R0=1.0, R1=2.0, time_periodic=True):
     bumps = PlateauStack((ring, nearq, near_anti, far_ring))
 
     def tfac(t):
-        if not time_periodic:
-            return 1.0
         return 0.5 * (1.0 + np.sin(2 * math.pi * np.asarray(t)))
 
     def gradient(x, t):

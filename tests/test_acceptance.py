@@ -110,7 +110,7 @@ def test_time_error_covers_analytic_times(unstable_run, channel_run_k1):
     for run, exact in ((unstable_run, 0.5 * math.log(2)),
                        (channel_run_k1, 1.0 / (2 * math.pi))):
         rep = run.value
-        slack = max(2 * rep.search.chord.time_error,
+        slack = max(2 * rep.search.time_error,
                     8 * np.finfo(float).eps * exact)
         assert abs(rep.time_length - exact) <= slack
 
@@ -261,8 +261,8 @@ def _check_mean_value():
     res = find_chord(G, tet.floor, tet.ceiling, 0.5)
     if not res.found:
         return False
-    tau = res.chord.time_length
-    traj = res.chord.trajectory
+    tau = res.time_length
+    traj = res.trajectory
     ts = np.linspace(traj.t0, traj.t1, 101)
     best = max(poisson_bracket(F, G, traj(t)) for t in ts)
     return best >= 1.0 / tau - 1e-6

@@ -17,7 +17,8 @@ from tetralab import cli, scenarios
 from tetralab.cli import emit_report, main
 from tetralab.dynamics import ChordSearchConfig, find_chord
 from tetralab.pb4 import BLOCK_CELLS, estimate_pb4_plus, prototype_problem
-from tetralab.scenarios import PerturbationSpec, ScenarioConfig
+from tetralab.scenarios import (PerturbationSpec, ScenarioConfig,
+                                run_scenario)
 
 
 SCENARIO, PB4, TETRAGON = (["scenario", "run"], ["pb4", "estimate"],
@@ -41,15 +42,18 @@ class TestScenarioCommand:
         out = tmp_path / "out"
         assert main(["scenario", "run", cfg, "--out", str(out)]) == 0
         rep = read_report(out)
+        assert sorted(rep) == ["artifact_version", "command", "config",
+                               "report", "tolerances"]
         assert rep["command"] == "scenario"
         assert rep["report"]["passed"] is True
         assert rep["report"]["time_length"] == pytest.approx(
             0.5 * math.log(2), abs=1e-4
         )
-        assert 0 < rep["report"]["n_refine_evals"] <= 72
-        assert rep["report"]["n_refine_failed"] == 0
-        assert rep["report"]["refine_converged"] is True
-        assert 0 < rep["report"]["n_separation_evals"] <= 240
+        search = rep["report"]["search"]
+        assert 0 < search["n_refine_evals"] <= 72
+        assert search["n_refine_failed"] == 0
+        assert search["refine_converged"] is True
+        assert 0 < rep["report"]["separation"]["n_evals"] <= 240
         assert (out / "timing.json").exists()
 
     def test_channel_chord_with_artifacts(self, tmp_path):
@@ -61,13 +65,14 @@ class TestScenarioCommand:
         rep = read_report(out)
         assert rep["report"]["time_length"] == pytest.approx(
             1.0 / (2 * math.pi), abs=1e-6)
-        assert 0.0 <= rep["report"]["time_error"] < 1e-9
-        assert rep["report"]["n_refine_evals"] > 0
-        assert rep["report"]["n_refine_failed"] == 0
-        assert 0 < rep["report"]["n_separation_evals"] <= 240
-        assert rep["search"] == {"best_distance": 0.0, "n_seeds": 64,
-                                 "n_phases": 1, "n_escaped": 0,
-                                 "n_stiff": 0}
+        search = rep["report"]["search"]
+        assert 0.0 <= search.pop("time_error") < 1e-9
+        assert search.pop("n_refine_evals") > 0
+        assert search == {"best_distance": 0.0, "n_seeds": 64,
+                          "n_phases": 1, "n_escaped": 0, "n_stiff": 0,
+                          "n_refine_failed": 0, "refine_converged": True,
+                          "message": ""}
+        assert 0 < rep["report"]["separation"]["n_evals"] <= 240
         assert (out / "trajectory.csv").read_text().startswith("t,s,u\n")
         traj = np.loadtxt(out / "trajectory.csv", delimiter=",",
                           skiprows=1)
@@ -79,7 +84,8 @@ class TestScenarioCommand:
     def test_no_chord_exits_2_with_search_counts(self, tmp_path,
                                                  monkeypatch):
         """A budget too small for any chord: exit 2, and the search
-        block says what the sweep lost; no CSV is written."""
+        record says what the sweep lost, its message what was swept and
+        what failed; no CSV is written."""
         monkeypatch.setattr(scenarios, "chord_budget", lambda *args: 0.01)
         cfg = write_config(tmp_path, {"scenario": "superconductivity",
                                       "n_seeds": 8})
@@ -88,12 +94,17 @@ class TestScenarioCommand:
         rep = read_report(out)
         assert rep["report"]["found"] is False
         assert rep["report"]["budget"] == 0.01
-        assert rep["report"]["time_error"] is None
-        assert rep["report"]["n_refine_evals"] > 0
-        assert rep["report"]["n_refine_failed"] == 0
-        assert rep["search"].pop("best_distance") > 0.0
-        assert rep["search"] == {"n_seeds": 8, "n_phases": 1,
-                                 "n_escaped": 0, "n_stiff": 0}
+        search = rep["report"]["search"]
+        assert search["time_error"] is None
+        assert search["n_refine_evals"] > 0
+        assert search["n_refine_failed"] == 0
+        assert search["best_distance"] > 0.0
+        assert {key: search[key] for key in ("n_seeds", "n_phases",
+                                             "n_escaped", "n_stiff")} == {
+            "n_seeds": 8, "n_phases": 1, "n_escaped": 0, "n_stiff": 0}
+        assert search["message"].startswith(
+            "no certified chord at the swept resolution: 8 seeds x 1 "
+            "phases, 0 escaped, 0 stiff; ")
         assert sorted(p.name for p in out.iterdir()) == \
             ["report.json", "timing.json"]
 
@@ -143,10 +154,8 @@ class TestScenarioCommand:
         assert code == 0
         rep = read_report(out)
         assert rep["config"]["reeb_factor_amp"] == 0.0
-        assert rep["report"]["n_refine_evals"] is None
-        assert rep["report"]["refine_converged"] is None
-        assert rep["report"]["n_separation_evals"] is None
-        assert rep["search"] is None
+        assert rep["report"]["search"] is None
+        assert rep["report"]["separation"] is None
         assert rep["report"]["time_length"] == pytest.approx(
             (math.pi / 4) / 1.5, abs=1e-8
         )
@@ -229,6 +238,51 @@ class TestScenarioCommand:
         assert main(["scenario", "run", cfg, "--out", str(out)]) == 1
         assert "error: delta_target" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_empty_perturbation_is_the_default_target(self, tmp_path):
+        """``"perturbation": {}`` asks for ``PerturbationSpec``'s default
+        target of 0.25, as the schema reads it: a perturbed run, not an
+        unperturbed one."""
+        cfg = write_config(tmp_path, {"scenario": "unstable_equilibrium",
+                                      "perturbation": {}, "n_seeds": 8,
+                                      "n_phases": 4})
+        out = tmp_path / "o"
+        assert main(["validate", "config", cfg]) == 0
+        assert main(["scenario", "run", cfg, "--out", str(out)]) == 0
+        rep = read_report(out)["report"]
+        assert abs(rep["delta_perturbation"] - 0.25) <= 0.01
+        assert rep["perturbation_amplitude"] > 0.0
+
+    @pytest.mark.parametrize("payload, status", [
+        ({"scenario": "unstable_equilibrium"}, 0),
+        ({"scenario": "superconductivity", "n_seeds": 8}, 2),
+        ({"scenario": "reeb_chord"}, 0),
+    ], ids=["unstable", "no_chord", "reeb"])
+    def test_report_is_describe(self, tmp_path, monkeypatch, payload,
+                                status):
+        """report.json is the envelope around the run's ``describe()``,
+        which holds JSON values only, so a digest of ``describe()``
+        (criterion 9) covers every number ``scenario run`` writes."""
+        if status == 2:  # a budget too small for any chord
+            monkeypatch.setattr(scenarios, "chord_budget",
+                                lambda *args: 0.01)
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["scenario", "run", cfg, "--out", str(out)]) == status
+        described = run_scenario(ScenarioConfig(**payload)).describe()
+        rep = read_report(out)
+        assert sorted(rep) == ["artifact_version", "command", "config",
+                               "report", "tolerances"]
+        assert rep["report"] == json.loads(json.dumps(described))
+
+        def json_types(value):
+            if isinstance(value, dict):
+                return all(json_types(v) for v in value.values())
+            if isinstance(value, list):
+                return all(json_types(v) for v in value)
+            return type(value) in (bool, int, float, str, type(None))
+
+        assert json_types(described)
 
     def test_report_bytes_reproducible(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "reeb_chord"})

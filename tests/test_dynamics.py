@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from tetralab import dynamics
 from tetralab.contact import (CircleModel, Region, SphereModel, TorusModel,
                               build_tetragon)
-from tetralab.dynamics import (Chord, ChordSearchConfig, EscapeError,
+from tetralab.dynamics import (ChordSearchConfig, EscapeError,
                                StiffnessError, chord_budget, deterministic_map,
                                ensemble_sweep, find_chord, integrate,
                                pattern_search, separation)
@@ -36,12 +36,12 @@ def assert_bits(a, b):
     assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def assert_chord(chord, X0, X1, budget):
-    """The chord's run goes from a member of X0 to a member of X1 in a
-    positive time within the budget."""
-    states = chord.trajectory.states
+def assert_chord(res, X0, X1, budget):
+    """The found chord's run goes from a member of X0 to a member of X1
+    in a positive time within the budget."""
+    states = res.trajectory.states
     assert X0.membership(states[0]) and X1.membership(states[-1])
-    assert 0.0 < chord.time_length <= budget + 1e-12
+    assert 0.0 < res.time_length <= budget + 1e-12
 
 
 class TestIntegrate:
@@ -612,15 +612,14 @@ class TestFindChord:
         H = channel_potential(1)
         res = find_chord(H, tet.floor, tet.ceiling, 0.25)
         assert res.found
-        assert res.chord.time_length == pytest.approx(1.0 / (2 * math.pi),
-                                                      abs=1e-6)
-        assert_chord(res.chord, tet.floor, tet.ceiling, 0.25)
+        assert res.time_length == pytest.approx(1.0 / (2 * math.pi), abs=1e-6)
+        assert_chord(res, tet.floor, tet.ceiling, 0.25)
 
     def test_chord_endpoints_on_regions(self):
         tet = build_tetragon(CircleModel(), 1.0, 2.0, 0.25)
         res = find_chord(channel_potential(1), tet.floor, tet.ceiling,
                          0.25)
-        states = res.chord.trajectory.states
+        states = res.trajectory.states
         assert tet.floor.distance(states[0]) <= 1e-6
         assert tet.ceiling.distance(states[-1]) <= 1e-6
 
@@ -629,7 +628,7 @@ class TestFindChord:
         res = find_chord(constant_hamiltonian(PLANE), tet.floor,
                          tet.ceiling, 1.0)
         assert not res.found
-        assert res.chord is None
+        assert res.trajectory is res.time_error is res.time_length is None
         assert res.best_distance == pytest.approx(math.sqrt(2) - 1,
                                                   abs=1e-6)
 
@@ -657,7 +656,7 @@ class TestFindChord:
         a = find_chord(H, tet.floor, tet.ceiling, 0.25)
         b = find_chord(H, tet.floor, tet.ceiling, 0.5)
         assert a.found and b.found
-        assert b.chord.time_length <= a.chord.time_length + 1e-9
+        assert b.time_length <= a.time_length + 1e-9
 
     def test_found_chord_reports_swept_counts(self):
         tet = build_tetragon(CircleModel(), 1.0, 2.0, 0.25)
@@ -707,9 +706,8 @@ class TestFindChord:
         res = find_chord(unstable_hamiltonian(1), tet.floor, tet.ceiling,
                          math.pi / 4, ChordSearchConfig(escape_norm=1.6))
         assert res.found
-        assert res.chord.time_length == pytest.approx(0.5 * math.log(2),
-                                                      abs=1e-4)
-        assert_chord(res.chord, tet.floor, tet.ceiling, math.pi / 4)
+        assert res.time_length == pytest.approx(0.5 * math.log(2), abs=1e-4)
+        assert_chord(res, tet.floor, tet.ceiling, math.pi / 4)
 
     def test_an_escape_just_past_the_arrival_keeps_the_chord(self):
         """A ball of radius sqrt 2 (1 + 1e-7), just outside the ceiling:
@@ -721,9 +719,9 @@ class TestFindChord:
         res = find_chord(H, tet.floor, tet.ceiling, budget, ChordSearchConfig(
             escape_norm=math.sqrt(2) * (1 + 1e-7)))
         assert ref.found and res.found
-        assert (res.chord.trajectory.stop, res.chord.time_error,
-                res.n_refine_evals) == (ref.chord.trajectory.stop,
-                                        ref.chord.time_error,
+        assert (res.trajectory.stop, res.time_error,
+                res.n_refine_evals) == (ref.trajectory.stop,
+                                        ref.time_error,
                                         ref.n_refine_evals)
         assert res.n_refine_failed == 0
 
@@ -774,9 +772,8 @@ class TestFindChord:
         res = find_chord(H, tet.floor, tet.ceiling, budget,
                          ChordSearchConfig(n_seeds=2))
         assert res.found
-        assert res.chord.time_length == pytest.approx(0.5 * math.log(2),
-                                                      abs=1e-6)
-        assert_chord(res.chord, tet.floor, tet.ceiling, budget)
+        assert res.time_length == pytest.approx(0.5 * math.log(2), abs=1e-6)
+        assert_chord(res, tet.floor, tet.ceiling, budget)
 
 
 class TestSharpFixture:
@@ -808,8 +805,7 @@ class TestSharpFixture:
         exact = chord_budget(tet.kappa, Delta, delta)
         res = find_chord(H, tet.floor, tet.ceiling, 1.001 * exact)
         assert res.found
-        chord = res.chord
-        assert abs(chord.time_length - exact) <= chord.time_error
+        assert abs(res.time_length - exact) <= res.time_error
 
 
 def _record_integrate(monkeypatch):
@@ -837,8 +833,7 @@ class TestIncumbentWindow:
         res = find_chord(unstable_hamiltonian(1), tet.floor, tet.ceiling,
                          budget, ChordSearchConfig(ode_tol=1e-9))
         assert res.found
-        assert res.chord.time_length == pytest.approx(0.5 * math.log(2),
-                                                      abs=1e-9)
+        assert res.time_length == pytest.approx(0.5 * math.log(2), abs=1e-9)
         starts = [x0 for x0, *_ in calls[:-1]]
         assert len(set(starts)) == len(starts)
         assert len(calls) <= res.n_refine_evals + 1
@@ -852,7 +847,7 @@ class TestIncumbentWindow:
             if traj.stop is not None:
                 best = min(best, traj.stop - t0)
         assert windowed >= len(calls) - 1
-        assert res.chord.trajectory.t1 == res.chord.trajectory.stop
+        assert res.trajectory.t1 == res.trajectory.stop
 
     def test_no_start_is_integrated_twice(self, monkeypatch):
         """Pattern search polls the start it just left; refinement answers
@@ -868,8 +863,8 @@ class TestIncumbentWindow:
         assert len(set(starts)) == len(starts)
         assert len(starts) < res.n_refine_evals
         winner = starts.index(calls[-1][0])
-        assert calls[winner][3] is res.chord.trajectory
-        assert calls[-1][2] >= res.chord.trajectory.stop
+        assert calls[winner][3] is res.trajectory
+        assert calls[-1][2] >= res.trajectory.stop
 
     def test_no_hit_refines_over_the_full_budget(self, monkeypatch):
         """With no hit anywhere there is no incumbent: every refinement
@@ -944,12 +939,12 @@ class TestIncumbentWindow:
             assert first[1] <= np.nanmin(swept.hit) + 1e-15
         assert res.found == (not missed)
         if res.found:
-            assert res.chord.time_length == value
-            traj = res.chord.trajectory
+            assert res.time_length == value
+            traj = res.trajectory
             assert traj.t1 == traj.stop
             assert np.array_equal(traj.states[-1], traj(traj.stop))
-            assert_chord(res.chord, X0, X1, budget)
-            assert 0.0 <= res.chord.time_error < 1e-8
+            assert_chord(res, X0, X1, budget)
+            assert 0.0 <= res.time_error < 1e-8
         else:
             assert res.best_distance == value
 
@@ -988,7 +983,7 @@ class TestRefinementStop:
         rep = channel_run_k2.value
         assert rep.separation.converged
         assert rep.separation.n_evals <= 60
-        assert rep.describe()["separation_converged"] is True
+        assert rep.describe()["separation"]["converged"] is True
 
     def test_separation_at_its_cap_is_not_converged(self):
         """A minimum at a kink in both the wall coordinate s and time,
@@ -1024,9 +1019,8 @@ class TestRefinementCap:
                              n_seeds=256,
                              escape_norm=10.0 * (math.sqrt(2.0) + 1.0)))
         assert res.found and res.refine_converged and res.message == ""
-        chord = res.chord
-        assert abs(chord.time_length - 0.5 * math.log(2.0)) \
-            <= 2 * chord.time_error
+        assert abs(res.time_length - 0.5 * math.log(2.0)) \
+            <= 2 * res.time_error
 
     def test_a_capped_chord_says_so(self, monkeypatch):
         """A search stopped at its cap still gives the winning run as the

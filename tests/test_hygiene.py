@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package is used,
 every top-level ``def`` and ``class`` and every method but a dunder is
 read somewhere, and by program code (``src/``, ``bench/``) but where
-``TEST_ONLY_ALLOWED`` says, the package
+``TEST_ONLY_ALLOWED`` says, every defaulted parameter is set by some
+program call but where ``PARAM_ALLOWED`` says, the package
 reads no environment variable, scipy is loaded
 and ``solve_ivp`` named only where ``SCIPY_ALLOWED`` and
 ``SOLVE_IVP_ALLOWED`` say, every ``HamiltonianSpec`` the package
@@ -209,6 +210,115 @@ def test_test_only_defs_are_allowed(path):
                                     program, tests)
     assert {name for _, name in found} == {
         name for module, name in TEST_ONLY_ALLOWED if module == path.name}
+
+
+def defaulted_params(source):
+    """``(line, def, parameter, index)`` of each parameter with a default
+    of each top-level ``def`` and of each method but a dunder of a
+    top-level class; ``index`` is the parameter's position in a call
+    (a method's first parameter, its instance, not counted unless it is
+    a ``staticmethod``), None for a keyword-only one."""
+    tree = ast.parse(source)
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = [(node, 0) for node in tree.body if isinstance(node, funcs)]
+    defs += [(node, 0 if "staticmethod" in map(ast.unparse,
+                                               node.decorator_list) else 1)
+             for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for node in cls.body if isinstance(node, funcs)
+             and not (node.name.startswith("__")
+                      and node.name.endswith("__"))]
+    found = []
+    for node, bound in defs:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        found += [(node.lineno, node.name, arg.arg, i - bound)
+                  for i, arg in enumerate(positional) if i >= first]
+        found += [(node.lineno, node.name, arg.arg, None)
+                  for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                  if default is not None]
+    return found
+
+
+def calls_by_name(trees):
+    """Every call in ``trees`` by the name it calls (a bare name or an
+    attribute)."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def sets_param(call, name, index):
+    """Whether ``call`` passes the parameter ``name`` at position
+    ``index``: by keyword, by position, or maybe, through ``*args`` or
+    ``**kwargs``."""
+    return (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(k.arg in (None, name) for k in call.keywords)
+            or index is not None and index < len(call.args))
+
+
+def unset_params(source, calls):
+    """``(line, def, parameter)`` of each defaulted parameter of
+    ``source`` that no call in ``calls`` (``calls_by_name``) sets."""
+    return [(line, fn, name) for line, fn, name, index
+            in defaulted_params(source)
+            if not any(sets_param(call, name, index)
+                       for call in calls.get(fn, ()))]
+
+
+def test_param_checker_flags_defaults_no_call_sets():
+    src = ("def api(x, scale=1.0, *, name=''):\n    pass\n"
+           "def helper(a, b=0, c=1):\n    pass\n"
+           "def spread(a=0, b=1):\n    pass\n"
+           "class Model:\n"
+           "    def __init__(self, k=1):\n        pass\n"
+           "    def run(self, n=1, tol=0.1):\n        pass\n"
+           "    @staticmethod\n"
+           "    def make(n=1):\n        pass\n")
+    program = ("api(1)\napi(2, name='x')\nhelper(1, 2)\n"
+               "spread(*args)\nModel().run(5)\nModel.make(3)\n"
+               "mod.helper(0, **options)\n")
+    calls = calls_by_name([ast.parse(program)])
+    assert unset_params(src, calls) == [(1, "api", "scale"),
+                                        (10, "run", "tol")]
+    calls = calls_by_name([ast.parse("helper(1, c=2)\napi(1, 2.0)\n")])
+    assert unset_params(src, calls) == [
+        (1, "api", "name"), (3, "helper", "b"), (5, "spread", "a"),
+        (5, "spread", "b"), (10, "run", "n"), (10, "run", "tol"),
+        (13, "make", "n")]
+
+
+# (module, def, parameter) of each defaulted parameter only tests set,
+# and why a program without a caller that sets it keeps it
+PARAM_ALLOWED = {
+    ("pb4.py", "estimate_pb4_plus", "warm_start"):
+        "a projected warm start for the estimate, which ROADMAP item 4 "
+        "gives a program use",
+    ("pb4.py", "wall_witness", "delta1"):
+        "criterion 6's witness is stated in both ramp heights, delta1 and "
+        "delta2",
+}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_defaulted_params_are_set_by_the_program(path):
+    """A defaulted parameter that no ``src/`` or ``bench/`` call sets is
+    an option only tests choose: it joins ``PARAM_ALLOWED`` with a
+    reason, or goes.  The defs ``TEST_ONLY_ALLOWED`` names, which only
+    tests call, are exempt, and the table names exactly the module's
+    unset parameters."""
+    calls = calls_by_name(ast.parse(p.read_text(encoding="utf-8"))
+                          for p in SOURCES if not p.is_relative_to(TESTS))
+    unset = unset_params(path.read_text(encoding="utf-8"), calls)
+    assert {(path.name, fn, name) for _, fn, name in unset
+            if (path.name, fn) not in TEST_ONLY_ALLOWED} == {
+        entry for entry in PARAM_ALLOWED if entry[0] == path.name}
 
 
 def env_reads(source):

@@ -477,8 +477,8 @@ class TestPrototypeHamiltonians:
         tet = build_tetragon(CircleModel(), 1.0, 2.0, 0.25)
         res = find_chord(G, tet.floor, tet.ceiling, 0.5)
         assert res.found
-        tau = res.chord.time_length
-        traj = res.chord.trajectory
+        tau = res.time_length
+        traj = res.trajectory
         ts = np.linspace(traj.t0, traj.t1, 101)
         best = max(poisson_bracket(F, G, traj(t)) for t in ts)
         assert best >= 1.0 / tau - 1e-6

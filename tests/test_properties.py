@@ -212,10 +212,7 @@ def _library():
         "channel_k1": channel_potential(1),
         "channel_k2": channel_potential(2),
         "mechanical_k1": mechanical_hamiltonian(1),
-        "mechanical_k2_timed": mechanical_hamiltonian(2, time_amp=0.3),
         "wall_perturbation": wall_perturbation(0.25),
-        "wall_perturbation_static": wall_perturbation(
-            0.25, time_periodic=False),
         "perturbed": add_hamiltonians(unstable_hamiltonian(1),
                                       wall_perturbation(0.25)),
         "constant": constant_hamiltonian(PhaseChart(dim_pairs=2), 1.5),
@@ -669,8 +666,7 @@ def test_plateau_stack_is_bitwise_plateau(data):
         assert _bits(column_slope[i]) == _bits(pl.deriv(y))
 
 
-PERTURBATIONS = [wall_perturbation(0.25),
-                 wall_perturbation(0.25, time_periodic=False)]
+PERTURBATIONS = [wall_perturbation(0.25)]
 # inside the near-wall tube |q| < 0.15 or the anti-diagonal band
 # |p + q| < 0.2, the two narrow bumps every gradient term carries
 near_wall = st.builds(
@@ -692,7 +688,7 @@ off_bumps = st.builds(
 phase = st.floats(min_value=0.0, max_value=1.0)
 
 
-@pytest.mark.parametrize("F", PERTURBATIONS, ids=["periodic", "static"])
+@pytest.mark.parametrize("F", PERTURBATIONS, ids=["periodic"])
 @SETTINGS
 @given(data=st.data())
 def test_perturbation_gradient_batch_equals_points(F, data):
@@ -701,7 +697,7 @@ def test_perturbation_gradient_batch_equals_points(F, data):
     assert_rows_equal(F.grad(X, ts), [F.grad(x, t) for x, t in zip(X, ts)])
 
 
-@pytest.mark.parametrize("F", PERTURBATIONS, ids=["periodic", "static"])
+@pytest.mark.parametrize("F", PERTURBATIONS, ids=["periodic"])
 @SETTINGS
 @given(data=st.data())
 def test_perturbation_gradient_zero_off_bumps(F, data):
@@ -711,7 +707,7 @@ def test_perturbation_gradient_zero_off_bumps(F, data):
     assert all(not np.any(F.grad(x, t)) for x in X)
 
 
-@pytest.mark.parametrize("F", PERTURBATIONS, ids=["periodic", "static"])
+@pytest.mark.parametrize("F", PERTURBATIONS, ids=["periodic"])
 @SETTINGS
 @given(x=in_bump, t=phase)
 def test_perturbation_gradient_matches_central_differences(F, x, t):
@@ -722,8 +718,7 @@ def test_perturbation_gradient_matches_central_differences(F, x, t):
 # Term-wise perturbation gradient against the four-plateau reference
 # ---------------------------------------------------------------------------
 
-REFERENCES = [four_plateau_gradient(0.25),
-              four_plateau_gradient(0.25, time_periodic=False)]
+REFERENCES = [four_plateau_gradient(0.25)]
 
 tube_q = st.floats(min_value=-0.1499, max_value=0.1499)
 band_s = st.floats(min_value=-0.1999, max_value=0.1999)
@@ -766,7 +761,7 @@ def test_seam_rows_straddle_the_falling_edge():
 
 
 @pytest.mark.parametrize("F, reference", zip(PERTURBATIONS, REFERENCES),
-                         ids=["periodic", "static"])
+                         ids=["periodic"])
 @SETTINGS
 @given(data=st.data())
 def test_termwise_gradient_equals_four_plateau_reference(F, reference,
